@@ -1,27 +1,32 @@
-let rates (views : Cc_types.subflow_view array) =
-  Array.map
-    (fun (v : Cc_types.subflow_view) -> v.cwnd /. Stdlib.max v.rtt 1e-9)
-    views
+let fmax = Cc_types.fmax
 
-let alpha views idx =
-  let x = rates views in
-  let xmax = Array.fold_left Stdlib.max 0. x in
-  xmax /. Stdlib.max x.(idx) 1e-9
+(* x_r = w_r/rtt_r *)
+let[@inline] rate (v : Cc_types.subflow_view) = v.cwnd /. fmax v.rtt 1e-9
+
+(* α_r = max_k x_k / x_r *)
+let[@inline] alpha (views : Cc_types.subflow_view array) idx =
+  let xmax = ref 0. in
+  for k = 0 to Array.length views - 1 do
+    xmax := fmax !xmax (rate views.(k))
+  done;
+  !xmax /. fmax (rate views.(idx)) 1e-9
 
 let create () =
-  let increase ~views ~idx =
-    let x = rates views in
-    let total = Array.fold_left ( +. ) 0. x in
+  let increase ~(views : Cc_types.subflow_view array) ~idx =
+    let total = ref 0. in
+    for k = 0 to Array.length views - 1 do
+      total := !total +. rate views.(k)
+    done;
     let a = alpha views idx in
     let v = views.(idx) in
-    let rtt = Stdlib.max v.Cc_types.rtt 1e-9 in
-    x.(idx) /. rtt /. Stdlib.max (total *. total) 1e-18
+    let rtt = fmax v.rtt 1e-9 in
+    rate v /. rtt /. fmax (!total *. !total) 1e-18
     *. ((1. +. a) /. 2.)
     *. ((4. +. a) /. 5.)
   in
   let loss_decrease ~views ~idx =
     let a = alpha views idx in
-    views.(idx).Cc_types.cwnd /. 2. *. Stdlib.min a 1.5
+    views.(idx).Cc_types.cwnd /. 2. *. Cc_types.fmin a 1.5
   in
   {
     Cc_types.name = "balia";

@@ -23,9 +23,11 @@ type t = {
       (** [Some s]: when the connection has several subflows, slow-start
           threshold is forced to [s] packets (OLIA's Linux implementation
           uses 1 MSS, §IV-B); [None] keeps regular TCP slow start. *)
-  on_ack : idx:int -> acked:float -> unit;
+  on_ack : idx:int -> acked:int -> unit;
       (** bookkeeping for [acked] newly-acknowledged packets on subflow
-          [idx] (OLIA's inter-loss counters ℓ₁/ℓ₂). *)
+          [idx] (OLIA's inter-loss counters ℓ₁/ℓ₂). A packet count, as
+          the kernel keeps it; an [int] also crosses the closure call
+          without a boxed float on every ACK. *)
   on_loss : idx:int -> unit;
       (** bookkeeping for a loss event on subflow [idx]. *)
   increase : views:subflow_view array -> idx:int -> float;
@@ -42,3 +44,13 @@ type t = {
 val halve : views:subflow_view array -> idx:int -> float
 (** The unmodified TCP decrease [cwnd/2] (paper §IV: OLIA and LIA use
     unmodified TCP behavior on loss). *)
+
+val fmax : float -> float -> float
+(** [fmax a b] is [Stdlib.max a b] on floats: [if a >= b then a else b],
+    so NaN and signed zeros resolve as they do there (unlike
+    [Float.max]). Being monomorphic and inlined, it skips the C
+    polymorphic compare and the argument boxing that [Stdlib.max]
+    costs. *)
+
+val fmin : float -> float -> float
+(** [fmin a b] is [Stdlib.min a b] on floats, like {!fmax}. *)

@@ -11,7 +11,7 @@ let fresh_epoch () = { w_max = 0.; t = 0.; k = 0.; valid = false }
 
 let ensure st idx =
   if idx >= Array.length st.epochs then begin
-    let cap = Stdlib.max (2 * (idx + 1)) 4 in
+    let cap = Int.max (2 * (idx + 1)) 4 in
     st.epochs <-
       Array.init cap (fun i ->
           if i < Array.length st.epochs then st.epochs.(i) else fresh_epoch ())
@@ -26,8 +26,8 @@ let create ?(c = 0.4) ?(beta = 0.3) () =
     ensure st idx;
     let e = st.epochs.(idx) in
     let v = views.(idx) in
-    let w = Stdlib.max v.Cc_types.cwnd 1. in
-    let rtt = Stdlib.max v.Cc_types.rtt 1e-3 in
+    let w = Cc_types.fmax v.Cc_types.cwnd 1. in
+    let rtt = Cc_types.fmax v.Cc_types.rtt 1e-3 in
     (* one ACK ≈ 1/w of an RTT of elapsed time *)
     e.t <- e.t +. (rtt /. w);
     if not e.valid then
@@ -38,7 +38,7 @@ let create ?(c = 0.4) ?(beta = 0.3) () =
       if target <= w then
         (* TCP-friendly floor: at least Reno's growth *)
         1. /. w
-      else Stdlib.min ((target -. w) /. w) 1.
+      else Cc_types.fmin ((target -. w) /. w) 1.
     end
   in
   let on_loss ~idx =

@@ -1,15 +1,17 @@
-let increase_formula views idx =
+let fmax = Cc_types.fmax
+
+let increase_formula (views : Cc_types.subflow_view array) idx =
   let num = ref 0. and denom = ref 0. in
-  Array.iter
-    (fun (v : Cc_types.subflow_view) ->
-      let w = Stdlib.max v.cwnd 1e-9 and rtt = Stdlib.max v.rtt 1e-9 in
-      let per_rtt2 = w /. (rtt *. rtt) in
-      if per_rtt2 > !num then num := per_rtt2;
-      denom := !denom +. (w /. rtt))
-    views;
+  for r = 0 to Array.length views - 1 do
+    let v = views.(r) in
+    let w = fmax v.cwnd 1e-9 and rtt = fmax v.rtt 1e-9 in
+    let per_rtt2 = w /. (rtt *. rtt) in
+    if per_rtt2 > !num then num := per_rtt2;
+    denom := !denom +. (w /. rtt)
+  done;
   let coupled = !num /. (!denom *. !denom) in
-  let own = 1. /. Stdlib.max views.(idx).Cc_types.cwnd 1e-9 in
-  Stdlib.min coupled own
+  let own = 1. /. fmax views.(idx).cwnd 1e-9 in
+  Cc_types.fmin coupled own
 
 let create () =
   {

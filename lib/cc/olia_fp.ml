@@ -204,7 +204,7 @@ let[@olia.float_boundary] create () =
   in
   let on_ack ~idx ~acked =
     ensure st idx;
-    note_acked st idx (int_of_float acked)
+    note_acked st idx acked
   in
   let on_loss ~idx =
     ensure st idx;

@@ -78,7 +78,7 @@ let lockstep ?(steps = 4000) ~float_algo ~fixed_algo () =
       v.(idx).Cc.cwnd <- Stdlib.max 1. (v.(idx).Cc.cwnd -. d)
     end
     else begin
-      cc.Cc.on_ack ~idx ~acked:1.;
+      cc.Cc.on_ack ~idx ~acked:1;
       let inc = cc.Cc.increase ~views:v ~idx in
       v.(idx).Cc.cwnd <- Stdlib.max 1. (v.(idx).Cc.cwnd +. inc)
     end

@@ -10,7 +10,10 @@
    - records are recycled through a per-domain free list: [data]/[ack]
      pop a cell, [free] pushes it back. Sinks and drop sites own the
      packet and must [free] it; [live] catches double frees and
-     use-after-free when OLIA_DEBUG_INVARIANTS is armed. *)
+     use-after-free when OLIA_DEBUG_INVARIANTS is armed.
+   - a pointer store into a record or array is a [caml_modify] write
+     barrier, so [sack] is stored only when it changes: nearly every
+     packet carries [None] into a cell that already holds it. *)
 
 type kind = Data | Ack
 
@@ -80,12 +83,14 @@ let alloc () =
     p
   end
 
+let[@inline] set_sack p sack = if p.sack != sack then p.sack <- sack
+
 let[@olia.alloc_free] free p =
   if Invariant.enabled () then
     Invariant.require p.live "Packet.free: packet already freed";
   p.live <- false;
   p.route <- no_route;
-  p.sack <- None;
+  set_sack p None;
   let pool = Domain.DLS.get pool_key in
   if pool.len = Array.length pool.stack then begin
     let cap = max 64 (2 * pool.len) in
@@ -107,7 +112,7 @@ let[@inline] [@olia.alloc_free] data ~flow ~subflow ~seq ~sent_at ~route =
   p.hop <- 0;
   p.route <- route;
   p.ackno <- 0;
-  p.sack <- None;
+  set_sack p None;
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- 0.;
@@ -123,7 +128,7 @@ let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack ~route ~se
   p.hop <- 0;
   p.route <- route;
   p.ackno <- ackno;
-  p.sack <- sack;
+  set_sack p sack;
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- echo;

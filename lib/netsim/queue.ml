@@ -31,16 +31,16 @@ type t = {
   name : string;
   name_id : int; (* [Trace.intern name], so armed emission never touches the string *)
   (* FIFO as a ring over a preallocated array (the backlog is bounded
-     by [buffer_pkts]), so enqueue/dequeue never allocate. [sentinel]
-     parks empty slots so the ring doesn't retain forwarded packets. *)
+     by [buffer_pkts]), so enqueue/dequeue never allocate. The ring
+     holds all [backlog] packets from [head] on, the one in service
+     included: it stays in its slot until its service ends, so a hop
+     stores one packet pointer. Vacated slots keep stale pointers to
+     pool-owned packets rather than pay a write barrier to clear them. *)
   ring : Packet.t array;
-  sentinel : Packet.t;
-  mutable head : int; (* index of the oldest queued packet *)
-  mutable count : int; (* queued packets, excluding the one in service *)
-  mutable in_service : Packet.t; (* [sentinel] when not busy *)
+  mutable head : int; (* slot of the packet in service, or next to serve *)
   mutable on_served : unit -> unit; (* persistent serve-completion fn *)
   mutable busy : bool;
-  mutable backlog : int;
+  mutable backlog : int; (* packets in the ring *)
   red : red_state;
   mutable red_count : int;  (* packets since the last RED drop *)
   mutable arrivals : int;
@@ -53,7 +53,6 @@ type t = {
   mutable dbg_data_in : int;
   mutable dbg_data_dropped : int;
   mutable dbg_data_done : int;
-  mutable dbg_service_data : bool;  (* is the packet in service Data? *)
 }
 
 let[@inline] service_time t (p : Packet.t) =
@@ -74,13 +73,12 @@ let check_invariants t =
       (Printf.sprintf "queue %s: backlog %d outside [0, %d]" t.name t.backlog
          t.buffer_pkts);
     Invariant.require
-      (t.backlog = t.count + (if t.busy then 1 else 0))
-      (Printf.sprintf
-         "queue %s: backlog %d disagrees with fifo length %d (busy %b)"
-         t.name t.backlog t.count t.busy);
-    let queued_data = ref (if t.dbg_service_data then 1 else 0) in
+      (t.busy = (t.backlog > 0))
+      (Printf.sprintf "queue %s: busy %b with backlog %d" t.name t.busy
+         t.backlog);
+    let queued_data = ref 0 in
     let cap = Array.length t.ring in
-    for i = 0 to t.count - 1 do
+    for i = 0 to t.backlog - 1 do
       if is_data t.ring.((t.head + i) mod cap) then incr queued_data
     done;
     Invariant.require
@@ -92,31 +90,26 @@ let check_invariants t =
   end
 
 let[@olia.alloc_free] rec serve t =
-  if t.count = 0 then begin
+  if t.backlog = 0 then begin
     t.busy <- false;
     t.red.idle_since <- Sim.now t.sim
   end
   else begin
-    let p = t.ring.(t.head) in
-    t.ring.(t.head) <- t.sentinel;
-    t.head <- (t.head + 1) mod Array.length t.ring;
-    t.count <- t.count - 1;
     t.busy <- true;
-    t.in_service <- p;
-    t.dbg_service_data <- is_data p;
     ignore
-      (Sim.schedule_after ~src:"queue.serve" t.sim (service_time t p)
+      (Sim.schedule_after ~src:"queue.serve" t.sim
+         (service_time t t.ring.(t.head))
          t.on_served
         : Sim.Timer.t)
   end
 
 and[@olia.alloc_free] finish_service t =
-  let p = t.in_service in
-  t.in_service <- t.sentinel;
+  let p = t.ring.(t.head) in
+  let next = t.head + 1 in
+  t.head <- (if next = Array.length t.ring then 0 else next);
   t.backlog <- t.backlog - 1;
   t.bytes_forwarded <- t.bytes_forwarded + p.size_bytes;
   if is_data p then t.dbg_data_done <- t.dbg_data_done + 1;
-  t.dbg_service_data <- false;
   if Trace.enabled () then
     Trace.pkt_forward ~time:(Sim.now t.sim) ~queue:t.name_id ~flow:p.flow
       ~subflow:p.subflow ~seq:p.seq
@@ -130,7 +123,6 @@ and[@olia.alloc_free] finish_service t =
 let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
   if rate_bps <= 0. then invalid_arg "Queue.create: rate must be > 0";
   if buffer_pkts <= 0 then invalid_arg "Queue.create: buffer must be > 0";
-  let sentinel = Packet.sentinel () in
   let t =
     {
       sim;
@@ -140,11 +132,8 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
       discipline;
       name;
       name_id = Trace.intern name;
-      ring = Array.make buffer_pkts sentinel;
-      sentinel;
+      ring = Array.make buffer_pkts (Packet.sentinel ());
       head = 0;
-      count = 0;
-      in_service = sentinel;
       on_served = (fun () -> ());
       busy = false;
       backlog = 0;
@@ -158,7 +147,6 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
       dbg_data_in = 0;
       dbg_data_dropped = 0;
       dbg_data_done = 0;
-      dbg_service_data = false;
     }
   in
   t.on_served <- (fun () -> finish_service t);
@@ -239,8 +227,9 @@ let[@olia.alloc_free] enqueue t (p : Packet.t) =
   end
   else begin
     p.times.enqueued_at <- Sim.now t.sim;
-    t.ring.((t.head + t.count) mod Array.length t.ring) <- p;
-    t.count <- t.count + 1;
+    let tail = t.head + t.backlog in
+    let cap = Array.length t.ring in
+    t.ring.(if tail >= cap then tail - cap else tail) <- p;
     t.backlog <- t.backlog + 1;
     if Trace.enabled () then
       Trace.pkt_enqueue ~time:(Sim.now t.sim) ~queue:t.name_id ~flow:p.flow

@@ -616,7 +616,10 @@ let schedule_pkt_staged ?(src = "other") t fn p =
     if Profile.enabled () then fun q -> Profile.dispatch ~src (fun () -> fn q)
     else fn
   in
-  Array.unsafe_set t.pfn_ c fn;
+  (* [free_cell] leaves the callback slot as it was, and nearly every
+     packet event is armed with [Packet.forward] (by [Pipe]), so a
+     reused cell already holds [fn]: skip the write barrier then. *)
+  if Array.unsafe_get t.pfn_ c != fn then Array.unsafe_set t.pfn_ c fn;
   Array.unsafe_set t.pkt_ c p;
   commit_cell t c;
   handle_of t c

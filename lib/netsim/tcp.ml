@@ -2,6 +2,26 @@ module Trace = Repro_obs.Trace
 
 type path = { fwd : Packet.hop array; rev : Packet.hop array }
 
+(* The per-ACK floats live in float-only records, as in [Packet.stamps]:
+   a float field of a mixed record points at a boxed float, so every
+   store to it allocates 2 words and takes a write barrier, and every
+   read joined with a computed float in an [if] boxes the other side. *)
+type limits = {
+  min_rto : float;
+  rcv_wnd : float;  (* receive-window cap on each subflow's cwnd, packets *)
+}
+
+type sub_floats = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rto : float;
+  mutable inc_cached : float;  (* cached congestion-avoidance increase *)
+  mutable delack_echo : float;
+      (* receiver state: timestamp to echo when the delack flushes *)
+}
+
 type conn = {
   sim : Sim.t;
   rcv_sim : Sim.t;
@@ -20,8 +40,7 @@ type conn = {
   mutable completion_time : float option;
   size_pkts : int option;
   on_complete : (float -> unit) option;
-  min_rto : float;
-  rcv_wnd : float;  (* receive-window cap on each subflow's cwnd, packets *)
+  limits : limits;
   delayed_ack : bool;
 }
 
@@ -30,35 +49,32 @@ and sub = {
   idx : int;
   mutable fwd_route : Packet.hop array;  (* ends at this subflow's sink handler *)
   mutable rev_route : Packet.hop array;  (* ends at the ACK handler *)
+  f : sub_floats;
   (* sender state *)
-  mutable cwnd : float;
-  mutable ssthresh : float;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable limit : int;  (* packets assigned to this subflow (finite flows) *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rto : float;
   mutable rto_timer : Sim.Timer.t;
   mutable rto_fire : unit -> unit;  (* persistent RTO callback *)
   mutable retransmits : int;
   mutable timeouts : int;
   sacked : (int, unit) Hashtbl.t;  (* scoreboard of SACKed sequences *)
   mutable high_rtx : int;  (* highest seq retransmitted this recovery *)
-  mutable inc_cached : float;  (* cached congestion-avoidance increase *)
   mutable inc_credit : int;  (* newly-acked packets the cache still covers *)
   mutable enabled : bool;  (* path manager can stop new data on a subflow *)
   (* receiver state *)
   mutable rcv_cum : int;  (* next expected sequence number *)
   ooo : (int, unit) Hashtbl.t;
   mutable delack_count : int;  (* in-order segments not yet acknowledged *)
-  mutable delack_echo : float;  (* timestamp to echo when the delack flushes *)
   mutable delack_timer : Sim.Timer.t;
   mutable delack_fire : unit -> unit;  (* persistent delayed-ACK callback *)
 }
+
+let fmax = Repro_cc.Cc_types.fmax
+let fmin = Repro_cc.Cc_types.fmin
 
 let[@inline] min_ssthresh sub =
   if Array.length sub.conn.subs > 1 then
@@ -75,9 +91,9 @@ let[@inline] invalidate_increase sub = sub.inc_credit <- 0
    as an inexplicable throughput collapse — catch it at the source. *)
 let check_window sub =
   if Invariant.enabled () then begin
-    Invariant.require (sub.cwnd >= 1.)
+    Invariant.require (sub.f.cwnd >= 1.)
       (Printf.sprintf "tcp flow %d subflow %d: cwnd %g < 1 MSS"
-         sub.conn.flow_id sub.idx sub.cwnd);
+         sub.conn.flow_id sub.idx sub.f.cwnd);
     Invariant.require
       (sub.snd_una <= sub.snd_nxt)
       (Printf.sprintf "tcp flow %d subflow %d: snd_una %d > snd_nxt %d"
@@ -90,7 +106,7 @@ let check_window sub =
    constant constructors). *)
 let trace_state sub =
   if sub.in_recovery then Trace.Fast_recovery
-  else if sub.cwnd < sub.ssthresh then Trace.Slow_start
+  else if sub.f.cwnd < sub.f.ssthresh then Trace.Slow_start
   else Trace.Congestion_avoidance
 
 let emit_transition sub ~from_state =
@@ -101,7 +117,7 @@ let emit_transition sub ~from_state =
 
 let emit_cwnd sub =
   Trace.cwnd_update ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-    ~subflow:sub.idx ~cwnd:sub.cwnd ~ssthresh:sub.ssthresh
+    ~subflow:sub.idx ~cwnd:sub.f.cwnd ~ssthresh:sub.f.ssthresh
 
 let views conn =
   let vs = conn.views in
@@ -109,8 +125,8 @@ let views conn =
   for i = 0 to Array.length subs - 1 do
     let s = subs.(i) in
     let v = vs.(i) in
-    v.Repro_cc.Cc_types.cwnd <- s.cwnd;
-    v.Repro_cc.Cc_types.rtt <- (if s.srtt > 0. then s.srtt else 0.1)
+    v.Repro_cc.Cc_types.cwnd <- s.f.cwnd;
+    v.Repro_cc.Cc_types.rtt <- (if s.f.srtt > 0. then s.f.srtt else 0.1)
   done;
   vs
 
@@ -147,7 +163,7 @@ let purge_sacked sub =
    time is gone: the timer's deadline is always the real one. *)
 let restart_rto sub =
   let sim = sub.conn.sim in
-  let deadline = Sim.now sim +. sub.rto in
+  let deadline = Sim.now sim +. sub.f.rto in
   if Sim.Timer.active sim sub.rto_timer then
     Sim.Timer.reschedule sim sub.rto_timer deadline
   else
@@ -158,7 +174,7 @@ let ensure_rto sub =
   if not (Sim.Timer.active sim sub.rto_timer) then
     sub.rto_timer <-
       Sim.schedule_at ~src:"tcp.rto" sim
-        (Sim.now sim +. sub.rto)
+        (Sim.now sim +. sub.f.rto)
         sub.rto_fire
 
 let on_timeout sub =
@@ -166,13 +182,13 @@ let on_timeout sub =
   let from_state = if traced then trace_state sub else Trace.Slow_start in
   if traced then
     Trace.rto_fired ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-      ~subflow:sub.idx ~rto:sub.rto;
+      ~subflow:sub.idx ~rto:sub.f.rto;
   sub.timeouts <- sub.timeouts + 1;
   invalidate_increase sub;
   sub.conn.cc.Repro_cc.Cc_types.on_loss ~idx:sub.idx;
   let fl = float_of_int (flight sub) in
-  sub.ssthresh <- Stdlib.max (fl /. 2.) (min_ssthresh sub);
-  sub.cwnd <- 1.;
+  sub.f.ssthresh <- fmax (fl /. 2.) (min_ssthresh sub);
+  sub.f.cwnd <- 1.;
   sub.dupacks <- 0;
   sub.in_recovery <- false;
   sub.retransmits <- sub.retransmits + 1;
@@ -181,7 +197,7 @@ let on_timeout sub =
   sub.snd_nxt <- sub.snd_una;
   sub.high_rtx <- sub.snd_una - 1;
   purge_sacked sub;
-  sub.rto <- Stdlib.min (2. *. sub.rto) 60.;
+  sub.f.rto <- fmin (2. *. sub.f.rto) 60.;
   transmit sub sub.snd_una;
   sub.snd_nxt <- sub.snd_una + 1;
   restart_rto sub;
@@ -208,8 +224,8 @@ let can_assign sub =
 (* Limited transmit (RFC 3042): the first two duplicate ACKs may clock out
    new segments beyond the congestion window. *)
 let effective_window sub =
-  int_of_float (Stdlib.min sub.cwnd sub.conn.rcv_wnd)
-  + if sub.in_recovery then 0 else Stdlib.min sub.dupacks 2
+  int_of_float (fmin sub.f.cwnd sub.conn.limits.rcv_wnd)
+  + if sub.in_recovery then 0 else Int.min sub.dupacks 2
 
 let rec try_send sub =
   if sub.enabled && (not sub.conn.completed)
@@ -219,7 +235,7 @@ let rec try_send sub =
       if flight sub = 0 then restart_rto sub;
       let seq = sub.snd_nxt in
       sub.snd_nxt <- sub.snd_nxt + 1;
-      if Hashtbl.mem sub.sacked seq then
+      if Hashtbl.length sub.sacked > 0 && Hashtbl.mem sub.sacked seq then
         (* the receiver already holds this segment (go-back-N skip) *)
         try_send sub
       else begin
@@ -231,28 +247,29 @@ let rec try_send sub =
 
 (* --- receiving acks ------------------------------------------------ *)
 
-let sample_rtt sub echo =
+(* Inlined so [echo] stays unboxed: a float argument to an out-of-line
+   call is passed boxed. *)
+let[@inline] sample_rtt sub echo =
+  let f = sub.f in
   let rtt = Sim.now sub.conn.sim -. echo in
   if rtt > 0. then begin
-    if sub.srtt <= 0. then begin
-      sub.srtt <- rtt;
-      sub.rttvar <- rtt /. 2.
+    if f.srtt <= 0. then begin
+      f.srtt <- rtt;
+      f.rttvar <- rtt /. 2.
     end
     else begin
-      sub.rttvar <-
-        (0.75 *. sub.rttvar) +. (0.25 *. abs_float (sub.srtt -. rtt));
-      sub.srtt <- (0.875 *. sub.srtt) +. (0.125 *. rtt)
+      f.rttvar <- (0.75 *. f.rttvar) +. (0.25 *. abs_float (f.srtt -. rtt));
+      f.srtt <- (0.875 *. f.srtt) +. (0.125 *. rtt)
     end;
     (* Linux floors rttvar at tcp_rto_min/4, so RTO ≈ srtt + 200 ms even
        when the RTT variance collapses; this absorbs queueing-delay spikes
        at the bottleneck without spurious timeouts. *)
-    let rttvar = Stdlib.max sub.rttvar (sub.conn.min_rto /. 4.) in
-    sub.rto <-
-      Stdlib.min 60.
-        (Stdlib.max (sub.srtt +. (4. *. rttvar)) sub.conn.min_rto);
+    let min_rto = sub.conn.limits.min_rto in
+    let rttvar = fmax f.rttvar (min_rto /. 4.) in
+    f.rto <- fmin 60. (fmax (f.srtt +. (4. *. rttvar)) min_rto);
     if Trace.enabled () then
       Trace.rtt_sample ~time:(Sim.now sub.conn.sim) ~flow:sub.conn.flow_id
-        ~subflow:sub.idx ~rtt ~srtt:sub.srtt
+        ~subflow:sub.idx ~rtt ~srtt:f.srtt
   end
 
 let check_completion conn =
@@ -291,7 +308,7 @@ let rec find_hole sub seq =
     (* lint: allow R9 -- [Some seq] only materializes during loss recovery, bounded by the loss rate, not on the in-order ACK steady state *)
     Some seq
 
-let next_hole sub = find_hole sub (Stdlib.max sub.snd_una (sub.high_rtx + 1))
+let next_hole sub = find_hole sub (Int.max sub.snd_una (sub.high_rtx + 1))
 
 let retransmit_hole sub =
   match next_hole sub with
@@ -310,12 +327,12 @@ let enter_recovery sub =
   conn.cc.Repro_cc.Cc_types.on_loss ~idx:sub.idx;
   let v = views conn in
   let decrease = conn.cc.Repro_cc.Cc_types.loss_decrease ~views:v ~idx:sub.idx in
-  sub.ssthresh <- Stdlib.max (sub.cwnd -. decrease) (min_ssthresh sub);
+  sub.f.ssthresh <- fmax (sub.f.cwnd -. decrease) (min_ssthresh sub);
   sub.recover <- sub.snd_nxt;
   sub.in_recovery <- true;
   sub.high_rtx <- sub.snd_una - 1;
   ignore (retransmit_hole sub);
-  sub.cwnd <- sub.ssthresh +. float_of_int sub.dupacks;
+  sub.f.cwnd <- sub.f.ssthresh +. float_of_int sub.dupacks;
   ensure_rto sub;
   if traced then emit_transition sub ~from_state;
   check_window sub
@@ -330,11 +347,13 @@ let congestion_avoidance_increase sub newly =
   let conn = sub.conn in
   if sub.inc_credit <= 0 then begin
     let v = views conn in
-    sub.inc_cached <- conn.cc.Repro_cc.Cc_types.increase ~views:v ~idx:sub.idx;
-    sub.inc_credit <- Stdlib.max 1 (int_of_float sub.cwnd)
+    sub.f.inc_cached <-
+      conn.cc.Repro_cc.Cc_types.increase ~views:v ~idx:sub.idx;
+    sub.inc_credit <- Int.max 1 (int_of_float sub.f.cwnd)
   end;
   sub.inc_credit <- sub.inc_credit - newly;
-  sub.cwnd <- Stdlib.max 1. (sub.cwnd +. (float_of_int newly *. sub.inc_cached))
+  sub.f.cwnd <-
+    fmax 1. (sub.f.cwnd +. (float_of_int newly *. sub.f.inc_cached))
 
 let on_new_ack sub ackno =
   let conn = sub.conn in
@@ -344,28 +363,28 @@ let on_new_ack sub ackno =
   sub.snd_una <- ackno;
   (* after a go-back-N rewind the receiver may already hold later data *)
   if ackno > sub.snd_nxt then sub.snd_nxt <- ackno;
-  conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:(float_of_int newly);
+  conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:newly;
   if sub.in_recovery then begin
     if ackno > sub.recover then begin
       (* full ACK: leave recovery, deflate to ssthresh *)
       invalidate_increase sub;
       sub.in_recovery <- false;
       sub.dupacks <- 0;
-      sub.cwnd <- Stdlib.max 1. sub.ssthresh;
+      sub.f.cwnd <- fmax 1. sub.f.ssthresh;
       purge_sacked sub
     end
     else begin
       (* partial ACK: retransmit the next hole, deflate *)
       ignore (retransmit_hole sub);
-      sub.cwnd <- Stdlib.max 1. (sub.cwnd -. float_of_int newly +. 1.)
+      sub.f.cwnd <- fmax 1. (sub.f.cwnd -. float_of_int newly +. 1.)
     end
   end
   else begin
     sub.dupacks <- 0;
-    if sub.cwnd < sub.ssthresh then
+    if sub.f.cwnd < sub.f.ssthresh then
       (* slow start, with appropriate-byte-counting capped at 2 packets
          per ACK so cumulative jumps after recovery do not cause bursts *)
-      sub.cwnd <- sub.cwnd +. float_of_int (Stdlib.min newly 2)
+      sub.f.cwnd <- sub.f.cwnd +. float_of_int (Int.min newly 2)
     else congestion_avoidance_increase sub newly
   end;
   (* restart unconditionally: at w = 1 the flight is momentarily zero here
@@ -384,13 +403,13 @@ let on_new_ack sub ackno =
    recover without a timeout. *)
 let dupack_threshold sub =
   let fl = flight sub in
-  if fl >= 4 then 3 else Stdlib.max 1 (fl - 1)
+  if fl >= 4 then 3 else Int.max 1 (fl - 1)
 
 let on_dup_ack sub =
   if sub.in_recovery then begin
     (* each duplicate means a packet left the network: retransmit the next
        SACK hole if any, else inflate to clock out new data *)
-    if not (retransmit_hole sub) then sub.cwnd <- sub.cwnd +. 1.
+    if not (retransmit_hole sub) then sub.f.cwnd <- sub.f.cwnd +. 1.
   end
   else begin
     sub.dupacks <- sub.dupacks + 1;
@@ -439,12 +458,13 @@ let rec sack_hi sub hi =
   if Hashtbl.mem sub.ooo hi then sack_hi sub (hi + 1) else hi
 
 let sack_block_around sub seq =
-  if not (Hashtbl.mem sub.ooo seq) then None
+  if Hashtbl.length sub.ooo = 0 || not (Hashtbl.mem sub.ooo seq) then None
   else
     (* lint: allow R9 -- SACK blocks are built only for out-of-order arrivals, off the in-order steady state the alloc-free proof covers *)
     Some (sack_lo sub seq, sack_hi sub (seq + 1))
 
-let send_ack sub ~echo ~sack =
+(* Inlined, like [sample_rtt], so [echo] stays unboxed. *)
+let[@inline] send_ack sub ~echo ~sack =
   sub.delack_count <- 0;
   let ack =
     Packet.ack ~flow:sub.conn.flow_id ~subflow:sub.idx ~ackno:sub.rcv_cum
@@ -472,7 +492,7 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     let in_order = seq = sub.rcv_cum in
     if in_order then begin
       sub.rcv_cum <- sub.rcv_cum + 1;
-      while Hashtbl.mem sub.ooo sub.rcv_cum do
+      while Hashtbl.length sub.ooo > 0 && Hashtbl.mem sub.ooo sub.rcv_cum do
         Hashtbl.remove sub.ooo sub.rcv_cum;
         sub.rcv_cum <- sub.rcv_cum + 1
       done
@@ -483,7 +503,7 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     let gap = Hashtbl.length sub.ooo > 0 in
     if sub.conn.delayed_ack && in_order && not gap then begin
       sub.delack_count <- sub.delack_count + 1;
-      sub.delack_echo <- sent_at;
+      sub.f.delack_echo <- sent_at;
       if sub.delack_count >= 2 then send_ack sub ~echo:sent_at ~sack:None
       else arm_delack_timer sub
     end
@@ -513,8 +533,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
       completion_time = None;
       size_pkts;
       on_complete;
-      min_rto;
-      rcv_wnd;
+      limits = { min_rto; rcv_wnd };
       delayed_ack;
     }
   in
@@ -533,30 +552,33 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
         idx;
         fwd_route = [||];
         rev_route = [||];
-        cwnd = initial_cwnd;
-        ssthresh = initial_ssthresh;
+        f =
+          {
+            cwnd = initial_cwnd;
+            ssthresh = initial_ssthresh;
+            srtt = 0.;
+            rttvar = 0.;
+            rto = 1.;
+            inc_cached = 0.;
+            delack_echo = 0.;
+          };
         snd_una = 0;
         snd_nxt = 0;
         limit = 0;
         dupacks = 0;
         in_recovery = false;
         recover = 0;
-        srtt = 0.;
-        rttvar = 0.;
-        rto = 1.;
         rto_timer = Sim.Timer.none;
         rto_fire = ignore;
         retransmits = 0;
         timeouts = 0;
         sacked = Hashtbl.create 64;
         high_rtx = -1;
-        inc_cached = 0.;
         inc_credit = 0;
         enabled = true;
         rcv_cum = 0;
         ooo = Hashtbl.create 64;
         delack_count = 0;
-        delack_echo = 0.;
         delack_timer = Sim.Timer.none;
         delack_fire = ignore;
       }
@@ -569,7 +591,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
     sub.delack_fire <-
       (fun () ->
         if sub.delack_count > 0 then
-          send_ack sub ~echo:sub.delack_echo ~sack:None);
+          send_ack sub ~echo:sub.f.delack_echo ~sack:None);
     sub
   in
   conn.subs <- Array.mapi make_sub paths;
@@ -599,9 +621,9 @@ let total_acked conn =
 
 let completed conn = conn.completed
 let completion_time conn = conn.completion_time
-let subflow_cwnd conn idx = conn.subs.(idx).cwnd
-let subflow_ssthresh conn idx = conn.subs.(idx).ssthresh
-let subflow_rtt conn idx = conn.subs.(idx).srtt
+let subflow_cwnd conn idx = conn.subs.(idx).f.cwnd
+let subflow_ssthresh conn idx = conn.subs.(idx).f.ssthresh
+let subflow_rtt conn idx = conn.subs.(idx).f.srtt
 let subflow_acked conn idx = conn.subs.(idx).snd_una
 let subflow_retransmits conn idx = conn.subs.(idx).retransmits
 let subflow_timeouts conn idx = conn.subs.(idx).timeouts

@@ -137,15 +137,15 @@ let test_olia_alpha_three_paths () =
 
 let test_olia_ell_counters () =
   let cc, probe = Olia.create_instrumented () in
-  cc.Types.on_ack ~idx:0 ~acked:10.;
-  cc.Types.on_ack ~idx:0 ~acked:5.;
+  cc.Types.on_ack ~idx:0 ~acked:10;
+  cc.Types.on_ack ~idx:0 ~acked:5;
   let p = probe 1 in
   check_close 1e-12 "ell2 accumulates" 15. p.Olia.ell.(0);
   cc.Types.on_loss ~idx:0;
   let p = probe 1 in
   (* after a loss, ell1 holds the previous count and ell2 restarts *)
   check_close 1e-12 "ell = max(ell1, ell2)" 15. p.Olia.ell.(0);
-  cc.Types.on_ack ~idx:0 ~acked:30.;
+  cc.Types.on_ack ~idx:0 ~acked:30;
   let p = probe 1 in
   check_close 1e-12 "ell2 can exceed ell1" 30. p.Olia.ell.(0)
 
@@ -154,8 +154,8 @@ let test_olia_negative_increase_possible () =
      the window: kelly term + alpha/w < 0 *)
   let cc, _ = Olia.create_instrumented () in
   (* build ell state: path 1 presumably best *)
-  cc.Types.on_ack ~idx:0 ~acked:10.;
-  cc.Types.on_ack ~idx:1 ~acked:1000.;
+  cc.Types.on_ack ~idx:0 ~acked:10;
+  cc.Types.on_ack ~idx:1 ~acked:1000;
   (* w0 = 3, w1 = 2: kelly = 3/25 = 0.12, alpha/w = -0.5/3 ≈ -0.167 *)
   let views = [| view 3. 0.1; view 2. 0.1 |] in
   let inc = cc.Types.increase ~views ~idx:0 in

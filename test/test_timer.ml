@@ -3,8 +3,10 @@
    centrepiece is a model-based property checking the wheel dispatches
    exactly like a reference (time, seq) heap over random workloads of
    schedule/cancel/reschedule — the wheel is an optimization, never a
-   semantic change. A final test pins the performance contract: the
-   steady-state packet path allocates nothing on the minor heap. *)
+   semantic change. The last two tests pin the performance contract:
+   the steady-state packet path allocates nothing on the minor heap,
+   and a real TCP connection allocates nothing per ACK but the float
+   its congestion controller returns. *)
 
 open Mptcp_repro.Netsim
 
@@ -380,6 +382,99 @@ let test_steady_state_zero_alloc () =
         true (per_pkt < 64.)
     end
 
+(* The same contract on real connections: a lossless [Tcp] connection
+   over Queue+Pipe allocates nothing per ACK except the float each CC
+   [increase] closure returns, boxed across the call (2 words). With
+   several subflows every algorithm gets OLIA's initial ssthresh of
+   1 MSS, so the measured window runs congestion avoidance and calls
+   [increase]; a single subflow stays in slow start. [rcv_wnd] caps the
+   flight below the buffer, so nothing is ever dropped. Armed invariant
+   checks build their messages eagerly, so with them nothing is
+   asserted about allocation. *)
+let tcp_alloc_case ~algo ~subflows ~delayed_ack =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:3 in
+  let base = Mptcp_repro.Cc.Registry.create algo in
+  let calls = ref 0 in
+  let cc =
+    {
+      base with
+      Mptcp_repro.Cc.Types.multipath_initial_ssthresh = Some 1.;
+      increase =
+        (fun ~views ~idx ->
+          incr calls;
+          base.Mptcp_repro.Cc.Types.increase ~views ~idx);
+    }
+  in
+  let acks = ref 0 in
+  let count_ack p =
+    incr acks;
+    Packet.forward p
+  in
+  let path i =
+    let q =
+      Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:100
+        ~discipline:Queue.Droptail ()
+    in
+    let delay = 0.005 *. float_of_int (i + 1) in
+    {
+      Tcp.fwd = [| Queue.hop q; Pipe.hop (Pipe.create ~sim ~delay) |];
+      rev = [| Pipe.hop (Pipe.create ~sim ~delay); count_ack |];
+    }
+  in
+  let conn =
+    Tcp.create ~sim ~cc ~paths:(Array.init subflows path) ~initial_cwnd:40.
+      ~rcv_wnd:40. ~delayed_ack ~flow_id:0 ()
+  in
+  Sim.run_until sim 2.;
+  let acks0 = !acks and calls0 = !calls in
+  let w0 = Gc.minor_words () in
+  Sim.run_until sim 6.;
+  let w1 = Gc.minor_words () in
+  let name =
+    Printf.sprintf "%s, %d subflow(s), delayed_ack %b" algo subflows
+      delayed_ack
+  in
+  let retx = ref 0 in
+  for i = 0 to subflows - 1 do
+    retx := !retx + Tcp.subflow_retransmits conn i
+  done;
+  Alcotest.(check int) (name ^ ": lossless") 0 !retx;
+  (name, w1 -. w0, !acks - acks0, !calls - calls0)
+
+let test_tcp_zero_alloc () =
+  let measured = Sys.backend_type = Sys.Native && not (Invariant.enabled ()) in
+  let strict = measured && build_inlines_schedule_path () in
+  List.iter
+    (fun algo ->
+      List.iter
+        (fun subflows ->
+          List.iter
+            (fun delayed_ack ->
+              let name, words, acks, calls =
+                tcp_alloc_case ~algo ~subflows ~delayed_ack
+              in
+              Alcotest.(check bool) (name ^ ": ACKs flowed") true (acks > 1000);
+              if strict then
+                Alcotest.(check (float 0.))
+                  (Printf.sprintf
+                     "%s: minor words beyond 2 per increase (%d ACKs, %d \
+                      calls)"
+                     name acks calls)
+                  0.
+                  (words -. (2. *. float_of_int calls))
+              else if measured then begin
+                (* non-inlining build: see the bound above *)
+                let per_ack = words /. float_of_int acks in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: minor words per ACK (%.1f) < 64" name
+                     per_ack)
+                  true (per_ack < 64.)
+              end)
+            [ false; true ])
+        [ 1; 2; 8 ])
+    [ "reno"; "lia"; "olia"; "olia-fp"; "balia" ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -409,4 +504,6 @@ let suite =
     Alcotest.test_case "overflow spill cancel" `Quick test_overflow_spill_cancel;
     Alcotest.test_case "steady-state path allocates nothing" `Quick
       test_steady_state_zero_alloc;
+    Alcotest.test_case "TCP ACK path allocates only the CC return" `Quick
+      test_tcp_zero_alloc;
   ]
