@@ -17,7 +17,7 @@ let print_rules () =
       Printf.printf "%-8s %s\n" (Repro_lint.Finding.rule_name r)
         (Repro_lint.Finding.rule_doc r))
     Repro_lint.Finding.
-      [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; Parse; Suppress ]
+      [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R11; Parse; Suppress ]
 
 let () =
   let format = ref "text" in

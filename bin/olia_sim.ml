@@ -5,13 +5,14 @@
      run <scenario> [-p k=v]...             any registry scenario, one point
      sweep <scenario> [-x k=axis]...        multicore parameter sweep
      report <trace.jsonl>                   flight-recorder trace analysis
-     scenario-a | scenario-b | scenario-c   testbed scenarios (paper §III/VI)
-     trace                                  two-bottleneck window traces
-     fattree                                static FatTree experiment
-     fattree-dynamic                        short-flow experiment
      fluid                                  analytical fixed points
      shard-invariance                       sharded-vs-sequential CI gate
-     check                                  conformance + golden traces *)
+     check                                  conformance + golden traces
+
+   Every packet simulation runs through the scenario registry ([run],
+   [sweep]). [fluid] stays a subcommand of its own: it solves the fluid
+   model's fixed points, runs no simulation, and has no registry
+   [Spec]/[Outcome]. *)
 
 open Cmdliner
 module S = Mptcp_repro.Scenarios
@@ -30,14 +31,6 @@ let algo =
 let seed =
   let doc = "PRNG seed (runs are deterministic given the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let duration =
-  let doc = "Simulated duration in seconds." in
-  Arg.(value & opt float 120. & info [ "duration"; "d" ] ~docv:"SEC" ~doc)
-
-let warmup =
-  let doc = "Warm-up excluded from the measurements, seconds." in
-  Arg.(value & opt float 30. & info [ "warmup"; "w" ] ~docv:"SEC" ~doc)
 
 let n1 =
   let doc = "Number of multipath (type-1) users." in
@@ -101,9 +94,9 @@ let print_outcome outcome =
 
 let trace_opt =
   let doc =
-    "Stream structured simulator events (packet enqueue/drop/forward, TCP \
-     state transitions, cwnd updates, RTO, subflow add/remove) to $(docv) \
-     as JSONL, one event object per line."
+    "Record structured simulator events (packet enqueue/drop/forward, TCP \
+     state transitions, cwnd updates, RTO, subflow add/remove) and write \
+     them to $(docv) as JSONL, one event object per line."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -134,50 +127,33 @@ module Obs = Mptcp_repro.Obs
 let trace_ring_opt =
   let doc =
     "Capacity of each per-domain trace ring, in records (default 262144). \
-     Rings are pre-allocated and drop their oldest records on overflow; \
-     the run warns if anything was dropped — raise this if it does."
+     Rings are pre-allocated; a run that overflows one fails, names the \
+     capacity it needs, and writes no trace or report."
   in
   Arg.(
     value
     & opt int (1 lsl 18)
     & info [ "trace-ring" ] ~docv:"RECORDS" ~doc)
 
-let write_events_jsonl ~path events =
-  let oc = open_out path in
-  List.iter
-    (fun ev ->
-      output_string oc
-        (Mptcp_repro.Stats.Json.to_string (Obs.Trace.to_json ev));
-      output_char oc '\n')
-    events;
-  close_out oc
+let overflow_msg cmd ~dropped ~needed =
+  Printf.sprintf
+    "%s: trace rings dropped %d events; re-run with --trace-ring %d or more \
+     for a complete trace"
+    cmd dropped needed
 
-(* Arm tracing for the duration of [f] via per-domain binary rings: the
-   calling domain binds ring 0 (single-loop scenarios emit into it),
-   sharded scenarios bind one ring per worker inside the window loop,
-   and after the run the rings decode — in exact sequential event
-   order, whatever the shard count — into the JSONL file and/or the
-   live report accumulator. *)
-let with_obs_sinks ~trace ~report ~ring_capacity f =
+(* With --trace or --report, run [f] under [Trace.capture]: each domain
+   records into its own ring, and after the run the rings decode — in
+   exact sequential event order, whatever the shard count — into the
+   JSONL file and/or the report accumulator. An overflowed ring fails
+   the command before either file is written. *)
+let with_trace ~trace ~report ~ring_capacity f =
   if trace = None && not report then (None, f ())
-  else begin
-    Obs.Trace.arm_rings ~capacity:ring_capacity ();
-    Obs.Trace.bind_ring ~shard:0;
-    match f () with
-    | exception e ->
-      Obs.Trace.disarm_rings ();
-      raise e
-    | r ->
-      let events = Obs.Trace.decode_rings () in
-      let dropped = Obs.Trace.rings_dropped () in
-      Obs.Trace.disarm_rings ();
-      if dropped > 0 then
-        Printf.eprintf
-          "warning: trace rings dropped %d events (oldest first); re-run \
-           with a larger --trace-ring for a complete trace\n\
-           %!"
-          dropped;
-      Option.iter (fun path -> write_events_jsonl ~path events) trace;
+  else
+    match Obs.Trace.capture ~capacity:ring_capacity f with
+    | exception Obs.Trace.Overflow { dropped; needed } ->
+      invalid_arg (overflow_msg "run" ~dropped ~needed)
+    | r, events ->
+      Option.iter (fun path -> Obs.Trace.write_jsonl ~path events) trace;
       let acc =
         if report then begin
           let a = Obs.Report.create () in
@@ -187,7 +163,6 @@ let with_obs_sinks ~trace ~report ~ring_capacity f =
         else None
       in
       (acc, r)
-  end
 
 let shards_opt =
   let doc =
@@ -230,7 +205,7 @@ let run_generic name params shards out trace trace_ring report format profile =
       Obs.Profile.set_enabled true
     end;
     let acc, outcome =
-      with_obs_sinks ~trace ~report:(Option.is_some report)
+      with_trace ~trace ~report:(Option.is_some report)
         ~ring_capacity:trace_ring (fun () -> Sc.run bindings)
     in
     if profile then Obs.Profile.set_enabled false;
@@ -437,226 +412,6 @@ let sweep_cmd =
         (const run_sweep $ scenario_pos $ axes_opt $ params_opt $ seeds_opt
         $ domains_opt $ out_opt $ agg_out_opt))
 
-(* --- scenario A --------------------------------------------------------- *)
-
-let run_scenario_a algo n1 n2 c1 c2 duration warmup seed =
-  let r =
-    S.Scen_a.run
-      { S.Scen_a.n1; n2; c1_mbps = c1; c2_mbps = c2; algo; duration; warmup;
-        seed }
-  in
-  Printf.printf
-    "scenario A (%s): type1 %.3f, type2 %.3f (normalized); p1 %.4f, p2 %.4f\n"
-    algo r.S.Scen_a.norm_type1 r.S.Scen_a.norm_type2 r.S.Scen_a.p1
-    r.S.Scen_a.p2
-
-let scenario_a_cmd =
-  let doc = "Scenario A: MPTCP streamers sharing an AP with TCP users." in
-  Cmd.v
-    (Cmd.info "scenario-a" ~doc)
-    Term.(
-      const run_scenario_a $ algo $ n1 $ n2 $ c1 $ c2 $ duration $ warmup
-      $ seed)
-
-(* --- scenario B --------------------------------------------------------- *)
-
-let run_scenario_b algo red_multipath cx ct duration warmup seed =
-  let r =
-    S.Scen_b.run
-      { S.Scen_b.n = 15; cx_mbps = cx; ct_mbps = ct; red_multipath; algo;
-        duration; warmup; seed }
-  in
-  Printf.printf
-    "scenario B (%s, red %s): blue %.2f, red %.2f Mb/s per user; aggregate \
-     %.1f Mb/s; pX %.4f, pT %.4f\n"
-    algo
-    (if red_multipath then "multipath" else "single-path")
-    r.S.Scen_b.blue_rate r.S.Scen_b.red_rate r.S.Scen_b.aggregate
-    r.S.Scen_b.px r.S.Scen_b.pt
-
-let scenario_b_cmd =
-  let red_mp =
-    Arg.(value & flag & info [ "red-multipath" ]
-           ~doc:"Red users upgrade to MPTCP.")
-  in
-  let cx =
-    Arg.(value & opt float 27. & info [ "cx" ] ~docv:"MBPS"
-           ~doc:"ISP X capacity.")
-  in
-  let ct =
-    Arg.(value & opt float 36. & info [ "ct" ] ~docv:"MBPS"
-           ~doc:"ISP T capacity.")
-  in
-  let doc = "Scenario B: the four-ISP multihoming story (Tables I-II)." in
-  Cmd.v
-    (Cmd.info "scenario-b" ~doc)
-    Term.(
-      const run_scenario_b $ algo $ red_mp $ cx $ ct $ duration $ warmup
-      $ seed)
-
-(* --- scenario C --------------------------------------------------------- *)
-
-let run_scenario_c algo n1 n2 c1 c2 duration warmup seed background
-    path_manager =
-  let r =
-    S.Scen_c.run
-      { S.Scen_c.n1; n2; c1_mbps = c1; c2_mbps = c2; algo; duration; warmup;
-        seed; background_mbps = background; with_path_manager = path_manager }
-  in
-  Printf.printf
-    "scenario C (%s): multipath %.3f, single %.3f (normalized); p1 %.4f, p2 \
-     %.4f\n"
-    algo r.S.Scen_c.norm_multipath r.S.Scen_c.norm_single r.S.Scen_c.p1
-    r.S.Scen_c.p2
-
-let scenario_c_cmd =
-  let background =
-    Arg.(value & opt float 0. & info [ "background" ] ~docv:"MBPS"
-           ~doc:"CBR background traffic through AP2.")
-  in
-  let path_manager =
-    Arg.(value & flag & info [ "path-manager" ]
-           ~doc:"Attach the bad-path-discarding manager to multipath users.")
-  in
-  let doc = "Scenario C: multipath users sharing AP2 with TCP users." in
-  Cmd.v
-    (Cmd.info "scenario-c" ~doc)
-    Term.(
-      const run_scenario_c $ algo $ n1 $ n2 $ c1 $ c2 $ duration $ warmup
-      $ seed $ background $ path_manager)
-
-(* --- traces -------------------------------------------------------------- *)
-
-let run_trace algo asymmetric duration seed =
-  let base =
-    if asymmetric then S.Two_bottleneck.asymmetric
-    else S.Two_bottleneck.symmetric
-  in
-  let t = S.Two_bottleneck.run { base with algo; duration; seed } in
-  Printf.printf
-    "two-bottleneck (%s, %s): goodput %.2f / %.2f Mb/s, window flips %d\n"
-    algo
-    (if asymmetric then "asymmetric" else "symmetric")
-    t.S.Two_bottleneck.goodput1_mbps t.S.Two_bottleneck.goodput2_mbps
-    t.S.Two_bottleneck.flip_count;
-  print_endline "t(s)  w1      w2      alpha1  alpha2";
-  let every = Stdlib.max 1 (int_of_float (duration /. 40.)) in
-  let w1 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.w1 in
-  let w2 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.w2 in
-  let a1 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.alpha1 in
-  let a2 = Mptcp_repro.Stats.Timeseries.to_array t.S.Two_bottleneck.alpha2 in
-  Array.iteri
-    (fun i (time, w) ->
-      if i mod (every * 10) = 0 then
-        Printf.printf "%5.1f %7.2f %7.2f %+.2f %+.2f\n" time w (snd w2.(i))
-          (snd a1.(i)) (snd a2.(i)))
-    w1
-
-let trace_cmd =
-  let asym =
-    Arg.(value & flag & info [ "asymmetric" ]
-           ~doc:"Use the Fig. 8 setting (5 vs 10 TCP flows).")
-  in
-  let doc = "Window and alpha traces of a two-path connection (Figs. 7-8)." in
-  Cmd.v
-    (Cmd.info "trace" ~doc)
-    Term.(const run_trace $ algo $ asym $ duration $ seed)
-
-(* --- fattree ------------------------------------------------------------- *)
-
-let run_fattree algo k subflows rate duration warmup seed =
-  let r =
-    S.Fattree_static.run
-      { S.Fattree_static.k; rate_mbps = rate; delay_ms = 1.; subflows; algo;
-        duration; warmup; seed }
-  in
-  Printf.printf
-    "fattree k=%d %s sf=%d: aggregate %.1f%% of optimal, mean core loss %.4f\n"
-    k algo subflows r.S.Fattree_static.aggregate_pct_optimal
-    r.S.Fattree_static.mean_core_loss
-
-let k_arg =
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
-         ~doc:"FatTree arity (even; k=8 gives 128 hosts).")
-
-let subflows =
-  Arg.(value & opt int 8 & info [ "subflows"; "s" ] ~docv:"N"
-         ~doc:"MPTCP subflows per connection (1 = plain TCP).")
-
-let rate =
-  Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBPS"
-         ~doc:"Host link rate.")
-
-let fattree_cmd =
-  let doc = "Static FatTree permutation experiment (Fig. 13)." in
-  Cmd.v
-    (Cmd.info "fattree" ~doc)
-    Term.(
-      const run_fattree $ algo $ k_arg $ subflows $ rate $ duration $ warmup
-      $ seed)
-
-let run_fattree_dynamic algo k subflows rate duration warmup seed =
-  let r =
-    S.Fattree_dynamic.run
-      { S.Fattree_dynamic.k; rate_mbps = rate; delay_ms = 1.;
-        oversubscription = 4.; algo; subflows; mean_interval = 0.2; duration;
-        warmup; seed }
-  in
-  Printf.printf
-    "fattree-dynamic k=%d %s: short flows %.0f ± %.0f ms, core %.1f%%, long \
-     %.2f Mb/s (%d shorts unfinished)\n"
-    k algo r.S.Fattree_dynamic.mean_completion_ms
-    r.S.Fattree_dynamic.stdev_completion_ms
-    r.S.Fattree_dynamic.core_utilization_pct r.S.Fattree_dynamic.long_flow_mbps
-    r.S.Fattree_dynamic.unfinished_shorts
-
-let fattree_dynamic_cmd =
-  let rate =
-    Arg.(value & opt float 100. & info [ "rate" ] ~docv:"MBPS"
-           ~doc:"Host link rate.")
-  in
-  let doc = "Dynamic short-flow experiment (Fig. 14, Table III)." in
-  Cmd.v
-    (Cmd.info "fattree-dynamic" ~doc)
-    Term.(
-      const run_fattree_dynamic $ algo $ k_arg $ subflows $ rate $ duration
-      $ warmup $ seed)
-
-(* --- responsiveness --------------------------------------------------------- *)
-
-let run_responsiveness algo seed =
-  let r =
-    S.Responsiveness.run { S.Responsiveness.default with algo; seed }
-  in
-  Printf.printf
-    "responsiveness (%s): pre-shock share %.2f; flees in %.1f s; reclaims \
-     in %.1f s; post-relief share %.2f\n"
-    algo r.S.Responsiveness.pre_shock_share r.S.Responsiveness.shock_response_s
-    r.S.Responsiveness.relief_response_s r.S.Responsiveness.post_relief_share
-
-let responsiveness_cmd =
-  let doc = "Shock/relief responsiveness experiment (paper SII claim)." in
-  Cmd.v
-    (Cmd.info "responsiveness" ~doc)
-    Term.(const run_responsiveness $ algo $ seed)
-
-(* --- wireless ---------------------------------------------------------------- *)
-
-let run_wireless algo seed duration warmup =
-  let r =
-    S.Wireless.run { S.Wireless.default with algo; seed; duration; warmup }
-  in
-  Printf.printf
-    "wireless (%s): wifi %.2f + cellular %.2f = %.2f Mb/s (wifi timeouts %d)\n"
-    algo r.S.Wireless.wifi_mbps r.S.Wireless.cell_mbps r.S.Wireless.total_mbps
-    r.S.Wireless.wifi_timeouts
-
-let wireless_cmd =
-  let doc = "WiFi+cellular bonding with random wireless losses (ref. [12])." in
-  Cmd.v
-    (Cmd.info "wireless" ~doc)
-    Term.(const run_wireless $ algo $ seed $ duration $ warmup)
-
 (* --- fluid ---------------------------------------------------------------- *)
 
 let run_fluid scenario n1 n2 c1 c2 =
@@ -711,27 +466,32 @@ let fluid_cmd =
 
 module Json = Mptcp_repro.Stats.Json
 
-(* One traced run of the sharded FatTree: arm per-domain rings, run,
-   decode back to JSONL lines. The decoded sequence is the gate's raw
-   material — [--traced] byte-compares the N-shard decode against the
-   1-shard decode. *)
-let traced_lines cfg ~ring_capacity s =
-  Obs.Trace.arm_rings ~capacity:ring_capacity ();
-  match S.Fattree_sharded.run (cfg s) with
-  | exception e ->
-    Obs.Trace.disarm_rings ();
-    raise e
-  | (_ : S.Fattree_sharded.result) ->
-    let events = Obs.Trace.decode_rings () in
-    let dropped = Obs.Trace.rings_dropped () in
-    Obs.Trace.disarm_rings ();
-    if dropped > 0 then
-      invalid_arg
-        (Printf.sprintf
-           "shard-invariance: trace rings dropped %d events at --shards %d; \
-            raise --trace-ring so the byte comparison sees complete traces"
-           dropped s);
-    List.map (fun ev -> Json.to_string (Obs.Trace.to_json ev)) events
+let k_arg =
+  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
+         ~doc:"FatTree arity (even; k=8 gives 128 hosts).")
+
+let rate =
+  Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBPS"
+         ~doc:"Host link rate.")
+
+
+(* One traced run of the sharded FatTree, decoded. The decoded sequence
+   is the gate's raw material — [--traced] byte-compares the N-shard
+   decode against the 1-shard decode. *)
+let traced_events cfg ~ring_capacity s =
+  match
+    Obs.Trace.capture ~capacity:ring_capacity (fun () ->
+        S.Fattree_sharded.run (cfg s))
+  with
+  | exception Obs.Trace.Overflow { dropped; needed } ->
+    invalid_arg
+      (overflow_msg
+         (Printf.sprintf "shard-invariance --shards %d" s)
+         ~dropped ~needed)
+  | _, events -> events
+
+let jsonl_lines events =
+  List.map (fun ev -> Json.to_string (Obs.Trace.to_json ev)) events
 
 (* Run the sharded FatTree scenario at --shards 1 and --shards N with the
    same seed, compare banded metrics (the CI gate for the conservative
@@ -815,8 +575,11 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
         Printf.printf
           "running traced legs (ring capacity %d records/domain) ...\n%!"
           trace_ring;
-        let base_lines = traced_lines cfg ~ring_capacity:trace_ring 1 in
-        let shd_lines = traced_lines cfg ~ring_capacity:trace_ring shards in
+        let base_lines =
+          jsonl_lines (traced_events cfg ~ring_capacity:trace_ring 1)
+        in
+        let shd_events = traced_events cfg ~ring_capacity:trace_ring shards in
+        let shd_lines = jsonl_lines shd_events in
         let identical = base_lines = shd_lines in
         Printf.printf
           "%s traced decode: %d events at shards=1, %d at shards=%d -- %s\n"
@@ -825,13 +588,7 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
           (if identical then "byte-identical" else "traces diverge");
         Option.iter
           (fun path ->
-            let oc = open_out path in
-            List.iter
-              (fun l ->
-                output_string oc l;
-                output_char oc '\n')
-              shd_lines;
-            close_out oc;
+            Obs.Trace.write_jsonl ~path shd_events;
             Printf.printf "wrote decoded sharded trace %s\n" path)
           trace_out;
         Some (List.length base_lines, List.length shd_lines, identical)
@@ -1166,8 +923,6 @@ let () =
     (Cmd.eval
        (Cmd.group info ~default
           [
-            list_cmd; run_cmd; sweep_cmd; report_cmd; scenario_a_cmd;
-            scenario_b_cmd; scenario_c_cmd; trace_cmd; fattree_cmd;
-            fattree_dynamic_cmd; responsiveness_cmd; wireless_cmd; fluid_cmd;
+            list_cmd; run_cmd; sweep_cmd; report_cmd; fluid_cmd;
             shard_invariance_cmd; check_cmd;
           ]))

@@ -9,11 +9,13 @@ module Json = Repro_stats.Json
    dropped (and why), every cwnd move and state transition — while
    timing-only refactors of the simulator stay invisible to it. *)
 
-let collect f =
-  let events = ref [] in
-  Trace.set_sink (Some (fun e -> events := e :: !events));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) f;
-  List.rev !events
+(* Every golden run captures through the trace rings, like
+   `olia_sim run --trace`. The capacity holds the largest fixture (a
+   report run, about 35k records) with room to spare; an overflow
+   raises [Trace.Overflow] rather than pinning a truncated stream. *)
+let ring_capacity = 1 lsl 16
+
+let collect f = snd (Trace.capture ~capacity:ring_capacity f)
 
 let one_way = 0.02
 
@@ -146,18 +148,7 @@ let canon : Trace.event -> Trace.event = function
 
 let path ~dir name = Filename.concat dir (name ^ ".jsonl")
 
-let update ~dir name =
-  let events = record name in
-  let oc = open_out (path ~dir name) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (Json.to_string (Trace.to_json e));
-          output_char oc '\n')
-        events)
-
+let update ~dir name = Trace.write_jsonl ~path:(path ~dir name) (record name)
 
 let load ~dir name =
   let file = path ~dir name in
@@ -236,28 +227,20 @@ let report_scen_b_config =
     warmup = 2.;
   }
 
-let report_scen_b () =
+let report_of config =
   let acc = Repro_obs.Report.create () in
-  Trace.set_sink (Some (Repro_obs.Report.feed acc));
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () -> ignore (Repro_scenarios.Scen_b.run report_scen_b_config));
+  List.iter (Repro_obs.Report.feed acc)
+    (collect (fun () -> ignore (Repro_scenarios.Scen_b.run config)));
   Repro_obs.Report.to_json acc
+
+let report_scen_b () = report_of report_scen_b_config
 
 (* The Scenario B fixture again with the olia-fp backend: the golden
    report is a pure function of the seed and the integer update rules,
    so it pins the fixed-point path end to end through the flight
    recorder. *)
 let report_scen_b_olia_fp () =
-  let acc = Repro_obs.Report.create () in
-  Trace.set_sink (Some (Repro_obs.Report.feed acc));
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
-      ignore
-        (Repro_scenarios.Scen_b.run
-           { report_scen_b_config with algo = "olia-fp" }));
-  Repro_obs.Report.to_json acc
+  report_of { report_scen_b_config with algo = "olia-fp" }
 
 let report_scenarios =
   [

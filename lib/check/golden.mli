@@ -14,10 +14,11 @@ val names : string list
 (** The canonical scenario names (also the golden file basenames). *)
 
 val record : string -> Repro_obs.Trace.event list
-(** Run a canonical scenario with a capturing trace sink and return its
-    event stream. Raises [Invalid_argument] on an unknown name.
-    Installs and removes the process-global sink — not for use around
-    concurrent traced runs. *)
+(** Run a canonical scenario with the trace rings armed
+    ([Trace.capture]) and return its decoded event stream. Raises
+    [Invalid_argument] on an unknown name and [Trace.Overflow] if the
+    run outgrows the rings. Arms and disarms the process-wide rings —
+    not for use around concurrent traced runs. *)
 
 val update : dir:string -> string -> unit
 (** Re-record one scenario's golden file ([<dir>/<name>.jsonl]). *)
@@ -42,9 +43,10 @@ val report_names : string list
     [<name>.json]). *)
 
 val record_report : string -> Repro_stats.Json.t
-(** Run the canonical scenario with a report-feeding sink and return the
-    report document. Raises [Invalid_argument] on an unknown name; same
-    process-global sink caveat as {!record}. *)
+(** Run the canonical scenario with the trace rings armed, feed the
+    decoded stream to a report and return the document. Raises
+    [Invalid_argument] on an unknown name; same ring caveats as
+    {!record}. *)
 
 val update_report : dir:string -> string -> unit
 (** Re-record one golden report ([<dir>/<name>.json]). *)

@@ -122,24 +122,18 @@ let run ?domains (module Sc : Scenario_intf.S) pts_list =
     | None -> Domain.recommended_domain_count ()
   in
   let workers = Stdlib.max 1 (Stdlib.min requested n) in
-  if workers <= 1 then run_seq (module Sc) pts_list
+  (* Tracing is per-worker: each domain binds its own ring (worker 0
+     is the calling domain), and the decoder merges the workers' rings.
+     A per-point trace is still best taken from a single `olia_sim run`. *)
+  if workers <= 1 then begin
+    if Repro_obs.Trace.enabled () then Repro_obs.Trace.bind_ring ~shard:0;
+    run_seq (module Sc) pts_list
+  end
   else begin
-    (* The variant trace sink is process-global, so a sink-traced
-       multi-domain sweep would interleave events from unrelated runs
-       into one stream — refuse rather than produce a mixed trace.
-       Ring-mode tracing is per-worker (each domain binds its own
-       ring), so it runs; the decoder attributes records to worker
-       rings, and a per-point trace is still best taken from a single
-       `olia_sim run`. *)
-    if Repro_obs.Trace.sink_armed () then
-      invalid_arg
-        "Sweep.run: a variant trace sink is armed and is process-global; \
-         close it (or unset OLIA_TRACE) before a parallel sweep, arm trace \
-         rings instead, or trace a single `olia_sim run`";
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let worker w () =
-      if Repro_obs.Trace.rings_armed () then Repro_obs.Trace.bind_ring ~shard:w;
+      if Repro_obs.Trace.enabled () then Repro_obs.Trace.bind_ring ~shard:w;
       Repro_obs.Profile.bind ~shard:w;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in

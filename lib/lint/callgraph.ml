@@ -184,12 +184,9 @@ let dump t =
   Array.iteri
     (fun i (n : Summary.node) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s (%s:%d)%s%s\n" (Summary.display n) n.path
+        (Printf.sprintf "%s (%s:%d)%s\n" (Summary.display n) n.path
            (line_of n.nloc)
-           (if n.alloc_free_root then " [alloc-free root]" else "")
-           (match n.creates_mutable with
-            | Some what -> Printf.sprintf " [mutable: %s]" what
-            | None -> ""));
+           (if n.alloc_free_root then " [alloc-free root]" else ""));
       List.iter
         (fun e ->
           Buffer.add_string buf

@@ -116,51 +116,6 @@ let check_alloc_free ?(extra_roots = []) g =
     order;
   List.rev !findings
 
-(* --- R10: domain-safety of the sharded sweep -------------------------- *)
-
-let is_sweep_root (n : Summary.node) =
-  (Rules.under [ "lib"; "exp" ] n.Summary.path
-   && Rules.basename n.Summary.path = "sweep.ml"
-   && (n.Summary.qual = "run" || n.Summary.qual = "run_seq"))
-  || (Rules.under [ "lib"; "scenarios" ] n.Summary.path
-      && Rules.basename n.Summary.path <> "registry.ml"
-      && Rules.basename n.Summary.path <> "common.ml"
-      && n.Summary.qual = "run")
-  (* the sharded simulation runtime spawns domains exactly like the
-     sweep engine: everything reachable from its window loop (and from
-     the per-shard delivery path it schedules) runs on worker domains *)
-  || (Rules.under [ "lib"; "netsim" ] n.Summary.path
-      && Rules.basename n.Summary.path = "shard.ml"
-      && (n.Summary.qual = "run_windows" || n.Summary.qual = "deliver"))
-
-let check_domain_safety g =
-  let roots = ref [] in
-  for i = Callgraph.size g - 1 downto 0 do
-    if is_sweep_root (Callgraph.node g i) then roots := i :: !roots
-  done;
-  (* guarded edges count: invariants and tracing can be armed while a
-     sweep runs single-domain, and shared state is shared either way *)
-  let parent, order = bfs g !roots ~follow:(fun _ -> true) in
-  let findings = ref [] in
-  List.iter
-    (fun i ->
-      let n = Callgraph.node g i in
-      match n.Summary.creates_mutable with
-      | Some what when Rules.under [ "lib" ] n.Summary.path ->
-        findings :=
-          finding_at g parent i ~rule:Finding.R10 ~file:n.Summary.path
-            ~loc:n.Summary.nloc
-            (Printf.sprintf
-               "toplevel mutable state (%s) is reachable from sweep worker \
-                code without per-domain instantiation (chain: %s); domains \
-                race on it — use Domain.DLS like Packet.pool, or per-run \
-                state"
-               what (chain g parent i))
-          :: !findings
-      | _ -> ())
-    order;
-  List.rev !findings
-
 (* --- R11: interprocedural determinism taint --------------------------- *)
 
 let kind_index = function

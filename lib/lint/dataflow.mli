@@ -1,4 +1,4 @@
-(** Pass 2: the interprocedural analyses (R9, R10, R11).
+(** Pass 2: the interprocedural analyses (R9, R11).
 
     Each check walks the {!Callgraph} with BFS parent links, so every
     finding explains its full call chain and carries the chain's root
@@ -12,11 +12,6 @@ val check_alloc_free : ?extra_roots:string list -> Callgraph.t -> Finding.t list
     follow unguarded call edges and flag every unguarded allocation
     site, every float-returning function lacking [@inline], and every
     partial application, each with its chain. *)
-
-val check_domain_safety : Callgraph.t -> Finding.t list
-(** R10: inventory toplevel mutable state in [lib/] reachable from
-    [Exp.Sweep.run]/[run_seq] or any scenario [run] — state domains
-    would race on unless instantiated per-domain ([Domain.DLS]). *)
 
 val check_determinism_taint : Callgraph.t -> Finding.t list
 (** R11: propagate nondeterminism taint (wall clock, ambient

@@ -64,12 +64,11 @@ let lint_sources ?(extra_alloc_free_roots = []) sources =
         structures
     @ Rules.check_registry ~sources:structures
   in
-  (* pass 2: summaries -> call graph -> interprocedural R9/R10/R11 *)
+  (* pass 2: summaries -> call graph -> interprocedural R9/R11 *)
   let g = graph_of_structures structures in
   let raw =
     raw
     @ Dataflow.check_alloc_free ~extra_roots:extra_alloc_free_roots g
-    @ Dataflow.check_domain_safety g
     @ Dataflow.check_determinism_taint g
   in
   (* Suppression: a whole-program finding is waived by a directive at

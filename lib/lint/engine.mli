@@ -10,7 +10,7 @@
     per-file catalogue (R1-R4, R6-R8) plus R5 across files; pass 2
     digests the parsed structures into {!Summary} nodes, builds the
     {!Callgraph}, and runs the interprocedural checks ({!Dataflow}:
-    R9 alloc-free, R10 domain-safety, R11 determinism taint). *)
+    R9 alloc-free, R11 determinism taint). *)
 
 type source = { path : string; content : string }
 

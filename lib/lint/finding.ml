@@ -8,7 +8,6 @@ type rule =
   | R7
   | R8
   | R9
-  | R10
   | R11
   | Parse
   | Suppress
@@ -23,7 +22,6 @@ let rule_name = function
   | R7 -> "R7"
   | R8 -> "R8"
   | R9 -> "R9"
-  | R10 -> "R10"
   | R11 -> "R11"
   | Parse -> "parse"
   | Suppress -> "suppress"
@@ -38,7 +36,6 @@ let rule_of_name = function
   | "R7" -> Some R7
   | "R8" -> Some R8
   | "R9" -> Some R9
-  | "R10" -> Some R10
   | "R11" -> Some R11
   | _ -> None
 
@@ -73,10 +70,6 @@ let rule_doc = function
   | R9 ->
     "alloc-free: no allocation site may be reachable from an \
      [@olia.alloc_free] hot-path entry point (whole-program)"
-  | R10 ->
-    "domain-safety: toplevel mutable state must not be reachable from \
-     Exp.Sweep workers or scenario run functions without per-domain \
-     instantiation (whole-program)"
   | R11 ->
     "determinism taint: nondeterminism sources (wall clock, ambient \
      randomness, Hashtbl iteration order, polymorphic compare on floats) \
@@ -94,7 +87,6 @@ let rule_index = function
   | R7 -> 7
   | R8 -> 8
   | R9 -> 9
-  | R10 -> 10
   | R11 -> 11
   | Parse -> 12
   | Suppress -> 13

@@ -14,9 +14,6 @@ type rule =
   | R7  (** seed plumbing: hard-coded or defaulted RNG seed in scenarios *)
   | R8  (** timer attribution: [Sim.schedule_*]/[Sim.every] without [~src] *)
   | R9  (** alloc-free: allocation reachable from a hot-path entry point *)
-  | R10
-      (** domain-safety (whole-program): shared toplevel mutable state
-          reachable from sweep workers *)
   | R11
       (** determinism taint: nondeterminism source flowing into an
           output sink across module boundaries *)
@@ -24,10 +21,10 @@ type rule =
   | Suppress  (** malformed suppression directive *)
 
 val rule_name : rule -> string
-(** ["R1"] ... ["R11"], ["parse"], ["suppress"]. *)
+(** ["R1"] ... ["R9"], ["R11"], ["parse"], ["suppress"]. *)
 
 val rule_of_name : string -> rule option
-(** Inverse of {!rule_name} for the suppressible rules R1-R11 only:
+(** Inverse of {!rule_name} for the suppressible rules R1-R9, R11 only:
     [Parse] and [Suppress] findings cannot be waived. *)
 
 val rule_doc : rule -> string

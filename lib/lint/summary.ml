@@ -2,8 +2,8 @@ open Parsetree
 
 (* Pass 1 of the whole-program analyzer: digest every toplevel value
    binding of a parsed implementation into one [node] — its allocation
-   sites, the names it calls or mentions, its nondeterminism sources
-   and output sinks, and whether it defines toplevel mutable state.
+   sites, the names it calls or mentions, and its nondeterminism
+   sources and output sinks.
    Nested functions fold into their enclosing toplevel binding; the
    call graph (pass 2) never looks below that granularity.
 
@@ -57,7 +57,6 @@ type node = {
   sinks : (string * Location.t) list;
   sorts : bool;  (* calls a sort: sanitizes Table_order taint *)
   float_return : bool;  (* tail positions are syntactically float *)
-  creates_mutable : string option;  (* toplevel mutable state it defines *)
 }
 
 let display n = n.modname ^ "." ^ n.qual
@@ -69,20 +68,7 @@ let last2 name =
   | f :: m :: _ -> m ^ "." ^ f
   | _ -> name
 
-(* [Trace.sink_armed] guards the variant-sink fallback inside the
-   scalar emission functions: the branch allocates the event record,
-   but only runs in sink mode (single-domain, explicitly armed), so it
-   is pruned from the R9 proof exactly like armed invariants. The bare
-   [sink_armed] entry matches the unqualified calls inside Trace
-   itself ([last2] keeps a lone identifier as-is). *)
-let guard_fns =
-  [
-    "Invariant.enabled";
-    "Trace.enabled";
-    "Trace.sink_armed";
-    "sink_armed";
-    "Profile.enabled";
-  ]
+let guard_fns = [ "Invariant.enabled"; "Trace.enabled"; "Profile.enabled" ]
 let error_fns = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
 
 let allocating_fns =
@@ -169,46 +155,10 @@ let sort_fns =
     "Array.stable_sort";
   ]
 
-(* Same creator catalogue as R2: what counts as shared mutable state
-   when bound at module level. [Domain.DLS.new_key] is deliberately
-   absent — DLS state is per-domain by construction, which is exactly
-   the instantiation R10 asks for. *)
-let mutable_creators =
-  [
-    "ref";
-    "Hashtbl.create";
-    "Buffer.create";
-    "Queue.create";
-    "Stack.create";
-    "Atomic.make";
-    "Array.make";
-    "Bytes.create";
-    "Bytes.make";
-    "Dynarray.create";
-  ]
-
 let has_attr names attrs =
   List.exists (fun a -> List.mem a.attr_name.Location.txt names) attrs
 
 (* --- small scans ------------------------------------------------------ *)
-
-let mutable_fields structure =
-  let fields = Hashtbl.create 8 in
-  let type_declaration self td =
-    (match td.ptype_kind with
-     | Ptype_record labels ->
-       List.iter
-         (fun ld ->
-           match ld.pld_mutable with
-           | Asttypes.Mutable -> Hashtbl.replace fields ld.pld_name.txt ()
-           | Asttypes.Immutable -> ())
-         labels
-     | _ -> ());
-    Ast_iterator.default_iterator.type_declaration self td
-  in
-  let it = { Ast_iterator.default_iterator with type_declaration } in
-  it.structure it structure;
-  fields
 
 let rec pat_vars p =
   match p.ppat_desc with
@@ -277,53 +227,6 @@ let rec returns_float e =
       (name = "min" || name = "max")
       && List.exists (fun (_, a) -> Rules.is_floatish a) args
     | _ -> false
-
-(* R2-style scan of a toplevel value's right-hand side: mutable state
-   created outside any function body is shared across domains. *)
-let creates_mutable_state fields rhs =
-  let found = ref None in
-  let rec go e =
-    if !found <> None then ()
-    else
-      match e.pexp_desc with
-      | Pexp_fun _ | Pexp_function _ -> ()
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let name = Rules.canonical (Rules.lid_name txt) in
-        if List.mem name mutable_creators then found := Some name
-        else List.iter (fun (_, a) -> go a) args
-      | Pexp_record (fs, base) ->
-        let mut =
-          List.exists
-            (fun ({ Location.txt; _ }, _) ->
-              match txt with
-              | Longident.Lident s | Longident.Ldot (_, s) ->
-                Hashtbl.mem fields s
-              | _ -> false)
-            fs
-        in
-        if mut then found := Some "record with mutable fields"
-        else begin
-          List.iter (fun (_, v) -> go v) fs;
-          Option.iter go base
-        end
-      | Pexp_let (_, vbs, b) ->
-        List.iter (fun vb -> go vb.pvb_expr) vbs;
-        go b
-      | Pexp_sequence (a, b) ->
-        go a;
-        go b
-      | Pexp_ifthenelse (c, a, b) ->
-        go c;
-        go a;
-        Option.iter go b
-      | Pexp_tuple es -> List.iter go es
-      | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> go a
-      | Pexp_constraint (a, _) | Pexp_coerce (a, _, _) | Pexp_lazy a -> go a
-      | Pexp_array es -> List.iter go es
-      | _ -> ()
-  in
-  go rhs;
-  !found
 
 (* --- the walker ------------------------------------------------------- *)
 
@@ -574,7 +477,6 @@ let rec binding_name p =
 
 let of_structure ~path structure =
   let modname = Rules.module_name_of path in
-  let fields = mutable_fields structure in
   let nodes = ref [] in
   let rec scan_items prefix items =
     List.iter
@@ -643,9 +545,6 @@ let of_structure ~path structure =
            walk_binding ~acc ~env0:env c.pc_rhs)
          cases
      | _ -> walk_binding ~acc ~env0 body_for_walk);
-    let creates_mutable =
-      if arity = 0 then creates_mutable_state fields vb.pvb_expr else None
-    in
     nodes :=
       {
         path;
@@ -662,7 +561,6 @@ let of_structure ~path structure =
         sinks = List.rev acc.a_sinks;
         sorts = acc.a_sorts;
         float_return = arity > 0 && returns_float body_for_walk;
-        creates_mutable;
       }
       :: !nodes
   in

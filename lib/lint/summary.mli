@@ -49,9 +49,6 @@ type node = {
   float_return : bool;
       (** some tail position is syntactically float: without [@inline]
           the classical compiler boxes the return at every call *)
-  creates_mutable : string option;
-      (** for arity-0 bindings: the creator ([ref], [Hashtbl.create],
-          mutable record, ...) if the value is toplevel mutable state *)
 }
 
 val display : node -> string

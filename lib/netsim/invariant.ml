@@ -5,7 +5,7 @@ let armed_from_env =
   | Some ("1" | "true" | "yes" | "on") -> true
   | Some _ | None -> false
 
-(* lint: allow R2 R10 -- written once at startup or single-domain test setup, read-only while sweep domains run *)
+(* lint: allow R2 -- written once at startup or single-domain test setup, read-only while sweep domains run *)
 let armed = ref armed_from_env
 
 let enabled () = !armed

@@ -229,17 +229,16 @@ let run_windows ~pool t ~horizon =
     invalid_arg "Shard.run_windows: horizon must be finite and non-negative";
   let n = Array.length t.sims in
   (* Tracing and profiling are per-worker: each domain binds its own
-     trace ring (when rings are armed) and tags its profile table with
-     its shard id, so the window loop runs armed with no shared sink.
-     The sink mode (a process-global callback) stays single-domain
-     only; sharded runs trace through rings. *)
+     trace ring (when tracing is armed) and tags its profile table with
+     its shard id, so the window loop runs armed with no shared
+     state. *)
   if n = 1 then begin
     (* one shard: no channels can exist (open_channel rejects src = dst),
        so the window loop degenerates to chained run_until calls — run
        the single call directly on the calling domain. Chained and
        single run_until are bitwise identical, which is what the
        shards=1 ≡ sequential golden pins down. *)
-    if Trace.rings_armed () then Trace.bind_ring ~shard:0;
+    if Trace.enabled () then Trace.bind_ring ~shard:0;
     Profile.bind ~shard:0;
     Sim.run_until t.sims.(0) horizon
   end
@@ -259,7 +258,7 @@ let run_windows ~pool t ~horizon =
       else fun () -> Barrier.wait barrier
     in
     let worker i () =
-      if Trace.rings_armed () then Trace.bind_ring ~shard:i;
+      if Trace.enabled () then Trace.bind_ring ~shard:i;
       Profile.bind ~shard:i;
       let sim = t.sims.(i) in
       let ing = ingress.(i) in

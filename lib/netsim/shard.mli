@@ -129,10 +129,9 @@ val run_windows :
     single-domain tests — the results are identical by construction;
     with a single shard the loop degenerates to chained [run_until]
     calls on the calling domain). Tracing and profiling are
-    per-worker: when trace rings are armed ([Trace.arm_rings]) each
-    worker binds its own ring under its shard id — the decoded merge
+    per-worker: when tracing is armed ([Trace.arm_rings]) each worker
+    binds its own ring under its shard id — the decoded merge
     reproduces the sequential event order — and each worker's profile
     table is tagged with its shard (barrier wait accounted under
-    ["shard.barrier"]). The process-global variant sink stays
-    single-domain only; arm rings to trace sharded runs. Worker
-    exceptions are re-raised after all domains have been joined. *)
+    ["shard.barrier"]). Worker exceptions are re-raised after all
+    domains have been joined. *)

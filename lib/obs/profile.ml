@@ -15,7 +15,7 @@
    registry (for the offline rollup) is only touched when a domain
    first creates its table. *)
 
-(* lint: allow R2 R10 -- process-global profiler switch, armed once by the CLI or test setup before the profiled run starts *)
+(* lint: allow R2 -- process-global profiler switch, armed once by the CLI or test setup before the profiled run starts *)
 let armed = ref false
 
 type cell = { mutable count : int; mutable wall_s : float }
@@ -28,10 +28,10 @@ type dom_table = {
 
 let lock = Mutex.create ()
 
-(* lint: allow R2 R10 -- registry of per-domain tables in registration order, appended under [lock] at table creation, read offline by report *)
+(* lint: allow R2 -- registry of per-domain tables in registration order, appended under [lock] at table creation, read offline by report *)
 let registry : dom_table list ref = ref []
 
-(* lint: allow R2 R10 -- registration counter for [registry], bumped under [lock] *)
+(* lint: allow R2 -- registration counter for [registry], bumped under [lock] *)
 let reg_count = ref 0
 
 let fresh_table shard =

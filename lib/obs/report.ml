@@ -1,6 +1,7 @@
-(* Flight-recorder analysis: fold a stream of trace events — live via
-   [feed] as a sink, or offline via [load_jsonl] — into per-queue
-   latency/drop statistics and per-subflow RTT/cwnd/state summaries.
+(* Flight-recorder analysis: fold a stream of trace events — a run's
+   decoded rings via [feed], or a JSONL file via [load_jsonl] — into
+   per-queue latency/drop statistics and per-subflow RTT/cwnd/state
+   summaries.
 
    Everything here is a pure function of the event stream, which for a
    fixed seed is itself deterministic, so [to_json] output is

@@ -1,11 +1,11 @@
 (** Flight-recorder analysis: fold trace events into per-queue latency
     and drop statistics plus per-subflow RTT/cwnd/state summaries.
 
-    Feed an accumulator live (install [feed t] as the trace sink) or
-    offline from a JSONL trace file; then render with {!to_json} — a
-    deterministic document, byte-identical across runs for a fixed
-    seed, because no wall-clock data ever enters a report — or
-    {!to_text} for aligned tables with p50/p90/p99 latency
+    Feed an accumulator the events a traced run decodes
+    ([Trace.capture]) or replay a JSONL trace file; then render with
+    {!to_json} — a deterministic document, byte-identical across runs
+    for a fixed seed, because no wall-clock data ever enters a report —
+    or {!to_text} for aligned tables with p50/p90/p99 latency
     percentiles.
 
     Reconstructed per queue: enqueue/forward/drop counts (drops split
@@ -23,7 +23,7 @@ type t
 val create : unit -> t
 
 val feed : t -> Trace.event -> unit
-(** Fold one event in. [feed t] is directly usable as a trace sink. *)
+(** Fold one event in, in stream order. *)
 
 val load_jsonl : path:string -> (t, string) result
 (** Replay a JSONL trace file through a fresh accumulator. Blank lines

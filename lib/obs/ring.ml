@@ -47,7 +47,6 @@ let create ~shard ~capacity ~policy =
    an armed emission on a domain that never called [Trace.bind_ring]
    raises [Full] instead of silently corrupting a shared buffer. Built
    directly (create rejects capacity 0) and shared read-only. *)
-(* lint: allow R10 -- sentinel shared across domains but never written *)
 let null =
   (* lint: allow R2 -- claim on a full Fail_fast ring raises before any store *)
   {

@@ -4,10 +4,10 @@
    site in lib/netsim guards its event construction with
    [if Trace.enabled () then ...], and [enabled] is a single ref read,
    so the tracing-off hot path neither allocates nor branches beyond
-   that one test. Events are plain records of scalars — no closures,
-   no lazy thunks — and serialize through [Repro_stats.Json] to JSONL
-   (one compact object per line), which `olia_sim run --trace` and the
-   OLIA_TRACE environment variable arm. *)
+   that one test. Armed, every record goes to the calling domain's
+   pre-allocated binary ring; the rings decode offline into plain
+   event records of scalars, which serialize through [Repro_stats.Json]
+   to JSONL (one compact object per line). *)
 
 module Json = Repro_stats.Json
 
@@ -325,13 +325,13 @@ let kind_name_of_code = function
 
 let intern_lock = Mutex.create ()
 
-(* lint: allow R2 R10 -- process-global intern table: written only at component creation under [intern_lock], read back offline by the decoder *)
+(* lint: allow R2 -- process-global intern table: written only at component creation under [intern_lock], read back offline by the decoder *)
 let intern_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
 
-(* lint: allow R2 R10 -- reverse side of [intern_tbl], same discipline *)
+(* lint: allow R2 -- reverse side of [intern_tbl], same discipline *)
 let intern_names : string array ref = ref (Array.make 64 "")
 
-(* lint: allow R2 R10 -- count of interned names, guarded by [intern_lock] *)
+(* lint: allow R2 -- count of interned names, guarded by [intern_lock] *)
 let intern_count = ref 0
 
 let intern s =
@@ -358,85 +358,30 @@ let intern_name id =
         invalid_arg (Printf.sprintf "Trace.intern_name: unknown id %d" id);
       !intern_names.(id))
 
-(* --- sinks and rings -------------------------------------------------- *)
+(* --- rings ------------------------------------------------------------ *)
 
-(* Two armed modes share one [enabled] guard:
+(* Armed tracing is ring-only: each participating domain binds its own
+   pre-allocated {!Ring}, emission is a lock-free single-writer binary
+   append, and {!decode_rings} merges the rings offline into the
+   canonical event order. *)
 
-   - sink mode (the original design): a process-global [event -> unit]
-     callback, mutex-serialized, fed by single-domain runs;
-   - ring mode: each participating domain binds its own pre-allocated
-     {!Ring}, emission is a lock-free single-writer binary append, and
-     {!decode_rings} merges the rings offline back into the JSONL event
-     order.
-
-   A domain with a bound ring always writes the ring; the sink is the
-   fallback for armed-but-unbound domains (i.e. the classic
-   single-domain workflow). *)
-
-(* lint: allow R2 R10 -- process-global trace sink, armed once by the CLI or test setup before the (single-domain) traced run starts *)
-let sink : (event -> unit) option ref = ref None
-
-(* lint: allow R2 -- paired with [sink]: the channel behind the JSONL writer, managed only by open_jsonl/close *)
-let chan : out_channel option ref = ref None
-
-(* lint: allow R2 R10 -- ring-mode arming flag, flipped only between runs (arm_rings/disarm_rings) *)
+(* lint: allow R2 -- the one-ref-read guard behind every instrumentation site, flipped only between runs (arm_rings/disarm_rings) *)
 let rings_on = ref false
 
-(* lint: allow R2 R10 -- ring capacity for subsequent bind_ring calls, set by arm_rings before workers start *)
+(* lint: allow R2 -- ring capacity for subsequent bind_ring calls, set by arm_rings before workers start *)
 let ring_capacity = ref (1 lsl 16)
 
-(* lint: allow R2 R10 -- overflow policy for subsequent bind_ring calls, set by arm_rings before workers start *)
+(* lint: allow R2 -- overflow policy for subsequent bind_ring calls, set by arm_rings before workers start *)
 let ring_policy = ref Ring.Drop_oldest
 
-(* lint: allow R2 R10 -- bound rings in registration order, appended under [lock] by bind_ring, read offline by decode_rings *)
+(* lint: allow R2 -- bound rings in registration order, appended under [lock] by bind_ring, read offline by decode_rings *)
 let registry : (int * Ring.t) list ref = ref []
 
-(* lint: allow R2 R10 -- registration counter for [registry], bumped under [lock] *)
+(* lint: allow R2 -- registration counter for [registry], bumped under [lock] *)
 let reg_count = ref 0
 
-(* lint: allow R2 R10 -- the one-ref-read guard behind every instrumentation site; recomputed from sink/rings state under [lock] *)
-let armed = ref false
-
 let lock = Mutex.create ()
-let[@inline] enabled () = !armed
-let[@inline] sink_armed () = Option.is_some !sink
-let rings_armed () = !rings_on
-let recompute_armed () = armed := !rings_on || Option.is_some !sink
-
-let emit_sink ev =
-  match !sink with
-  | None -> ()
-  | Some f -> Mutex.protect lock (fun () -> f ev)
-
-let close () =
-  Mutex.protect lock (fun () ->
-      (match !chan with
-      | Some oc ->
-        flush oc;
-        if oc != stderr then close_out oc
-      | None -> ());
-      chan := None;
-      sink := None;
-      recompute_armed ())
-
-let set_sink f =
-  sink := f;
-  recompute_armed ()
-
-let jsonl_writer oc ev =
-  output_string oc (Json.to_string (to_json ev));
-  output_char oc '\n'
-
-let open_jsonl ~path =
-  close ();
-  let oc = open_out path in
-  chan := Some oc;
-  sink := Some (jsonl_writer oc);
-  recompute_armed ()
-
-let with_jsonl ~path f =
-  open_jsonl ~path;
-  Fun.protect ~finally:close f
+let[@inline] enabled () = !rings_on
 
 (* --- per-domain ring binding and dispatch context --------------------- *)
 
@@ -447,14 +392,17 @@ let ring_key = Domain.DLS.new_key (fun () -> Ring.null)
    dispatch while tracing is armed), and every record written during
    that dispatch carries it. The decoder sorts on it, which is what
    lets N per-shard rings merge back into exactly the sequential
-   dispatch order: records of one dispatch share the key, and distinct
-   same-instant dispatches are ordered by [(sched, class, packet
-   identity)] — the scheduler's own shard-invariant tie-break. *)
+   dispatch order: distinct same-instant dispatches are ordered by
+   [(sched, class, packet identity)] — the scheduler's own
+   shard-invariant tie-break. The last int word is a per-domain
+   dispatch ordinal, bumped on every call: it marks which consecutive
+   ring records one dispatch wrote, so the decoder moves them as one
+   block and keeps their emission order. *)
 type dctx = { cf : floatarray; ci : int array }
 
 let ctx_key =
   Domain.DLS.new_key (fun () ->
-      { cf = Float.Array.make 1 0.; ci = Array.make 5 0 })
+      { cf = Float.Array.make 1 0.; ci = Array.make 6 0 })
 
 let[@inline] set_dispatch_ctx ~sched ~cls ~flow ~subflow ~pseq ~kind =
   let c = Domain.DLS.get ctx_key in
@@ -463,7 +411,8 @@ let[@inline] set_dispatch_ctx ~sched ~cls ~flow ~subflow ~pseq ~kind =
   Array.unsafe_set c.ci 1 flow;
   Array.unsafe_set c.ci 2 subflow;
   Array.unsafe_set c.ci 3 pseq;
-  Array.unsafe_set c.ci 4 kind
+  Array.unsafe_set c.ci 4 kind;
+  Array.unsafe_set c.ci 5 (Array.unsafe_get c.ci 5 + 1)
 
 let arm_rings ?capacity ?policy () =
   Mutex.protect lock (fun () ->
@@ -475,17 +424,26 @@ let arm_rings ?capacity ?policy () =
       (match policy with Some p -> ring_policy := p | None -> ());
       registry := [];
       reg_count := 0;
-      rings_on := true;
-      recompute_armed ())
+      rings_on := true)
 
+(* A domain that already holds a ring of this arming under [shard]
+   keeps it: a sharded run started from a domain that bound shard 0
+   (as {!capture} does) then writes one ring there, not two. *)
 let bind_ring ~shard =
   if not !rings_on then
     invalid_arg "Trace.bind_ring: rings are not armed (call arm_rings first)";
-  let r = Ring.create ~shard ~capacity:!ring_capacity ~policy:!ring_policy in
-  Mutex.protect lock (fun () ->
-      registry := (!reg_count, r) :: !registry;
-      incr reg_count);
-  Domain.DLS.set ring_key r
+  let cur = Domain.DLS.get ring_key in
+  let registered =
+    Mutex.protect lock (fun () ->
+        List.exists (fun (_, r) -> r == cur) !registry)
+  in
+  if not (registered && Ring.shard cur = shard) then begin
+    let r = Ring.create ~shard ~capacity:!ring_capacity ~policy:!ring_policy in
+    Mutex.protect lock (fun () ->
+        registry := (!reg_count, r) :: !registry;
+        incr reg_count);
+    Domain.DLS.set ring_key r
+  end
 
 let unbind_ring () = Domain.DLS.set ring_key Ring.null
 
@@ -493,8 +451,7 @@ let disarm_rings () =
   Mutex.protect lock (fun () ->
       rings_on := false;
       registry := [];
-      reg_count := 0;
-      recompute_armed ());
+      reg_count := 0);
   unbind_ring ()
 
 let rings_dropped () =
@@ -505,8 +462,8 @@ let rings_dropped () =
 
 (* Record layout (owned here, storage in {!Ring}). Int words:
    0 tag, 1 dispatch class, 2-5 dispatching packet identity
-   (flow, subflow, seq, kind), 6.. payload. Float words: 0 event time,
-   1 dispatch sched key, 2-3 payload. *)
+   (flow, subflow, seq, kind), 6-11 payload, 12 dispatch ordinal.
+   Float words: 0 event time, 1 dispatch sched key, 2-3 payload. *)
 
 let tag_pkt_enqueue = 0
 let tag_pkt_drop = 1
@@ -518,7 +475,10 @@ let tag_rtt_sample = 6
 let tag_subflow_add = 7
 let tag_subflow_remove = 8
 
-(* Claim a slot and fill the shared header words. *)
+(* Claim a slot and fill the shared header words. On a domain with no
+   bound ring the claim hits {!Ring.null} and raises [Ring.Full]: an
+   armed emission with nowhere to go is a wiring bug, not a record to
+   drop. *)
 let[@inline] write_header r tag time =
   let c = Domain.DLS.get ctx_key in
   let s = Ring.claim r in
@@ -530,188 +490,118 @@ let[@inline] write_header r tag time =
   Ring.set_i r s 3 (Array.unsafe_get c.ci 2);
   Ring.set_i r s 4 (Array.unsafe_get c.ci 3);
   Ring.set_i r s 5 (Array.unsafe_get c.ci 4);
+  Ring.set_i r s 12 (Array.unsafe_get c.ci 5);
   s
 
-(* The scalar emission functions: the armed hot path. With a bound ring
-   each is a claim plus unboxed word stores — zero minor allocation,
-   proven by the R9 roots below. [@inline] matters as much as the body:
-   without it every float argument boxes at the call boundary (this
-   repo builds without flambda), exactly like [Sim.schedule_after]. The
-   sink branch (armed but unbound: the classic single-domain workflow)
-   builds the event record and is pruned from the proof by the
-   [sink_armed] guard. *)
+(* The scalar emission functions: the armed hot path. Each is a claim
+   plus unboxed word stores — zero minor allocation, proven by the R9
+   roots below. [@inline] matters as much as the body: without it every
+   float argument boxes at the call boundary (this repo builds without
+   flambda), exactly like [Sim.schedule_after]. *)
 
 let[@inline] [@olia.alloc_free] pkt_enqueue ~time ~queue ~flow ~subflow ~seq ~kind
     ~backlog =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_pkt_enqueue time in
-    Ring.set_i r s 6 queue;
-    Ring.set_i r s 7 flow;
-    Ring.set_i r s 8 subflow;
-    Ring.set_i r s 9 seq;
-    Ring.set_i r s 10 kind;
-    Ring.set_i r s 11 backlog
-  end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_enqueue
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           backlog;
-         })
+  let s = write_header r tag_pkt_enqueue time in
+  Ring.set_i r s 6 queue;
+  Ring.set_i r s 7 flow;
+  Ring.set_i r s 8 subflow;
+  Ring.set_i r s 9 seq;
+  Ring.set_i r s 10 kind;
+  Ring.set_i r s 11 backlog
 
 let[@inline] [@olia.alloc_free] pkt_drop ~time ~queue ~flow ~subflow ~seq ~kind ~cause =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_pkt_drop time in
-    Ring.set_i r s 6 queue;
-    Ring.set_i r s 7 flow;
-    Ring.set_i r s 8 subflow;
-    Ring.set_i r s 9 seq;
-    Ring.set_i r s 10 kind;
-    Ring.set_i r s 11 (cause_code cause)
-  end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_drop
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           cause;
-         })
+  let s = write_header r tag_pkt_drop time in
+  Ring.set_i r s 6 queue;
+  Ring.set_i r s 7 flow;
+  Ring.set_i r s 8 subflow;
+  Ring.set_i r s 9 seq;
+  Ring.set_i r s 10 kind;
+  Ring.set_i r s 11 (cause_code cause)
 
 let[@inline] [@olia.alloc_free] pkt_forward ~time ~queue ~flow ~subflow ~seq ~kind
     ~bytes ~qdelay =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_pkt_forward time in
-    Ring.set_f r s 2 qdelay;
-    Ring.set_i r s 6 queue;
-    Ring.set_i r s 7 flow;
-    Ring.set_i r s 8 subflow;
-    Ring.set_i r s 9 seq;
-    Ring.set_i r s 10 kind;
-    Ring.set_i r s 11 bytes
-  end
-  else if sink_armed () then
-    emit_sink
-      (Pkt_forward
-         {
-           time;
-           queue = intern_name queue;
-           flow;
-           subflow;
-           seq;
-           kind = kind_name_of_code kind;
-           bytes;
-           qdelay;
-         })
+  let s = write_header r tag_pkt_forward time in
+  Ring.set_f r s 2 qdelay;
+  Ring.set_i r s 6 queue;
+  Ring.set_i r s 7 flow;
+  Ring.set_i r s 8 subflow;
+  Ring.set_i r s 9 seq;
+  Ring.set_i r s 10 kind;
+  Ring.set_i r s 11 bytes
 
 let[@inline] [@olia.alloc_free] tcp_state ~time ~flow ~subflow ~from_state ~to_state =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_tcp_state time in
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow;
-    Ring.set_i r s 8 (state_code from_state);
-    Ring.set_i r s 9 (state_code to_state)
-  end
-  else if sink_armed () then
-    emit_sink (Tcp_state { time; flow; subflow; from_state; to_state })
+  let s = write_header r tag_tcp_state time in
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow;
+  Ring.set_i r s 8 (state_code from_state);
+  Ring.set_i r s 9 (state_code to_state)
 
 let[@inline] [@olia.alloc_free] cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_cwnd_update time in
-    Ring.set_f r s 2 cwnd;
-    Ring.set_f r s 3 ssthresh;
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow
-  end
-  else if sink_armed () then
-    emit_sink (Cwnd_update { time; flow; subflow; cwnd; ssthresh })
+  let s = write_header r tag_cwnd_update time in
+  Ring.set_f r s 2 cwnd;
+  Ring.set_f r s 3 ssthresh;
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow
 
 let[@inline] [@olia.alloc_free] rto_fired ~time ~flow ~subflow ~rto =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_rto_fired time in
-    Ring.set_f r s 2 rto;
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow
-  end
-  else if sink_armed () then emit_sink (Rto_fired { time; flow; subflow; rto })
+  let s = write_header r tag_rto_fired time in
+  Ring.set_f r s 2 rto;
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow
 
 let[@inline] [@olia.alloc_free] rtt_sample ~time ~flow ~subflow ~rtt ~srtt =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_rtt_sample time in
-    Ring.set_f r s 2 rtt;
-    Ring.set_f r s 3 srtt;
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow
-  end
-  else if sink_armed () then
-    emit_sink (Rtt_sample { time; flow; subflow; rtt; srtt })
+  let s = write_header r tag_rtt_sample time in
+  Ring.set_f r s 2 rtt;
+  Ring.set_f r s 3 srtt;
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow
 
 let[@inline] [@olia.alloc_free] subflow_add ~time ~flow ~subflow =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_subflow_add time in
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow
-  end
-  else if sink_armed () then emit_sink (Subflow_add { time; flow; subflow })
+  let s = write_header r tag_subflow_add time in
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow
 
 let[@inline] [@olia.alloc_free] subflow_remove ~time ~flow ~subflow =
   let r = Domain.DLS.get ring_key in
-  if r != Ring.null then begin
-    let s = write_header r tag_subflow_remove time in
-    Ring.set_i r s 6 flow;
-    Ring.set_i r s 7 subflow
-  end
-  else if sink_armed () then emit_sink (Subflow_remove { time; flow; subflow })
+  let s = write_header r tag_subflow_remove time in
+  Ring.set_i r s 6 flow;
+  Ring.set_i r s 7 subflow
 
-(* Variant-level compatibility entry point: tests and external callers
-   that hold an {!event} go through the same paths as the scalar
-   functions (ring if bound, sink otherwise). Queue names re-intern, so
-   a ring round-trip preserves them. *)
-let emit ev =
-  let r = Domain.DLS.get ring_key in
-  if r == Ring.null then emit_sink ev
-  else
-    match ev with
-    | Pkt_enqueue { time; queue; flow; subflow; seq; kind; backlog } ->
-      pkt_enqueue ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~backlog
-    | Pkt_drop { time; queue; flow; subflow; seq; kind; cause } ->
-      pkt_drop ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~cause
-    | Pkt_forward { time; queue; flow; subflow; seq; kind; bytes; qdelay } ->
-      pkt_forward ~time ~queue:(intern queue) ~flow ~subflow ~seq
-        ~kind:(if kind = "ack" then 1 else 0)
-        ~bytes ~qdelay
-    | Tcp_state { time; flow; subflow; from_state; to_state } ->
-      tcp_state ~time ~flow ~subflow ~from_state ~to_state
-    | Cwnd_update { time; flow; subflow; cwnd; ssthresh } ->
-      cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh
-    | Rto_fired { time; flow; subflow; rto } -> rto_fired ~time ~flow ~subflow ~rto
-    | Rtt_sample { time; flow; subflow; rtt; srtt } ->
-      rtt_sample ~time ~flow ~subflow ~rtt ~srtt
-    | Subflow_add { time; flow; subflow } -> subflow_add ~time ~flow ~subflow
-    | Subflow_remove { time; flow; subflow } ->
-      subflow_remove ~time ~flow ~subflow
+(* Variant-level entry point for tests and callers that hold an
+   {!event}: decomposes to the scalar functions. Queue names re-intern,
+   so a ring round-trip preserves them. *)
+let emit = function
+  | Pkt_enqueue { time; queue; flow; subflow; seq; kind; backlog } ->
+    pkt_enqueue ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~backlog
+  | Pkt_drop { time; queue; flow; subflow; seq; kind; cause } ->
+    pkt_drop ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~cause
+  | Pkt_forward { time; queue; flow; subflow; seq; kind; bytes; qdelay } ->
+    pkt_forward ~time ~queue:(intern queue) ~flow ~subflow ~seq
+      ~kind:(if kind = "ack" then 1 else 0)
+      ~bytes ~qdelay
+  | Tcp_state { time; flow; subflow; from_state; to_state } ->
+    tcp_state ~time ~flow ~subflow ~from_state ~to_state
+  | Cwnd_update { time; flow; subflow; cwnd; ssthresh } ->
+    cwnd_update ~time ~flow ~subflow ~cwnd ~ssthresh
+  | Rto_fired { time; flow; subflow; rto } ->
+    rto_fired ~time ~flow ~subflow ~rto
+  | Rtt_sample { time; flow; subflow; rtt; srtt } ->
+    rtt_sample ~time ~flow ~subflow ~rtt ~srtt
+  | Subflow_add { time; flow; subflow } -> subflow_add ~time ~flow ~subflow
+  | Subflow_remove { time; flow; subflow } ->
+    subflow_remove ~time ~flow ~subflow
 
 (* --- offline decoding ------------------------------------------------- *)
 
@@ -803,67 +693,106 @@ let event_of_record r s =
       }
   else invalid_arg (Printf.sprintf "Trace: unknown record tag %d" tag)
 
-(* One decoded record with its merge key. [rank] orders rings (by
-   shard, then registration order) and [pos] preserves each ring's own
-   emission order for otherwise-equal keys. *)
-type view = {
-  v_time : float;
-  v_sched : float;
-  v_cls : int;
-  v_dflow : int;
-  v_dsub : int;
-  v_dpseq : int;
-  v_dkind : int;
-  v_rank : int;
-  v_pos : int;
-  v_ev : event;
+(* One dispatch's records, decoded in emission order, with the
+   dispatch's merge key. [rank] (the ring's registration number) and
+   [pos] (the group's first position in its ring) only make the order
+   total: they decide between groups whose events are identical, so
+   they never change the decoded stream. *)
+type group = {
+  g_time : float;
+  g_sched : float;
+  g_cls : int;
+  g_dflow : int;
+  g_dsub : int;
+  g_dpseq : int;
+  g_dkind : int;
+  g_rank : int;
+  g_pos : int;
+  g_evs : event list;
 }
 
-let compare_view a b =
-  let c = Float.compare a.v_time b.v_time in
+let compare_group a b =
+  let c = Float.compare a.g_time b.g_time in
   if c <> 0 then c
   else
-    let c = Float.compare a.v_sched b.v_sched in
+    let c = Float.compare a.g_sched b.g_sched in
     if c <> 0 then c
     else
-      let c = Int.compare a.v_cls b.v_cls in
+      let c = Int.compare a.g_cls b.g_cls in
       if c <> 0 then c
       else
-        let c = Int.compare a.v_dflow b.v_dflow in
+        let c = Int.compare a.g_dflow b.g_dflow in
         if c <> 0 then c
         else
-          let c = Int.compare a.v_dsub b.v_dsub in
+          let c = Int.compare a.g_dsub b.g_dsub in
           if c <> 0 then c
           else
-            let c = Int.compare a.v_dpseq b.v_dpseq in
+            let c = Int.compare a.g_dpseq b.g_dpseq in
             if c <> 0 then c
             else
-              let c = Int.compare a.v_dkind b.v_dkind in
+              let c = Int.compare a.g_dkind b.g_dkind in
               if c <> 0 then c
               else
-                (* The dispatch key can tie across distinct dispatches:
-                   closure dispatches carry no packet identity (two
-                   queue-serve completions armed and firing at the same
-                   instants are common on the service-time lattice), and
-                   they can run on different shards. The record's own
-                   content is shard-invariant, so it canonicalizes the
-                   order — the same regrouping on a 1-ring decode and an
-                   N-ring decode. Structural compare of the decoded
-                   event is total and deterministic (ints, floats,
-                   interned-back strings). *)
-                let c = Stdlib.compare a.v_ev b.v_ev in
+                (* Distinct dispatches can share the whole key: two
+                   closures armed at one [(time, sched)] carry no packet
+                   identity, and the scheduler orders them by arming
+                   sequence, which is not shard-invariant (it depends on
+                   when a window drain ran). Their records' content is
+                   shard-invariant, so it canonicalizes the order — the
+                   same on a 1-ring and an N-ring decode. Structural
+                   compare of the decoded events is total and
+                   deterministic (ints, floats, interned-back strings). *)
+                let c = Stdlib.compare a.g_evs b.g_evs in
                 if c <> 0 then c
                 else
-                  let c = Int.compare a.v_rank b.v_rank in
-                  if c <> 0 then c else Int.compare a.v_pos b.v_pos
+                  let c = Int.compare a.g_rank b.g_rank in
+                  if c <> 0 then c else Int.compare a.g_pos b.g_pos
+
+(* Split one ring into dispatch groups: a group is a run of consecutive
+   records sharing the dispatch ordinal and the record time (records
+   written outside any dispatch, between two [run_until] calls, keep the
+   last ordinal but not its time). Walking backwards builds each group's
+   event list in emission order without a reverse. *)
+let ring_groups rank r =
+  let groups = ref [] and evs = ref [] in
+  for i = Ring.length r - 1 downto 0 do
+    let s = Ring.slot_of_index r i in
+    evs := event_of_record r s :: !evs;
+    let first =
+      i = 0
+      ||
+      let p = Ring.slot_of_index r (i - 1) in
+      Ring.get_i r p 12 <> Ring.get_i r s 12
+      || not (Float.equal (Ring.get_f r p 0) (Ring.get_f r s 0))
+    in
+    if first then begin
+      groups :=
+        {
+          g_time = Ring.get_f r s 0;
+          g_sched = Ring.get_f r s 1;
+          g_cls = Ring.get_i r s 1;
+          g_dflow = Ring.get_i r s 2;
+          g_dsub = Ring.get_i r s 3;
+          g_dpseq = Ring.get_i r s 4;
+          g_dkind = Ring.get_i r s 5;
+          g_rank = rank;
+          g_pos = i;
+          g_evs = !evs;
+        }
+        :: !groups;
+      evs := []
+    end
+  done;
+  !groups
 
 (* Merge every bound ring's records into the canonical event order:
-   sort by [(time, sched, class, dispatching-packet identity)] — the
-   scheduler's own dispatch order — then by record content, with ring
-   rank and in-ring position closing the order. Every component before
-   rank/pos is shard-invariant, so a 1-ring decode and an N-ring decode
-   of the same run order identically: that is the byte-identity the
-   shard-invariance gate checks. *)
+   dispatch groups sort by [(time, sched, class, dispatching-packet
+   identity)] — the scheduler's own dispatch order — then by content,
+   with ring rank and in-ring position closing the order, and each
+   group's records come out in the order they were written. Every
+   component before rank/pos is shard-invariant, so a 1-ring decode
+   and an N-ring decode of the same run order identically: that is the
+   byte-identity the shard-invariance gate checks. *)
 let decode_rings () =
   let rings =
     Mutex.protect lock (fun () ->
@@ -873,37 +802,34 @@ let decode_rings () =
             if c <> 0 then c else Int.compare ra rb)
           !registry)
   in
-  let views =
-    List.concat_map
-      (fun (rank, r) ->
-        List.init (Ring.length r) (fun i ->
-            let s = Ring.slot_of_index r i in
-            {
-              v_time = Ring.get_f r s 0;
-              v_sched = Ring.get_f r s 1;
-              v_cls = Ring.get_i r s 1;
-              v_dflow = Ring.get_i r s 2;
-              v_dsub = Ring.get_i r s 3;
-              v_dpseq = Ring.get_i r s 4;
-              v_dkind = Ring.get_i r s 5;
-              v_rank = rank;
-              v_pos = i;
-              v_ev = event_of_record r s;
-            }))
-      rings
-  in
-  List.map (fun v -> v.v_ev) (List.sort compare_view views)
+  let groups = List.concat_map (fun (rank, r) -> ring_groups rank r) rings in
+  List.concat_map (fun g -> g.g_evs) (List.sort compare_group groups)
 
-(* OLIA_TRACE=1 (or true/yes/on) streams JSONL to stderr; any other
-   non-empty value is taken as an output path. *)
-let () =
-  match Sys.getenv_opt "OLIA_TRACE" with
-  | None | Some "" | Some "0" -> ()
-  | Some ("1" | "true" | "yes" | "on") ->
-    chan := Some stderr;
-    sink := Some (jsonl_writer stderr);
-    recompute_armed ();
-    at_exit close
-  | Some path ->
-    open_jsonl ~path;
-    at_exit close
+(* --- capture ----------------------------------------------------------- *)
+
+exception Overflow of { dropped : int; needed : int }
+
+let capture ~capacity f =
+  arm_rings ~capacity ~policy:Ring.Drop_oldest ();
+  Fun.protect ~finally:disarm_rings (fun () ->
+      bind_ring ~shard:0;
+      let result = f () in
+      let dropped = rings_dropped () in
+      if dropped > 0 then begin
+        let needed =
+          Mutex.protect lock (fun () ->
+              List.fold_left
+                (fun n (_, r) -> Int.max n (Ring.written r))
+                0 !registry)
+        in
+        raise (Overflow { dropped; needed })
+      end;
+      (result, decode_rings ()))
+
+let write_jsonl ~path events =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun ev ->
+          output_string oc (Json.to_string (to_json ev));
+          output_char oc '\n')
+        events)

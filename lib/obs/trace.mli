@@ -3,27 +3,16 @@
     Instrumentation sites in [lib/netsim] call the scalar emission
     functions ({!pkt_enqueue}, {!cwnd_update}, ...) only when {!enabled}
     returns true, so the tracing-off path costs one ref read and
-    allocates nothing. Armed, there are two delivery modes:
+    allocates nothing. Armed, each participating domain binds a
+    pre-allocated binary {!Ring} with {!bind_ring}; emission is a
+    fixed-width record write — zero minor allocation, covered by the R9
+    [\[@olia.alloc_free\]] proof — and {!decode_rings} merges the rings
+    offline into the canonical event order, the same at any shard
+    count. {!capture} wraps the whole cycle around one run.
 
-    - {b ring mode} (the sharded and default CLI path): each
-      participating domain binds a pre-allocated binary {!Ring} with
-      {!bind_ring}; emission is a fixed-width record write — zero minor
-      allocation, covered by the R9 [\[@olia.alloc_free\]] proof — and
-      {!decode_rings} merges the rings offline back into the exact
-      sequential event order;
-    - {b sink mode} (the original design, kept for tests and streaming):
-      a process-global [event -> unit] callback fed variant events,
-      armed via {!set_sink} / {!open_jsonl} or the [OLIA_TRACE]
-      environment variable ([1]/[true]/[yes]/[on] for stderr, any other
-      non-empty value for an output path). Sink mode allocates per
-      event and serializes writers with a mutex; arm it around
-      single-domain runs only.
-
-    A domain with a bound ring always writes its ring; the sink serves
-    armed-but-unbound domains. Either way the JSONL wire format — one
-    compact [Repro_stats.Json] object per line, led by an ["ev"]
-    discriminator — is unchanged: ring records decode back to the same
-    {!event} values. *)
+    The JSONL wire format ({!write_jsonl}) is one compact
+    [Repro_stats.Json] object per line, led by an ["ev"]
+    discriminator; ring records decode back to {!event} values. *)
 
 type tcp_state = Slow_start | Congestion_avoidance | Fast_recovery
 
@@ -130,55 +119,35 @@ val intern : string -> int
 val intern_name : int -> string
 (** Inverse of {!intern}; raises [Invalid_argument] on unknown ids. *)
 
-(** {1 Arming} *)
+(** {1 Rings} *)
 
 val enabled : unit -> bool
-(** One ref read — true when either a sink is set or rings are armed.
-    Instrumentation sites must guard emission with it. *)
-
-val sink_armed : unit -> bool
-(** True when a variant sink is installed. The R9 lint treats this as a
-    guard: the sink branch of the scalar emission functions (which
-    allocates the event record) is pruned from the allocation-freedom
-    proof, exactly like [Invariant.enabled]. *)
-
-val set_sink : (event -> unit) option -> unit
-(** Install a custom sink (tests) or disarm with [None]. *)
-
-val open_jsonl : path:string -> unit
-(** Arm tracing into a fresh JSONL file, closing any previous sink. *)
-
-val close : unit -> unit
-(** Flush and close the JSONL sink, disarming sink mode. *)
-
-val with_jsonl : path:string -> (unit -> 'a) -> 'a
-(** [open_jsonl], run the thunk, [close] — also on exceptions. *)
-
-(** {1 Ring mode} *)
-
-val rings_armed : unit -> bool
-(** True between {!arm_rings} and {!disarm_rings}. Worker loops use it
-    to decide whether to {!bind_ring}. *)
+(** One ref read — true between {!arm_rings} and {!disarm_rings}.
+    Instrumentation sites must guard emission with it, and worker loops
+    use it to decide whether to {!bind_ring}. *)
 
 val arm_rings : ?capacity:int -> ?policy:Ring.policy -> unit -> unit
-(** Arm ring mode and reset the ring registry. Subsequent
-    {!bind_ring} calls create rings of [capacity] records (default
-    [65536]) with overflow [policy] (default [Drop_oldest]). Call
-    before the traced run starts, from the orchestrating domain. *)
+(** Arm tracing and reset the ring registry. Subsequent {!bind_ring}
+    calls create rings of [capacity] records (default [65536]) with
+    overflow [policy] (default [Drop_oldest]). Call before the traced
+    run starts, from the orchestrating domain. *)
 
 val bind_ring : shard:int -> unit
 (** Create a fresh ring for the calling domain, register it under
     [shard], and install it in domain-local storage: every subsequent
-    armed emission on this domain writes the ring. Workers call this
-    once at window-loop start. Raises [Invalid_argument] if rings are
-    not armed. *)
+    armed emission on this domain writes the ring. A domain that
+    already holds a ring of the current arming under [shard] keeps it.
+    Workers call this once at window-loop start. Raises
+    [Invalid_argument] if rings are not armed. *)
 
 val unbind_ring : unit -> unit
 (** Detach the calling domain from its ring (the ring stays
-    registered for decoding). *)
+    registered for decoding). An armed emission on a domain without a
+    ring raises [Ring.Full]. *)
 
 val disarm_rings : unit -> unit
-(** Disarm ring mode and drop the registry. Decode first. *)
+(** Disarm tracing, drop the registry and unbind the calling domain.
+    Decode first. *)
 
 val rings_dropped : unit -> int
 (** Total records lost to [Drop_oldest] overflow across all registered
@@ -186,21 +155,38 @@ val rings_dropped : unit -> int
     need a bigger capacity. *)
 
 val decode_rings : unit -> event list
-(** Merge every registered ring into the canonical event order:
-    records sort by their dispatch key [(time, sched, class,
-    dispatching-packet identity)] — the scheduler's own dispatch order
-    — then by record content (closure dispatches carry no packet
-    identity, so same-instant serve completions need it), with ring
-    rank and in-ring position as the final tie-break. Every component
-    before rank/pos is shard-invariant, so an N-shard decode is
-    byte-identical to the 1-shard decode of the same seed. *)
+(** Merge every registered ring into the canonical event order. The
+    consecutive records one dispatch wrote (same dispatch ordinal, same
+    time) form a group and keep their emission order. Groups sort by
+    their dispatch key [(time, sched, class, dispatching-packet
+    identity)] — the scheduler's own dispatch order — then by content
+    (closures armed at one [(time, sched)] carry no packet identity,
+    and their arming order is not shard-invariant), with ring rank and
+    in-ring position as the final tie-break. Every component before
+    rank/pos is shard-invariant, so an N-shard decode is byte-identical
+    to the 1-shard decode of the same seed. *)
+
+exception Overflow of { dropped : int; needed : int }
+(** A ring overflowed during {!capture}: [dropped] records were lost,
+    and [needed] is the smallest per-ring capacity that holds the run
+    (the most records any one ring received). *)
+
+val capture : capacity:int -> (unit -> 'a) -> 'a * event list
+(** [capture ~capacity f] arms rings of [capacity] records, binds
+    shard 0 on the calling domain, runs [f] and decodes every ring of
+    the arming — also those that sharded workers bind inside [f].
+    Rings are disarmed afterwards, also when [f] raises. Raises
+    {!Overflow} when any ring dropped records, so a decode is either
+    complete or absent. *)
+
+val write_jsonl : path:string -> event list -> unit
+(** Write events to [path] as JSONL, one {!to_json} object per line. *)
 
 (** {1 Scalar emission}
 
     The armed hot path: one function per event, taking the interned
-    queue id and integer kind code instead of strings. With a bound
-    ring these allocate nothing on the minor heap (R9-proven); on the
-    sink fallback they build the {!event} record. Callers guard with
+    queue id and integer kind code instead of strings. They allocate
+    nothing on the minor heap (R9-proven). Callers guard with
     {!enabled} and pass [Packet.kind_code] / the queue's interned id. *)
 
 val pkt_enqueue :
@@ -254,9 +240,9 @@ val subflow_add : time:float -> flow:int -> subflow:int -> unit
 val subflow_remove : time:float -> flow:int -> subflow:int -> unit
 
 val emit : event -> unit
-(** Variant-level entry point: routes to the bound ring (decomposing to
-    the scalar functions, re-interning the queue name) or the sink.
-    Kept for tests and external callers holding an {!event}. *)
+(** Variant-level entry point: decomposes to the scalar functions,
+    re-interning the queue name. For tests and callers holding an
+    {!event}. *)
 
 val set_dispatch_ctx :
   sched:float -> cls:int -> flow:int -> subflow:int -> pseq:int -> kind:int ->
@@ -264,6 +250,7 @@ val set_dispatch_ctx :
 (** Called by the scheduler once per dispatch while tracing is armed:
     records the dispatching event's ordering key — arming time [sched],
     dispatch class [cls] (closures 0, packets 1), and the dispatched
-    packet's identity (zeros for closures) — in domain-local storage.
-    Every ring record written during the dispatch carries it; the
-    decoder sorts on it. Allocation-free. *)
+    packet's identity (zeros for closures) — in domain-local storage,
+    and bumps the domain's dispatch ordinal. Every ring record written
+    during the dispatch carries both; the decoder groups on the ordinal
+    and sorts on the key. Allocation-free. *)

@@ -357,7 +357,7 @@ let test_report_json () =
     | _ -> Alcotest.fail "missing clean")
   | Ok _ -> Alcotest.fail "report is not a JSON object"
 
-(* --- whole-program pass: call graph, R9, R10, R11 ------------------- *)
+(* --- whole-program pass: call graph, R9, R11 ------------------------ *)
 
 let test_r9_direct () =
   check_count "allocation in the entry point itself" Finding.R9 1
@@ -486,39 +486,6 @@ let test_graph_dump () =
   Alcotest.(check bool) "and the resolved cross-module edge" true
     (contains ~needle:"Helper.consume" dump)
 
-let test_r10_fires () =
-  let fs =
-    Engine.lint_sources
-      [
-        { Engine.path = "lib/exp/sweep.ml"; content = "let run f = Tally.bump f" };
-        {
-          Engine.path = "lib/exp/tally.ml";
-          content = "let total = ref 0\nlet bump f = total := !total + f";
-        };
-      ]
-  in
-  check_count "mutable toplevel reachable from a sweep worker" Finding.R10 1 fs
-
-let test_r10_unreachable_silent () =
-  check_count "state the sweep never touches is R2's business, not R10's"
-    Finding.R10 0
-    (Engine.lint_sources
-       [
-         { Engine.path = "lib/exp/sweep.ml"; content = "let run f = f + 1" };
-         {
-           Engine.path = "lib/exp/tally.ml";
-           content = "let total = ref 0\nlet bump f = total := !total + f";
-         };
-       ]);
-  check_count "worker-local state is fine" Finding.R10 0
-    (Engine.lint_sources
-       [
-         {
-           Engine.path = "lib/exp/sweep.ml";
-           content = "let run f =\n  let acc = ref 0 in\n  acc := f;\n  !acc";
-         };
-       ])
-
 let test_r11_fires () =
   let fs =
     lint
@@ -585,7 +552,7 @@ let slurp name =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The R3-fp sub-check arms on the _fp.ml basename under lib/cc, so the
-   fixtures are read off disk and re-pathed (same trick as R10). *)
+   fixtures are read off disk and re-pathed. *)
 let test_r3_fp_fires () =
   let content = slurp "r3_fp_broken.ml" in
   check_count "each float touch in the update path is a finding"
@@ -620,34 +587,16 @@ let test_fixture_broken_hot_path () =
   let _, clean = Engine.lint_paths [ fixture "r9_clean.ml" ] in
   check_count "its clean twin is silent" Finding.R9 0 clean
 
-(* The trace-emission twins: an armed-emission function whose variant
-   sink fallback allocates. Unguarded, R9 must flag the allocation;
-   behind [Trace.sink_armed] — the guard the real scalar emitters in
-   lib/obs/trace.ml use — it must prune the branch. *)
-let test_fixture_trace_sink_guard () =
+(* An armed-emission function that builds its event payload: R9 must
+   flag the allocation, pinned to the payload tuple. *)
+let test_fixture_trace_payload () =
   let _, fs = Engine.lint_paths [ fixture "r9_trace_broken.ml" ] in
-  check_count "unguarded sink fallback caught" Finding.R9 1 fs;
+  check_count "unguarded event payload caught" Finding.R9 1 fs;
   Alcotest.(check bool) "finding pins the payload allocation" true
     (List.exists
        (fun (f : Finding.t) ->
          f.rule = Finding.R9 && contains ~needle:"tuple" f.message)
-       fs);
-  let _, clean = Engine.lint_paths [ fixture "r9_trace_clean.ml" ] in
-  check_count "Trace.sink_armed prunes the sink branch" Finding.R9 0 clean
-
-(* The fixture's content must sit at the sharded runtime's real path for
-   the R10 roots to arm, so read it off disk and re-path it. *)
-let test_r10_shard_roots () =
-  let content =
-    let ic = open_in_bin (fixture "r10_shard.ml") in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_count "shard window loop is a domain-spawning root" Finding.R10 1
-    (Engine.lint_sources [ { Engine.path = "lib/netsim/shard.ml"; content } ]);
-  check_count "the same code elsewhere in netsim is not" Finding.R10 0
-    (Engine.lint_sources [ { Engine.path = "lib/netsim/other.ml"; content } ])
+       fs)
 
 let suite =
   [
@@ -723,12 +672,6 @@ let suite =
     Alcotest.test_case "call graph honors shadowing" `Quick
       test_callgraph_shadowing;
     Alcotest.test_case "call graph dump names edges" `Quick test_graph_dump;
-    Alcotest.test_case "R10 fires on sweep-reachable state" `Quick
-      test_r10_fires;
-    Alcotest.test_case "R10 ignores unreachable or local state" `Quick
-      test_r10_unreachable_silent;
-    Alcotest.test_case "R10 covers shard-reachable state" `Quick
-      test_r10_shard_roots;
     Alcotest.test_case "R11 taints wall clock into sinks" `Quick
       test_r11_fires;
     Alcotest.test_case "R11 respects guards" `Quick test_r11_guarded_silent;
@@ -744,6 +687,6 @@ let suite =
       test_fixture_parse_resilience;
     Alcotest.test_case "fixtures: broken hot path is caught" `Quick
       test_fixture_broken_hot_path;
-    Alcotest.test_case "fixtures: sink_armed guards the emission path" `Quick
-      test_fixture_trace_sink_guard;
+    Alcotest.test_case "fixtures: broken trace emit caught" `Quick
+      test_fixture_trace_payload;
   ]

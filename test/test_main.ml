@@ -21,4 +21,5 @@ let () =
       ("lint", Test_lint.suite);
       ("obs", Test_obs.suite);
       ("check", Test_check.suite);
+      ("invariants", Test_netsim.last_suite);
     ]

@@ -424,21 +424,26 @@ let suite =
 
 (* --- Invariant -------------------------------------------------------- *)
 
-(* arm/disarm around each body so the rest of the suite keeps its
-   default-off behaviour *)
-let with_invariants f =
-  Invariant.set_enabled true;
-  Fun.protect ~finally:(fun () -> Invariant.set_enabled false) f
+(* Set the checks around each body and restore the previous state, so
+   a suite run armed through OLIA_DEBUG_INVARIANTS stays armed after
+   these tests. *)
+let with_invariants_set armed f =
+  let was = Invariant.enabled () in
+  Invariant.set_enabled armed;
+  Fun.protect ~finally:(fun () -> Invariant.set_enabled was) f
+
+let with_invariants f = with_invariants_set true f
 
 let test_invariant_gate () =
-  Invariant.set_enabled false;
-  Alcotest.(check bool) "disarmed" false (Invariant.enabled ());
-  with_invariants (fun () ->
-      Alcotest.(check bool) "armed" true (Invariant.enabled ());
-      Invariant.require true "never raised";
-      Alcotest.check_raises "require false"
-        (Invariant.Violation "broken") (fun () ->
-          Invariant.require false "broken"))
+  with_invariants_set false (fun () ->
+      Alcotest.(check bool) "disarmed" false (Invariant.enabled ());
+      with_invariants (fun () ->
+          Alcotest.(check bool) "armed" true (Invariant.enabled ());
+          Invariant.require true "never raised";
+          Alcotest.check_raises "require false"
+            (Invariant.Violation "broken") (fun () ->
+              Invariant.require false "broken"));
+      Alcotest.(check bool) "disarmed again" false (Invariant.enabled ()))
 
 let test_invariant_route_overrun () =
   with_invariants (fun () ->
@@ -498,3 +503,22 @@ let suite =
       Alcotest.test_case "invariant: counters survive reset_stats" `Quick
         test_invariant_survives_stats_reset;
     ]
+
+(* Runs after every other suite (see test_main.ml): a test that leaves
+   the checks switched differently from what the environment asked for
+   would silently run the rest of an armed CI leg unarmed. *)
+let test_invariants_match_env () =
+  let requested =
+    match Sys.getenv_opt "OLIA_DEBUG_INVARIANTS" with
+    | Some ("1" | "true" | "yes" | "on") -> true
+    | Some _ | None -> false
+  in
+  Alcotest.(check bool)
+    "Invariant.enabled () matches OLIA_DEBUG_INVARIANTS" requested
+    (Invariant.enabled ())
+
+let last_suite =
+  [
+    Alcotest.test_case "armed state matches the environment" `Quick
+      test_invariants_match_env;
+  ]

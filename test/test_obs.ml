@@ -133,23 +133,40 @@ let test_event_bad_json () =
         | Ok _ -> Alcotest.fail ("decoded a non-event: " ^ src)))
     [ {|{"ev":"no_such_event","t":1}|}; {|{"t":1}|}; {|[1,2]|} ]
 
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Every variant through the rings and out through the JSONL writer:
+   outside any dispatch each record is its own group, so the decode
+   orders by time alone. *)
 let test_jsonl_sink () =
   let path = Filename.temp_file "olia_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace.with_jsonl ~path (fun () ->
-          Alcotest.(check bool) "armed" true (Trace.enabled ());
-          List.iter Trace.emit every_variant);
+      let (), events =
+        Trace.capture ~capacity:64 (fun () ->
+            Alcotest.(check bool) "armed" true (Trace.enabled ());
+            List.iter Trace.emit every_variant)
+      in
       Alcotest.(check bool) "disarmed after" false (Trace.enabled ());
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
+      let time_of ev =
+        match Trace.to_json ev with
+        | Json.Obj fields -> (
+          match List.assoc "t" fields with Json.Float t -> t | _ -> nan)
+        | _ -> nan
+      in
+      let by_time =
+        List.stable_sort
+          (fun a b -> Float.compare (time_of a) (time_of b))
+          every_variant
+      in
+      Alcotest.(check bool)
+        "rings decode every variant" true (events = by_time);
+      Trace.write_jsonl ~path events;
+      let lines = read_lines path in
       Alcotest.(check int)
         "one line per event"
         (List.length every_variant)
@@ -163,7 +180,7 @@ let test_jsonl_sink () =
             | Error e -> Alcotest.fail ("line is not an event: " ^ e)
             | Ok ev' ->
               Alcotest.(check bool) "line decodes to the event" true (ev = ev')))
-        every_variant lines)
+        by_time lines)
 
 (* --- counters vs Monitor --------------------------------------------- *)
 
@@ -271,16 +288,13 @@ let deterministic_view (r : S.Scen_a.result) =
 let test_tracing_off_noop () =
   Alcotest.(check bool) "tests run untraced" false (Trace.enabled ());
   let before = deterministic_view (S.Scen_a.run small) in
-  let seen = ref 0 in
-  Trace.set_sink (Some (fun (_ : Trace.event) -> incr seen));
-  let traced =
-    Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
-      (fun () -> deterministic_view (S.Scen_a.run small))
+  let traced, events =
+    Trace.capture ~capacity:(1 lsl 16) (fun () ->
+        deterministic_view (S.Scen_a.run small))
   in
   Alcotest.(check bool) "disarmed again" false (Trace.enabled ());
   let after = deterministic_view (S.Scen_a.run small) in
-  Alcotest.(check bool) "tracing emitted events" true (!seen > 0);
+  Alcotest.(check bool) "tracing emitted events" true (events <> []);
   Alcotest.(check bool) "tracing does not change results" true
     (before = traced);
   Alcotest.(check bool) "and leaves no residue" true (before = after)
@@ -548,10 +562,10 @@ let test_report_jsonl_rejects_bad_line () =
 let test_report_deterministic_across_runs () =
   let render () =
     let acc = Report.create () in
-    Trace.set_sink (Some (Report.feed acc));
-    Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
-      (fun () -> ignore (S.Scen_a.run small));
+    let (), events =
+      Trace.capture ~capacity:(1 lsl 16) (fun () -> ignore (S.Scen_a.run small))
+    in
+    List.iter (Report.feed acc) events;
     Json.to_string (Report.to_json acc)
   in
   let first = render () in
@@ -561,13 +575,11 @@ let test_report_deterministic_across_runs () =
     "and non-trivial" true
     (String.length first > 100)
 
-(* --- the sweep guard --------------------------------------------------- *)
+(* --- sweeps ------------------------------------------------------------ *)
 
-(* The variant trace sink is process-global, so a multi-worker sweep
-   with a sink armed would interleave events from unrelated points into
-   one stream: Sweep.run must refuse. Ring-mode tracing is per-worker
-   (each domain binds its own ring), so the same sweep runs armed. *)
-let test_sweep_sink_refused_rings_allowed () =
+(* Tracing is per-worker: each sweep domain binds its own ring, so a
+   multi-worker sweep runs armed, and untraced afterwards. *)
+let test_sweep_rings () =
   let (module Sc : S.Registry.SCENARIO) = S.Registry.find "scenario-a" in
   let point seed =
     [
@@ -577,22 +589,8 @@ let test_sweep_sink_refused_rings_allowed () =
     ]
   in
   (* Two points so the ~domains:2 request actually spawns two workers;
-     a single point degrades to the sequential path, which never needs
-     the guard. *)
+     a single point degrades to the sequential path. *)
   let pts = [ point 1; point 2 ] in
-  Trace.set_sink (Some (fun (_ : Trace.event) -> ()));
-  (Fun.protect
-     ~finally:(fun () -> Trace.set_sink None)
-     (fun () ->
-       match Repro_exp.Sweep.run ~domains:2 (module Sc) pts with
-       | _ -> Alcotest.fail "sweep ran with a sink armed"
-       | exception Invalid_argument msg ->
-         Alcotest.(check bool)
-           ("refusal explains itself: " ^ msg)
-           true
-           (String.length msg > 0)));
-  Alcotest.(check bool) "sink released" false (Trace.enabled ());
-  (* Rings armed: each worker binds its own ring and the sweep runs. *)
   Trace.arm_rings ~capacity:(1 lsl 16) ();
   (Fun.protect
      ~finally:(fun () -> Trace.disarm_rings ())
@@ -601,6 +599,7 @@ let test_sweep_sink_refused_rings_allowed () =
        | ps ->
          Alcotest.(check int) "ring-traced sweep covers every point" 2
            (List.length ps);
+         Alcotest.(check int) "nothing dropped" 0 (Trace.rings_dropped ());
          Alcotest.(check bool)
            "worker rings captured events" true
            (List.length (Trace.decode_rings ()) > 0)));
@@ -737,6 +736,52 @@ let prop_decode_partition_invariant =
                    tagged )))
       in
       single = sharded)
+
+(* One dispatch's records decode in the order they were written, even
+   where structural order would flip them (a [Pkt_enqueue] sorts before
+   a [Subflow_add]). The golden Reno run opens with the [tcp.start]
+   dispatch: the subflow comes up, then its first segments queue. *)
+let test_decode_keeps_dispatch_order () =
+  let at = 0.5 in
+  let (), events =
+    Trace.capture ~capacity:16 (fun () ->
+        Trace.set_dispatch_ctx ~sched:0. ~cls:0 ~flow:0 ~subflow:0 ~pseq:0
+          ~kind:0;
+        Trace.subflow_add ~time:at ~flow:1 ~subflow:0;
+        Trace.pkt_enqueue ~time:at ~queue:(Trace.intern "order-q") ~flow:1
+          ~subflow:0 ~seq:0 ~kind:0 ~backlog:1)
+  in
+  (match events with
+  | [ Trace.Subflow_add _; Trace.Pkt_enqueue _ ] -> ()
+  | _ -> Alcotest.fail "one dispatch's records were reordered");
+  match Repro_check.Golden.record "reno-droptail" with
+  | Trace.Subflow_add { time = 0.; flow = 0; subflow = 0 }
+    :: Trace.Pkt_enqueue _ :: _ ->
+    ()
+  | _ -> Alcotest.fail "reno-droptail does not open with subflow_add"
+
+(* An armed emission needs a ring: on a domain that never bound one it
+   raises instead of vanishing. *)
+let test_unbound_emission_raises () =
+  Trace.arm_rings ~capacity:16 ();
+  Fun.protect ~finally:Trace.disarm_rings (fun () ->
+      Alcotest.check_raises "unbound domain" Ring.Full (fun () ->
+          Trace.subflow_add ~time:0. ~flow:0 ~subflow:0))
+
+(* A capture that outgrows its rings fails with the drop count and the
+   capacity the run needs, instead of returning a truncated decode. *)
+let test_capture_overflow () =
+  (match
+     Trace.capture ~capacity:8 (fun () ->
+         for i = 1 to 20 do
+           Trace.subflow_add ~time:(float_of_int i) ~flow:i ~subflow:0
+         done)
+   with
+  | _ -> Alcotest.fail "an overflowed capture returned events"
+  | exception Trace.Overflow { dropped; needed } ->
+    Alcotest.(check int) "dropped" 12 dropped;
+    Alcotest.(check int) "needed" 20 needed);
+  Alcotest.(check bool) "disarmed after the overflow" false (Trace.enabled ())
 
 (* Same build probe as test_timer.ml: dev builds pass [-opaque], which
    discards the cross-module inlining info the unboxed call paths rely
@@ -901,13 +946,19 @@ let suite =
       test_report_jsonl_rejects_bad_line;
     Alcotest.test_case "report JSON byte-identical across runs" `Quick
       test_report_deterministic_across_runs;
-    Alcotest.test_case "sweeps refuse sinks but run with rings" `Slow
-      test_sweep_sink_refused_rings_allowed;
+    Alcotest.test_case "sweeps run with trace rings armed" `Slow
+      test_sweep_rings;
     Alcotest.test_case "ring wraparound keeps the newest records" `Quick
       test_ring_wraparound;
     Alcotest.test_case "fail-fast and null rings refuse records" `Quick
       test_ring_fail_fast;
     QCheck_alcotest.to_alcotest prop_decode_partition_invariant;
+    Alcotest.test_case "decode keeps each dispatch's order" `Quick
+      test_decode_keeps_dispatch_order;
+    Alcotest.test_case "unbound armed emission raises" `Quick
+      test_unbound_emission_raises;
+    Alcotest.test_case "ring overflow fails the capture" `Quick
+      test_capture_overflow;
     Alcotest.test_case "armed ring emission stays off the minor heap" `Quick
       test_armed_emission_zero_alloc;
     Alcotest.test_case "profiler accounts dispatches per source" `Quick

@@ -220,16 +220,13 @@ let test_sharded_run_deterministic () =
    check that matters is byte-level — a 2-shard traced run must decode
    to exactly the event stream of the 1-shard run. *)
 let traced_lines shards =
-  Mptcp_repro.Obs.Trace.arm_rings ~capacity:(1 lsl 19) ();
-  Fun.protect
-    ~finally:(fun () -> Mptcp_repro.Obs.Trace.disarm_rings ())
-    (fun () ->
-      ignore (Fs.run (small_cfg shards));
-      Alcotest.(check int) "no ring overflow" 0
-        (Mptcp_repro.Obs.Trace.rings_dropped ());
-      List.map
-        (fun ev -> Repro_stats.Json.to_string (Mptcp_repro.Obs.Trace.to_json ev))
-        (Mptcp_repro.Obs.Trace.decode_rings ()))
+  let _, events =
+    Mptcp_repro.Obs.Trace.capture ~capacity:(1 lsl 19) (fun () ->
+        Fs.run (small_cfg shards))
+  in
+  List.map
+    (fun ev -> Repro_stats.Json.to_string (Mptcp_repro.Obs.Trace.to_json ev))
+    events
 
 let test_traced_decode_shard_invariant () =
   let base = traced_lines 1 in

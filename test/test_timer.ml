@@ -367,7 +367,9 @@ let test_steady_state_zero_alloc () =
   Sim.run sim;
   let packets = !acked - before in
   Alcotest.(check bool) "traffic flowed" true (packets > 4000);
-  if Sys.backend_type = Sys.Native then
+  (* armed invariant checks build their messages eagerly, so with them
+     nothing is asserted about allocation (as in test_tcp_zero_alloc) *)
+  if Sys.backend_type = Sys.Native && not (Invariant.enabled ()) then
     if build_inlines_schedule_path () then
       Alcotest.(check (float 0.))
         (Printf.sprintf "minor words for %d packets" packets)
