@@ -69,7 +69,6 @@ end
 module Topology = struct
   module Duplex = Repro_topology.Duplex
   module Fattree = Repro_topology.Fattree
-  module Fattree_pods = Repro_topology.Fattree_pods
   module Graph = Repro_topology.Graph
   module Builder = Repro_topology.Builder
 end

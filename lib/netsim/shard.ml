@@ -236,8 +236,8 @@ let run_windows ~pool t ~horizon =
     (* one shard: no channels can exist (open_channel rejects src = dst),
        so the window loop degenerates to chained run_until calls — run
        the single call directly on the calling domain. Chained and
-       single run_until are bitwise identical, which is what the
-       shards=1 ≡ sequential golden pins down. *)
+       single run_until are bitwise identical, so a one-shard group is
+       exactly a plain sequential run. *)
     if Trace.enabled () then Trace.bind_ring ~shard:0;
     Profile.bind ~shard:0;
     Sim.run_until t.sims.(0) horizon

@@ -21,8 +21,8 @@
 
     Determinism: within a window each shard is an ordinary sequential
     simulator. At each boundary the drained messages are merged in
-    [(arrival, src_shard, channel, channel_seq)] order before being
-    scheduled, so the schedule-order tie-break of {!Sim} is a pure
+    [(arrival, egress, src_shard, src_seq)] order ({!compare_msg})
+    before being scheduled, so the schedule-order tie-break of {!Sim} is a pure
     function of the simulation state — results are reproducible for a
     given (seed, shard count). Moreover each delivery carries its
     source-shard egress time as the [(time, sched, seq)] tie-break key

@@ -1,5 +1,5 @@
 open Repro_netsim
-module Ftp = Repro_topology.Fattree_pods
+module Fattree = Repro_topology.Fattree
 
 type config = {
   k : int;
@@ -64,17 +64,19 @@ let percentile sorted p =
 let run cfg =
   if cfg.flows_per_host < 1 then
     invalid_arg "Fattree_sharded.run: flows_per_host must be >= 1";
+  if cfg.warmup >= cfg.duration then
+    invalid_arg "Fattree_sharded.run: warmup >= duration";
   let meter = Repro_obs.Meter.start () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in
   let tree =
-    Ftp.create ~shards:cfg.shards ~rng:(Rng.split rng) ~k:cfg.k
-      ~rate_bps:rate
+    Fattree.create ~sim:(Sim.create ()) ~shards:cfg.shards
+      ~rng:(Rng.split rng) ~k:cfg.k ~rate_bps:rate
       ~delay:(cfg.delay_ms /. 1000.)
       ~buffer_pkts:100 ~discipline:Queue.Droptail ()
   in
-  let group = Ftp.group tree in
-  let hosts = Ftp.host_count tree in
+  let group = Fattree.group tree in
+  let hosts = Fattree.host_count tree in
   let flows =
     permutation_rounds ~rng ~hosts ~rounds:cfg.flows_per_host []
   in
@@ -83,49 +85,51 @@ let run cfg =
     else Common.factory_of_name cfg.algo
   in
   let conns =
-    List.mapi
-      (fun i { Repro_workload.Workload.start; src; dst; _ } ->
-        let paths =
-          Ftp.sample_paths tree ~rng ~src ~dst
-            ~n:(Stdlib.max 1 cfg.subflows)
-        in
-        Tcp.create
-          ~sim:(Ftp.sim_of_host tree src)
-          ~rcv_sim:(Ftp.sim_of_host tree dst)
-          ~cc:(factory ()) ~paths ~start ~flow_id:i ())
-      flows
+    Array.of_list
+      (List.mapi
+         (fun i { Repro_workload.Workload.start; src; dst; _ } ->
+           let paths =
+             Fattree.sample_paths tree ~rng ~src ~dst
+               ~n:(Stdlib.max 1 cfg.subflows)
+           in
+           Tcp.create
+             ~sim:(Fattree.sim_of_host tree src)
+             ~rcv_sim:(Fattree.sim_of_host tree dst)
+             ~cc:(factory ()) ~paths ~start ~flow_id:i ())
+         flows)
   in
-  let conns_a = Array.of_list conns in
-  let totals = Array.make (Array.length conns_a) 0 in
-  (* warm-up bookkeeping runs on each owning shard's own loop: queue
-     statistics reset per shard, and each connection's delivered-packet
-     snapshot on its sender's simulator (snd_una is sender-side state) *)
-  for s = 0 to Shard.shard_count group - 1 do
-    let queues = Ftp.shard_queues tree s in
-    ignore
-      (Sim.schedule_at ~src:"scenario.warmup" (Shard.sim group s) cfg.warmup
-         (fun () -> List.iter Queue.reset_stats queues)
-        : Sim.Timer.t)
-  done;
+  (* One warm-up timer per pod, on the pod's own simulator: it resets
+     the pod's queue statistics and snapshots the delivered-packet count
+     of each connection sent from the pod (snd_una is sender-side
+     state). A timer per pod rather than per shard keeps the event count
+     the same at every shard count. *)
+  let totals = Array.make (Array.length conns) 0 in
+  let sent_from = Array.make cfg.k [] in
   List.iteri
     (fun i { Repro_workload.Workload.src; _ } ->
+      let pod = Fattree.pod_of_host tree src in
+      sent_from.(pod) <- i :: sent_from.(pod))
+    flows;
+  Array.iteri
+    (fun pod sent ->
+      let queues = Fattree.pod_queues tree pod in
       ignore
         (Sim.schedule_at ~src:"scenario.warmup"
-           (Ftp.sim_of_host tree src)
+           (Shard.sim group (Fattree.shard_of_pod tree pod))
            cfg.warmup
-           (fun () -> totals.(i) <- Tcp.total_acked conns_a.(i))
+           (fun () ->
+             List.iter Queue.reset_stats queues;
+             List.iter (fun i -> totals.(i) <- Tcp.total_acked conns.(i)) sent)
           : Sim.Timer.t))
-    flows;
+    sent_from;
   Shard.run_windows ~pool:Repro_exp.Sweep.pool group ~horizon:cfg.duration;
   let window = cfg.duration -. cfg.warmup in
-  if window <= 0. then
-    invalid_arg "Fattree_sharded.run: warmup >= duration";
   let flow_mbps =
     Array.mapi
       (fun i c ->
         Common.mbps_of_pps
           (float_of_int (Tcp.total_acked c - totals.(i)) /. window))
-      conns_a
+      conns
   in
   let total = Array.fold_left ( +. ) 0. flow_mbps in
   let optimal = float_of_int hosts *. cfg.rate_mbps in
@@ -135,15 +139,15 @@ let run cfg =
     let acc = ref 0 in
     for s = 0 to cfg.shards - 1 do
       for d = 0 to cfg.shards - 1 do
-        match Ftp.channel tree ~src:s ~dst:d with
+        match Fattree.channel tree ~src:s ~dst:d with
         | Some ch -> acc := !acc + Shard.sent_count ch
         | None -> ()
       done
     done;
     !acc
   in
-  let losses = List.map Queue.loss_probability (Ftp.core_queues tree) in
-  let all_q = Ftp.all_queues tree in
+  let losses = List.map Queue.loss_probability (Fattree.core_queues tree) in
+  let all_q = Fattree.all_queues tree in
   let sum f = List.fold_left (fun acc q -> acc + f q) 0 all_q in
   let shard_obs =
     List.init (Shard.shard_count group) (fun s ->

@@ -5,13 +5,14 @@
     conservative lookahead ({!Repro_netsim.Shard}).
 
     Results are bitwise shard-count-invariant: the same seed produces
-    identical goodputs for any shard count (the scheduler's
-    [(time, sched, content)] dispatch order is reconstructible from
-    cross-shard messages), and [shards = 1] is bitwise identical to a
-    sequential run of the same topology — the properties the
-    `shard-invariance` CI job enforces via [olia_sim shard-invariance],
-    including a traced leg that byte-compares the decoded sharded
-    trace against the 1-shard trace. *)
+    identical goodputs, core loss and event count for any shard count
+    (the scheduler's [(time, sched, content)] dispatch order is
+    reconstructible from cross-shard messages). At one shard and one
+    flow per host this is the paper's Fig. 13 run, which
+    {!Fattree_static.run} projects. The `shard-invariance` CI job
+    enforces the invariance via [olia_sim shard-invariance], including
+    a traced leg that byte-compares the decoded sharded trace against
+    the 1-shard trace. *)
 
 type config = {
   k : int;  (** FatTree arity; k = 8 gives 128 hosts *)
@@ -44,7 +45,9 @@ type result = {
   cut_messages : int;
       (** packets that crossed a shard boundary (0 when [shards = 1]) *)
   obs : Repro_obs.Meter.report;
-      (** counters summed over the shards' simulators *)
+      (** counters summed over the shards' simulators; the event count
+          is shard-count-invariant (one warm-up timer per pod), the
+          heap high-water mark is not *)
   shard_obs : Repro_obs.Meter.shard_counters list;
       (** per-shard loop counters, ascending shards; their
           deterministic merge ([Meter.merge_shards]) is exactly what
@@ -59,5 +62,6 @@ val run : config -> result
     scheduler's [(time, sched, content)] dispatch order makes the same
     seed produce identical goodputs for any shard count. Tracing a
     sharded run works through per-worker rings ([Trace.arm_rings]).
-    Raises [Invalid_argument] on a shard count that does not divide
-    [k]. *)
+    Raises [Invalid_argument], before building anything, on
+    [warmup >= duration] or [flows_per_host < 1], and on a shard count
+    that does not divide [k]. *)

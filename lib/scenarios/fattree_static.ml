@@ -1,5 +1,3 @@
-open Repro_netsim
-
 type config = {
   k : int;
   rate_mbps : float;
@@ -30,54 +28,31 @@ type result = {
   mean_core_loss : float;
 }
 
+(* The permutation body of Fattree_sharded at one shard and one flow
+   per host: the same tree, RNG stream and event order, so the goodputs
+   are its goodputs bit for bit. *)
 let run cfg =
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed:cfg.seed in
-  let rate = cfg.rate_mbps *. 1e6 in
-  let tree =
-    Repro_topology.Fattree.create ~sim ~rng:(Rng.split rng) ~k:cfg.k ~rate_bps:rate
-      ~delay:(cfg.delay_ms /. 1000.)
-      ~buffer_pkts:100 ~discipline:Queue.Droptail ()
+  let r =
+    Fattree_sharded.run
+      {
+        Fattree_sharded.k = cfg.k;
+        shards = 1;
+        rate_mbps = cfg.rate_mbps;
+        delay_ms = cfg.delay_ms;
+        subflows = cfg.subflows;
+        flows_per_host = 1;
+        algo = cfg.algo;
+        duration = cfg.duration;
+        warmup = cfg.warmup;
+        seed = cfg.seed;
+      }
   in
-  let hosts = Repro_topology.Fattree.host_count tree in
-  let flows =
-    Repro_workload.Workload.permutation_long_flows ~rng:(Rng.split rng) ~hosts ~max_jitter:1.
-  in
-  let factory =
-    if cfg.subflows <= 1 then fun () -> Repro_cc.Reno.create ()
-    else Common.factory_of_name cfg.algo
-  in
-  let conns =
-    List.map
-      (fun { Repro_workload.Workload.start; src; dst; _ } ->
-        let paths =
-          Repro_topology.Fattree.sample_paths tree ~rng ~src ~dst ~n:(Stdlib.max 1 cfg.subflows)
-        in
-        Tcp.create ~sim ~cc:(factory ()) ~paths ~start ~flow_id:src ())
-      flows
-  in
-  let core = Repro_topology.Fattree.core_queues tree in
-  ignore
-    (Sim.schedule_at ~src:"scenario.warmup" sim cfg.warmup (fun () ->
-         List.iter Queue.reset_stats (Repro_topology.Fattree.all_queues tree))
-      : Sim.Timer.t);
-  let measured =
-    Common.measure_conns ~sim ~warmup:cfg.warmup ~duration:cfg.duration conns
-  in
-  let flow_mbps =
-    Array.of_list (List.map (fun m -> m.Common.goodput_mbps) measured)
-  in
-  let total = Array.fold_left ( +. ) 0. flow_mbps in
-  let optimal = float_of_int hosts *. cfg.rate_mbps in
-  let ranked_pct =
-    let a = Array.map (fun m -> 100. *. m /. cfg.rate_mbps) flow_mbps in
-    Array.sort compare a;
-    a
-  in
-  let losses = List.map Queue.loss_probability core in
+  let flow_mbps = r.Fattree_sharded.flow_mbps in
+  let ranked_pct = Array.map (fun m -> 100. *. m /. cfg.rate_mbps) flow_mbps in
+  Array.sort compare ranked_pct;
   {
     flow_mbps;
-    aggregate_pct_optimal = 100. *. total /. optimal;
+    aggregate_pct_optimal = r.Fattree_sharded.aggregate_pct_optimal;
     ranked_pct;
-    mean_core_loss = Common.mean losses;
+    mean_core_loss = r.Fattree_sharded.mean_core_loss;
   }

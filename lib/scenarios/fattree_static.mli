@@ -1,7 +1,10 @@
 (** The htsim data-center experiment of paper §VI-B1 (Fig. 13): a FatTree
     where every host sends one long-lived flow to a random distinct host,
     using TCP or MPTCP (LIA/OLIA) with a given number of subflows spread
-    over the equal-cost paths. *)
+    over the equal-cost paths.
+
+    This is {!Fattree_sharded} at one shard and one flow per host:
+    [run] projects that run's result and ranks its goodputs. *)
 
 type config = {
   k : int;  (** FatTree arity; k = 8 gives the paper's 128 hosts *)
@@ -28,3 +31,5 @@ type result = {
 }
 
 val run : config -> result
+(** Raises [Invalid_argument] on [warmup >= duration] before building
+    the tree. *)

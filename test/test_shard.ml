@@ -1,62 +1,62 @@
 (* Tests of the sharded simulation runtime: pod-cut extraction on the
-   FatTree, deterministic cross-shard merge order, the shards=1 ≡
-   sequential golden, shard-count invariance bands, determinism of
-   sharded runs, and byte-identical trace decode across shard counts. *)
+   FatTree, deterministic cross-shard merge order, the shards=1 window
+   loop against sequential dispatch (golden), the registry fattree
+   scenario against a 2-shard run of the same load, exact shard-count
+   invariance, determinism of sharded runs, the up-front warm-up check,
+   and byte-identical trace decode across shard counts. *)
 
 open Mptcp_repro.Netsim
-module Ftp = Mptcp_repro.Topology.Fattree_pods
 module Fattree = Mptcp_repro.Topology.Fattree
 module Fs = Mptcp_repro.Scenarios.Fattree_sharded
+module Profile = Mptcp_repro.Obs.Profile
 module Workload = Mptcp_repro.Workload
 
 let seq_pool thunks = Array.iter (fun f -> f ()) thunks
 
-let make_pods ?(k = 4) ?(shards = 2) ?(seed = 1) () =
-  Ftp.create ~shards ~rng:(Rng.create ~seed) ~k ~rate_bps:10e6 ~delay:0.001
-    ~buffer_pkts:100 ~discipline:Queue.Droptail ()
+let make_tree ?(sim = Sim.create ()) ?(k = 4) ?(shards = 2) ?(seed = 1) () =
+  Fattree.create ~sim ~shards ~rng:(Rng.create ~seed) ~k ~rate_bps:10e6
+    ~delay:0.001 ~buffer_pkts:100 ~discipline:Queue.Droptail ()
 
 (* --- pod-cut extraction ------------------------------------------------ *)
 
 let test_cut_k4 () =
-  let t = make_pods ~k:4 ~shards:2 () in
-  Alcotest.(check int) "hosts" 16 (Ftp.host_count t);
-  Alcotest.(check int) "shards" 2 (Ftp.shards t);
-  Alcotest.(check (list int)) "pod blocks" [ 0; 0; 1; 1 ]
-    (List.map (Ftp.shard_of_pod t) [ 0; 1; 2; 3 ]);
-  (* hosts 0-7 live in pods 0-1 (shard 0), hosts 8-15 in pods 2-3 *)
-  Alcotest.(check int) "host 0" 0 (Ftp.shard_of_host t 0);
-  Alcotest.(check int) "host 7" 0 (Ftp.shard_of_host t 7);
-  Alcotest.(check int) "host 8" 1 (Ftp.shard_of_host t 8);
-  Alcotest.(check bool) "same shard" false (Ftp.cross_shard t ~src:0 ~dst:7);
-  Alcotest.(check bool) "cross shard" true (Ftp.cross_shard t ~src:0 ~dst:8);
-  (* path multiplicity matches the uncut tree *)
-  Alcotest.(check int) "same edge" 1 (Ftp.path_count t ~src:0 ~dst:1);
-  Alcotest.(check int) "same pod" 2 (Ftp.path_count t ~src:0 ~dst:2);
-  Alcotest.(check int) "cross pod" 4 (Ftp.path_count t ~src:0 ~dst:15);
-  (* the cut replaces the agg->core pipe with a channel hop: same length *)
   let sim = Sim.create () in
-  let rng = Rng.create ~seed:1 in
-  let plain =
-    Fattree.create ~sim ~rng ~k:4 ~rate_bps:10e6 ~delay:0.001
-      ~buffer_pkts:100 ~discipline:Queue.Droptail ()
-  in
+  let t = make_tree ~sim ~k:4 ~shards:2 () in
+  Alcotest.(check int) "hosts" 16 (Fattree.host_count t);
+  Alcotest.(check int) "shards" 2 (Shard.shard_count (Fattree.group t));
+  Alcotest.(check (list int)) "pod blocks" [ 0; 0; 1; 1 ]
+    (List.map (Fattree.shard_of_pod t) [ 0; 1; 2; 3 ]);
+  (* hosts 0-7 live in pods 0-1 (shard 0, on [sim]), hosts 8-15 in pods
+     2-3 (shard 1, on a fresh simulator) *)
+  Alcotest.(check bool) "host 0 on sim" true (Fattree.sim_of_host t 0 == sim);
+  Alcotest.(check bool) "host 7 on sim" true (Fattree.sim_of_host t 7 == sim);
+  Alcotest.(check bool) "host 8 on shard 1" true
+    (Fattree.sim_of_host t 8 == Shard.sim (Fattree.group t) 1
+    && Fattree.sim_of_host t 8 != sim);
+  (* path multiplicity matches the uncut tree *)
+  Alcotest.(check int) "same edge" 1 (Fattree.path_count t ~src:0 ~dst:1);
+  Alcotest.(check int) "same pod" 2 (Fattree.path_count t ~src:0 ~dst:2);
+  Alcotest.(check int) "cross pod" 4 (Fattree.path_count t ~src:0 ~dst:15);
+  (* the cut replaces the agg->core pipe with a channel hop: same length *)
+  let plain = make_tree ~k:4 ~shards:1 () in
   let len p = Array.length p.Tcp.fwd + Array.length p.Tcp.rev in
   Array.iteri
     (fun i p ->
-      Alcotest.(check int) "hop count" (len (Fattree.all_paths plain ~src:0 ~dst:15).(i))
+      Alcotest.(check int) "hop count"
+        (len (Fattree.all_paths plain ~src:0 ~dst:15).(i))
         (len p))
-    (Ftp.all_paths t ~src:0 ~dst:15)
+    (Fattree.all_paths t ~src:0 ~dst:15)
 
 let test_cut_k8 () =
-  let t = make_pods ~k:8 ~shards:4 () in
-  Alcotest.(check int) "hosts" 128 (Ftp.host_count t);
+  let t = make_tree ~k:8 ~shards:4 () in
+  Alcotest.(check int) "hosts" 128 (Fattree.host_count t);
   Alcotest.(check (list int)) "pod blocks" [ 0; 0; 1; 1; 2; 2; 3; 3 ]
-    (List.map (Ftp.shard_of_pod t) [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
+    (List.map (Fattree.shard_of_pod t) [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
   (* one channel per ordered shard pair, none on the diagonal *)
   let chans = ref 0 in
   for s = 0 to 3 do
     for d = 0 to 3 do
-      match Ftp.channel t ~src:s ~dst:d with
+      match Fattree.channel t ~src:s ~dst:d with
       | Some _ ->
         incr chans;
         Alcotest.(check bool) "off-diagonal" true (s <> d)
@@ -64,17 +64,18 @@ let test_cut_k8 () =
     done
   done;
   Alcotest.(check int) "channel count" 12 !chans;
-  Alcotest.(check int) "cross pod paths" 16 (Ftp.path_count t ~src:0 ~dst:127)
+  Alcotest.(check int) "cross pod paths" 16
+    (Fattree.path_count t ~src:0 ~dst:127)
 
 let test_cut_rejects_bad_shards () =
   Alcotest.check_raises "3 does not divide 4"
     (Invalid_argument
-       "Fattree_pods.create: shards must divide k (k = 4, shards = 3)")
-    (fun () -> ignore (make_pods ~k:4 ~shards:3 ()));
+       "Fattree.create: shards must divide k (k = 4, shards = 3)")
+    (fun () -> ignore (make_tree ~k:4 ~shards:3 ()));
   Alcotest.check_raises "more shards than pods"
     (Invalid_argument
-       "Fattree_pods.create: shards must divide k (k = 4, shards = 8)")
-    (fun () -> ignore (make_pods ~k:4 ~shards:8 ()))
+       "Fattree.create: shards must divide k (k = 4, shards = 8)")
+    (fun () -> ignore (make_tree ~k:4 ~shards:8 ()))
 
 (* --- merge order -------------------------------------------------------- *)
 
@@ -142,9 +143,9 @@ let test_windows () =
 
 (* --- shards=1 ≡ sequential golden --------------------------------------- *)
 
-(* The same seed drives an uncut Fattree under Sim.run_until and a
-   shards=1 Fattree_pods under the window loop: identical construction,
-   identical RNG stream, so per-flow delivered counts match exactly. *)
+(* The same seed drives a one-shard tree twice, once under Sim.run_until
+   and once under the window loop: identical construction, identical RNG
+   stream, so per-flow delivered counts match exactly. *)
 let run_workload ~mk_paths ~sim_of_host ~run ~seed =
   let rng = Rng.create ~seed in
   let hosts = 16 in
@@ -167,26 +168,58 @@ let test_shards1_matches_sequential () =
   let horizon = 3. in
   let seq =
     let sim = Sim.create () in
-    let rng = Rng.create ~seed:7 in
-    let tree =
-      Fattree.create ~sim ~rng ~k:4 ~rate_bps:10e6 ~delay:0.001
-        ~buffer_pkts:100 ~discipline:Queue.Droptail ()
-    in
+    let tree = make_tree ~sim ~k:4 ~shards:1 ~seed:7 () in
     run_workload ~seed:7
-      ~mk_paths:(fun ~rng ~src ~dst -> Fattree.sample_paths tree ~rng ~src ~dst ~n:2)
+      ~mk_paths:(fun ~rng ~src ~dst ->
+        Fattree.sample_paths tree ~rng ~src ~dst ~n:2)
       ~sim_of_host:(fun _ -> sim)
       ~run:(fun () -> Sim.run_until sim horizon)
   in
-  let sharded =
-    let t = make_pods ~k:4 ~shards:1 ~seed:7 () in
+  let windowed =
+    let t = make_tree ~k:4 ~shards:1 ~seed:7 () in
     run_workload ~seed:7
-      ~mk_paths:(fun ~rng ~src ~dst -> Ftp.sample_paths t ~rng ~src ~dst ~n:2)
-      ~sim_of_host:(Ftp.sim_of_host t)
+      ~mk_paths:(fun ~rng ~src ~dst ->
+        Fattree.sample_paths t ~rng ~src ~dst ~n:2)
+      ~sim_of_host:(Fattree.sim_of_host t)
       ~run:(fun () ->
-        Shard.run_windows ~pool:seq_pool (Ftp.group t) ~horizon)
+        Shard.run_windows ~pool:seq_pool (Fattree.group t) ~horizon)
   in
-  Alcotest.(check (list int)) "per-flow delivered packets" seq sharded;
+  Alcotest.(check (list int)) "per-flow delivered packets" seq windowed;
   Alcotest.(check bool) "progress" true (List.exists (fun n -> n > 0) seq)
+
+(* --- fattree through the sharded body ------------------------------------ *)
+
+(* The registry fattree scenario runs the sharded permutation body at
+   one shard and one flow per host, so a 2-shard run of the same load
+   must reproduce it bit for bit. *)
+let test_fattree_matches_two_shards () =
+  let run name params =
+    let (module Sc : Mptcp_repro.Scenarios.Registry.SCENARIO) =
+      Mptcp_repro.Scenarios.Registry.find name
+    in
+    Sc.run
+      (params
+      @ Mptcp_repro.Exp.Spec.
+          [
+            ("k", Int 4); ("subflows", Int 2); ("duration", Float 2.);
+            ("warmup", Float 0.5); ("seed", Int 7);
+          ])
+  in
+  let seq = run "fattree" [] in
+  let shd =
+    run "fattree-sharded"
+      Mptcp_repro.Exp.Spec.[ ("flows_per_host", Int 1); ("shards", Int 2) ]
+  in
+  let module O = Mptcp_repro.Exp.Outcome in
+  Alcotest.(check (array (float 0.))) "per-flow goodput bitwise"
+    (List.assoc "flow_mbps" seq.O.arrays)
+    (List.assoc "flow_mbps" shd.O.arrays);
+  List.iter
+    (fun m ->
+      Alcotest.(check (float 0.)) m (O.metric seq m) (O.metric shd m))
+    [ "aggregate_pct_optimal"; "mean_core_loss" ];
+  Alcotest.(check bool) "progress" true
+    (O.metric seq "aggregate_pct_optimal" > 0.)
 
 (* --- shard-count invariance and determinism ----------------------------- *)
 
@@ -194,16 +227,45 @@ let small_cfg shards =
   { Fs.default with Fs.k = 4; shards; flows_per_host = 1; duration = 2.;
     warmup = 0.5; seed = 3 }
 
-let test_invariance_bands () =
+(* Every simulated field is bitwise equal at any shard count, the event
+   count included: the warm-up timers are armed per pod, not per shard.
+   Only the cut traffic depends on the shard count. *)
+let test_invariance_exact () =
   let r1 = Fs.run (small_cfg 1) in
-  let r2 = Fs.run (small_cfg 2) in
-  let rel a b = abs_float (a -. b) /. Stdlib.max (abs_float a) 1e-9 in
-  Alcotest.(check bool) "aggregate within 10%" true
-    (rel r1.Fs.aggregate_mbps r2.Fs.aggregate_mbps < 0.10);
-  Alcotest.(check bool) "median within 10%" true
-    (rel r1.Fs.p50_flow_mbps r2.Fs.p50_flow_mbps < 0.10);
-  Alcotest.(check int) "no cut traffic sequentially" 0 r1.Fs.cut_messages;
-  Alcotest.(check bool) "cut traffic sharded" true (r2.Fs.cut_messages > 0)
+  List.iter
+    (fun shards ->
+      let r = Fs.run (small_cfg shards) in
+      let at what = Printf.sprintf "%s at %d shards" what shards in
+      Alcotest.(check (array (float 0.))) (at "flow_mbps")
+        r1.Fs.flow_mbps r.Fs.flow_mbps;
+      Alcotest.(check (float 0.)) (at "aggregate_mbps")
+        r1.Fs.aggregate_mbps r.Fs.aggregate_mbps;
+      Alcotest.(check (float 0.)) (at "mean_core_loss")
+        r1.Fs.mean_core_loss r.Fs.mean_core_loss;
+      Alcotest.(check int) (at "obs_events")
+        r1.Fs.obs.Mptcp_repro.Obs.Meter.events_processed
+        r.Fs.obs.Mptcp_repro.Obs.Meter.events_processed;
+      Alcotest.(check bool) (at "cut traffic") true (r.Fs.cut_messages > 0))
+    [ 2; 4 ];
+  Alcotest.(check int) "no cut traffic sequentially" 0 r1.Fs.cut_messages
+
+(* A warm-up that leaves no measurement window is rejected before the
+   tree is built: not one event is dispatched. *)
+let test_rejects_warmup_before_running () =
+  Profile.reset ();
+  Profile.set_enabled true;
+  let raised =
+    match Fs.run { (small_cfg 2) with Fs.warmup = 2.; duration = 2. } with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  Profile.set_enabled false;
+  let dispatched = Profile.report () in
+  Profile.reset ();
+  Alcotest.(check (option string)) "rejected"
+    (Some "Fattree_sharded.run: warmup >= duration") raised;
+  Alcotest.(check int) "events dispatched" 0
+    (List.fold_left (fun n e -> n + e.Profile.count) 0 dispatched)
 
 let test_sharded_run_deterministic () =
   let r1 = Fs.run (small_cfg 2) in
@@ -245,8 +307,12 @@ let suite =
     Alcotest.test_case "window count" `Quick test_windows;
     Alcotest.test_case "shards=1 = sequential (golden)" `Slow
       test_shards1_matches_sequential;
-    Alcotest.test_case "shard-count invariance bands" `Slow
-      test_invariance_bands;
+    Alcotest.test_case "fattree = fattree-sharded at 2 shards" `Slow
+      test_fattree_matches_two_shards;
+    Alcotest.test_case "shard-count invariance is exact" `Slow
+      test_invariance_exact;
+    Alcotest.test_case "warm-up checked before any event" `Quick
+      test_rejects_warmup_before_running;
     Alcotest.test_case "sharded run deterministic" `Slow
       test_sharded_run_deterministic;
     Alcotest.test_case "traced decode is shard-count invariant" `Slow
