@@ -21,6 +21,7 @@ type stamps = {
   mutable sent_at : float;
   mutable enqueued_at : float;
   mutable echo : float;
+  mutable departs : float;
 }
 
 type t = {
@@ -58,7 +59,7 @@ let fresh () =
     ackno = 0;
     sack = None;
     (* lint: allow R9 -- same pool-miss cold path as the outer record *)
-    times = { sent_at = 0.; enqueued_at = 0.; echo = 0. };
+    times = { sent_at = 0.; enqueued_at = 0.; echo = 0.; departs = 0. };
     live = true;
   }
 
@@ -116,6 +117,7 @@ let[@inline] [@olia.alloc_free] data ~flow ~subflow ~seq ~sent_at ~route =
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- 0.;
+  p.times.departs <- sent_at;
   p
 
 let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack ~route ~sent_at =
@@ -132,6 +134,7 @@ let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack ~route ~se
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- echo;
+  p.times.departs <- sent_at;
   p
 
 let[@olia.alloc_free] forward p =

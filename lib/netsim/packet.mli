@@ -28,6 +28,12 @@ type stamps = {
   mutable echo : float;
       (** ACKs only: departure timestamp of the packet that triggered
           the ACK, used for RTT sampling *)
+  mutable departs : float;
+      (** when the packet leaves the last wired queue it crossed
+          ([Queue.create ~wired:true] stamps it at admission, before
+          the packet reaches its wire); [sent_at] until then. The next
+          hop ({!Pipe.hop}, [Shard.egress]) takes its timing from it.
+          Not part of the scheduler's content key. *)
 }
 
 type t = {

@@ -19,8 +19,13 @@ let paper_red ~link_mbps =
 type discipline = Droptail | Red of red_params
 
 (* Float-only so stores stay unboxed: [idle_since] is written on every
-   busy->idle transition, which under light load is once per packet. *)
-type red_state = { mutable avg_queue : float; mutable idle_since : float }
+   busy->idle transition, which under light load is once per packet, and
+   a wired queue moves [head_start] at every departure. *)
+type fl_state = {
+  mutable avg_queue : float; (* RED's EWMA of the backlog *)
+  mutable idle_since : float; (* when the queue last went idle *)
+  mutable head_start : float; (* wired: service start of the head packet *)
+}
 
 type t = {
   sim : Sim.t;
@@ -37,11 +42,25 @@ type t = {
      stores one packet pointer. Vacated slots keep stale pointers to
      pool-owned packets rather than pay a write barrier to clear them. *)
   ring : Packet.t array;
+  (* A wired queue hands each packet to its wire at admission and keeps
+     only what its departure still owes the queue: per slot the
+     departure time in [deps] and, in two bytes of [tags], the size and
+     kind ([size lsl 1 lor kind code]). Slots from [head] on are the
+     packets not yet known to have left; each one's service starts at
+     its predecessor's departure, the head's at [fl.head_start]. An
+     unwired queue leaves both empty, a wired one leaves [ring] empty:
+     a queue is wired iff it has departure slots. *)
+  deps : floatarray;
+  tags : Bytes.t;
+  mutable head_seq : int;
+      (* wired: the sequence number the head's serve event would have
+         taken ([Sim.next_seq] at its admission) while the head opened
+         the busy period, else -1 *)
   mutable head : int; (* slot of the packet in service, or next to serve *)
   mutable on_served : unit -> unit; (* persistent serve-completion fn *)
   mutable busy : bool;
   mutable backlog : int; (* packets in the ring *)
-  red : red_state;
+  fl : fl_state;
   mutable red_count : int;  (* packets since the last RED drop *)
   mutable arrivals : int;
   mutable drops : int;
@@ -61,6 +80,12 @@ let[@inline] service_time t (p : Packet.t) =
 let is_data (p : Packet.t) =
   match p.kind with Packet.Data -> true | Packet.Ack -> false
 
+let[@inline] wired t = Float.Array.length t.deps > 0
+let[@inline] tag_at t slot = Bytes.get_uint16_le t.tags (2 * slot)
+let[@inline] slot_is_data t slot =
+  if wired t then tag_at t slot land 1 = Packet.kind_code Packet.Data
+  else is_data t.ring.(slot)
+
 (* Packet conservation and occupancy, checked at every state change
    when OLIA_DEBUG_INVARIANTS is set: every data packet that ever
    arrived is accounted for as dropped, delivered, queued or in
@@ -77,9 +102,9 @@ let check_invariants t =
       (Printf.sprintf "queue %s: busy %b with backlog %d" t.name t.busy
          t.backlog);
     let queued_data = ref 0 in
-    let cap = Array.length t.ring in
+    let cap = t.buffer_pkts in
     for i = 0 to t.backlog - 1 do
-      if is_data t.ring.((t.head + i) mod cap) then incr queued_data
+      if slot_is_data t ((t.head + i) mod cap) then incr queued_data
     done;
     Invariant.require
       (t.dbg_data_in = t.dbg_data_dropped + t.dbg_data_done + !queued_data)
@@ -92,7 +117,7 @@ let check_invariants t =
 let[@olia.alloc_free] rec serve t =
   if t.backlog = 0 then begin
     t.busy <- false;
-    t.red.idle_since <- Sim.now t.sim
+    t.fl.idle_since <- Sim.now t.sim
   end
   else begin
     t.busy <- true;
@@ -120,7 +145,8 @@ and[@olia.alloc_free] finish_service t =
   serve t;
   check_invariants t
 
-let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
+let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue")
+    ?(wired = false) () =
   if rate_bps <= 0. then invalid_arg "Queue.create: rate must be > 0";
   if buffer_pkts <= 0 then invalid_arg "Queue.create: buffer must be > 0";
   let t =
@@ -132,12 +158,16 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
       discipline;
       name;
       name_id = Trace.intern name;
-      ring = Array.make buffer_pkts (Packet.sentinel ());
+      ring =
+        (if wired then [||] else Array.make buffer_pkts (Packet.sentinel ()));
+      deps = Float.Array.make (if wired then buffer_pkts else 0) 0.;
+      tags = Bytes.make (if wired then 2 * buffer_pkts else 0) '\000';
+      head_seq = -1;
       head = 0;
       on_served = (fun () -> ());
       busy = false;
       backlog = 0;
-      red = { avg_queue = 0.; idle_since = 0. };
+      fl = { avg_queue = 0.; idle_since = 0.; head_start = 0. };
       red_count = -1;
       arrivals = 0;
       drops = 0;
@@ -149,7 +179,7 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
       dbg_data_done = 0;
     }
   in
-  t.on_served <- (fun () -> finish_service t);
+  if not wired then t.on_served <- (fun () -> finish_service t);
   t
 
 let[@inline] red_drop_probability params avg =
@@ -167,16 +197,16 @@ let red_decides_drop t params =
      back-to-back (Floyd & Jacobson's idle handling), so a drained queue
      does not keep dropping based on a stale average. *)
   if (not t.busy) && t.backlog = 0 then begin
-    let idle = Sim.now t.sim -. t.red.idle_since in
+    let idle = Sim.now t.sim -. t.fl.idle_since in
     let pkt_time = float_of_int (8 * Packet.data_size) /. t.rate_bps in
     if idle > 0. && pkt_time > 0. then
-      t.red.avg_queue <-
-        t.red.avg_queue *. ((1. -. params.weight) ** (idle /. pkt_time))
+      t.fl.avg_queue <-
+        t.fl.avg_queue *. ((1. -. params.weight) ** (idle /. pkt_time))
   end;
-  t.red.avg_queue <-
-    ((1. -. params.weight) *. t.red.avg_queue)
+  t.fl.avg_queue <-
+    ((1. -. params.weight) *. t.fl.avg_queue)
     +. (params.weight *. float_of_int t.backlog);
-  let p_b = red_drop_probability params t.red.avg_queue in
+  let p_b = red_drop_probability params t.fl.avg_queue in
   if p_b <= 0. then begin
     t.red_count <- -1;
     false
@@ -199,7 +229,9 @@ let red_decides_drop t params =
     else false
   end
 
-let[@olia.alloc_free] enqueue t (p : Packet.t) =
+(* Count an arrival and make the overflow/RED decision: a refused
+   packet is counted, traced and freed here, and the result is [true]. *)
+let[@inline] refused t (p : Packet.t) =
   if is_data p then begin
     t.arrivals <- t.arrivals + 1;
     t.dbg_data_in <- t.dbg_data_in + 1
@@ -223,9 +255,13 @@ let[@olia.alloc_free] enqueue t (p : Packet.t) =
         ~subflow:p.subflow ~seq:p.seq
         ~kind:(Packet.kind_code p.kind)
         ~cause:(if overflow then Trace.Overflow else Trace.Red_early);
-    Packet.free p
+    Packet.free p;
+    true
   end
-  else begin
+  else false
+
+let[@olia.alloc_free] enqueue t (p : Packet.t) =
+  if not (refused t p) then begin
     p.times.enqueued_at <- Sim.now t.sim;
     let tail = t.head + t.backlog in
     let cap = Array.length t.ring in
@@ -240,8 +276,84 @@ let[@olia.alloc_free] enqueue t (p : Packet.t) =
   end;
   check_invariants t
 
-let hop t = enqueue t
-let backlog t = t.backlog
+(* --- wired queues ---
+
+   The departures are those [serve] would produce, computed with the
+   same float operations: an idle queue starts service at once and a
+   busy one when its tail departs, so [dep = start +. service time]
+   with [start] the admission instant or the tail's departure. Nothing
+   is scheduled: a departure has happened once [Sim.departed] says the
+   serve event for it would have run before the current event, and
+   [retire] applies the queue's share of that event — the byte count,
+   the conservation counter, the busy->idle transition — lazily, before
+   anything reads or changes the queue. *)
+
+let[@olia.alloc_free] rec retire t =
+  if t.backlog > 0 then begin
+    let h = t.head in
+    let dep = Float.Array.unsafe_get t.deps h in
+    if Sim.departed t.sim dep t.fl.head_start t.head_seq then begin
+      let tag = tag_at t h in
+      t.bytes_forwarded <- t.bytes_forwarded + (tag lsr 1);
+      if tag land 1 = Packet.kind_code Packet.Data then
+        t.dbg_data_done <- t.dbg_data_done + 1;
+      t.head <- (if h + 1 = t.buffer_pkts then 0 else h + 1);
+      t.backlog <- t.backlog - 1;
+      t.fl.head_start <- dep;
+      t.head_seq <- -1;
+      if t.backlog = 0 then begin
+        t.busy <- false;
+        t.fl.idle_since <- dep
+      end;
+      retire t
+    end
+  end
+
+let[@olia.alloc_free] admit t (p : Packet.t) =
+  retire t;
+  if not (refused t p) then begin
+    if p.size_bytes > 0x7fff then
+      invalid_arg "Queue: packet too large for a wired queue";
+    let now = Sim.now t.sim in
+    p.times.enqueued_at <- now;
+    let tail = t.head + t.backlog in
+    let tail = if tail >= t.buffer_pkts then tail - t.buffer_pkts else tail in
+    let start =
+      if t.backlog = 0 then begin
+        t.fl.head_start <- now;
+        t.head_seq <- Sim.next_seq t.sim;
+        now
+      end
+      else
+        Float.Array.unsafe_get t.deps
+          (if tail = 0 then t.buffer_pkts - 1 else tail - 1)
+    in
+    let dep = start +. service_time t p in
+    Float.Array.unsafe_set t.deps tail dep;
+    Bytes.set_uint16_le t.tags (2 * tail)
+      ((p.size_bytes lsl 1) lor Packet.kind_code p.kind);
+    t.backlog <- t.backlog + 1;
+    t.busy <- true;
+    if Trace.enabled () then begin
+      Trace.pkt_enqueue ~time:now ~queue:t.name_id ~flow:p.flow
+        ~subflow:p.subflow ~seq:p.seq
+        ~kind:(Packet.kind_code p.kind)
+        ~backlog:t.backlog;
+      Trace.pkt_depart ~time:dep ~sched:start ~queue:t.name_id ~flow:p.flow
+        ~subflow:p.subflow ~seq:p.seq
+        ~kind:(Packet.kind_code p.kind)
+        ~bytes:p.size_bytes ~qdelay:(dep -. now)
+    end;
+    p.times.departs <- dep;
+    Packet.forward p
+  end;
+  check_invariants t
+
+let hop t = if wired t then admit t else enqueue t
+
+let backlog t =
+  if wired t then retire t;
+  t.backlog
 let capacity t = t.buffer_pkts
 let arrivals t = t.arrivals
 let drops t = t.drops
@@ -252,14 +364,17 @@ let loss_probability t =
   if t.arrivals = 0 then 0.
   else float_of_int t.drops /. float_of_int t.arrivals
 
-let bytes_forwarded t = t.bytes_forwarded
+let bytes_forwarded t =
+  if wired t then retire t;
+  t.bytes_forwarded
 
 let utilization t ~since ~now =
   let dt = now -. since in
   if dt <= 0. then 0.
-  else float_of_int (8 * t.bytes_forwarded) /. (t.rate_bps *. dt)
+  else float_of_int (8 * bytes_forwarded t) /. (t.rate_bps *. dt)
 
 let reset_stats t =
+  if wired t then retire t;
   t.arrivals <- 0;
   t.drops <- 0;
   t.drops_overflow <- 0;

@@ -28,17 +28,37 @@ val create :
   buffer_pkts:int ->
   discipline:discipline ->
   ?name:string ->
+  ?wired:bool ->
   unit ->
   t
 (** A queue serving packets at [rate_bps]. Packets beyond [buffer_pkts]
     are always dropped (hard limit); RED drops probabilistically before
-    that. *)
+    that.
+
+    A {e wired} queue ([~wired:true]; default [false]) feeds a wire
+    directly and costs no event per packet. It computes each packet's
+    departure when it admits it — [start +. size/rate], where [start]
+    is the admission instant for an idle queue and the previous
+    packet's departure otherwise, the same float operations the serve
+    event would perform — stamps it in [times.departs], and hands the
+    packet at once to the next route slot, which must arm the
+    next-hop arrival from [departs]: {!Pipe.hop} or [Shard.egress].
+    The queue keeps one departure time and two bytes of size and kind
+    per queued packet. Departures take effect lazily, before any
+    admission or statistics read, through {!Sim.departed}: every
+    result — drops, RED decisions, {!backlog}, {!bytes_forwarded} and
+    the traced [Pkt_forward] — is bit-identical to the unwired queue's.
+    A wired queue feeding another queue, or any hop that acts at once,
+    would be wrong: the packet would reach it at admission.
+    [Topology.Duplex] wires every queue it builds. *)
 
 val hop : t -> Packet.hop
 (** The enqueue entry point, to place on routes. *)
 
 val backlog : t -> int
-(** Packets currently queued or in service. *)
+(** Packets currently queued or in service. On a wired queue, packets
+    whose departure the scheduler has passed ({!Sim.departed}) are
+    retired first. *)
 
 val capacity : t -> int
 (** The [buffer_pkts] bound the queue was created with. *)
@@ -60,7 +80,8 @@ val loss_probability : t -> float
 (** [drops / arrivals] since creation (or since [reset_stats]). *)
 
 val bytes_forwarded : t -> int
-(** Payload bytes fully serialized, for utilization measurements. *)
+(** Payload bytes fully serialized, for utilization measurements (on a
+    wired queue, retiring departed packets first, as {!backlog}). *)
 
 val utilization : t -> since:float -> now:float -> float
 (** Fraction of the link capacity used by forwarded bytes over the window

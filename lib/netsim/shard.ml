@@ -38,11 +38,15 @@ type channel = {
   src_counter : int ref;
       (* shared across all channels leaving the same shard; touched
          only by the source domain *)
-  (* [seq] is touched only by the source domain (inside its window);
-     [inbox] is the cross-domain hand-off and is the only field both
-     sides touch, always under [lock]. Messages are pushed in send
-     order, so the reversed list is the channel's FIFO. *)
+  (* [seq], [passed] and the [ahead] heap are touched only by the
+     source domain (inside its window, or after the run); [inbox] is the
+     cross-domain hand-off and is the only field both sides touch,
+     always under [lock]. Messages are pushed in send order, so the
+     reversed list is the channel's FIFO. *)
   mutable seq : int;
+  mutable passed : int; (* messages whose egress the source clock reached *)
+  mutable ahead : floatarray; (* min-heap of the other messages' egress *)
+  mutable ahead_len : int;
   lock : Mutex.t;
   mutable inbox : msg list;
 }
@@ -86,6 +90,9 @@ let open_channel t ~src ~dst ?latency () =
       src_sim = t.sims.(src);
       src_counter = t.counters.(src);
       seq = 0;
+      passed = 0;
+      ahead = Float.Array.make 16 0.;
+      ahead_len = 0;
       lock = Mutex.create ();
       inbox = [];
     }
@@ -93,13 +100,73 @@ let open_channel t ~src ~dst ?latency () =
   t.channels <- ch :: t.channels;
   ch
 
-(* The egress hop runs on the source domain, inside its window: it
-   snapshots the packet into an immutable message, recycles the packet
-   into the source domain's pool, and parks the message in the inbox.
-   The destination reads the packet's payload only through the message,
+(* --- the egress heap ---
+
+   A message counts as sent once the source clock reaches its egress,
+   the instant its packet leaves the wired queue feeding the channel:
+   a packet still queued at the horizon never left. Egress times of the
+   channel's different queues interleave, so the ones still ahead of
+   the clock sit in a binary min-heap. *)
+
+let rec sift_up a i v =
+  let parent = (i - 1) / 2 in
+  if i > 0 && Float.Array.get a parent > v then begin
+    Float.Array.set a i (Float.Array.get a parent);
+    sift_up a parent v
+  end
+  else Float.Array.set a i v
+
+let rec sift_down a n i v =
+  let l = (2 * i) + 1 in
+  if l >= n then Float.Array.set a i v
+  else
+    let c =
+      if l + 1 < n && Float.Array.get a (l + 1) < Float.Array.get a l then l + 1
+      else l
+    in
+    if Float.Array.get a c < v then begin
+      Float.Array.set a i (Float.Array.get a c);
+      sift_down a n c v
+    end
+    else Float.Array.set a i v
+
+(* Count every egress the source clock has reached. *)
+let rec pass ch now =
+  if ch.ahead_len > 0 && Float.Array.get ch.ahead 0 <= now then begin
+    ch.passed <- ch.passed + 1;
+    ch.ahead_len <- ch.ahead_len - 1;
+    sift_down ch.ahead ch.ahead_len 0
+      (Float.Array.get ch.ahead ch.ahead_len);
+    pass ch now
+  end
+
+let push_ahead ch egress =
+  let n = ch.ahead_len in
+  if n = Float.Array.length ch.ahead then begin
+    let a = Float.Array.make (2 * n) 0. in
+    Float.Array.blit ch.ahead 0 a 0 n;
+    ch.ahead <- a
+  end;
+  ch.ahead_len <- n + 1;
+  sift_up ch.ahead n egress
+
+(* The egress hop runs on the source domain, inside its window, when
+   the wired queue in front of it admits the packet: it snapshots the
+   packet into an immutable message, recycles the packet into the
+   source domain's pool, and parks the message in the inbox. The
+   egress is the packet's departure from that queue, so the arrival
+   lies at least one service time plus the latency ahead. The
+   destination reads the packet's payload only through the message,
    never the (pooled, domain-local) packet record itself. *)
 let send ch (p : Packet.t) =
-  let egress = Sim.now ch.src_sim in
+  let egress = p.Packet.times.Packet.departs in
+  let now = Sim.now ch.src_sim in
+  if not (egress > now) then
+    invalid_arg
+      "Shard.send: egress not ahead of the clock (a channel must be fed \
+       by a wired queue)";
+  pass ch now;
+  push_ahead ch egress;
   let src_seq = !(ch.src_counter) in
   ch.src_counter := src_seq + 1;
   let m =
@@ -130,7 +197,10 @@ let send ch (p : Packet.t) =
   Mutex.unlock ch.lock
 
 let egress ch : Packet.hop = fun p -> send ch p
-let sent_count ch = ch.seq
+
+let sent_count ch =
+  pass ch (Sim.now ch.src_sim);
+  ch.passed
 
 let compare_msg a b =
   let c = Float.compare a.arrival b.arrival in
@@ -153,10 +223,16 @@ let take_inbox ch =
 
 (* Re-materialize one message on the destination shard: a fresh packet
    from this domain's pool, positioned mid-route, delivered at its
-   arrival time. The max with [now] absorbs the one-ulp rounding slack
-   between [s +. latency] (computed on the source) and the window
-   boundary [w *. lookahead] (computed locally). *)
+   arrival time. The message was sent at admission, at least one
+   service time before its egress, so the arrival lies beyond the
+   window the message was sent in; one that does not is a broken
+   lookahead, not rounding slack. *)
 let deliver sim (m : msg) =
+  if m.arrival < Sim.now sim then
+    invalid_arg
+      (Printf.sprintf
+         "Shard.deliver: arrival %.17g before the destination clock %.17g"
+         m.arrival (Sim.now sim));
   let p =
     match m.kind with
     | Packet.Data ->
@@ -168,17 +244,18 @@ let deliver sim (m : msg) =
   in
   p.Packet.hop <- m.hop;
   p.Packet.times.Packet.enqueued_at <- m.enqueued_at;
-  let at = Stdlib.max m.arrival (Sim.now sim) in
   ignore
-    (Sim.schedule_pkt_at_sched ~src:"shard.ingress" sim ~sched:m.egress at
-       Packet.forward p
+    (Sim.schedule_pkt_at_sched ~src:"shard.ingress" sim ~sched:m.egress
+       m.arrival Packet.forward p
       : Sim.Timer.t)
 
 (* A sense-reversing barrier on a mutex + condition. Two waits per
    window: one after every shard has drained (so nobody starts filling
    inboxes for window w while another shard is still taking window
    w-1's batch), one after every shard has run its window (so the next
-   drain sees all of window w's sends). *)
+   drain sees all of window w's sends). A worker that raises breaks the
+   barrier, so the others stop at their next wait instead of waiting
+   for it forever, and the pool re-raises its exception. *)
 module Barrier = struct
   type t = {
     lock : Mutex.t;
@@ -186,6 +263,7 @@ module Barrier = struct
     parties : int;
     mutable count : int;
     mutable phase : int;
+    mutable broken : bool;
   }
 
   let create parties =
@@ -195,8 +273,10 @@ module Barrier = struct
       parties;
       count = 0;
       phase = 0;
+      broken = false;
     }
 
+  (* [false] once the barrier is broken. *)
   let wait b =
     Mutex.lock b.lock;
     let phase = b.phase in
@@ -207,9 +287,17 @@ module Barrier = struct
       Condition.broadcast b.cond
     end
     else
-      while b.phase = phase do
+      while b.phase = phase && not b.broken do
         Condition.wait b.cond b.lock
       done;
+    let ok = not b.broken in
+    Mutex.unlock b.lock;
+    ok
+
+  let break b =
+    Mutex.lock b.lock;
+    b.broken <- true;
+    Condition.broadcast b.cond;
     Mutex.unlock b.lock
 end
 
@@ -254,7 +342,10 @@ let run_windows ~pool t ~horizon =
     let barrier = Barrier.create n in
     let barrier_wait =
       if Profile.enabled () then fun () ->
-        Profile.dispatch ~src:"shard.barrier" (fun () -> Barrier.wait barrier)
+        let ok = ref true in
+        Profile.dispatch ~src:"shard.barrier" (fun () ->
+            ok := Barrier.wait barrier);
+        !ok
       else fun () -> Barrier.wait barrier
     in
     let worker i () =
@@ -262,13 +353,20 @@ let run_windows ~pool t ~horizon =
       Profile.bind ~shard:i;
       let sim = t.sims.(i) in
       let ing = ingress.(i) in
-      for w = 1 to nw do
-        drain ing sim;
-        barrier_wait ();
-        Sim.run_until sim
-          (Stdlib.min horizon (float_of_int w *. t.lookahead));
-        barrier_wait ()
-      done
+      let rec window w =
+        if w <= nw then begin
+          drain ing sim;
+          if barrier_wait () then begin
+            Sim.run_until sim
+              (Stdlib.min horizon (float_of_int w *. t.lookahead));
+            if barrier_wait () then window (w + 1)
+          end
+        end
+      in
+      try window 1
+      with e ->
+        Barrier.break barrier;
+        raise e
     in
     pool (Array.init n (fun i -> worker i))
   end

@@ -19,6 +19,16 @@
     barriers per window are the only blocking points. See DESIGN.md
     ("Sharded multicore simulation") for the full argument.
 
+    A channel is fed by a wired queue ([Queue.create ~wired:true], as
+    every [Topology.Duplex] queue is): the queue hands the packet over
+    when it admits it, and the message's egress is the packet's
+    departure from that queue ([times.departs]), at least one service
+    time later. A message therefore arrives at least a service time
+    plus the lookahead after it was sent, beyond the window it was sent
+    in, with room to spare: {!egress} refuses a packet whose departure
+    is not ahead of the clock, and delivery refuses an arrival behind
+    the destination's clock, instead of clamping it.
+
     Determinism: within a window each shard is an ordinary sequential
     simulator. At each boundary the drained messages are merged in
     [(arrival, egress, src_shard, src_seq)] order ({!compare_msg})
@@ -47,17 +57,17 @@ type channel
 type msg = {
   arrival : float;  (** absolute delivery time on the destination sim *)
   egress : float;
-      (** source-shard clock at the send — the instant the sequential
-          run's propagation pipe would have armed the delivery timer.
-          Passed as the [~sched] tie-break key to
-          {!Sim.schedule_pkt_at_sched} so sharded and sequential runs
-          order same-instant arrivals identically. *)
+      (** the packet's departure from the wired queue feeding the
+          channel — the instant the sequential run's propagation pipe
+          arms the delivery timer for. Passed as the [~sched] tie-break
+          key to {!Sim.schedule_pkt_at_sched} so sharded and sequential
+          runs order same-instant arrivals identically. *)
   src_shard : int;
   src_seq : int;
       (** send index across all of the source shard's channels — the
-          order in which the egress hops executed on the source domain,
-          i.e. the order in which the sequential run would have armed
-          these deliveries *)
+          order in which the egress hops executed on the source domain.
+          It orders only messages equal in arrival and egress, whose
+          deliveries the destination then orders by packet content. *)
   chan_id : int;  (** registration index of the carrying channel *)
   chan_seq : int;  (** per-channel send sequence number *)
   kind : Packet.kind;
@@ -96,13 +106,19 @@ val open_channel : t -> src:int -> dst:int -> ?latency:float -> unit -> channel
 
 val egress : channel -> Packet.hop
 (** The hop to splice into a route in place of the cut link's
-    propagation pipe. It consumes the packet (returning it to the
-    source domain's pool) and enqueues a timestamped message; the
-    destination shard re-materializes the packet at the next window
-    boundary and delivers it at [now + latency]. *)
+    propagation pipe, right after a wired queue. It consumes the packet
+    (returning it to the source domain's pool) and enqueues a
+    timestamped message; the destination shard re-materializes the
+    packet at the next window boundary and delivers it at
+    [times.departs + latency]. Raises [Invalid_argument] unless
+    [times.departs] is ahead of the source clock: a channel must be
+    fed by a wired queue. *)
 
 val sent_count : channel -> int
-(** Messages sent so far (source-domain view). *)
+(** Messages whose egress the source clock has reached (source-domain
+    view): after {!run_windows}, the packets that left the cut link's
+    queue by the horizon. A packet the queue admitted but still held at
+    the horizon is handed to the channel yet not counted. *)
 
 val compare_msg : msg -> msg -> int
 (** The deterministic merge order: [(arrival, egress, src_shard,
@@ -133,5 +149,8 @@ val run_windows :
     binds its own ring under its shard id — the decoded merge
     reproduces the sequential event order — and each worker's profile
     table is tagged with its shard (barrier wait accounted under
-    ["shard.barrier"]). Worker exceptions are re-raised after all
-    domains have been joined. *)
+    ["shard.barrier"]). A worker that raises breaks the window
+    barrier, so the other workers stop at their next wait instead of
+    blocking, and its exception is re-raised after all domains have
+    been joined (an arrival behind the destination's clock raises
+    [Invalid_argument] this way). *)

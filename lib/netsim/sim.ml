@@ -56,6 +56,9 @@ let st_running = 4 (* periodic timer inside its own callback *)
 let st_cancelled = 5 (* periodic cancelled from inside its callback *)
 
 let nil = -1
+let cls_none = -1
+let cls_closure = 0
+let cls_packet = 1
 let nop () = ()
 let pnop (_ : Packet.t) = ()
 
@@ -92,8 +95,14 @@ type t = {
   sentinel : Packet.t; (* parks the pkt_ slot of non-packet cells *)
   (* --- clock and counters --- *)
   clk : floatarray;
-      (* one slot; a [mutable clock : float] field in this mixed record
-         would box on every store — one minor alloc per dispatch *)
+      (* two slots: the clock, then the [sched] key of the event being
+         dispatched; a [mutable clock : float] field in this mixed
+         record would box on every store — one minor alloc per
+         dispatch *)
+  mutable cur_key : int;
+      (* the rest of the dispatching event's key: [seq lsl 1 lor class]
+         ([cls_closure] or [cls_packet]), or [cls_none] outside any
+         dispatch *)
   stage : floatarray;
       (* two slots: staging area for passing the deadline (slot 0) and
          the scheduling time (slot 1) into the out-of-line scheduler
@@ -138,7 +147,8 @@ let create () =
     due_head = 0;
     due_len = 0;
     sentinel;
-    clk = Float.Array.make 1 0.;
+    clk = Float.Array.make 2 0.;
+    cur_key = cls_none;
     stage = Float.Array.make 2 0.;
     next_seq = 0;
     len = 0;
@@ -151,6 +161,36 @@ type sim = t
 (* Inlined so the float result stays in a register at call sites (the
    classical compiler boxes float returns across calls). *)
 let[@inline] now t = Float.Array.unsafe_get t.clk 0
+
+let next_seq t = t.next_seq
+
+(* Would a closure armed at [start] (taking sequence number [seq]) and
+   due at [dep] have dispatched before the current event? The virtual
+   key [(dep, start, closure, seq)] against the current event's [(now,
+   sched, class, seq)]: a closure sorts before a packet at an equal
+   [(time, sched)], and outside any dispatch every event at or before
+   [now] has run. A closure at the same [(time, sched)] is ordered by
+   sequence; when the caller could not say which sequence number the
+   timer would have taken ([seq < 0]), that tie raises. *)
+let tie_undecidable () =
+  invalid_arg
+    "Sim.departed: departure ties the current closure on (time, sched) \
+     and its arming order is unknown"
+
+let[@inline] departed t dep start seq =
+  let now = Float.Array.unsafe_get t.clk 0 in
+  dep < now
+  || dep = now
+     &&
+     let key = t.cur_key in
+     key = cls_none
+     ||
+     let sched = Float.Array.unsafe_get t.clk 1 in
+     start < sched
+     || start = sched
+        && (key land 1 = cls_packet
+           || if seq >= 0 then key asr 1 >= seq else tie_undecidable ())
+
 let pending t = t.len
 let events_processed t = t.processed
 let max_heap_depth t = t.max_depth
@@ -723,10 +763,12 @@ let[@olia.alloc_free] dispatch t =
       (time >= Float.Array.unsafe_get t.clk 0)
       "Sim: dispatch clock went backward";
   Float.Array.unsafe_set t.clk 0 time;
+  Float.Array.unsafe_set t.clk 1 (get_sched t c);
   t.processed <- t.processed + 1;
   t.len <- t.len - 1;
   let period = get_period t c in
   if period > 0. then begin
+    t.cur_key <- (get_seq t c lsl 1) lor cls_closure;
     if Trace.enabled () then
       Trace.set_dispatch_ctx ~sched:(get_sched t c) ~cls:0 ~flow:0 ~subflow:0
         ~pseq:0 ~kind:0;
@@ -750,6 +792,7 @@ let[@olia.alloc_free] dispatch t =
     else free_cell t c
   end
   else if get_kind t c = 1 then begin
+    t.cur_key <- (get_seq t c lsl 1) lor cls_packet;
     let pfn = Array.unsafe_get t.pfn_ c in
     let pkt = Array.unsafe_get t.pkt_ c in
     if Trace.enabled () then
@@ -762,6 +805,7 @@ let[@olia.alloc_free] dispatch t =
     pfn pkt
   end
   else begin
+    t.cur_key <- (get_seq t c lsl 1) lor cls_closure;
     let fn = Array.unsafe_get t.fn_ c in
     if Trace.enabled () then
       Trace.set_dispatch_ctx ~sched:(get_sched t c) ~cls:0 ~flow:0 ~subflow:0
@@ -780,11 +824,15 @@ let run_until t horizon =
       continue := false
     else dispatch t
   done;
+  t.cur_key <- cls_none;
   if Float.Array.unsafe_get t.clk 0 < horizon then
-    Float.Array.unsafe_set t.clk 0 horizon
+    Float.Array.unsafe_set t.clk 0 horizon;
+  if Trace.enabled () then Trace.note_horizon horizon
 
 let run t =
   while t.len > 0 do
     if t.due_head >= t.due_len then advance t;
     dispatch t
-  done
+  done;
+  t.cur_key <- cls_none;
+  if Trace.enabled () then Trace.note_horizon infinity

@@ -65,6 +65,35 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time, seconds. *)
 
+val next_seq : t -> int
+(** The tie-break sequence number the next armed timer will take:
+    timers armed earlier hold smaller ones. *)
+
+val departed : t -> float -> float -> int -> bool
+(** [departed t dep start seq] answers, for a timer that was never
+    armed: would a closure armed when the clock read [start], due at
+    [dep], have dispatched before the event now running? [seq] is the
+    sequence number it would have taken ({!next_seq} at that moment),
+    or [-1] if the caller cannot say. It holds when [dep < now t], or
+    when [dep = now t] and either no dispatch is running (after
+    {!run_until} or {!run} returns, every event at or before [now] has
+    run), or the current event was armed later ([start] below its
+    [sched]), or it was armed at the same instant and is a packet
+    delivery (closures sort before packets at an equal [(time,
+    sched)]), or it is a closure armed at the same instant that took a
+    sequence number at or above [seq]. A wired queue
+    ([Queue.create ~wired:true]) asks this of each service it never
+    scheduled.
+
+    With [seq = -1] that last case cannot be decided: the scheduler
+    would order the two closures by arming sequence, so this raises
+    [Invalid_argument] rather than guess. A wired queue knows [seq]
+    for the first packet of a busy period, whose service starts at its
+    admission, but not for later ones, whose service starts when their
+    predecessor leaves. Reaching the raise takes a closure armed at
+    such a departure instant whose delay equals the next packet's
+    service time exactly. *)
+
 val schedule_at : ?src:string -> t -> float -> (unit -> unit) -> Timer.t
 (** [schedule_at t time fn] runs [fn] when the clock reaches [time] and
     returns a handle for cancellation. Raises [Invalid_argument] if

@@ -22,6 +22,10 @@ type t = {
   ints : int array; (* stride 16 *)
   fl : floatarray; (* stride 4 *)
   policy : policy;
+  horizon : floatarray;
+      (* one slot: the last [Sim.run_until] horizon the writing domain
+         reached, [infinity] until one is noted (a float field in this
+         mixed record would box on every store) *)
   mutable wpos : int; (* next slot to write *)
   mutable count : int; (* retained records, <= cap *)
   mutable dropped : int; (* records overwritten (Drop_oldest) *)
@@ -38,6 +42,7 @@ let create ~shard ~capacity ~policy =
     ints = Array.make (capacity * int_stride) 0;
     fl = Float.Array.make (capacity * float_stride) 0.;
     policy;
+    horizon = Float.Array.make 1 infinity;
     wpos = 0;
     count = 0;
     dropped = 0;
@@ -55,6 +60,7 @@ let null =
     ints = [||];
     fl = Float.Array.create 0;
     policy = Fail_fast;
+    horizon = Float.Array.create 0;
     wpos = 0;
     count = 0;
     dropped = 0;
@@ -68,6 +74,12 @@ let dropped r = r.dropped
 (* Total records ever written; the logical sequence number of the
    oldest retained record is [written r - length r = dropped r]. *)
 let written r = r.dropped + r.count
+
+(* The null ring has no horizon slot: a domain with no ring has no
+   records to filter, so noting a horizon there is a no-op. *)
+let set_horizon r h = if r.cap > 0 then Float.Array.unsafe_set r.horizon 0 h
+let horizon r =
+  if r.cap > 0 then Float.Array.unsafe_get r.horizon 0 else infinity
 
 (* Claim the next slot, returning its index. [Drop_oldest] overwrites
    the oldest retained record when full; [Fail_fast] raises [Full]
@@ -104,6 +116,7 @@ let slot_of_index r i =
   if s >= r.cap then s - r.cap else s
 
 let reset r =
+  set_horizon r infinity;
   r.wpos <- 0;
   r.count <- 0;
   r.dropped <- 0

@@ -47,6 +47,17 @@ val written : t -> int
 (** Total records ever written; the logical sequence number of the
     oldest retained record is [written r - length r]. *)
 
+val set_horizon : t -> float -> unit
+(** Note the horizon the writing domain's simulator just ran to
+    ([Sim.run_until] calls this through [Trace.note_horizon]). A no-op
+    on {!null}. *)
+
+val horizon : t -> float
+(** The last noted horizon; [infinity] if none was noted since
+    {!create} or {!reset}. The decoder drops a departure record
+    stamped later than this: that departure never happened within the
+    run. *)
+
 val claim : t -> int
 (** Claim the next slot and return its index for the [set_i]/[set_f]
     stores. Overwrites the oldest record or raises {!Full} when full,
@@ -67,4 +78,5 @@ val slot_of_index : t -> int -> int
     the decoder's iteration order. *)
 
 val reset : t -> unit
-(** Forget all records (the storage stays allocated). *)
+(** Forget all records and the noted horizon (the storage stays
+    allocated). *)

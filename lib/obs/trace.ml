@@ -475,6 +475,12 @@ let tag_rtt_sample = 6
 let tag_subflow_add = 7
 let tag_subflow_remove = 8
 
+(* A wired queue's departure, written at admission: it decodes to a
+   [Pkt_forward] but carries the dispatch key the serve event would
+   have had instead of the admitting dispatch's, and forms a group of
+   its own (see [ring_groups]). *)
+let tag_pkt_depart = 9
+
 (* Claim a slot and fill the shared header words. On a domain with no
    bound ring the claim hits {!Ring.null} and raises [Ring.Full]: an
    armed emission with nowhere to go is a wiring bug, not a record to
@@ -531,6 +537,30 @@ let[@inline] [@olia.alloc_free] pkt_forward ~time ~queue ~flow ~subflow ~seq ~ki
   Ring.set_i r s 9 seq;
   Ring.set_i r s 10 kind;
   Ring.set_i r s 11 bytes
+
+(* The header is the virtual serve event's key: [(time, sched)] with
+   the closure class and no packet identity. *)
+let[@inline] [@olia.alloc_free] pkt_depart ~time ~sched ~queue ~flow ~subflow ~seq
+    ~kind ~bytes ~qdelay =
+  let r = Domain.DLS.get ring_key in
+  let s = Ring.claim r in
+  Ring.set_f r s 0 time;
+  Ring.set_f r s 1 sched;
+  Ring.set_f r s 2 qdelay;
+  Ring.set_i r s 0 tag_pkt_depart;
+  Ring.set_i r s 1 0;
+  Ring.set_i r s 2 0;
+  Ring.set_i r s 3 0;
+  Ring.set_i r s 4 0;
+  Ring.set_i r s 5 0;
+  Ring.set_i r s 6 queue;
+  Ring.set_i r s 7 flow;
+  Ring.set_i r s 8 subflow;
+  Ring.set_i r s 9 seq;
+  Ring.set_i r s 10 kind;
+  Ring.set_i r s 11 bytes
+
+let[@inline] note_horizon h = Ring.set_horizon (Domain.DLS.get ring_key) h
 
 let[@inline] [@olia.alloc_free] tcp_state ~time ~flow ~subflow ~from_state ~to_state =
   let r = Domain.DLS.get ring_key in
@@ -630,7 +660,7 @@ let event_of_record r s =
         kind = kind_name_of_code (Ring.get_i r s 10);
         cause = cause_of_code (Ring.get_i r s 11);
       }
-  else if tag = tag_pkt_forward then
+  else if tag = tag_pkt_forward || tag = tag_pkt_depart then
     Pkt_forward
       {
         time;
@@ -748,39 +778,60 @@ let compare_group a b =
                   let c = Int.compare a.g_rank b.g_rank in
                   if c <> 0 then c else Int.compare a.g_pos b.g_pos
 
+let is_depart r s = Ring.get_i r s 0 = tag_pkt_depart
+
+(* Slot of the last record at or before index [i] that is not a
+   departure, or -1. *)
+let rec prev_dispatched r i =
+  if i < 0 then -1
+  else
+    let s = Ring.slot_of_index r i in
+    if is_depart r s then prev_dispatched r (i - 1) else s
+
 (* Split one ring into dispatch groups: a group is a run of consecutive
    records sharing the dispatch ordinal and the record time (records
    written outside any dispatch, between two [run_until] calls, keep the
-   last ordinal but not its time). Walking backwards builds each group's
-   event list in emission order without a reverse. *)
+   last ordinal but not its time). A departure record is a group of its
+   own, keyed as the serve event it stands for, and is skipped over when
+   the records around it are grouped, so it never splits the dispatch
+   that wrote it. A departure later than the ring's horizon is dropped:
+   its serve event would never have run. Walking backwards builds each
+   group's event list in emission order without a reverse. *)
 let ring_groups rank r =
   let groups = ref [] and evs = ref [] in
+  let group s i evs =
+    {
+      g_time = Ring.get_f r s 0;
+      g_sched = Ring.get_f r s 1;
+      g_cls = Ring.get_i r s 1;
+      g_dflow = Ring.get_i r s 2;
+      g_dsub = Ring.get_i r s 3;
+      g_dpseq = Ring.get_i r s 4;
+      g_dkind = Ring.get_i r s 5;
+      g_rank = rank;
+      g_pos = i;
+      g_evs = evs;
+    }
+  in
+  let horizon = Ring.horizon r in
   for i = Ring.length r - 1 downto 0 do
     let s = Ring.slot_of_index r i in
-    evs := event_of_record r s :: !evs;
-    let first =
-      i = 0
-      ||
-      let p = Ring.slot_of_index r (i - 1) in
-      Ring.get_i r p 12 <> Ring.get_i r s 12
-      || not (Float.equal (Ring.get_f r p 0) (Ring.get_f r s 0))
-    in
-    if first then begin
-      groups :=
-        {
-          g_time = Ring.get_f r s 0;
-          g_sched = Ring.get_f r s 1;
-          g_cls = Ring.get_i r s 1;
-          g_dflow = Ring.get_i r s 2;
-          g_dsub = Ring.get_i r s 3;
-          g_dpseq = Ring.get_i r s 4;
-          g_dkind = Ring.get_i r s 5;
-          g_rank = rank;
-          g_pos = i;
-          g_evs = !evs;
-        }
-        :: !groups;
-      evs := []
+    if is_depart r s then begin
+      if Ring.get_f r s 0 <= horizon then
+        groups := group s i [ event_of_record r s ] :: !groups
+    end
+    else begin
+      evs := event_of_record r s :: !evs;
+      let p = prev_dispatched r (i - 1) in
+      let first =
+        p < 0
+        || Ring.get_i r p 12 <> Ring.get_i r s 12
+        || not (Float.equal (Ring.get_f r p 0) (Ring.get_f r s 0))
+      in
+      if first then begin
+        groups := group s i !evs :: !groups;
+        evs := []
+      end
     end
   done;
   !groups

@@ -157,7 +157,9 @@ val rings_dropped : unit -> int
 val decode_rings : unit -> event list
 (** Merge every registered ring into the canonical event order. The
     consecutive records one dispatch wrote (same dispatch ordinal, same
-    time) form a group and keep their emission order. Groups sort by
+    time) form a group and keep their emission order; departure records
+    ({!pkt_depart}) are skipped over and form groups of their own,
+    and those past their ring's horizon are dropped. Groups sort by
     their dispatch key [(time, sched, class, dispatching-packet
     identity)] — the scheduler's own dispatch order — then by content
     (closures armed at one [(time, sched)] carry no packet identity,
@@ -219,6 +221,34 @@ val pkt_forward :
   bytes:int ->
   qdelay:float ->
   unit
+
+val pkt_depart :
+  time:float ->
+  sched:float ->
+  queue:int ->
+  flow:int ->
+  subflow:int ->
+  seq:int ->
+  kind:int ->
+  bytes:int ->
+  qdelay:float ->
+  unit
+(** A departure record: a queue that hands each packet to its wire at
+    admission ([Queue.create ~wired:true]) writes it then, with the
+    departure [time] and the service start [sched]. It decodes to the
+    {!Pkt_forward} event the queue's serve event would have written at
+    [time], under that event's dispatch key [(time, sched, closure, no
+    packet)], as a group of its own: it does not split the records of
+    the dispatch it was written in. A departure later than the ring's
+    last noted horizon ({!note_horizon}) is dropped, because that serve
+    event would never have run. *)
+
+val note_horizon : float -> unit
+(** Note on the calling domain's ring the horizon its simulator just
+    reached ([Sim.run_until]; [Sim.run] notes [infinity]). Called
+    only while tracing is armed; a no-op on a domain with no ring. A
+    ring keeps only the last horizon, so the filter assumes one
+    simulation per ring per arming, as every capture path runs it. *)
 
 val tcp_state :
   time:float ->

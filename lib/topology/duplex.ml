@@ -11,7 +11,7 @@ let create ~sim ~rng ~rate_bps ~delay ~buffer_pkts ~discipline
     ?(name = "link") () =
   let mk dir =
     Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps ~buffer_pkts ~discipline
-      ~name:(name ^ dir) ()
+      ~name:(name ^ dir) ~wired:true ()
   in
   {
     fwd_q = mk ">";

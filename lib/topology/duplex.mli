@@ -1,5 +1,11 @@
 (** A bidirectional link: one queue + propagation pipe per direction.
-    The building block for all testbed topologies. *)
+    The building block for all testbed topologies.
+
+    Both queues are wired ([Queue.create ~wired:true]): each computes a
+    packet's departure when it admits it and hands the packet straight
+    to the pipe, which arms the far-end arrival for departure + delay.
+    A link hop therefore costs one scheduler event, not two, with
+    results bit-identical to a queue that schedules its own service. *)
 
 type t
 
@@ -17,7 +23,9 @@ val create :
 
 val fwd_hops : t -> Repro_netsim.Packet.hop array
 (** Hops (queue then pipe) traversing the link in the forward
-    direction. *)
+    direction. The pipe slot must stay right after the queue: it is
+    the wire the queue hands packets to ([Topology.Fattree] swaps it
+    for a [Shard.egress] on a cut link). *)
 
 val rev_hops : t -> Repro_netsim.Packet.hop array
 (** Hops for the reverse direction. *)

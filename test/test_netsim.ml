@@ -238,6 +238,50 @@ let test_pipe_preserves_order_and_concurrency () =
 
 (* --- Queue --------------------------------------------------------------- *)
 
+(* Every branch of [Sim.departed]: would a closure armed at [start]
+   (taking sequence number [seq]), due at [dep], have run before the
+   current event? The current events below are a closure and a packet
+   delivery, both due at 2.0 and armed at 1.0. *)
+let test_sim_departed_branches () =
+  let sim = Sim.create () in
+  let d dep start = Sim.departed sim dep start (-1) in
+  Alcotest.(check bool) "idle: due now" true (d 0. 0.);
+  Alcotest.(check bool) "idle: due later" false (d 1e-9 0.);
+  let in_closure = ref [] and in_packet = ref [] and tie = ref "" in
+  Sim.schedule_at sim 1. (fun () ->
+      (* the closure below takes sequence number [armed] *)
+      let armed = Sim.next_seq sim in
+      Sim.schedule_at sim 2. (fun () ->
+          in_closure :=
+            [
+              d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5;
+              Sim.departed sim 2. 1. armed; Sim.departed sim 2. 1. (armed + 1);
+            ];
+          match d 2. 1. with
+          | _ -> tie := "decided"
+          | exception Invalid_argument m -> tie := m);
+      ignore
+        (Sim.schedule_pkt_at sim 2.
+           (fun p ->
+             in_packet := [ d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5; d 2. 1. ];
+             Packet.free p)
+           (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:1. ~route:[||])
+          : Sim.Timer.t));
+  Sim.run_until sim 3.;
+  Alcotest.(check (list bool))
+    "closure: earlier, later, armed before, armed after, same instant \
+     armed first, same instant armed second"
+    [ true; false; true; false; true; false ] !in_closure;
+  Alcotest.(check bool) "closure: a same-key tie of unknown order raises"
+    true
+    (String.starts_with ~prefix:"Sim.departed" !tie);
+  Alcotest.(check (list bool))
+    "packet: earlier, later, armed before, armed after, same key"
+    [ true; false; true; false; true ] !in_packet;
+  (* after run_until every event at or before the horizon has run *)
+  Alcotest.(check bool) "after the run: due at the horizon" true (d 3. 3.);
+  Alcotest.(check bool) "after the run: due past it" false (d 3.5 0.)
+
 let data_to ~route seq = Packet.data ~flow:0 ~subflow:0 ~seq ~sent_at:0. ~route
 
 let test_queue_serialization_rate () =
@@ -395,6 +439,8 @@ let suite =
     Alcotest.test_case "sim: schedule during run" `Quick
       test_sim_schedule_during_run;
     Alcotest.test_case "sim: rejects past events" `Quick test_sim_rejects_past;
+    Alcotest.test_case "sim: departed decides every tie" `Quick
+      test_sim_departed_branches;
     Alcotest.test_case "sim: pending/processed counters" `Quick
       test_sim_pending_and_processed;
     q prop_sim_heap_orders_events;

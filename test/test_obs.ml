@@ -760,6 +760,98 @@ let test_decode_keeps_dispatch_order () =
     ()
   | _ -> Alcotest.fail "reno-droptail does not open with subflow_add"
 
+(* A wired queue writes each departure record at admission, in the
+   middle of the admitting dispatch. The record is a group of its own,
+   keyed as the serve event it stands for, and the records around it
+   stay one group: split in two, the dispatch's halves would share a
+   key and re-sort by content (cwnd 1 before cwnd 2). *)
+let test_decode_departure_keeps_dispatch () =
+  let q = Trace.intern "depart-q" in
+  let (), events =
+    Trace.capture ~capacity:16 (fun () ->
+        Trace.set_dispatch_ctx ~sched:0.25 ~cls:1 ~flow:3 ~subflow:0 ~pseq:7
+          ~kind:0;
+        Trace.cwnd_update ~time:1. ~flow:3 ~subflow:0 ~cwnd:2. ~ssthresh:9.;
+        Trace.pkt_depart ~time:1.5 ~sched:1. ~queue:q ~flow:3 ~subflow:0
+          ~seq:8 ~kind:0 ~bytes:1500 ~qdelay:0.5;
+        Trace.cwnd_update ~time:1. ~flow:3 ~subflow:0 ~cwnd:1. ~ssthresh:9.;
+        (* a later dispatch at the departure's own instant, armed after
+           the departure's service started: the departure sorts first *)
+        Trace.set_dispatch_ctx ~sched:1.25 ~cls:0 ~flow:0 ~subflow:0 ~pseq:0
+          ~kind:0;
+        Trace.subflow_add ~time:1.5 ~flow:4 ~subflow:0)
+  in
+  match events with
+  | [
+   Trace.Cwnd_update { cwnd = 2.; _ };
+   Trace.Cwnd_update { cwnd = 1.; _ };
+   Trace.Pkt_forward
+     { time = 1.5; queue = "depart-q"; seq = 8; bytes = 1500; qdelay = 0.5; _ };
+   Trace.Subflow_add { flow = 4; _ };
+  ] ->
+    ()
+  | _ ->
+    Alcotest.fail
+      (Printf.sprintf "decoded %s"
+         (String.concat "; "
+            (List.map (fun e -> Json.to_string (Trace.to_json e)) events)))
+
+(* A departure later than the ring's last horizon is a packet still
+   queued when the run stopped: its serve event never ran, so the
+   decode drops it. Without a noted horizon nothing is dropped. *)
+let test_decode_drops_departures_past_horizon () =
+  let q = Trace.intern "horizon-q" in
+  let depart time =
+    Trace.pkt_depart ~time ~sched:(time -. 0.5) ~queue:q ~flow:1 ~subflow:0
+      ~seq:(int_of_float time) ~kind:0 ~bytes:1500 ~qdelay:0.5
+  in
+  let times evs =
+    List.map
+      (function Trace.Pkt_forward { time; _ } -> time | _ -> nan)
+      evs
+  in
+  let (), kept =
+    Trace.capture ~capacity:16 (fun () ->
+        depart 2.;
+        depart 3.;
+        depart 4.;
+        Trace.note_horizon 3.)
+  in
+  Alcotest.(check (list (float 0.))) "at or before the horizon" [ 2.; 3. ]
+    (times kept);
+  let (), all =
+    Trace.capture ~capacity:16 (fun () ->
+        depart 2.;
+        depart 4.)
+  in
+  Alcotest.(check (list (float 0.))) "no horizon noted" [ 2.; 4. ] (times all);
+  (* end to end: a wired queue with packets still queued at the
+     horizon forwards, in the decode, exactly what it forwarded *)
+  let sim = Sim.create () in
+  let q =
+    Queue.create ~sim ~rng:(Rng.create ~seed:1) ~rate_bps:12e6 ~buffer_pkts:20
+      ~discipline:Queue.Droptail ~name:"horizon-wired" ~wired:true ()
+  in
+  let pipe = Pipe.create ~sim ~delay:0.01 in
+  let route = [| Queue.hop q; Pipe.hop pipe; Packet.free |] in
+  let (), evs =
+    Trace.capture ~capacity:256 (fun () ->
+        Sim.schedule_at sim 0.1 (fun () ->
+            for i = 0 to 9 do
+              Packet.forward
+                (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0.1 ~route)
+            done);
+        (* 1 ms per packet: four have left by 0.1045 *)
+        Sim.run_until sim 0.1045)
+  in
+  let forwards =
+    List.filter (function Trace.Pkt_forward _ -> true | _ -> false) evs
+  in
+  Alcotest.(check int) "decoded forwards" 4 (List.length forwards);
+  Alcotest.(check int) "queue's own count" (4 * Packet.data_size)
+    (Queue.bytes_forwarded q);
+  Alcotest.(check int) "still queued" 6 (Queue.backlog q)
+
 (* An armed emission needs a ring: on a domain that never bound one it
    raises instead of vanishing. *)
 let test_unbound_emission_raises () =
@@ -824,18 +916,20 @@ let test_armed_emission_zero_alloc () =
           Trace.pkt_forward ~time:t ~queue:q ~flow:1 ~subflow:0 ~seq:i ~kind:0
             ~bytes:1500 ~qdelay:t;
           Trace.cwnd_update ~time:t ~flow:1 ~subflow:0 ~cwnd:t ~ssthresh:t;
-          Trace.rtt_sample ~time:t ~flow:1 ~subflow:0 ~rtt:t ~srtt:t
+          Trace.rtt_sample ~time:t ~flow:1 ~subflow:0 ~rtt:t ~srtt:t;
+          Trace.pkt_depart ~time:t ~sched:t ~queue:q ~flow:1 ~subflow:0 ~seq:i
+            ~kind:0 ~bytes:1500 ~qdelay:t
         done
       in
       burst 200 (* warm-up: fault the lanes, populate DLS *);
       let w0 = Gc.minor_words () in
       burst 2000;
       let w1 = Gc.minor_words () in
-      let events = 3 * 2000 in
+      let events = 4 * 2000 in
       Alcotest.(check int) "no overflow during the burst" 0
         (Trace.rings_dropped ());
       Alcotest.(check bool) "records landed in the ring" true
-        (List.length (Trace.decode_rings ()) = 3 * 2200);
+        (List.length (Trace.decode_rings ()) = 4 * 2200);
       if Sys.backend_type = Sys.Native then
         if build_inlines_hot_paths () then
           Alcotest.(check (float 0.))
@@ -955,6 +1049,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_partition_invariant;
     Alcotest.test_case "decode keeps each dispatch's order" `Quick
       test_decode_keeps_dispatch_order;
+    Alcotest.test_case "departure record does not split its dispatch" `Quick
+      test_decode_departure_keeps_dispatch;
+    Alcotest.test_case "decode drops departures past the horizon" `Quick
+      test_decode_drops_departures_past_horizon;
     Alcotest.test_case "unbound armed emission raises" `Quick
       test_unbound_emission_raises;
     Alcotest.test_case "ring overflow fails the capture" `Quick

@@ -4,6 +4,8 @@
 
 open Mptcp_repro.Netsim
 module F = Mptcp_repro.Fluid
+module Trace = Mptcp_repro.Obs.Trace
+module Json = Mptcp_repro.Stats.Json
 
 (* Timer handles are discarded in tests: scheduling here is fire-and-forget. *)
 module Sim = struct
@@ -126,6 +128,160 @@ let prop_mptcp_split_sums_to_size =
       Sim.run_until sim 300.;
       Tcp.completed conn
       && Tcp.subflow_acked conn 0 + Tcp.subflow_acked conn 1 = size)
+
+(* --- wired queues --------------------------------------------------------- *)
+
+(* A wired queue (the mode every Duplex link uses) computes each
+   departure at admission and hands the packet straight to its wire; an
+   unwired one schedules a serve event per packet. The two must be
+   indistinguishable. Random small topologies are built twice, once per
+   mode, and must agree on everything observable: per-flow ACKs, every
+   queue's arrivals, drops, forwarded bytes and sampled backlog, and the
+   decoded trace. Rates and delays are mostly dyadic, so times add up
+   exactly and same-instant ties are everywhere: a packet reaching a
+   queue at the instant its head departs, in both orders (delay below or
+   above the service time), and equal-delay parallel paths that deliver
+   at one instant. *)
+type wlink = { rate : float; delay : float; red : bool; buffer : int }
+
+type wcase = {
+  links : wlink array;
+  paths : int list array; (* link indices, sender to receiver *)
+  flows : (string * int list * float) list; (* cc, path indices, start *)
+  traced : bool;
+  seed : int;
+}
+
+let gen_wcase =
+  let open QCheck.Gen in
+  let link =
+    map
+      (fun (rate, delay, red, buffer) -> { rate; delay; red; buffer })
+      (quad
+         (oneofl [ 1.536e6; 3.072e6; 12.288e6; 10e6 ])
+         (oneofl [ 0.0009765625; 0.00390625; 0.0078125; 0.005 ])
+         bool (int_range 4 40))
+  in
+  int_range 2 5 >>= fun nl ->
+  array_repeat nl link >>= fun links ->
+  let subset n =
+    list_size (int_range 1 3) (int_bound (n - 1)) >|= List.sort_uniq compare
+  in
+  let path = subset nl in
+  int_range 1 4 >>= fun np ->
+  array_repeat np path >>= fun paths ->
+  let flow =
+    triple
+      (oneofl [ "reno"; "lia"; "olia"; "balia" ])
+      (subset np)
+      (oneofl [ 0.; 0.0009765625; 0.0625 ])
+  in
+  list_size (int_range 1 3) flow >>= fun flows ->
+  pair bool (int_bound 10_000) >|= fun (traced, seed) ->
+  { links; paths; flows; traced; seed }
+
+let print_wcase c =
+  Printf.sprintf "links [%s] paths [%s] flows [%s] traced %b seed %d"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l ->
+               Printf.sprintf "%g b/s %g s%s buf %d" l.rate l.delay
+                 (if l.red then " red" else "")
+                 l.buffer)
+             c.links)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun p -> String.concat "-" (List.map string_of_int p))
+             c.paths)))
+    (String.concat "; "
+       (List.map
+          (fun (cc, ps, st) ->
+            Printf.sprintf "%s over %s from %g" cc
+              (String.concat "," (List.map string_of_int ps))
+              st)
+          c.flows))
+    c.traced c.seed
+
+(* Everything observable about one run of a case. *)
+let run_wcase ~wired c =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:c.seed in
+  let queue l dir i =
+    Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps:l.rate
+      ~buffer_pkts:l.buffer
+      ~discipline:
+        (if l.red then Queue.Red (Queue.paper_red ~link_mbps:(l.rate /. 1e6))
+         else Queue.Droptail)
+      ~name:(Printf.sprintf "w%d%s" i dir) ~wired ()
+  in
+  let hops =
+    Array.mapi
+      (fun i l ->
+        let fq = queue l ">" i and rq = queue l "<" i in
+        let fp = Pipe.create ~sim ~delay:l.delay
+        and rp = Pipe.create ~sim ~delay:l.delay in
+        ( fq,
+          rq,
+          [| Queue.hop fq; Pipe.hop fp |],
+          [| Queue.hop rq; Pipe.hop rp |] ))
+      c.links
+  in
+  let queues =
+    Array.concat
+      (Array.to_list (Array.map (fun (f, r, _, _) -> [| f; r |]) hops))
+  in
+  let route pick links =
+    Array.concat (List.map (fun i -> pick hops.(i)) links)
+  in
+  let tcp_path p =
+    {
+      Tcp.fwd = route (fun (_, _, f, _) -> f) p;
+      rev = route (fun (_, _, _, r) -> r) (List.rev p);
+    }
+  in
+  let mon = Monitor.create ~sim ~period:0.0173 () in
+  Array.iteri (fun i q -> Monitor.watch_backlog mon (string_of_int i) q) queues;
+  let run () =
+    let conns =
+      List.mapi
+        (fun i (cc, ps, start) ->
+          Tcp.create ~sim
+            ~cc:(Mptcp_repro.Cc.Registry.create cc)
+            ~paths:(Array.of_list (List.map (fun j -> tcp_path c.paths.(j)) ps))
+            ~start ~flow_id:i ())
+        c.flows
+    in
+    Sim.schedule_at sim 0.5 (fun () -> Array.iter Queue.reset_stats queues);
+    Sim.run_until sim 1.5;
+    List.map Tcp.total_acked conns
+  in
+  let acked, trace =
+    if c.traced then
+      let acked, evs = Trace.capture ~capacity:(1 lsl 17) run in
+      (acked, List.map (fun e -> Json.to_string (Trace.to_json e)) evs)
+    else (run (), [])
+  in
+  let per_queue f = Array.to_list (Array.map f queues) in
+  ( acked,
+    per_queue (fun q ->
+        [
+          Queue.arrivals q;
+          Queue.drops q;
+          Queue.bytes_forwarded q;
+          Queue.backlog q;
+        ]),
+    List.init (Array.length queues) (fun i ->
+        Mptcp_repro.Stats.Timeseries.to_array
+          (Monitor.series mon (string_of_int i))),
+    trace )
+
+let prop_wired_equals_unwired =
+  QCheck.Test.make ~name:"queue: wired and unwired links give the same run"
+    ~count:40
+    (QCheck.make ~print:print_wcase gen_wcase)
+    (fun c -> run_wcase ~wired:true c = run_wcase ~wired:false c)
 
 (* --- algorithm bounds ---------------------------------------------------- *)
 
@@ -432,4 +588,5 @@ let suite =
       prop_lia_rates_positive_and_bounded;
       prop_fattree_sample_within_all;
       prop_workload_poisson_sorted_within_duration;
+      prop_wired_equals_unwired;
     ]

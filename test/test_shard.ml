@@ -141,6 +141,80 @@ let test_windows () =
   Alcotest.(check int) "sub-window" 1 (Shard.windows ~lookahead:1. ~horizon:0.5);
   Alcotest.(check int) "empty" 0 (Shard.windows ~lookahead:1. ~horizon:0.)
 
+(* --- channels fed at admission ------------------------------------------ *)
+
+(* Two shards joined by one channel of 10 ms, fed by a wired queue of
+   1 ms per packet on shard 0; [burst] packets enter the queue at
+   0.5 s. *)
+let channel_rig ?(burst = 3) () =
+  let s0 = Sim.create () and s1 = Sim.create () in
+  let group = Shard.create ~sims:[| s0; s1 |] ~lookahead:0.01 in
+  let ch = Shard.open_channel group ~src:0 ~dst:1 () in
+  let q =
+    Queue.create ~sim:s0 ~rng:(Rng.create ~seed:1) ~rate_bps:12e6
+      ~buffer_pkts:10 ~discipline:Queue.Droptail ~wired:true ()
+  in
+  let arrived = ref [] in
+  let sink (p : Packet.t) =
+    arrived := Sim.now s1 :: !arrived;
+    Packet.free p
+  in
+  let route = [| Queue.hop q; Shard.egress ch; sink |] in
+  ignore
+    (Sim.schedule_at s0 0.5 (fun () ->
+         for i = 0 to burst - 1 do
+           Packet.forward
+             (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0.5 ~route)
+         done)
+      : Sim.Timer.t);
+  (group, ch, s1, arrived)
+
+let sweep_pool = Mptcp_repro.Exp.Sweep.pool
+
+(* The channel takes the packet when the queue admits it, but a message
+   counts as sent only once its packet has left the queue: the one
+   still queued at the horizon was never sent. *)
+let test_cut_count_excludes_queued () =
+  let group, ch, _, arrived = channel_rig () in
+  (* departures at 0.501, 0.502 and 0.503 *)
+  Shard.run_windows ~pool:sweep_pool group ~horizon:0.5025;
+  Alcotest.(check int) "left before the horizon" 2 (Shard.sent_count ch);
+  Alcotest.(check int) "none arrived yet" 0 (List.length !arrived);
+  let group, ch, _, arrived = channel_rig () in
+  Shard.run_windows ~pool:sweep_pool group ~horizon:1.;
+  Alcotest.(check int) "all left" 3 (Shard.sent_count ch);
+  Alcotest.(check (list (float 1e-12)))
+    "arrival = departure + latency" [ 0.511; 0.512; 0.513 ]
+    (List.rev !arrived)
+
+(* A channel fed by anything but a wired queue would send at the
+   packet's own instant, with no service time of lookahead to spare:
+   the send refuses it. *)
+let test_send_requires_wired_feed () =
+  let s0 = Sim.create () and s1 = Sim.create () in
+  let group = Shard.create ~sims:[| s0; s1 |] ~lookahead:0.01 in
+  let ch = Shard.open_channel group ~src:0 ~dst:1 () in
+  let p =
+    Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0.
+      ~route:[| Shard.egress ch |]
+  in
+  match Packet.forward p with
+  | () -> Alcotest.fail "a send at the packet's own instant was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A message arriving behind the destination's clock is a lookahead
+   violation: delivery raises instead of clamping the arrival, and the
+   failing worker breaks the window barrier so the run fails instead
+   of hanging. The destination is run ahead by hand to stage one. *)
+let test_deliver_rejects_late_arrival () =
+  let group, _, s1, _ = channel_rig ~burst:1 () in
+  Sim.run_until s1 5.;
+  match Shard.run_windows ~pool:sweep_pool group ~horizon:0.6 with
+  | () -> Alcotest.fail "a late arrival was delivered"
+  | exception Invalid_argument m ->
+    Alcotest.(check bool) "names the delivery" true
+      (String.starts_with ~prefix:"Shard.deliver" m)
+
 (* --- shards=1 ≡ sequential golden --------------------------------------- *)
 
 (* The same seed drives a one-shard tree twice, once under Sim.run_until
@@ -317,4 +391,10 @@ let suite =
       test_sharded_run_deterministic;
     Alcotest.test_case "traced decode is shard-count invariant" `Slow
       test_traced_decode_shard_invariant;
+    Alcotest.test_case "cut messages count departures by the horizon" `Quick
+      test_cut_count_excludes_queued;
+    Alcotest.test_case "send requires a wired feed" `Quick
+      test_send_requires_wired_feed;
+    Alcotest.test_case "deliver rejects a late arrival" `Quick
+      test_deliver_rejects_late_arrival;
   ]

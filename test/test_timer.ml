@@ -384,6 +384,86 @@ let test_steady_state_zero_alloc () =
         true (per_pkt < 64.)
     end
 
+(* The wired half of the contract: a queue built by [Duplex] hands each
+   packet to its wire at admission, so a link hop costs exactly one
+   event (the arrival at the far end) and still nothing on the minor
+   heap. A hand-rolled source and responder over four Duplex links:
+   every event of the whole run is a source tick or one of the eight
+   link crossings of a packet and its ACK. *)
+let test_duplex_one_event_per_hop () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:11 in
+  let links =
+    Array.init 4 (fun i ->
+        Mptcp_repro.Topology.Duplex.create ~sim ~rng ~rate_bps:12e6
+          ~delay:(0.001 *. float_of_int (i + 1))
+          ~buffer_pkts:64 ~discipline:Queue.Droptail ())
+  in
+  let module D = Mptcp_repro.Topology.Duplex in
+  let acked = ref 0 in
+  let ack_sink (p : Packet.t) =
+    incr acked;
+    Packet.free p
+  in
+  let rev_route =
+    Array.concat
+      (List.rev_map D.rev_hops (Array.to_list links) @ [ [| ack_sink |] ])
+  in
+  let responder (p : Packet.t) =
+    let seq = p.Packet.seq in
+    let echo = p.Packet.times.Packet.sent_at in
+    Packet.free p;
+    Packet.forward
+      (Packet.ack ~flow:0 ~subflow:0 ~ackno:(seq + 1) ~echo ~sack:None
+         ~route:rev_route ~sent_at:(Sim.now sim))
+  in
+  let fwd_route =
+    Array.concat
+      (List.map D.fwd_hops (Array.to_list links) @ [ [| responder |] ])
+  in
+  let sent = ref 0 in
+  let tick () =
+    Packet.forward
+      (Packet.data ~flow:0 ~subflow:0 ~seq:!sent ~sent_at:(Sim.now sim)
+         ~route:fwd_route);
+    incr sent
+  in
+  let src = Sim.every ~src:"test.source" ~start:0. sim 0.002 tick in
+  Sim.run_until sim 1.;
+  let before = !acked in
+  let w0 = Gc.minor_words () in
+  Sim.run_until sim 11.;
+  let w1 = Gc.minor_words () in
+  Sim.Timer.cancel sim src;
+  Sim.run sim;
+  let packets = !acked - before in
+  Alcotest.(check bool) "traffic flowed" true (packets > 4000);
+  Alcotest.(check int) "every packet acknowledged" !sent !acked;
+  Alcotest.(check int) "events = source ticks + one per link crossing"
+    (!sent + (8 * !acked))
+    (Sim.events_processed sim);
+  Array.iter
+    (fun l ->
+      Alcotest.(check int) "forward bytes" (!sent * Packet.data_size)
+        (Queue.bytes_forwarded (D.fwd_queue l));
+      Alcotest.(check int) "reverse bytes" (!acked * Packet.ack_size)
+        (Queue.bytes_forwarded (D.rev_queue l));
+      Alcotest.(check int) "drained" 0 (Queue.backlog (D.fwd_queue l)))
+    links;
+  if Sys.backend_type = Sys.Native && not (Invariant.enabled ()) then
+    if build_inlines_schedule_path () then
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words for %d packets" packets)
+        0. (w1 -. w0)
+    else begin
+      (* non-inlining build: see test_steady_state_zero_alloc; bounded
+         per link crossing, as a packet here makes eight *)
+      let per_hop = (w1 -. w0) /. float_of_int (8 * packets) in
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words per link crossing (%.1f) < 32" per_hop)
+        true (per_hop < 32.)
+    end
+
 (* The same contract on real connections: a lossless [Tcp] connection
    over Queue+Pipe allocates nothing per ACK except the float each CC
    [increase] closure returns, boxed across the call (2 words). With
@@ -393,7 +473,7 @@ let test_steady_state_zero_alloc () =
    flight below the buffer, so nothing is ever dropped. Armed invariant
    checks build their messages eagerly, so with them nothing is
    asserted about allocation. *)
-let tcp_alloc_case ~algo ~subflows ~delayed_ack =
+let tcp_alloc_case ?(duplex = false) ~algo ~subflows ~delayed_ack () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:3 in
   let base = Mptcp_repro.Cc.Registry.create algo in
@@ -414,15 +494,26 @@ let tcp_alloc_case ~algo ~subflows ~delayed_ack =
     Packet.forward p
   in
   let path i =
-    let q =
-      Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:100
-        ~discipline:Queue.Droptail ()
-    in
     let delay = 0.005 *. float_of_int (i + 1) in
-    {
-      Tcp.fwd = [| Queue.hop q; Pipe.hop (Pipe.create ~sim ~delay) |];
-      rev = [| Pipe.hop (Pipe.create ~sim ~delay); count_ack |];
-    }
+    if duplex then
+      let module D = Mptcp_repro.Topology.Duplex in
+      let l =
+        D.create ~sim ~rng ~rate_bps:10e6 ~delay ~buffer_pkts:100
+          ~discipline:Queue.Droptail ()
+      in
+      {
+        Tcp.fwd = D.fwd_hops l;
+        rev = Array.append (D.rev_hops l) [| count_ack |];
+      }
+    else
+      let q =
+        Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:100
+          ~discipline:Queue.Droptail ()
+      in
+      {
+        Tcp.fwd = [| Queue.hop q; Pipe.hop (Pipe.create ~sim ~delay) |];
+        rev = [| Pipe.hop (Pipe.create ~sim ~delay); count_ack |];
+      }
   in
   let conn =
     Tcp.create ~sim ~cc ~paths:(Array.init subflows path) ~initial_cwnd:40.
@@ -430,21 +521,24 @@ let tcp_alloc_case ~algo ~subflows ~delayed_ack =
   in
   Sim.run_until sim 2.;
   let acks0 = !acks and calls0 = !calls in
+  let ev0 = Sim.events_processed sim in
   let w0 = Gc.minor_words () in
   Sim.run_until sim 6.;
   let w1 = Gc.minor_words () in
+  let events = Sim.events_processed sim - ev0 in
   let name =
-    Printf.sprintf "%s, %d subflow(s), delayed_ack %b" algo subflows
-      delayed_ack
+    Printf.sprintf "%s%s, %d subflow(s), delayed_ack %b" algo
+      (if duplex then " over Duplex" else "")
+      subflows delayed_ack
   in
   let retx = ref 0 in
   for i = 0 to subflows - 1 do
     retx := !retx + Tcp.subflow_retransmits conn i
   done;
   Alcotest.(check int) (name ^ ": lossless") 0 !retx;
-  (name, w1 -. w0, !acks - acks0, !calls - calls0)
+  (name, w1 -. w0, !acks - acks0, !calls - calls0, events)
 
-let test_tcp_zero_alloc () =
+let tcp_zero_alloc ~duplex () =
   let measured = Sys.backend_type = Sys.Native && not (Invariant.enabled ()) in
   let strict = measured && build_inlines_schedule_path () in
   List.iter
@@ -453,8 +547,8 @@ let test_tcp_zero_alloc () =
         (fun subflows ->
           List.iter
             (fun delayed_ack ->
-              let name, words, acks, calls =
-                tcp_alloc_case ~algo ~subflows ~delayed_ack
+              let name, words, acks, calls, events =
+                tcp_alloc_case ~duplex ~algo ~subflows ~delayed_ack ()
               in
               Alcotest.(check bool) (name ^ ": ACKs flowed") true (acks > 1000);
               if strict then
@@ -465,6 +559,16 @@ let test_tcp_zero_alloc () =
                      name acks calls)
                   0.
                   (words -. (2. *. float_of_int calls))
+              else if measured && duplex then begin
+                (* non-inlining build: every float crossing into Sim
+                   boxes, and a wired hop makes more such calls per
+                   event; bound the words per event instead *)
+                let per_event = words /. float_of_int events in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: minor words per event (%.1f) < 32" name
+                     per_event)
+                  true (per_event < 32.)
+              end
               else if measured then begin
                 (* non-inlining build: see the bound above *)
                 let per_ack = words /. float_of_int acks in
@@ -507,5 +611,10 @@ let suite =
     Alcotest.test_case "steady-state path allocates nothing" `Quick
       test_steady_state_zero_alloc;
     Alcotest.test_case "TCP ACK path allocates only the CC return" `Quick
-      test_tcp_zero_alloc;
+      (tcp_zero_alloc ~duplex:false);
+    Alcotest.test_case "Duplex link hop is one event and allocates nothing"
+      `Quick test_duplex_one_event_per_hop;
+    Alcotest.test_case
+      "TCP ACK path through Duplex links allocates only the CC return" `Quick
+      (tcp_zero_alloc ~duplex:true);
   ]
