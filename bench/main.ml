@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (plus ablations) and runs Bechamel micro-benchmarks of the
-   hot paths.
+   evaluation (plus ablations), times the hot paths, and writes and
+   gates the perf snapshot (BENCH_*.json).
 
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- fig9 table2     # a subset
@@ -832,359 +832,262 @@ let ablation_wireless () =
     "(reference [12] found OLIA at least matches LIA over wireless; plain\n\
      \ TCP on the lossy WiFi path alone is crippled by the random losses)"
 
-(* ----- Bechamel micro-benchmarks --------------------------------------- *)
+(* ----- timed entries: micro-benchmarks and the perf snapshot ----------- *)
 
-(* Fixed integer busy loop measured alongside the hot paths: a
-   machine-speed proxy, so snapshots taken on different machines can be
-   compared after normalizing by its ratio (Obs.Snapshot.regressions). *)
-let calibration_work () =
-  let acc = ref 0 in
-  for i = 1 to 10_000 do
-    acc := (!acc + (i * 7919)) land 0xFFFFFF
+module Obs = Mptcp_repro.Obs
+
+(* Every timed entry is measured the way perfbench measures its
+   workloads (perfbench/README.md, "How times are taken"), with
+   perfbench's own [Clock], [Robust] and [Kernel] (bench/dune copies
+   them in): many short windows, each timed alone right after a
+   reference-kernel sample and scaled to the kernel's reference speed,
+   taken round-robin across the entries so that a host phase lands on
+   every entry alike. Host stalls only ever slow a window down and hit
+   a minority of windows, so an entry's value is the median of its
+   scaled windows. Its spread is their interquartile range over that
+   median, from which Obs.Snapshot derives the entry's gate tolerance.
+
+   A window is about half a millisecond of host time at the reference
+   speed. The entries that allocate take longer windows, so that each
+   carries a like share of GC work: 1.5 ms for the event heap, and
+   four for the TCP-second, which therefore takes a turn every other
+   round. *)
+
+type probe = {
+  name : string;
+  units : string;
+  per : float;  (** a window's scaled ns over [per] is one value in [units] *)
+  every : int;  (** a turn in every [every]-th round *)
+  burst : int;  (** windows per turn *)
+  around : (unit -> unit) -> unit;  (** brackets each turn, untimed *)
+  window : unit -> unit;
+}
+
+let probe ?(every = 1) ?(burst = 1) ?(around = fun f -> f ()) ~name ~units
+    ~per window =
+  { name; units; per; every; burst; around; window }
+
+let rounds = 1200
+
+(* Per-window factor to the reference speed: [ref_ns] over the median of
+   the kernel sample taken before the window and its five neighbours
+   either side, in time order (perfbench's [speed_factors]). *)
+let speed_factors kernel =
+  let n = Array.length kernel in
+  Array.init n (fun i ->
+      let lo = Stdlib.max 0 (i - 5) and hi = Stdlib.min (n - 1) (i + 5) in
+      Kernel.ref_ns
+      /. Robust.median
+           (Array.init (hi - lo + 1) (fun d -> float_of_int kernel.(lo + d))))
+
+(* Time [probes] round-robin over [rounds] rounds and summarize each as
+   a snapshot entry. *)
+let measure probes =
+  Kernel.init ();
+  let probes = Array.of_list probes in
+  let n =
+    Array.fold_left
+      (fun acc p -> acc + ((rounds + p.every - 1) / p.every * p.burst))
+      0 probes
+  in
+  let who = Array.make n 0 and raw = Array.make n 0 in
+  let kernel = Array.make n 0 in
+  let k = ref 0 in
+  for r = 0 to rounds - 1 do
+    Array.iteri
+      (fun i p ->
+        if r mod p.every = 0 then
+          p.around (fun () ->
+              for _ = 1 to p.burst do
+                kernel.(!k) <- Kernel.time_ns ();
+                let t0 = Clock.now_ns () in
+                p.window ();
+                raw.(!k) <- Clock.now_ns () - t0;
+                who.(!k) <- i;
+                incr k
+              done))
+      probes
   done;
-  Sys.opaque_identity !acc
+  let factor = speed_factors kernel in
+  List.mapi
+    (fun i p ->
+      let s =
+        List.filter (fun j -> who.(j) = i) (List.init n Fun.id)
+        |> List.map (fun j -> float_of_int raw.(j) *. factor.(j) /. p.per)
+        |> Array.of_list |> Robust.sorted
+      in
+      let median = Robust.quantile_sorted s 0.5 in
+      Obs.Snapshot.entry ~name:p.name ~median
+        ~spread:
+          ((Robust.quantile_sorted s 0.75 -. Robust.quantile_sorted s 0.25)
+          /. median)
+        ~units:p.units)
+    (Array.to_list probes)
 
-let calibration_name = "calibrate: int work"
+let repeat n f () =
+  for _ = 1 to n do
+    f ()
+  done
 
-let micro_estimates_once () =
-  let open Bechamel in
-  let calibrate =
-    Test.make ~name:calibration_name
-      (Staged.stage (fun () -> ignore (calibration_work ())))
-  in
-  let sim_heap =
-    Test.make ~name:"sim: schedule+run 1k events"
-      (Staged.stage (fun () ->
-           let sim = Mptcp_repro.Netsim.Sim.create () in
-           for i = 0 to 999 do
-             ignore
-               (Mptcp_repro.Netsim.Sim.schedule_at ~src:"bench.micro" sim
-                  (float_of_int ((i * 7919) mod 1000))
-                  (fun () -> ())
-                 : Mptcp_repro.Netsim.Sim.Timer.t)
-           done;
-           Mptcp_repro.Netsim.Sim.run sim))
-  in
+(* The per-ACK coupled increase of each algorithm over a four-subflow
+   view; the integer kernel twins sit beside their float models so the
+   snapshot tracks what the fixed-point arithmetic costs. *)
+let cc_probe (name, calls, (cc : Mptcp_repro.Cc.Types.t)) =
   let views =
     Array.init 4 (fun i ->
         { Mptcp_repro.Cc.Types.cwnd = 5. +. float_of_int i; rtt = 0.1 })
   in
-  let olia_cc = Mptcp_repro.Cc.Olia.create () in
-  let olia_inc =
-    Test.make ~name:"olia: increase (4 subflows)"
-      (Staged.stage (fun () ->
-           ignore (olia_cc.Mptcp_repro.Cc.Types.increase ~views ~idx:1)))
-  in
-  let lia_cc = Mptcp_repro.Cc.Lia.create () in
-  let lia_inc =
-    Test.make ~name:"lia: increase (4 subflows)"
-      (Staged.stage (fun () ->
-           ignore (lia_cc.Mptcp_repro.Cc.Types.increase ~views ~idx:1)))
-  in
-  (* float-vs-fixed: the kernel twins next to their float models, same
-     four-subflow view, so the snapshot history tracks what the integer
-     arithmetic costs relative to the floats it mirrors *)
-  let olia_fp_cc = Mptcp_repro.Cc.Olia_fp.create () in
-  let olia_fp_inc =
-    Test.make ~name:"olia-fp: increase (4 subflows)"
-      (Staged.stage (fun () ->
-           ignore (olia_fp_cc.Mptcp_repro.Cc.Types.increase ~views ~idx:1)))
-  in
-  let balia_cc = Mptcp_repro.Cc.Balia.create () in
-  let balia_inc =
-    Test.make ~name:"balia: increase (4 subflows)"
-      (Staged.stage (fun () ->
-           ignore (balia_cc.Mptcp_repro.Cc.Types.increase ~views ~idx:1)))
-  in
-  let balia_fp_cc = Mptcp_repro.Cc.Balia_fp.create () in
-  let balia_fp_inc =
-    Test.make ~name:"balia-fp: increase (4 subflows)"
-      (Staged.stage (fun () ->
-           ignore (balia_fp_cc.Mptcp_repro.Cc.Types.increase ~views ~idx:1)))
-  in
-  let scen_c_solve =
-    Test.make ~name:"fluid: scenario C fixed point"
-      (Staged.stage (fun () ->
-           ignore (F.Scenario_c.lia (scen_c_params ~n1:10 ~c1:1.))))
-  in
-  let packet_sim =
-    Test.make ~name:"netsim: 1 TCP-second at 10 Mb/s"
-      (Staged.stage (fun () ->
-           let open Mptcp_repro.Netsim in
-           let sim = Sim.create () in
-           let rng = Rng.create ~seed:1 in
-           let q =
-             Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:100
-               ~discipline:Queue.Droptail ()
-           in
-           let fwd = Pipe.create ~sim ~delay:0.01 in
-           let rev = Pipe.create ~sim ~delay:0.01 in
-           let conn =
-             Tcp.create ~sim
-               ~cc:(Mptcp_repro.Cc.Reno.create ())
-               ~paths:
-                 [|
-                   {
-                     Tcp.fwd = [| Queue.hop q; Pipe.hop fwd |];
-                     rev = [| Pipe.hop rev |];
-                   };
-                 |]
-               ~flow_id:0 ()
-           in
-           Sim.run_until sim 1.;
-           ignore (Tcp.total_acked conn)))
-  in
-  let tests =
-    Test.make_grouped ~name:"mptcp_repro"
-      [
-        calibrate;
-        sim_heap;
-        olia_inc;
-        olia_fp_inc;
-        lia_inc;
-        balia_inc;
-        balia_fp_inc;
-        scen_c_solve;
-        packet_sim;
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | Some _ | None -> rows := (name, nan) :: !rows)
-    results;
-  List.sort compare !rows
-
-(* Best-of-N over whole Bechamel passes: OLS estimates occasionally spike
-   1.5-2x under scheduler interference, and noise only ever adds time, so
-   the per-test minimum is the robust statistic. This is what lets the
-   snapshot gate hold a 12% tolerance instead of 15%. *)
-let micro_estimates ?(reps = 1) () =
-  let rec go i acc =
-    if i >= reps then acc
-    else
-      let merged =
-        List.map2
-          (fun (name, est) (name', est') ->
-            assert (String.equal name name');
-            (name, Stdlib.min est est'))
-          acc
-          (micro_estimates_once ())
-      in
-      go (i + 1) merged
-  in
-  go 1 (micro_estimates_once ())
-
-let micro () =
-  section "Micro-benchmarks (Bechamel)";
-  List.iter
-    (fun (name, est) -> Printf.printf "%-45s %14.1f ns/run\n" name est)
-    (micro_estimates ())
-
-(* ----- perf snapshots (BENCH_*.json) ----------------------------------- *)
-
-module Obs = Mptcp_repro.Obs
-
-(* Wall-clock per simulated second on two representative scenarios,
-   best-of-N to shave scheduler noise. *)
-let scenario_wall_entries () =
-  let best_of n f =
-    let rec go i best =
-      if i >= n then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        f ();
-        go (i + 1) (Stdlib.min best (Unix.gettimeofday () -. t0))
-      end
-    in
-    go 0 infinity
-  in
-  let reps = 4 in
-  let sim_s = 40. in
-  let scen_a () =
-    ignore
-      (S.Scen_a.run { S.Scen_a.default with duration = sim_s; warmup = 10. })
-  in
-  let two_bottleneck () =
-    ignore
-      (S.Two_bottleneck.run
-         { S.Two_bottleneck.symmetric with duration = sim_s })
-  in
-  [
-    Obs.Snapshot.entry ~name:"scenario/scenario-a"
-      ~value:(best_of reps scen_a /. sim_s)
-      ~units:"s_wall/s_sim";
-    Obs.Snapshot.entry ~name:"scenario/two-bottleneck"
-      ~value:(best_of reps two_bottleneck /. sim_s)
-      ~units:"s_wall/s_sim";
-  ]
-
-(* ----- trace emission: armed vs disarmed -------------------------------- *)
+  probe ~name:(Printf.sprintf "micro/%s: increase (4 subflows)" name)
+    ~units:"ns/run" ~per:(float_of_int calls) (fun () ->
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (cc.increase ~views ~idx:1))
+      done)
 
 (* ns per emission through the instrumentation-site idiom (guard with
    Trace.enabled, then the scalar emitter). Disarmed is the cost every
-   simulation always pays — one ref read — and armed-ring is the
-   fixed-width record write into a bound per-domain ring, Drop_oldest
-   wraparound included. Tracked as two snapshot entries so the gate
-   catches both a fattened guard and a ring writer that starts
-   allocating or locking. *)
-let trace_micro_entries () =
-  let iters = 2_000_000 in
-  let time f =
-    (* best-of-4, same rationale as micro_estimates: noise only adds time *)
-    let best = ref infinity in
-    for _ = 1 to 4 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Stdlib.min !best (Unix.gettimeofday () -. t0)
+   simulation always pays (one ref read); armed-ring is the fixed-width
+   record write into a bound per-domain ring, Drop_oldest wraparound
+   included. *)
+let trace_probe name emissions =
+  probe ~name ~units:"ns/event" ~per:(float_of_int emissions) (fun () ->
+      for i = 1 to emissions do
+        if Obs.Trace.enabled () then
+          Obs.Trace.rtt_sample
+            ~time:(float_of_int i *. 1e-6)
+            ~flow:0 ~subflow:0 ~rtt:0.01 ~srtt:0.02
+      done)
+
+let disarmed_trace_probe () = trace_probe "micro/trace/emit-disarmed" 250_000
+
+(* Armed emission cannot share a round with the other entries: while
+   rings are armed every instrumented entry would trace too. So it
+   takes its windows in bursts of 20, every 20th round, with rings
+   armed around each burst. The ring holds 4096 records, so it stays
+   cache-resident and the page placement of a fresh ring does not set
+   the time; one untimed window fills it, so that every timed window
+   writes a wrapping ring. *)
+let armed_trace_probe () =
+  let p = trace_probe "micro/trace/emit-armed-ring" 25_000 in
+  let around f =
+    Obs.Trace.arm_rings ~capacity:4096 ();
+    Obs.Trace.bind_ring ~shard:0;
+    Obs.Trace.set_dispatch_ctx ~sched:0. ~cls:1 ~flow:0 ~subflow:0 ~pseq:0
+      ~kind:0;
+    p.window ();
+    f ();
+    Obs.Trace.disarm_rings ()
+  in
+  { p with every = 20; burst = 20; around }
+
+let micro_probes () =
+  let module Cc = Mptcp_repro.Cc in
+  let module N = Mptcp_repro.Netsim in
+  let sim_heap () =
+    let sim = N.Sim.create () in
+    for i = 0 to 999 do
+      ignore
+        (N.Sim.schedule_at ~src:"bench.micro" sim
+           (float_of_int ((i * 7919) mod 1000))
+           (fun () -> ())
+          : N.Sim.Timer.t)
     done;
-    !best /. float_of_int iters *. 1e9
+    N.Sim.run sim
   in
-  let burst () =
-    for i = 1 to iters do
-      if Obs.Trace.enabled () then
-        Obs.Trace.rtt_sample
-          ~time:(float_of_int i *. 1e-6)
-          ~flow:0 ~subflow:0 ~rtt:0.01 ~srtt:0.02
-    done
+  let tcp_second () =
+    let sim = N.Sim.create () in
+    let q =
+      N.Queue.create ~sim ~rng:(N.Rng.create ~seed:1) ~rate_bps:10e6
+        ~buffer_pkts:100 ~discipline:N.Queue.Droptail ()
+    in
+    let fwd = N.Pipe.create ~sim ~delay:0.01 in
+    let rev = N.Pipe.create ~sim ~delay:0.01 in
+    let conn =
+      N.Tcp.create ~sim ~cc:(Cc.Reno.create ())
+        ~paths:
+          [|
+            {
+              N.Tcp.fwd = [| N.Queue.hop q; N.Pipe.hop fwd |];
+              rev = [| N.Pipe.hop rev |];
+            };
+          |]
+        ~flow_id:0 ()
+    in
+    N.Sim.run_until sim 1.;
+    ignore (Sys.opaque_identity (N.Tcp.total_acked conn))
   in
-  let disarmed = time burst in
-  Obs.Trace.arm_rings ~capacity:(1 lsl 16) ();
-  Obs.Trace.bind_ring ~shard:0;
-  Obs.Trace.set_dispatch_ctx ~sched:0. ~cls:1 ~flow:0 ~subflow:0 ~pseq:0
-    ~kind:0;
-  let armed = time burst in
-  Obs.Trace.disarm_rings ();
+  let scen_c_solve () =
+    ignore
+      (Sys.opaque_identity (F.Scenario_c.lia (scen_c_params ~n1:10 ~c1:1.)))
+  in
   [
-    Obs.Snapshot.entry ~name:"micro/trace/emit-disarmed" ~value:disarmed
-      ~units:"ns/event";
-    Obs.Snapshot.entry ~name:"micro/trace/emit-armed-ring" ~value:armed
-      ~units:"ns/event";
+    probe ~name:"micro/sim: schedule+run 1k events" ~units:"ns/run" ~per:8.
+      (repeat 8 sim_heap);
   ]
+  @ List.map cc_probe
+      [
+        ("olia", 4_000, Cc.Olia.create ());
+        ("olia-fp", 2_000, Cc.Olia_fp.create ());
+        ("lia", 25_000, Cc.Lia.create ());
+        ("balia", 16_000, Cc.Balia.create ());
+        ("balia-fp", 5_000, Cc.Balia_fp.create ());
+      ]
+  @ [
+      probe ~name:"micro/fluid: scenario C fixed point" ~units:"ns/run"
+        ~per:600. (repeat 600 scen_c_solve);
+      probe ~every:2 ~name:"micro/netsim: 1 TCP-second at 10 Mb/s"
+        ~units:"ns/run" ~per:5. (repeat 5 tcp_second);
+      disarmed_trace_probe ();
+    ]
+
+(* Wall-clock per simulated second of two representative scenarios. A
+   window is a whole 40 s run (about 40 ms), so each takes a turn every
+   20th round. *)
+let scenario_probes () =
+  let sim_s = 40. in
+  let scenario name run =
+    probe ~every:20 ~name:("scenario/" ^ name) ~units:"s_wall/s_sim"
+      ~per:(sim_s *. 1e9) (fun () -> ignore (Sys.opaque_identity (run ())))
+  in
+  [
+    scenario "scenario-a" (fun () ->
+        S.Scen_a.run { S.Scen_a.default with duration = sim_s; warmup = 10. });
+    scenario "two-bottleneck" (fun () ->
+        S.Two_bottleneck.run
+          { S.Two_bottleneck.symmetric with duration = sim_s });
+  ]
+
+let print_entries entries =
+  List.iter
+    (fun (e : Obs.Snapshot.entry) ->
+      Printf.printf "%-45s %12.5g %-12s spread %5.1f%%  tolerance %s\n"
+        e.Obs.Snapshot.name e.median e.units (100. *. e.spread)
+        (if e.gated then
+           Printf.sprintf "%.1f%%" (100. *. Obs.Snapshot.tolerance e)
+         else "ungated"))
+    entries
+
+let micro () =
+  section "Micro-benchmarks (kernel-scaled windows)";
+  print_entries (measure (micro_probes ()))
 
 let trace_micro () =
   section "Micro - trace emission, armed ring vs disarmed guard";
-  List.iter
-    (fun (e : Obs.Snapshot.entry) ->
-      Printf.printf "%-32s %8.2f %s\n" e.Obs.Snapshot.name e.Obs.Snapshot.value
-        e.Obs.Snapshot.units)
-    (trace_micro_entries ())
-
-(* ----- macro FatTree: sharded vs sequential ----------------------------- *)
-
-(* Wall-clock per simulated second of the fattree-sharded scenario, run
-   sequentially and sharded across domains with the same seed. Tracked
-   as two snapshot entries so the bench-smoke gate catches regressions
-   in either the single-wheel hot path or the cross-shard runtime. *)
-let fattree_macro_cfg () =
-  if !quick then
-    { S.Fattree_sharded.default with k = 4; flows_per_host = 4;
-      duration = 3.; warmup = 1. }
-  else { S.Fattree_sharded.default with duration = 3.; warmup = 1. }
-
-let fattree_macro_shards () = if !quick then 2 else 4
-
-let fattree_macro_walls () =
-  let cfg = fattree_macro_cfg () in
-  (* best-of-3, same rationale as micro_estimates: noise only adds time.
-     The traced leg arms per-worker rings around each rep (Drop_oldest:
-     wrap rather than fail — the records are discarded, only the
-     emission cost is under measurement). *)
-  let time ?(traced = false) shards =
-    let rec go i best =
-      if i >= 3 then best
-      else begin
-        if traced then Obs.Trace.arm_rings ~capacity:(1 lsl 19) ();
-        let t0 = Unix.gettimeofday () in
-        ignore
-          (S.Fattree_sharded.run { cfg with S.Fattree_sharded.shards }
-            : S.Fattree_sharded.result);
-        let dt = Unix.gettimeofday () -. t0 in
-        if traced then Obs.Trace.disarm_rings ();
-        go (i + 1) (Stdlib.min best dt)
-      end
-    in
-    go 0 infinity
-  in
-  let seq = time 1 in
-  let shards = fattree_macro_shards () in
-  (cfg, shards, seq, time shards, time ~traced:true shards)
-
-let fattree_macro_entries () =
-  let cfg, shards, seq, shd, traced = fattree_macro_walls () in
-  let per_sim wall = wall /. cfg.S.Fattree_sharded.duration in
-  [
-    Obs.Snapshot.entry ~name:"macro/fattree/sequential" ~value:(per_sim seq)
-      ~units:"s_wall/s_sim";
-    Obs.Snapshot.entry
-      ~name:(Printf.sprintf "macro/fattree/shards%d" shards)
-      ~value:(per_sim shd) ~units:"s_wall/s_sim";
-    Obs.Snapshot.entry
-      ~name:(Printf.sprintf "macro/fattree/shards%d-traced" shards)
-      ~value:(per_sim traced) ~units:"s_wall/s_sim";
-  ]
-
-let macro_fattree () =
-  section "Macro - FatTree sharded vs sequential wall-clock";
-  let cfg, shards, seq, shd, traced = fattree_macro_walls () in
-  Printf.printf
-    "k=%d, %d flows, %g simulated seconds\n\
-     sequential   %.2f s wall (%.3f s_wall/s_sim)\n\
-     %d shards    %.2f s wall (%.3f s_wall/s_sim)\n\
-     speedup      %.2fx\n\
-     traced       %.2f s wall (ring tracing overhead %.1f%%)\n"
-    cfg.S.Fattree_sharded.k
-    (cfg.S.Fattree_sharded.k * cfg.S.Fattree_sharded.k
-     * cfg.S.Fattree_sharded.k / 4
-    * cfg.S.Fattree_sharded.flows_per_host)
-    cfg.S.Fattree_sharded.duration seq
-    (seq /. cfg.S.Fattree_sharded.duration)
-    shards shd
-    (shd /. cfg.S.Fattree_sharded.duration)
-    (seq /. shd) traced
-    (100. *. ((traced /. shd) -. 1.))
-
-let contains_substring ~needle hay =
-  let nn = String.length needle and nh = String.length hay in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+  print_entries
+    (measure [ disarmed_trace_probe (); armed_trace_probe () ])
 
 let take_snapshot () =
   section "Perf snapshot";
   let entries =
-    List.map
-      (fun (name, est) ->
-        (* the calibration row keeps its canonical entry name so
-           Snapshot.regressions can find it in both snapshots *)
-        if contains_substring ~needle:calibration_name name then
-          Obs.Snapshot.entry ~name:Obs.Snapshot.calibration_entry ~value:est
-            ~units:"ns/run"
-        else Obs.Snapshot.entry ~name:("micro/" ^ name) ~value:est
-            ~units:"ns/run")
-      (micro_estimates ~reps:3 ())
-    @ scenario_wall_entries ()
-    @ trace_micro_entries ()
-    @ fattree_macro_entries ()
+    measure (micro_probes () @ scenario_probes () @ [ armed_trace_probe () ])
   in
-  Obs.Snapshot.v ~quick:!quick entries
+  print_entries entries;
+  entries
 
-(* Returns false when the baseline comparison found regressions. *)
-let snapshot_and_compare ~path ~baseline ~tolerance =
+(* Returns false when the gate fails against the baseline. *)
+let snapshot_and_compare ~path ~baseline =
   let snap = take_snapshot () in
   Obs.Snapshot.write ~path snap;
-  Printf.printf "wrote %s (%d entries)\n" path
-    (List.length snap.Obs.Snapshot.entries);
+  Printf.printf "wrote %s (%d entries)\n" path (List.length snap);
   match baseline with
   | None -> true
   | Some bpath -> (
@@ -1193,35 +1096,30 @@ let snapshot_and_compare ~path ~baseline ~tolerance =
       Printf.eprintf "cannot read baseline %s: %s\n" bpath e;
       false
     | Ok base ->
-      let regs =
-        Obs.Snapshot.regressions ~baseline:base ~current:snap ~tolerance ()
+      let rows = Obs.Snapshot.gate ~baseline:base ~current:snap in
+      Printf.printf "gate vs %s:\n" bpath;
+      List.iter
+        (fun (r : Obs.Snapshot.row) ->
+          Printf.printf "  %-10s %-45s %10.4g -> %10.4g  %6.3fx  limit %s\n"
+            (Obs.Snapshot.verdict_name r.verdict)
+            r.name r.baseline r.current r.ratio
+            (if r.verdict = Obs.Snapshot.Ungated then "-"
+             else Printf.sprintf "%.3fx" (1. +. r.tolerance)))
+        rows;
+      let ungated =
+        List.filter_map
+          (fun (r : Obs.Snapshot.row) ->
+            if r.verdict = Obs.Snapshot.Ungated then Some r.name else None)
+          rows
       in
-      (match
-         ( Obs.Snapshot.find base Obs.Snapshot.calibration_entry,
-           Obs.Snapshot.find snap Obs.Snapshot.calibration_entry )
-       with
-      | Some b, Some c ->
-        Printf.printf
-          "calibration: baseline %.1f ns, here %.1f ns (normalizing by \
-           %.2fx)\n"
-          b c (b /. c)
-      | _ -> print_endline "calibration entry missing: comparing raw values");
-      if regs = [] then begin
-        Printf.printf "no perf regressions vs %s (tolerance %.0f%%)\n" bpath
-          (100. *. tolerance);
-        true
-      end
-      else begin
-        List.iter
-          (fun (r : Obs.Snapshot.regression) ->
-            Printf.printf
-              "REGRESSION %-45s baseline %.4g -> current %.4g (%.2fx, limit \
-               %.2fx)\n"
-              r.Obs.Snapshot.name r.Obs.Snapshot.baseline
-              r.Obs.Snapshot.current r.Obs.Snapshot.ratio (1. +. tolerance))
-          regs;
-        false
-      end)
+      Printf.printf "ungated: %s\n"
+        (if ungated = [] then "none" else String.concat ", " ungated);
+      let failed = Obs.Snapshot.regressions ~baseline:base ~current:snap in
+      if failed = [] then Printf.printf "no perf regressions vs %s\n" bpath
+      else
+        Printf.printf "%d entries fail the gate vs %s\n" (List.length failed)
+          bpath;
+      failed = [])
 
 (* ----- driver ----------------------------------------------------------- *)
 
@@ -1255,19 +1153,17 @@ let targets : (string * string * (unit -> unit)) list =
     ("ablation-conv", "fluid-model convergence", ablation_convergence);
     ("ablation-wireless", "wireless bonding (ref. [12])", ablation_wireless);
     ("ablation-seeds", "seed stability", ablation_seeds);
-    ("micro", "Bechamel micro-benchmarks", micro);
+    ("micro", "hot-path micro-benchmarks", micro);
     ("micro-trace", "trace emission, armed ring vs disarmed", trace_micro);
-    ("macro-fattree", "FatTree sharded vs sequential wall-clock", macro_fattree);
   ]
 
 let () =
   let snapshot_path = ref None in
   let baseline_path = ref None in
-  let tolerance = ref 0.12 in
   let usage () =
     print_endline
-      "usage: bench [--quick] [--list] [--snapshot FILE [--baseline FILE] \
-       [--tolerance F]] [TARGET...]";
+      "usage: bench [--quick] [--list] [--snapshot FILE [--baseline FILE]] \
+       [TARGET...]";
     List.iter (fun (n, d, _) -> Printf.printf "%-14s %s\n" n d) targets
   in
   let value flag = function
@@ -1292,15 +1188,6 @@ let () =
       let v, rest = value "--baseline" rest in
       baseline_path := Some v;
       parse names rest
-    | "--tolerance" :: rest -> (
-      let v, rest = value "--tolerance" rest in
-      match float_of_string_opt v with
-      | Some f when f > 0. ->
-        tolerance := f;
-        parse names rest
-      | Some _ | None ->
-        Printf.eprintf "--tolerance needs a positive float, got %s\n" v;
-        exit 1)
     | a :: _ when String.length a > 0 && a.[0] = '-' ->
       Printf.eprintf "unknown flag %s\n" a;
       usage ();
@@ -1335,7 +1222,6 @@ let () =
     | None -> true
     | Some path ->
       snapshot_and_compare ~path ~baseline:!baseline_path
-        ~tolerance:!tolerance
   in
   Printf.printf "\nall targets finished in %.1f s\n" (Unix.gettimeofday () -. t0);
   if not ok then exit 1

@@ -301,9 +301,16 @@ module Barrier = struct
     Mutex.unlock b.lock
 end
 
+(* The smallest [w >= 1] whose boundary [float w *. lookahead] reaches
+   [horizon], tested with the arithmetic the window loop uses for its
+   boundaries. The rounded quotient is within one window of it. *)
 let windows ~lookahead ~horizon =
   if horizon <= 0. then 0
-  else Stdlib.max 1 (int_of_float (ceil ((horizon /. lookahead) -. 1e-9)))
+  else
+    let reaches w = float_of_int w *. lookahead >= horizon in
+    let rec up w = if reaches w then down w else up (w + 1)
+    and down w = if w > 1 && reaches (w - 1) then down (w - 1) else w in
+    up (Stdlib.max 1 (int_of_float (Float.ceil (horizon /. lookahead))))
 
 let drain ingress sim =
   match ingress with

@@ -135,7 +135,10 @@ val merge : msg list list -> msg list
     ("merged dispatch order equals the sequential order"). *)
 
 val windows : lookahead:float -> horizon:float -> int
-(** Number of lockstep windows needed to reach [horizon]. *)
+(** Number of lockstep windows needed to reach [horizon]: the smallest
+    [w >= 1] with [float w *. lookahead >= horizon] (0 when [horizon <=
+    0.]), so the last window's boundary never falls short of the
+    horizon. *)
 
 val run_windows :
   pool:((unit -> unit) array -> unit) -> t -> horizon:float -> unit

@@ -1,40 +1,56 @@
 (* Machine-readable perf snapshots (BENCH_*.json) and the regression
-   comparison CI gates on. A snapshot is a flat list of named scalar
-   entries where lower is better: Bechamel hot-path estimates in
-   ns/run, scenario wall-clock per simulated second. A committed
-   baseline and a fresh snapshot from the same machine diff directly;
-   across machines the "calibrate/int_work" entry (a fixed busy loop
-   timed by the same harness) normalizes raw speed away. *)
+   gate CI runs on them. A snapshot is a flat list of named entries,
+   lower is better, each the median of many kernel-scaled timing
+   windows plus the spread of those windows: their interquartile range
+   over the median (bench/main.ml takes them).
+
+   The gate derives each entry's tolerance from the spread the baseline
+   recorded for it, by one formula and with no tolerance set by hand:
+
+     tolerance = max floor spread,  floor = 12%
+
+   so a current median fails when it lies above the baseline median by
+   more than the middle half of the baseline's own windows spans, and
+   by more than 12%. An entry whose spread exceeds twice the floor is
+   recorded ungated: its gate could not tell a slowdown of twice the
+   size the floor is set for from noise. *)
 
 module Json = Repro_stats.Json
 
-let schema = "olia-bench/1"
-let calibration_entry = "calibrate/int_work"
+let schema = "olia-bench/2"
+let floor = 0.12
 
-type entry = { name : string; value : float; units : string }
-type t = { quick : bool; entries : entry list }
+type entry = {
+  name : string;
+  median : float;
+  spread : float;
+  units : string;
+  gated : bool;
+}
 
-let v ~quick entries = { quick; entries }
-let entry ~name ~value ~units = { name; value; units }
+type t = entry list
 
-let find t name =
-  List.find_opt (fun e -> e.name = name) t.entries
-  |> Option.map (fun e -> e.value)
+let entry ~name ~median ~spread ~units =
+  { name; median; spread; units; gated = spread <= 2. *. floor }
+
+let tolerance e = Float.max floor e.spread
+let find t name = List.find_opt (fun e -> e.name = name) t
 
 let entry_to_json e =
   Json.Obj
     [
       ("name", Json.String e.name);
-      ("value", Json.Float e.value);
+      ("median", Json.Float e.median);
+      ("spread", Json.Float e.spread);
       ("units", Json.String e.units);
+      ("gated", Json.Bool e.gated);
     ]
 
 let to_json t =
   Json.Obj
     [
       ("schema", Json.String schema);
-      ("quick", Json.Bool t.quick);
-      ("entries", Json.List (List.map entry_to_json t.entries));
+      ("entries", Json.List (List.map entry_to_json t));
     ]
 
 let ( let* ) = Result.bind
@@ -46,19 +62,23 @@ let entry_of_json = function
       | Some (Json.String s) -> Ok s
       | _ -> Error "entry missing string \"name\""
     in
-    let* value =
-      match List.assoc_opt "value" fields with
+    let number key =
+      match List.assoc_opt key fields with
       | Some (Json.Float f) -> Ok f
       | Some (Json.Int i) -> Ok (float_of_int i)
       | Some Json.Null -> Ok nan
-      | _ -> Error (Printf.sprintf "entry %S missing numeric \"value\"" name)
+      | _ -> Error (Printf.sprintf "entry %S missing numeric %S" name key)
     in
+    let* median = number "median" in
+    let* spread = number "spread" in
     let* units =
       match List.assoc_opt "units" fields with
       | Some (Json.String s) -> Ok s
       | _ -> Error (Printf.sprintf "entry %S missing string \"units\"" name)
     in
-    Ok { name; value; units }
+    (* "gated" is written for the reader; it is derived again here, so
+       no file can ungate an entry by hand *)
+    Ok (entry ~name ~median ~spread ~units)
   | _ -> Error "snapshot entry is not a JSON object"
 
 let rec map_result f = function
@@ -69,69 +89,80 @@ let rec map_result f = function
     Ok (y :: ys)
 
 let of_json = function
-  | Json.Obj fields ->
+  | Json.Obj fields -> (
     let* () =
       match List.assoc_opt "schema" fields with
       | Some (Json.String s) when s = schema -> Ok ()
       | Some (Json.String s) ->
-        Error (Printf.sprintf "unsupported snapshot schema %S" s)
+        Error
+          (Printf.sprintf "unsupported snapshot schema %S (expected %S)" s
+             schema)
       | _ -> Error "snapshot missing \"schema\""
     in
-    let* quick =
-      match List.assoc_opt "quick" fields with
-      | Some (Json.Bool b) -> Ok b
-      | _ -> Error "snapshot missing bool \"quick\""
-    in
-    let* entries =
-      match List.assoc_opt "entries" fields with
-      | Some (Json.List l) -> map_result entry_of_json l
-      | _ -> Error "snapshot missing \"entries\" list"
-    in
-    Ok { quick; entries }
+    match List.assoc_opt "entries" fields with
+    | Some (Json.List l) -> map_result entry_of_json l
+    | _ -> Error "snapshot missing \"entries\" list")
   | _ -> Error "snapshot is not a JSON object"
 
 let write ~path t = Json.write ~path (to_json t)
 
 let read ~path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
+  | s ->
     let* json = Json.of_string s in
     of_json json
 
-type regression = {
+type verdict = Pass | Regressed | Ungated | Missing | Invalid
+
+let verdict_name = function
+  | Pass -> "ok"
+  | Regressed -> "REGRESSED"
+  | Ungated -> "ungated"
+  | Missing -> "MISSING"
+  | Invalid -> "INVALID"
+
+type row = {
   name : string;
   baseline : float;
   current : float;
-  ratio : float;  (** normalized current / baseline; > 1 means slower *)
+  ratio : float;
+  tolerance : float;
+  verdict : verdict;
 }
 
-let usable v = Float.is_finite v && v > 0.
+let valid e =
+  Float.is_finite e.median && e.median > 0. && Float.is_finite e.spread
+  && e.spread >= 0.
 
-(* All entries are lower-is-better; an entry regressed when its
-   (optionally machine-normalized) ratio exceeds 1 + tolerance. Entries
-   absent from the baseline are new work, not regressions; degenerate
-   values are skipped rather than divided by. *)
-let regressions ?(normalize_by = calibration_entry) ~baseline ~current
-    ~tolerance () =
-  let scale =
-    match (find baseline normalize_by, find current normalize_by) with
-    | Some b, Some c when usable b && usable c -> b /. c
-    | _ -> 1.
-  in
-  List.filter_map
-    (fun (e : entry) ->
-      if e.name = normalize_by then None
-      else
-        match find baseline e.name with
-        | None -> None
-        | Some base when not (usable base && usable e.value) -> None
-        | Some base ->
-          let ratio = e.value *. scale /. base in
-          if ratio > 1. +. tolerance then
-            Some { name = e.name; baseline = base; current = e.value; ratio }
-          else None)
-    current.entries
+(* One row per baseline entry, in baseline order. Entries only the
+   current snapshot has are new work, not regressions. *)
+let gate ~baseline ~current =
+  List.map
+    (fun (b : entry) ->
+      let current, verdict =
+        match find current b.name with
+        | None -> (nan, Missing)
+        | Some c when not (valid b && valid c) -> (c.median, Invalid)
+        | Some c when not b.gated -> (c.median, Ungated)
+        | Some c when c.median /. b.median > 1. +. tolerance b ->
+          (c.median, Regressed)
+        | Some c -> (c.median, Pass)
+      in
+      {
+        name = b.name;
+        baseline = b.median;
+        current;
+        ratio = current /. b.median;
+        tolerance = tolerance b;
+        verdict;
+      })
+    baseline
+
+let failed r =
+  match r.verdict with
+  | Regressed | Missing | Invalid -> true
+  | Pass | Ungated -> false
+
+let regressions ~baseline ~current =
+  List.filter failed (gate ~baseline ~current)

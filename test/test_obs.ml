@@ -301,32 +301,38 @@ let test_tracing_off_noop () =
 
 (* --- perf snapshots --------------------------------------------------- *)
 
-let snap entries = Snapshot.v ~quick:true entries
+let entry ?(spread = 0.05) name median =
+  Snapshot.entry ~name ~median ~spread ~units:"ns/run"
 
-let test_snapshot_round_trip () =
+let with_file contents f =
   let path = Filename.temp_file "olia_bench" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let t =
-        snap
-          [
-            Snapshot.entry ~name:Snapshot.calibration_entry ~value:1000.
-              ~units:"ns/run";
-            Snapshot.entry ~name:"micro/olia-increase" ~value:250.5
-              ~units:"ns/run";
-            Snapshot.entry ~name:"scenario/scenario-a" ~value:0.02
-              ~units:"s_wall/s_sim";
-          ]
-      in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc contents);
+      f path)
+
+let test_snapshot_round_trip () =
+  let t =
+    [
+      entry ~spread:0.31 "micro/olia-increase" 250.5;
+      Snapshot.entry ~name:"scenario/scenario-a" ~median:0.02 ~spread:0.08
+        ~units:"s_wall/s_sim";
+    ]
+  in
+  with_file "" (fun path ->
       Snapshot.write ~path t;
       match Snapshot.read ~path with
       | Error e -> Alcotest.fail e
       | Ok t' ->
         Alcotest.(check bool) "round-trips" true (t = t');
-        Alcotest.(check (option (float 1e-9)))
-          "find" (Some 250.5)
-          (Snapshot.find t' "micro/olia-increase"))
+        match Snapshot.find t' "micro/olia-increase" with
+        | None -> Alcotest.fail "entry lost"
+        | Some e ->
+          Alcotest.(check (float 1e-9)) "median" 250.5 e.Snapshot.median;
+          Alcotest.(check (float 1e-9)) "spread" 0.31 e.Snapshot.spread;
+          Alcotest.(check bool) "too wide to gate" false e.Snapshot.gated)
 
 let test_snapshot_read_rejects () =
   let path = Filename.temp_file "olia_bench" ".json" in
@@ -341,65 +347,88 @@ let test_snapshot_read_rejects () =
       | Ok _ -> Alcotest.fail "accepted a foreign schema")
 
 let test_regressions_flag_slowdowns () =
-  let baseline =
-    snap
-      [
-        Snapshot.entry ~name:Snapshot.calibration_entry ~value:1000.
-          ~units:"ns/run";
-        Snapshot.entry ~name:"micro/a" ~value:100. ~units:"ns/run";
-        Snapshot.entry ~name:"micro/b" ~value:100. ~units:"ns/run";
-      ]
-  in
+  let baseline = [ entry "micro/a" 100.; entry "micro/b" 100. ] in
   let current =
-    snap
-      [
-        Snapshot.entry ~name:Snapshot.calibration_entry ~value:1000.
-          ~units:"ns/run";
-        Snapshot.entry ~name:"micro/a" ~value:150. ~units:"ns/run";
-        Snapshot.entry ~name:"micro/b" ~value:110. ~units:"ns/run";
-        Snapshot.entry ~name:"micro/new" ~value:999. ~units:"ns/run";
-      ]
+    [ entry "micro/a" 150.; entry "micro/b" 110.; entry "micro/new" 999. ]
   in
-  match Snapshot.regressions ~baseline ~current ~tolerance:0.2 () with
+  match Snapshot.regressions ~baseline ~current with
   | [ r ] ->
     Alcotest.(check string) "only the 1.5x entry" "micro/a" r.Snapshot.name;
     Alcotest.(check (float 1e-9)) "ratio" 1.5 r.Snapshot.ratio
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length rs))
 
-let test_regressions_normalize_by_calibration () =
-  let baseline =
-    snap
-      [
-        Snapshot.entry ~name:Snapshot.calibration_entry ~value:1000.
-          ~units:"ns/run";
-        Snapshot.entry ~name:"micro/a" ~value:100. ~units:"ns/run";
-      ]
+(* The tolerance is the baseline's spread, never below the floor: a
+   1.15x slowdown fails an entry whose windows agree to 5% and passes
+   one whose windows spread 20%. *)
+let test_regressions_derive_tolerance () =
+  let verdict ~spread ratio =
+    match
+      Snapshot.gate
+        ~baseline:[ entry ~spread "micro/a" 100. ]
+        ~current:[ entry "micro/a" (100. *. ratio) ]
+    with
+    | [ r ] -> (r.Snapshot.tolerance, r.Snapshot.verdict)
+    | _ -> Alcotest.fail "expected one row"
   in
-  (* a machine uniformly 2x slower: calibration doubles with the
-     workload, so nothing is a regression *)
-  let current =
-    snap
-      [
-        Snapshot.entry ~name:Snapshot.calibration_entry ~value:2000.
-          ~units:"ns/run";
-        Snapshot.entry ~name:"micro/a" ~value:200. ~units:"ns/run";
-      ]
-  in
-  Alcotest.(check int)
-    "uniform slowdown normalizes away" 0
-    (List.length (Snapshot.regressions ~baseline ~current ~tolerance:0.2 ()));
-  (* but a genuine 1.5x on top of it is still caught *)
-  let current =
-    snap
-      [
-        Snapshot.entry ~name:Snapshot.calibration_entry ~value:2000.
-          ~units:"ns/run";
-        Snapshot.entry ~name:"micro/a" ~value:300. ~units:"ns/run";
-      ]
-  in
-  Alcotest.(check int)
-    "real slowdown survives normalization" 1
-    (List.length (Snapshot.regressions ~baseline ~current ~tolerance:0.2 ()))
+  let tol, v = verdict ~spread:0.05 1.15 in
+  Alcotest.(check (float 1e-12)) "floor" Snapshot.floor tol;
+  Alcotest.(check bool) "1.15x over the floor fails" true (v = Snapshot.Regressed);
+  let tol, v = verdict ~spread:0.2 1.15 in
+  Alcotest.(check (float 1e-12)) "spread above the floor" 0.2 tol;
+  Alcotest.(check bool) "1.15x inside the spread passes" true (v = Snapshot.Pass);
+  let _, v = verdict ~spread:0.2 1.25 in
+  Alcotest.(check bool) "1.25x beyond the spread fails" true (v = Snapshot.Regressed)
+
+(* An ungated baseline entry gets its own verdict, whatever the current
+   value: the gate reports it rather than counting it as a pass. *)
+let test_gate_reports_ungated () =
+  let baseline = [ entry ~spread:0.4 "micro/noisy" 10.; entry "micro/a" 100. ] in
+  let current = [ entry "micro/noisy" 30.; entry "micro/a" 100. ] in
+  let rows = Snapshot.gate ~baseline ~current in
+  Alcotest.(check (list string))
+    "ungated" [ "micro/noisy" ]
+    (List.filter_map
+       (fun (r : Snapshot.row) ->
+         if r.verdict = Snapshot.Ungated then Some r.name else None)
+       rows);
+  Alcotest.(check int) "and it fails nothing" 0
+    (List.length (Snapshot.regressions ~baseline ~current))
+
+let test_gate_fails_missing_entry () =
+  let baseline = [ entry "micro/a" 100.; entry "micro/gone" 100. ] in
+  match Snapshot.regressions ~baseline ~current:[ entry "micro/a" 100. ] with
+  | [ r ] ->
+    Alcotest.(check string) "the dropped entry" "micro/gone" r.Snapshot.name;
+    Alcotest.(check bool) "missing" true (r.Snapshot.verdict = Snapshot.Missing)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 1 failure, got %d" (List.length rs))
+
+let test_gate_fails_invalid_value () =
+  List.iter
+    (fun bad ->
+      match
+        Snapshot.regressions
+          ~baseline:[ entry "micro/a" 100. ]
+          ~current:[ entry "micro/a" bad ]
+      with
+      | [ r ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%g is invalid" bad)
+          true
+          (r.Snapshot.verdict = Snapshot.Invalid)
+      | _ -> Alcotest.fail (Printf.sprintf "%g passed the gate" bad))
+    [ nan; infinity; 0.; -1. ]
+
+let test_snapshot_read_refuses_schema_1 () =
+  with_file
+    {|{"schema":"olia-bench/1","quick":true,"entries":[{"name":"micro/a","value":1.0,"units":"ns/run"}]}|}
+    (fun path ->
+      match Snapshot.read ~path with
+      | Ok _ -> Alcotest.fail "accepted a schema-1 snapshot"
+      | Error e ->
+        Alcotest.(check string)
+          "names the schema"
+          {|unsupported snapshot schema "olia-bench/1" (expected "olia-bench/2")|}
+          e)
 
 (* --- flight-recorder reports ------------------------------------------ *)
 
@@ -1030,8 +1059,8 @@ let suite =
       test_snapshot_read_rejects;
     Alcotest.test_case "regression gate flags slowdowns" `Quick
       test_regressions_flag_slowdowns;
-    Alcotest.test_case "regression gate normalizes by calibration" `Quick
-      test_regressions_normalize_by_calibration;
+    Alcotest.test_case "regression gate derives tolerance from spread" `Quick
+      test_regressions_derive_tolerance;
     Alcotest.test_case "report accumulates queue and subflow stats" `Quick
       test_report_accumulates;
     Alcotest.test_case "report replays JSONL traces offline" `Quick
@@ -1063,4 +1092,12 @@ let suite =
       test_profile_accounting;
     Alcotest.test_case "profiler attributes event-loop sources" `Quick
       test_profile_attributes_sim_sources;
+    Alcotest.test_case "gate reports an ungated entry" `Quick
+      test_gate_reports_ungated;
+    Alcotest.test_case "gate fails a missing entry" `Quick
+      test_gate_fails_missing_entry;
+    Alcotest.test_case "gate fails a non-finite or non-positive value" `Quick
+      test_gate_fails_invalid_value;
+    Alcotest.test_case "snapshot read refuses schema 1 by name" `Quick
+      test_snapshot_read_refuses_schema_1;
   ]

@@ -139,7 +139,14 @@ let test_windows () =
   Alcotest.(check int) "exact" 10 (Shard.windows ~lookahead:0.001 ~horizon:0.01);
   Alcotest.(check int) "ragged" 11 (Shard.windows ~lookahead:0.001 ~horizon:0.0101);
   Alcotest.(check int) "sub-window" 1 (Shard.windows ~lookahead:1. ~horizon:0.5);
-  Alcotest.(check int) "empty" 0 (Shard.windows ~lookahead:1. ~horizon:0.)
+  Alcotest.(check int) "empty" 0 (Shard.windows ~lookahead:1. ~horizon:0.);
+  (* 11 *. 1e-3 = 0.011 falls one ulp short of 110 *. 1e-4 *)
+  Alcotest.(check int)
+    "quotient rounds down" 12
+    (Shard.windows ~lookahead:1e-3 ~horizon:(110. *. 1e-4));
+  Alcotest.(check int)
+    "one ulp past a boundary" 3001
+    (Shard.windows ~lookahead:1e-3 ~horizon:(Float.succ 3.0))
 
 (* --- channels fed at admission ------------------------------------------ *)
 
