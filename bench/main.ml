@@ -946,8 +946,7 @@ let cc_probe (name, calls, (cc : Mptcp_repro.Cc.Types.t)) =
 (* ns per emission through the instrumentation-site idiom (guard with
    Trace.enabled, then the scalar emitter). Disarmed is the cost every
    simulation always pays (one ref read); armed-ring is the fixed-width
-   record write into a bound per-domain ring, Drop_oldest wraparound
-   included. *)
+   record write into a bound per-domain ring, wraparound included. *)
 let trace_probe name emissions =
   probe ~name ~units:"ns/event" ~per:(float_of_int emissions) (fun () ->
       for i = 1 to emissions do

@@ -5,14 +5,14 @@
      run <scenario> [-p k=v]...             any registry scenario, one point
      sweep <scenario> [-x k=axis]...        multicore parameter sweep
      report <trace.jsonl>                   flight-recorder trace analysis
-     fluid                                  analytical fixed points
-     shard-invariance                       sharded-vs-sequential CI gate
+     fluid <a|b|c>                          analytical fixed points
+     shard-invariance <scenario> [-p k=v]...  1-shard vs N-shard CI gate
      check                                  conformance + golden traces
 
    Every packet simulation runs through the scenario registry ([run],
-   [sweep]). [fluid] stays a subcommand of its own: it solves the fluid
-   model's fixed points, runs no simulation, and has no registry
-   [Spec]/[Outcome]. *)
+   [sweep], [shard-invariance]). [fluid] stays a subcommand of its own:
+   it solves the fluid model's fixed points, runs no simulation, and
+   has no registry [Spec]/[Outcome]. *)
 
 open Cmdliner
 module S = Mptcp_repro.Scenarios
@@ -20,17 +20,6 @@ module E = Mptcp_repro.Exp
 module F = Mptcp_repro.Fluid
 
 (* --- common options ---------------------------------------------------- *)
-
-let algo =
-  let doc =
-    "Congestion control: reno, lia, olia, balia, cubic, scalable, wvegas or \
-     coupled:<eps>."
-  in
-  Arg.(value & opt string "olia" & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-
-let seed =
-  let doc = "PRNG seed (runs are deterministic given the seed)." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let n1 =
   let doc = "Number of multipath (type-1) users." in
@@ -182,6 +171,17 @@ let sharded_scenario_names () =
     (fun n -> has_shards_param (S.Registry.find n))
     S.Registry.names
 
+(* Refuses a scenario that declares no [shards] parameter, naming the
+   ones that do. *)
+let require_shards cmd name (module Sc : S.Registry.SCENARIO) =
+  if not (has_shards_param (module Sc)) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: scenario %s has no 'shards' parameter and always runs on one \
+          event loop; sharded execution is available for: %s"
+         cmd name
+         (String.concat ", " (sharded_scenario_names ())))
+
 let run_generic name params shards out trace trace_ring report format profile =
   try
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
@@ -190,15 +190,8 @@ let run_generic name params shards out trace trace_ring report format profile =
       match shards with
       | None -> bindings
       | Some n ->
-        if not (has_shards_param (module Sc)) then
-          invalid_arg
-            (Printf.sprintf
-               "--shards: scenario %s has no 'shards' parameter and always \
-                runs on one event loop; sharded execution is available for: \
-                %s"
-               name
-               (String.concat ", " (sharded_scenario_names ())))
-        else ("shards", E.Spec.Int n) :: bindings
+        require_shards "--shards" name (module Sc);
+        ("shards", E.Spec.Int n) :: bindings
     in
     if profile then begin
       Obs.Profile.reset ();
@@ -417,7 +410,7 @@ let sweep_cmd =
 let run_fluid scenario n1 n2 c1 c2 =
   let to_pps = F.Units.pps_of_mbps in
   match scenario with
-  | "a" ->
+  | `A ->
     let r =
       F.Scenario_a.lia
         { F.Scenario_a.n1; n2; c1 = to_pps c1; c2 = to_pps c2; rtt = 0.15 }
@@ -426,7 +419,7 @@ let run_fluid scenario n1 n2 c1 c2 =
       "fluid A (LIA): type1 %.3f, type2 %.3f; p1 %.4f, p2 %.4f\n"
       r.F.Scenario_a.norm_type1 r.F.Scenario_a.norm_type2 r.F.Scenario_a.p1
       r.F.Scenario_a.p2
-  | "b" ->
+  | `B ->
     let params =
       { F.Scenario_b.n = n1; cx = to_pps c1; ct = to_pps c2; rtt = 0.15 }
     in
@@ -439,7 +432,7 @@ let run_fluid scenario n1 n2 c1 c2 =
       (F.Units.mbps_of_pps sp.F.Scenario_b.red_total)
       (F.Units.mbps_of_pps mp.F.Scenario_b.blue_total)
       (F.Units.mbps_of_pps mp.F.Scenario_b.red_total)
-  | "c" ->
+  | `C ->
     let r =
       F.Scenario_c.lia
         { F.Scenario_c.n1; n2; c1 = to_pps c1; c2 = to_pps c2; rtt = 0.15 }
@@ -448,14 +441,13 @@ let run_fluid scenario n1 n2 c1 c2 =
       "fluid C (LIA): multipath %.3f, single %.3f; p1 %.4f, p2 %.4f\n"
       r.F.Scenario_c.norm_multipath r.F.Scenario_c.norm_single
       r.F.Scenario_c.p1 r.F.Scenario_c.p2
-  | s -> Printf.eprintf "unknown fluid scenario %s (a, b or c)\n" s
 
 let fluid_cmd =
   let scenario =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCENARIO" ~doc:"a, b or c.")
+      & pos 0 (some (enum [ ("a", `A); ("b", `B); ("c", `C) ])) None
+      & info [] ~docv:"SCENARIO" ~doc:"$(b,a), $(b,b) or $(b,c).")
   in
   let doc = "Analytical fixed points of the paper's scenarios." in
   Cmd.v
@@ -466,103 +458,60 @@ let fluid_cmd =
 
 module Json = Mptcp_repro.Stats.Json
 
-let k_arg =
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
-         ~doc:"FatTree arity (even; k=8 gives 128 hosts).")
-
-let rate =
-  Arg.(value & opt float 10. & info [ "rate" ] ~docv:"MBPS"
-         ~doc:"Host link rate.")
-
-
-(* One traced run of the sharded FatTree, decoded. The decoded sequence
-   is the gate's raw material — [--traced] byte-compares the N-shard
-   decode against the 1-shard decode. *)
-let traced_events cfg ~ring_capacity s =
-  match
-    Obs.Trace.capture ~capacity:ring_capacity (fun () ->
-        S.Fattree_sharded.run (cfg s))
-  with
-  | exception Obs.Trace.Overflow { dropped; needed } ->
-    invalid_arg
-      (overflow_msg
-         (Printf.sprintf "shard-invariance --shards %d" s)
-         ~dropped ~needed)
-  | _, events -> events
-
 let jsonl_lines events =
   List.map (fun ev -> Json.to_string (Obs.Trace.to_json ev)) events
 
-(* Run the sharded FatTree scenario at --shards 1 and --shards N with the
-   same seed, require every simulated field to match bit for bit (the CI
-   gate for the conservative lookahead runtime) and report the
-   wall-clock speedup. With [--traced], also run both shard counts with
-   trace rings armed and require the decoded traces to be
-   byte-identical — the strongest form of the invariance claim. *)
-let run_shard_invariance k shards flows_per_host subflows rate algo duration
-    warmup seed min_speedup traced trace_ring trace_out out =
+(* Run a sharded registry scenario at --shards 1 and --shards N from the
+   same bindings, require every metric and array of the two outcomes to
+   match bit for bit except the shard-count-dependent pair (the CI gate
+   for the conservative-lookahead runtime), and report the wall-clock
+   speedup. With [--traced], also run both shard counts with trace
+   rings armed and require the decoded traces to be byte-identical —
+   the strongest form of the invariance claim. *)
+let run_shard_invariance name params shards min_speedup traced trace_ring
+    trace_out out =
   try
+    let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
+    let bindings = List.map (E.Spec.parse_assign Sc.spec) params in
+    require_shards "shard-invariance" name (module Sc);
+    let at s = ("shards", E.Spec.Int s) :: bindings in
     if shards < 2 then
       invalid_arg "shard-invariance: --shards must be >= 2 (it is compared \
                    against a --shards 1 baseline)";
     let traced = traced || Option.is_some trace_out in
-    let cfg s =
-      { S.Fattree_sharded.k; shards = s; rate_mbps = rate; delay_ms = 1.;
-        subflows; flows_per_host; algo; duration; warmup; seed }
-    in
-    let flows = k * k * k / 4 * flows_per_host in
     let timed s =
       (* lint: allow R1 -- wall-clock speedup measurement of the runtime *)
       let t0 = Unix.gettimeofday () in
-      let r = S.Fattree_sharded.run (cfg s) in
+      let o = Sc.run (at s) in
       (* lint: allow R1 -- closes the wall-clock interval opened above *)
-      (r, Unix.gettimeofday () -. t0)
+      (o, Unix.gettimeofday () -. t0)
     in
-    Printf.printf
-      "shard-invariance: k=%d, %d flows, %s, %.3g s simulated (seed %d)\n\
-       running --shards 1 ...\n\
-       %!"
-      k flows algo duration seed;
+    Printf.printf "shard-invariance: %s%s\nrunning --shards 1 ...\n%!" name
+      (String.concat "" (List.map (fun p -> " -p " ^ p) params));
     let base, wall1 = timed 1 in
     Printf.printf "  %.1f s wall; running --shards %d ...\n%!" wall1 shards;
     let shd, walln = timed shards in
     let speedup = wall1 /. walln in
     Printf.printf "  %.1f s wall (speedup %.2fx)\n" walln speedup;
-    (* Every simulated field must match bit for bit; the cut traffic
-       and the heap high-water mark depend on the shard count by
-       design and are only reported. *)
-    let checks =
-      let same a b =
-        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-      in
-      let differing b s =
-        Array.fold_left ( + ) 0
-          (Array.map2 (fun x y -> if same x y then 0 else 1) b s)
-      in
-      List.map
-        (fun (metric, field) ->
-          let b = field base and s = field shd in
-          (metric, Array.length b, differing b s))
-        [
-          ("flow_mbps", fun r -> r.S.Fattree_sharded.flow_mbps);
-          ("aggregate_mbps", fun r -> [| r.S.Fattree_sharded.aggregate_mbps |]);
-          ("mean_core_loss", fun r -> [| r.S.Fattree_sharded.mean_core_loss |]);
-          ( "obs_events",
-            fun r ->
-              [| float_of_int
-                   r.S.Fattree_sharded.obs.Obs.Meter.events_processed |] );
-        ]
+    let exempt = E.Outcome.shard_dependent in
+    let checks = E.Outcome.bitwise_diff ~exempt base shd in
+    List.iter
+      (fun (c : E.Outcome.field_diff) ->
+        Printf.printf "%s %-22s %d of %d value(s) differ from shards=1\n"
+          (if c.differing = 0 then "ok  " else "FAIL")
+          c.field c.differing c.values)
+      checks;
+    let value o m =
+      Option.fold ~none:"-" ~some:(Printf.sprintf "%.17g")
+        (E.Outcome.metric_opt o m)
     in
     List.iter
-      (fun (metric, n, differing) ->
-        Printf.printf "%s %-15s %d of %d value(s) differ from shards=1\n"
-          (if differing = 0 then "ok  " else "FAIL")
-          metric differing n)
-      checks;
-    Printf.printf "cut messages: %d (shards=1: %d)\n"
-      shd.S.Fattree_sharded.cut_messages base.S.Fattree_sharded.cut_messages;
+      (fun m ->
+        Printf.printf "exempt %-20s %s at shards=%d (shards=1: %s)\n" m
+          (value shd m) shards (value base m))
+      exempt;
     let metrics_pass =
-      List.for_all (fun (_, _, differing) -> differing = 0) checks
+      List.for_all (fun (c : E.Outcome.field_diff) -> c.differing = 0) checks
     in
     let speedup_pass = min_speedup <= 0. || speedup >= min_speedup in
     if not speedup_pass then
@@ -575,10 +524,19 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
         Printf.printf
           "running traced legs (ring capacity %d records/domain) ...\n%!"
           trace_ring;
-        let base_lines =
-          jsonl_lines (traced_events cfg ~ring_capacity:trace_ring 1)
+        let events s =
+          match
+            Obs.Trace.capture ~capacity:trace_ring (fun () -> Sc.run (at s))
+          with
+          | exception Obs.Trace.Overflow { dropped; needed } ->
+            invalid_arg
+              (overflow_msg
+                 (Printf.sprintf "shard-invariance --shards %d" s)
+                 ~dropped ~needed)
+          | _, events -> events
         in
-        let shd_events = traced_events cfg ~ring_capacity:trace_ring shards in
+        let base_lines = jsonl_lines (events 1) in
+        let shd_events = events shards in
         let shd_lines = jsonl_lines shd_events in
         let identical = base_lines = shd_lines in
         Printf.printf
@@ -597,51 +555,38 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
     let trace_pass =
       match trace_result with None -> true | Some (_, _, ok) -> ok
     in
+    let pass = metrics_pass && speedup_pass && trace_pass in
+    let leg s o wall =
+      Json.Obj
+        [
+          ("params", E.Spec.to_json Sc.spec (at s));
+          ("wall_s", Json.Float wall);
+          ("outcome", E.Outcome.to_json o);
+        ]
+    in
     let json =
-      let result_json (r : S.Fattree_sharded.result) wall =
-        Json.Obj
-          [
-            ("aggregate_mbps", Json.Float r.S.Fattree_sharded.aggregate_mbps);
-            ( "aggregate_pct_optimal",
-              Json.Float r.S.Fattree_sharded.aggregate_pct_optimal );
-            ("mean_flow_mbps", Json.Float r.S.Fattree_sharded.mean_flow_mbps);
-            ("p10_flow_mbps", Json.Float r.S.Fattree_sharded.p10_flow_mbps);
-            ("p50_flow_mbps", Json.Float r.S.Fattree_sharded.p50_flow_mbps);
-            ("p90_flow_mbps", Json.Float r.S.Fattree_sharded.p90_flow_mbps);
-            ("mean_core_loss", Json.Float r.S.Fattree_sharded.mean_core_loss);
-            ("cut_messages", Json.Int r.S.Fattree_sharded.cut_messages);
-            ( "obs_events",
-              Json.Int r.S.Fattree_sharded.obs.Obs.Meter.events_processed );
-            ("wall_s", Json.Float wall);
-          ]
-      in
       Json.Obj
         ([
-          ("scenario", Json.String "fattree-sharded");
-          ("k", Json.Int k);
+          ("scenario", Json.String name);
           ("shards", Json.Int shards);
-          ("flows", Json.Int flows);
-          ("subflows", Json.Int subflows);
-          ("algo", Json.String algo);
-          ("duration_s", Json.Float duration);
-          ("seed", Json.Int seed);
-          ("min_speedup", Json.Float min_speedup);
-          ("baseline", result_json base wall1);
-          ("sharded", result_json shd walln);
-          ("speedup", Json.Float speedup);
+          ("baseline", leg 1 base wall1);
+          ("sharded", leg shards shd walln);
           ( "checks",
             Json.List
               (List.map
-                 (fun (metric, n, differing) ->
+                 (fun (c : E.Outcome.field_diff) ->
                    Json.Obj
                      [
-                       ("metric", Json.String metric);
-                       ("values", Json.Int n);
-                       ("differing", Json.Int differing);
-                       ("pass", Json.Bool (differing = 0));
+                       ("field", Json.String c.field);
+                       ("values", Json.Int c.values);
+                       ("differing", Json.Int c.differing);
+                       ("pass", Json.Bool (c.differing = 0));
                      ])
                  checks) );
+          ("exempt", Json.List (List.map (fun m -> Json.String m) exempt));
           ("metrics_pass", Json.Bool metrics_pass);
+          ("min_speedup", Json.Float min_speedup);
+          ("speedup", Json.Float speedup);
           ("speedup_pass", Json.Bool speedup_pass);
         ]
         @ (match trace_result with
@@ -656,16 +601,17 @@ let run_shard_invariance k shards flows_per_host subflows rate algo duration
                     ("byte_identical", Json.Bool identical);
                   ] );
             ])
-        @ [ ("pass", Json.Bool (metrics_pass && speedup_pass && trace_pass)) ])
+        @ [ ("pass", Json.Bool pass) ])
     in
     Option.iter
       (fun path ->
         Json.write ~path json;
         Printf.printf "wrote %s\n" path)
       out;
-    if metrics_pass && speedup_pass && trace_pass then begin
+    if pass then begin
       Printf.printf
-        "shard-invariance: PASS (metrics bitwise equal%s, speedup %.2fx)\n"
+        "shard-invariance: PASS (%d fields bitwise equal%s, speedup %.2fx)\n"
+        (List.length checks)
         (if traced then ", traces byte-identical" else "")
         speedup;
       `Ok ()
@@ -680,24 +626,7 @@ let shard_invariance_cmd =
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
            ~doc:"Shard count compared against the --shards 1 baseline \
-                 (must divide $(b,--k)).")
-  in
-  let flows_per_host =
-    Arg.(value & opt int 8 & info [ "flows-per-host" ] ~docv:"N"
-           ~doc:"Long-lived permutation flows per host (k=8 and 8 \
-                 flows/host give 1024 flows).")
-  in
-  let subflows =
-    Arg.(value & opt int 2 & info [ "subflows"; "s" ] ~docv:"N"
-           ~doc:"MPTCP subflows per connection.")
-  in
-  let duration =
-    Arg.(value & opt float 5. & info [ "duration"; "d" ] ~docv:"SEC"
-           ~doc:"Simulated duration in seconds.")
-  in
-  let warmup =
-    Arg.(value & opt float 1. & info [ "warmup"; "w" ] ~docv:"SEC"
-           ~doc:"Warm-up excluded from the measurements, seconds.")
+                 (the scenario must accept it, e.g. divide $(b,k)).")
   in
   let min_speedup =
     Arg.(value & opt float 0. & info [ "min-speedup" ] ~docv:"X"
@@ -718,159 +647,123 @@ let shard_invariance_cmd =
                    artifact upload; implies $(b,--traced).")
   in
   let doc =
-    "CI gate: run the fattree-sharded scenario at --shards 1 and --shards \
-     N with one seed, fail unless per-flow goodputs, aggregate goodput, \
-     core loss and the event count are bitwise equal (shard-count \
-     invariance of the conservative-lookahead runtime), and report the \
+    "CI gate: run a registry scenario that has a $(b,shards) parameter at \
+     --shards 1 and --shards N from the same bindings, fail unless every \
+     metric and array of the two outcomes is bitwise equal (except \
+     $(b,cut_messages) and $(b,obs_max_heap_depth), which depend on the \
+     shard count by design and are only reported), and report the \
      wall-clock speedup. With $(b,--traced), additionally require the \
      decoded sharded trace to be byte-identical to the --shards 1 trace."
   in
   let man =
     [
       `S Manpage.s_examples;
-      `P "olia_sim shard-invariance --shards 4 --out report.json";
-      `P "olia_sim shard-invariance --k 4 --flows-per-host 2 -d 2 \
-          --min-speedup 1.2";
-      `P "olia_sim shard-invariance --k 4 --flows-per-host 2 -d 2 --traced \
-          --trace-out decoded.jsonl";
+      `P "olia_sim shard-invariance fattree-sharded --shards 4 \
+          --out report.json";
+      `P "olia_sim shard-invariance fattree-sharded -p k=4 -p flows_per_host=2 \
+          -p duration=2 --min-speedup 1.2";
+      `P "olia_sim shard-invariance fattree-sharded -p k=4 -p flows_per_host=2 \
+          -p duration=2 --traced --trace-out decoded.jsonl";
     ]
   in
   Cmd.v
     (Cmd.info "shard-invariance" ~doc ~man)
     Term.(
       ret
-        (const run_shard_invariance $ k_arg $ shards $ flows_per_host
-        $ subflows $ rate $ algo $ duration $ warmup $ seed $ min_speedup
-        $ traced $ trace_ring_opt $ trace_out $ out_opt))
+        (const run_shard_invariance $ scenario_pos $ params_opt $ shards
+        $ min_speedup $ traced $ trace_ring_opt $ trace_out $ out_opt))
 
 (* --- check ----------------------------------------------------------------- *)
 
 module Ck = Mptcp_repro.Check
 
-let has_sub hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  if ln = 0 then true
-  else
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-
-(* The float-vs-fixed-point differential registry: every case names the
-   kernel source its integer side mirrors, and the report carries the
-   per-metric divergence next to its band. *)
-let run_diff only out =
-  let report = Ck.Diff.run_all ?only () in
-  List.iter
-    (fun (cr : Ck.Diff.case_report) ->
-      Printf.printf "%s %s (%s vs %s)\n"
-        (if cr.pass then "PASS" else "FAIL")
-        cr.case cr.float_algo cr.fixed_algo;
-      Printf.printf "  source: %s\n" cr.source;
-      List.iter
-        (fun (r : Ck.Diff.check_result) ->
-          Printf.printf
-            "  %s %-20s float %11.5g  fixed %11.5g  deviation %.4g (limit \
-             %.4g)\n"
-            (if r.pass then "ok  " else "FAIL")
-            r.metric r.float_value r.fixed_value r.deviation r.limit)
-        cr.results)
-    report.Ck.Diff.cases;
-  Option.iter (fun path -> Json.write ~path (Ck.Diff.report_to_json report)) out;
-  Printf.printf "diff-conformance: %d/%d checks within divergence bands\n"
-    (report.Ck.Diff.checks_total - report.Ck.Diff.checks_failed)
-    report.Ck.Diff.checks_total;
-  if not report.Ck.Diff.pass then exit 1
-
-let run_check only out update_golden golden_dir diff =
-  if diff then run_diff only out
-  else if update_golden then begin
+let run_check only out update_golden golden_dir =
+  if update_golden then begin
     Ck.Golden.update_all ~dir:golden_dir;
-    Printf.printf "golden traces re-recorded under %s/\n" golden_dir
+    Printf.printf "golden traces re-recorded under %s/\n" golden_dir;
+    `Ok ()
   end
-  else begin
+  else
     let report = Ck.Conformance.run_all ?only () in
-    List.iter
-      (fun (cr : Ck.Conformance.case_report) ->
-        Printf.printf "%s %s\n" (if cr.pass then "PASS" else "FAIL") cr.case;
-        List.iter
-          (fun (r : Ck.Band.result) ->
-            Printf.printf
-              "  %s %-24s %-38s actual %11.5g  band [%.5g, %.5g]\n"
-              (if r.pass then "ok  " else "FAIL")
-              r.band.Ck.Band.id r.band.Ck.Band.metric r.actual
-              r.band.Ck.Band.lo r.band.Ck.Band.hi)
-          cr.results)
-      report.Ck.Conformance.cases;
-    let golden_names =
-      List.filter
+    let selected check names =
+      List.filter_map
         (fun n ->
-          match only with
-          | None -> true
-          | Some s -> has_sub ("golden/" ^ n) s)
-        Ck.Golden.names
+          if Ck.Conformance.selects only ("golden/" ^ n) then
+            Some (n, check ~dir:golden_dir n)
+          else None)
+        names
     in
     let golden =
-      List.map (fun n -> (n, Ck.Golden.check ~dir:golden_dir n)) golden_names
+      selected Ck.Golden.check Ck.Golden.names
+      @ selected Ck.Golden.check_report Ck.Golden.report_names
     in
-    List.iter
-      (fun (n, r) ->
-        match r with
-        | Ok () -> Printf.printf "PASS golden/%s\n" n
-        | Error e -> Printf.printf "FAIL golden/%s\n  %s\n" n e)
-      golden;
-    let report_names =
-      List.filter
-        (fun n ->
-          match only with
-          | None -> true
-          | Some s -> has_sub ("golden/" ^ n) s)
-        Ck.Golden.report_names
-    in
-    let reports =
-      List.map
-        (fun n -> (n, Ck.Golden.check_report ~dir:golden_dir n))
-        report_names
-    in
-    List.iter
-      (fun (n, r) ->
-        match r with
-        | Ok () -> Printf.printf "PASS golden/%s\n" n
-        | Error e -> Printf.printf "FAIL golden/%s\n  %s\n" n e)
-      reports;
-    let golden = golden @ reports in
-    let golden_pass = List.for_all (fun (_, r) -> Result.is_ok r) golden in
-    let json =
-      let golden_json =
-        Json.List
-          (List.map
-             (fun (n, r) ->
-               Json.Obj
-                 (("name", Json.String n)
-                 :: ("pass", Json.Bool (Result.is_ok r))
-                 ::
-                 (match r with
-                 | Ok () -> []
-                 | Error e -> [ ("error", Json.String e) ])))
-             golden)
+    if report.Ck.Conformance.cases = [] && golden = [] then
+      `Error
+        ( false,
+          Printf.sprintf
+            "check: --only %s selects no case and no golden; valid names: %s"
+            (Option.value only ~default:"")
+            (String.concat ", "
+               (List.map
+                  (fun (c : Ck.Conformance.case) -> c.name)
+                  (Ck.Conformance.cases ())
+               @ List.map (fun n -> "golden/" ^ n)
+                   (Ck.Golden.names @ Ck.Golden.report_names))) )
+    else begin
+      List.iter
+        (fun (cr : Ck.Conformance.case_report) ->
+          Printf.printf "%s %s\n" (if cr.pass then "PASS" else "FAIL") cr.case;
+          List.iter
+            (fun (r : Ck.Band.result) ->
+              Printf.printf
+                "  %s %-24s %-38s actual %11.5g  band [%.5g, %.5g]\n"
+                (if r.pass then "ok  " else "FAIL")
+                r.band.Ck.Band.id r.band.Ck.Band.metric r.actual
+                r.band.Ck.Band.lo r.band.Ck.Band.hi)
+            cr.results)
+        report.Ck.Conformance.cases;
+      List.iter
+        (fun (n, r) ->
+          match r with
+          | Ok () -> Printf.printf "PASS golden/%s\n" n
+          | Error e -> Printf.printf "FAIL golden/%s\n  %s\n" n e)
+        golden;
+      let golden_pass = List.for_all (fun (_, r) -> Result.is_ok r) golden in
+      let json =
+        let golden_json =
+          Json.List
+            (List.map
+               (fun (n, r) ->
+                 Json.Obj
+                   (("name", Json.String n)
+                   :: ("pass", Json.Bool (Result.is_ok r))
+                   ::
+                   (match r with
+                   | Ok () -> []
+                   | Error e -> [ ("error", Json.String e) ])))
+               golden)
+        in
+        match Ck.Conformance.report_to_json report with
+        | Json.Obj fields -> Json.Obj (fields @ [ ("golden", golden_json) ])
+        | j -> j
       in
-      match Ck.Conformance.report_to_json report with
-      | Json.Obj fields -> Json.Obj (fields @ [ ("golden", golden_json) ])
-      | j -> j
-    in
-    Option.iter (fun path -> Json.write ~path json) out;
-    Printf.printf
-      "conformance: %d/%d bands within tolerance, %d/%d golden traces match\n"
-      (report.Ck.Conformance.bands_total - report.Ck.Conformance.bands_failed)
-      report.Ck.Conformance.bands_total
-      (List.length (List.filter (fun (_, r) -> Result.is_ok r) golden))
-      (List.length golden);
-    if not (report.Ck.Conformance.pass && golden_pass) then exit 1
-  end
+      Option.iter (fun path -> Json.write ~path json) out;
+      Printf.printf
+        "conformance: %d/%d bands within tolerance, %d/%d golden traces match\n"
+        (report.Ck.Conformance.bands_total - report.Ck.Conformance.bands_failed)
+        report.Ck.Conformance.bands_total
+        (List.length (List.filter (fun (_, r) -> Result.is_ok r) golden))
+        (List.length golden);
+      if not (report.Ck.Conformance.pass && golden_pass) then exit 1;
+      `Ok ()
+    end
 
 let check_cmd =
   let only =
     let doc =
-      "Run only conformance cases whose name contains $(docv); golden traces \
-       match against golden/<name>."
+      "Run only the conformance cases (e.g. $(b,diff/) for the float vs \
+       fixed-point twins) and golden/<name> files whose name contains \
+       $(docv); fails if it selects none."
     in
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"SUBSTR" ~doc)
   in
@@ -882,22 +775,15 @@ let check_cmd =
     let doc = "Directory holding the golden trace files." in
     Arg.(value & opt string "test/golden" & info [ "golden-dir" ] ~docv:"DIR" ~doc)
   in
-  let diff =
-    let doc =
-      "Run the float-vs-fixed-point differential registry instead: the same \
-       seeded scenarios under each backend, divergence bands with kernel \
-       provenance, plus the per-ACK lockstep drivers."
-    in
-    Arg.(value & flag & info [ "diff" ] ~doc)
-  in
   let doc =
-    "Differential conformance: packet simulations vs fluid-model tolerance \
-     bands, fault-recovery checks and golden-trace regression (or, with \
-     $(b,--diff), float vs fixed-point congestion control)."
+    "Conformance: packet simulations vs fluid-model tolerance bands, \
+     fault-recovery checks, float vs fixed-point congestion control \
+     (the $(b,diff/) cases, citing the kernel sources) and golden-trace \
+     regression."
   in
   Cmd.v
     (Cmd.info "check" ~doc)
-    Term.(const run_check $ only $ out_opt $ update_golden $ golden_dir $ diff)
+    Term.(ret (const run_check $ only $ out_opt $ update_golden $ golden_dir))
 
 (* --- main ------------------------------------------------------------------ *)
 

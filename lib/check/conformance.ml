@@ -11,11 +11,12 @@ module SC = Repro_scenarios.Scen_c
 module Meter = Repro_obs.Meter
 
 (* The case registry. Every case runs something — a packet simulation,
-   a fluid solver, a fault-injection scenario — and returns a flat
-   metric list; its bands declare what the analytical side of the paper
-   predicts for those metrics. All runs are seeded and measured with
-   deterministic counters only, so two invocations of [run_all] yield
-   byte-identical reports. *)
+   a fluid solver, a fault-injection scenario, a float-vs-fixed-point
+   differential — and returns a flat metric list; its bands declare
+   what the analytical side of the paper (or the kernel twin's float
+   reference) predicts for those metrics. All runs are seeded and
+   measured with deterministic counters only, so two invocations of
+   [run_all] yield byte-identical reports. *)
 
 type case = {
   name : string;
@@ -454,6 +455,82 @@ let fault_cases () =
     };
   ]
 
+(* --- float vs fixed point: the kernel twins ----------------------------- *)
+
+(* The fixed-point twins of OLIA and BALIA carry every update in the
+   kernel's scaled integers. The diff/ cases bound how far that drifts
+   the paper's scenarios (60 s runs, 15 s warm-up: each metric within
+   20% of the float model) and the per-ACK lockstep trajectories (25%).
+   Every band cites the kernel source the integer side mirrors. *)
+
+let twins =
+  [
+    ("olia", "olia-fp", Diff.olia_source);
+    ("balia", "balia-fp", Diff.balia_source);
+  ]
+
+let twin_case ~scen ~doc ~limit ~bounded run (float_algo, fixed_algo, source)
+    =
+  let case = scen ^ "-" ^ float_algo in
+  {
+    name = "diff/" ^ case;
+    doc =
+      Printf.sprintf "%s: %s vs its integer twin %s" doc float_algo
+        fixed_algo;
+    bands =
+      List.map
+        (fun metric ->
+          Band.within ~id:("diff." ^ case ^ "." ^ metric) ~metric ~source
+            ~expected:0. ~lo:0. ~hi:limit)
+        bounded;
+    run = (fun () -> run ~float_algo ~fixed_algo);
+  }
+
+let twin_scenario ~scen ~doc ~metrics measure =
+  let run ~float_algo ~fixed_algo =
+    Diff.paired ~float_algo ~fixed_algo (fun algo ->
+        List.filter (fun (m, _) -> List.mem m metrics) (measure algo))
+  in
+  List.map
+    (twin_case ~scen ~doc ~limit:0.20
+       ~bounded:(List.map (fun m -> m ^ ".rel_dev") metrics)
+       run)
+    twins
+
+let twin_cases () =
+  let duration = 60. and warmup = 15. in
+  twin_scenario ~scen:"a" ~doc:"scenario A"
+    ~metrics:[ "norm_type1"; "norm_type2" ]
+    (fun algo ->
+      metrics_a (SA.run { SA.default with SA.algo; duration; warmup }))
+  @ twin_scenario ~scen:"b" ~doc:"scenario B (Red multipath)"
+      ~metrics:[ "blue_rate"; "red_rate"; "aggregate" ]
+      (fun algo ->
+        metrics_b
+          (SB.run
+             {
+               SB.default with
+               SB.algo;
+               red_multipath = true;
+               duration;
+               warmup;
+             }))
+  @ twin_scenario ~scen:"c" ~doc:"scenario C"
+      ~metrics:[ "norm_multipath"; "norm_single" ]
+      (fun algo ->
+        metrics_c (SC.run { SC.default with SC.algo; duration; warmup }))
+  @ List.map
+      (twin_case ~scen:"lockstep"
+         ~doc:"per-ACK lockstep on one prescribed ACK/loss schedule"
+         ~limit:0.25
+         ~bounded:
+           [
+             "max_rel_divergence"; "final_cwnd_sf0.rel_dev";
+             "final_cwnd_sf1.rel_dev";
+           ]
+         Diff.lockstep_metrics)
+      twins
+
 let cases () =
   [
     a_lia_case ();
@@ -468,13 +545,14 @@ let cases () =
     fluid_a_lia_case ();
     fluid_c_lia_case ();
   ]
-  @ fault_cases ()
+  @ fault_cases () @ twin_cases ()
 
 (* --- running and reporting --------------------------------------------- *)
 
 type case_report = {
   case : string;
   doc : string;
+  metrics : (string * float) list;
   results : Band.result list;
   pass : bool;
 }
@@ -502,24 +580,23 @@ let run_case c =
   {
     case = c.name;
     doc = c.doc;
+    metrics;
     results;
     pass = List.for_all (fun (r : Band.result) -> r.Band.pass) results;
   }
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  if ln = 0 then true
-  else
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+let selects only name =
+  match only with
+  | None -> true
+  | Some s ->
+    let ln = String.length s in
+    let rec go i =
+      i + ln <= String.length name && (String.sub name i ln = s || go (i + 1))
+    in
     go 0
 
 let run_all ?only () =
-  let cs = cases () in
-  let cs =
-    match only with
-    | None -> cs
-    | Some s -> List.filter (fun c -> contains c.name s) cs
-  in
+  let cs = List.filter (fun c -> selects only c.name) (cases ()) in
   let reports = List.map run_case cs in
   let bands_total =
     List.fold_left (fun n r -> n + List.length r.results) 0 reports
@@ -545,6 +622,8 @@ let case_report_to_json cr =
       ("case", Json.String cr.case);
       ("doc", Json.String cr.doc);
       ("pass", Json.Bool cr.pass);
+      ( "metrics",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) cr.metrics) );
       ("bands", Json.List (List.map Band.result_to_json cr.results));
     ]
 

@@ -1,30 +1,23 @@
-(** Differential conformance between the float congestion-control
+(** Differential measurements between the float congestion-control
     model and its fixed-point kernel twins ([olia-fp], [balia-fp]).
 
-    Each case runs the same seeded scenario once per backend and bounds
-    how far the integer arithmetic may drift the measured metrics, or
-    drives both backends per-ACK through one prescribed schedule and
-    bounds the cwnd divergence of the trajectories. Every case carries
-    the kernel-source provenance of its fixed-point side. All runs are
-    seeded and deterministic, so {!run_all} yields byte-identical
-    reports across invocations. *)
+    {!paired} runs one seeded measurement under each backend, and
+    {!lockstep} drives both backends per-ACK through one prescribed
+    schedule. Both return flat metric lists; the [diff/] cases of
+    {!Conformance} bound them with bands citing the kernel source
+    ({!olia_source}, {!balia_source}) the integer side mirrors. *)
 
-type tolerance =
-  | Rel of float  (** max relative float-vs-fixed deviation *)
-  | Bound of float  (** hard upper bound on the metric itself *)
+val olia_source : string
+val balia_source : string
 
-type check = { metric : string; tol : tolerance }
-
-type case = {
-  name : string;
-  doc : string;
-  source : string;  (** kernel provenance of the fixed-point side *)
-  float_algo : string;
-  fixed_algo : string;
-  checks : check list;
-  run : unit -> (string * float) list * (string * float) list;
-      (** metrics of the float run and of the fixed-point run *)
-}
+val paired :
+  float_algo:string -> fixed_algo:string ->
+  (string -> (string * float) list) -> (string * float) list
+(** [paired ~float_algo ~fixed_algo measure] runs [measure] once per
+    backend and exports, for each metric [m] of the float run,
+    [m.float], [m.fixed] and [m.rel_dev] =
+    [|float - fixed| / max |float| 1e-9] (NaN when the fixed run lacks
+    [m]). *)
 
 type lockstep_result = {
   max_rel_divergence : float;
@@ -41,41 +34,7 @@ val lockstep :
     schedule on two asymmetric synthetic subflows (no simulator, no
     randomness; default 4000 steps). *)
 
-val cases : ?quick:bool -> unit -> case list
-(** The differential registry: scenarios A/B/C × \{OLIA, BALIA\} plus
-    the two per-ACK lockstep cases. [quick] shortens the scenario runs
-    (and widens the bands) for the test suite. *)
-
-type check_result = {
-  metric : string;
-  float_value : float;
-  fixed_value : float;
-  deviation : float;  (** relative deviation, or the bounded value *)
-  limit : float;
-  pass : bool;
-}
-
-type case_report = {
-  case : string;
-  doc : string;
-  source : string;
-  float_algo : string;
-  fixed_algo : string;
-  results : check_result list;
-  pass : bool;
-}
-
-type report = {
-  cases : case_report list;
-  pass : bool;
-  checks_total : int;
-  checks_failed : int;
-}
-
-val run_case : case -> case_report
-
-val run_all : ?only:string -> ?quick:bool -> unit -> report
-(** Run every case whose name contains [only] (all by default). *)
-
-val case_report_to_json : case_report -> Repro_stats.Json.t
-val report_to_json : report -> Repro_stats.Json.t
+val lockstep_metrics :
+  float_algo:string -> fixed_algo:string -> (string * float) list
+(** {!lockstep}'s joint [max_rel_divergence], then each subflow's final
+    cwnd as {!paired} exports it ([final_cwnd_sf0.float], ...). *)

@@ -26,3 +26,25 @@ val metric_names : t -> string list
 val to_json : t -> Repro_stats.Json.t
 (** [{"metrics": {...}, "arrays": {...}}]; the [arrays] field is omitted
     when empty. *)
+
+(** {1 Bitwise comparison} *)
+
+type field_diff = {
+  field : string;  (** metric or array name *)
+  values : int;  (** 1 for a metric, the length for an array *)
+  differing : int;  (** values whose bits differ *)
+}
+
+val shard_dependent : string list
+(** The two metrics of a sharded run that depend on the shard count by
+    design: [cut_messages] (packets that crossed a shard boundary) and
+    [obs_max_heap_depth] (a high-water mark over per-shard heaps).
+    Every other field of a shard-count-invariant scenario must match
+    bit for bit. *)
+
+val bitwise_diff : exempt:string list -> t -> t -> field_diff list
+(** One entry per metric, then per array, of either outcome (first
+    appearance order), except the [exempt] names. Values match when
+    their IEEE bits are equal, so [0.] and [-0.] differ and a NaN
+    matches only itself. A field missing on one side, or an array
+    whose length differs, counts every value as differing. *)

@@ -380,5 +380,3 @@ let reset_stats t =
   t.drops_overflow <- 0;
   t.drops_red <- 0;
   t.bytes_forwarded <- 0
-
-let name t = t.name

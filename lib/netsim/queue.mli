@@ -90,5 +90,3 @@ val utilization : t -> since:float -> now:float -> float
 
 val reset_stats : t -> unit
 (** Zero the arrival/drop/byte counters (used after warm-up). *)
-
-val name : t -> string

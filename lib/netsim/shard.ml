@@ -67,26 +67,18 @@ let create ~sims ~lookahead =
 
 let shard_count t = Array.length t.sims
 let sim t i = t.sims.(i)
-let lookahead t = t.lookahead
 
-let open_channel t ~src ~dst ?latency () =
+let open_channel t ~src ~dst =
   let n = Array.length t.sims in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Shard.open_channel: shard out of range";
   if src = dst then invalid_arg "Shard.open_channel: src = dst";
-  let latency = match latency with Some l -> l | None -> t.lookahead in
-  if not (Float.is_finite latency && latency >= t.lookahead) then
-    invalid_arg
-      (Printf.sprintf
-         "Shard.open_channel: latency %g below the lookahead %g would \
-          deliver inside the current window"
-         latency t.lookahead);
   let ch =
     {
       src_shard = src;
       dst_shard = dst;
       chan_id = List.length t.channels;
-      latency;
+      latency = t.lookahead;
       src_sim = t.sims.(src);
       src_counter = t.counters.(src);
       seq = 0;

@@ -10,7 +10,7 @@
     window loop, degenerate (all-to-all) form: all shards advance
     through the same window boundaries [H_w = w·lookahead]. A message
     sent at time [s ∈ (H_{w-1}, H_w]] travels a channel of latency
-    [≥ lookahead], so it arrives strictly after [H_w] — exchanging
+    [lookahead], so it arrives strictly after [H_w] — exchanging
     inboxes at every boundary therefore delivers every message before
     its arrival time is reached, no shard ever receives an event in its
     past, and no rollback is needed. Deadlock-freedom is immediate:
@@ -85,8 +85,8 @@ type msg = {
 
 val create : sims:Sim.t array -> lookahead:float -> t
 (** A group over the given per-shard simulators. [lookahead] is the
-    window length and the minimum legal channel latency; it must be
-    finite and positive when there is more than one shard. Raises
+    window length and the latency of every channel; it must be finite
+    and positive when there is more than one shard. Raises
     [Invalid_argument] on an empty [sims]. *)
 
 val shard_count : t -> int
@@ -94,15 +94,11 @@ val shard_count : t -> int
 val sim : t -> int -> Sim.t
 (** The simulator owned by one shard. *)
 
-val lookahead : t -> float
-
-val open_channel : t -> src:int -> dst:int -> ?latency:float -> unit -> channel
-(** Register a channel from shard [src] to shard [dst] (default latency
-    = the group's lookahead). Raises [Invalid_argument] if [src = dst],
-    either index is out of range, or [latency < lookahead] (a shorter
-    channel would deliver inside the current window and break the
-    conservative bound). Construction-time only: not safe once
-    {!run_windows} has started. *)
+val open_channel : t -> src:int -> dst:int -> channel
+(** Register a channel from shard [src] to shard [dst] whose latency is
+    the group's lookahead. Raises [Invalid_argument] if [src = dst] or
+    either index is out of range. Construction-time only: not safe
+    once {!run_windows} has started. *)
 
 val egress : channel -> Packet.hop
 (** The hop to splice into a route in place of the cut link's

@@ -12,8 +12,6 @@
    (the offline decoder) only run after the writing domains have been
    joined, so no field needs atomic access. *)
 
-type policy = Drop_oldest | Fail_fast
-
 exception Full
 
 type t = {
@@ -21,45 +19,43 @@ type t = {
   cap : int;
   ints : int array; (* stride 16 *)
   fl : floatarray; (* stride 4 *)
-  policy : policy;
   horizon : floatarray;
       (* one slot: the last [Sim.run_until] horizon the writing domain
          reached, [infinity] until one is noted (a float field in this
          mixed record would box on every store) *)
   mutable wpos : int; (* next slot to write *)
   mutable count : int; (* retained records, <= cap *)
-  mutable dropped : int; (* records overwritten (Drop_oldest) *)
+  mutable dropped : int; (* records overwritten *)
 }
 
 let int_stride = 16
 let float_stride = 4
 
-let create ~shard ~capacity ~policy =
+let create ~shard ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be positive";
   {
     shard;
     cap = capacity;
     ints = Array.make (capacity * int_stride) 0;
     fl = Float.Array.make (capacity * float_stride) 0.;
-    policy;
     horizon = Float.Array.make 1 infinity;
     wpos = 0;
     count = 0;
     dropped = 0;
   }
 
-(* The null ring parks unbound domains: capacity 0 and [Fail_fast], so
-   an armed emission on a domain that never called [Trace.bind_ring]
-   raises [Full] instead of silently corrupting a shared buffer. Built
-   directly (create rejects capacity 0) and shared read-only. *)
+(* The null ring parks unbound domains: with capacity 0 it has no slot
+   to overwrite, so an armed emission on a domain that never called
+   [Trace.bind_ring] raises [Full] instead of silently corrupting a
+   shared buffer. Built directly (create rejects capacity 0) and shared
+   read-only. *)
 let null =
-  (* lint: allow R2 -- claim on a full Fail_fast ring raises before any store *)
+  (* lint: allow R2 -- claim on a capacity-0 ring raises before any store *)
   {
     shard = -1;
     cap = 0;
     ints = [||];
     fl = Float.Array.create 0;
-    policy = Fail_fast;
     horizon = Float.Array.create 0;
     wpos = 0;
     count = 0;
@@ -81,19 +77,18 @@ let set_horizon r h = if r.cap > 0 then Float.Array.unsafe_set r.horizon 0 h
 let horizon r =
   if r.cap > 0 then Float.Array.unsafe_get r.horizon 0 else infinity
 
-(* Claim the next slot, returning its index. [Drop_oldest] overwrites
-   the oldest retained record when full; [Fail_fast] raises [Full]
-   (a constant exception: raising allocates nothing). *)
+(* Claim the next slot, returning its index. A full ring overwrites
+   its oldest retained record; the null ring raises [Full] (a constant
+   exception: raising allocates nothing). *)
 let[@inline] claim r =
-  if r.count = r.cap then
-    match r.policy with
-    | Fail_fast -> raise Full
-    | Drop_oldest ->
-      let s = r.wpos in
-      let w = s + 1 in
-      r.wpos <- (if w = r.cap then 0 else w);
-      r.dropped <- r.dropped + 1;
-      s
+  if r.count = r.cap then begin
+    if r.cap = 0 then raise Full;
+    let s = r.wpos in
+    let w = s + 1 in
+    r.wpos <- (if w = r.cap then 0 else w);
+    r.dropped <- r.dropped + 1;
+    s
+  end
   else begin
     let s = r.wpos in
     let w = s + 1 in

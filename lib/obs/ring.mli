@@ -13,24 +13,20 @@
     [Trace.bind_ring]), and the offline decoder reads only after the
     writing domains have been joined. *)
 
-type policy =
-  | Drop_oldest  (** overwrite the oldest retained record when full *)
-  | Fail_fast  (** raise {!Full} when full *)
-
 exception Full
-(** Raised by {!claim} on a full [Fail_fast] ring — and on the {!null}
-    ring, i.e. on any armed emission from a domain that never bound a
-    ring. A constant exception: raising it allocates nothing. *)
+(** Raised by {!claim} on the {!null} ring, i.e. on any armed emission
+    from a domain that never bound a ring. A constant exception:
+    raising it allocates nothing. *)
 
 type t
 
-val create : shard:int -> capacity:int -> policy:policy -> t
+val create : shard:int -> capacity:int -> t
 (** A ring of [capacity] records (two eager allocations: the int and
     float lanes). Raises [Invalid_argument] if [capacity < 1]. *)
 
 val null : t
-(** The capacity-0 [Fail_fast] ring that parks unbound domains: any
-    {!claim} raises {!Full}. Shared and read-only by construction. *)
+(** The capacity-0 ring that parks unbound domains: any {!claim}
+    raises {!Full}. Shared and read-only by construction. *)
 
 val shard : t -> int
 (** The shard id the ring was bound with ([-1] for {!null}). *)
@@ -41,7 +37,7 @@ val length : t -> int
 (** Retained records. *)
 
 val dropped : t -> int
-(** Records overwritten so far ([Drop_oldest] only). *)
+(** Records overwritten so far. *)
 
 val written : t -> int
 (** Total records ever written; the logical sequence number of the
@@ -60,8 +56,8 @@ val horizon : t -> float
 
 val claim : t -> int
 (** Claim the next slot and return its index for the [set_i]/[set_f]
-    stores. Overwrites the oldest record or raises {!Full} when full,
-    per the ring's {!policy}. *)
+    stores. A full ring overwrites its oldest record (counted in
+    {!dropped}); the {!null} ring raises {!Full}. *)
 
 val set_i : t -> int -> int -> int -> unit
 (** [set_i r slot k v] stores int word [k] (0..15) of [slot]. *)

@@ -371,9 +371,6 @@ let rings_on = ref false
 (* lint: allow R2 -- ring capacity for subsequent bind_ring calls, set by arm_rings before workers start *)
 let ring_capacity = ref (1 lsl 16)
 
-(* lint: allow R2 -- overflow policy for subsequent bind_ring calls, set by arm_rings before workers start *)
-let ring_policy = ref Ring.Drop_oldest
-
 (* lint: allow R2 -- bound rings in registration order, appended under [lock] by bind_ring, read offline by decode_rings *)
 let registry : (int * Ring.t) list ref = ref []
 
@@ -414,14 +411,13 @@ let[@inline] set_dispatch_ctx ~sched ~cls ~flow ~subflow ~pseq ~kind =
   Array.unsafe_set c.ci 4 kind;
   Array.unsafe_set c.ci 5 (Array.unsafe_get c.ci 5 + 1)
 
-let arm_rings ?capacity ?policy () =
+let arm_rings ?capacity () =
   Mutex.protect lock (fun () ->
       (match capacity with
       | Some c ->
         if c < 1 then invalid_arg "Trace.arm_rings: capacity must be positive";
         ring_capacity := c
       | None -> ());
-      (match policy with Some p -> ring_policy := p | None -> ());
       registry := [];
       reg_count := 0;
       rings_on := true)
@@ -438,7 +434,7 @@ let bind_ring ~shard =
         List.exists (fun (_, r) -> r == cur) !registry)
   in
   if not (registered && Ring.shard cur = shard) then begin
-    let r = Ring.create ~shard ~capacity:!ring_capacity ~policy:!ring_policy in
+    let r = Ring.create ~shard ~capacity:!ring_capacity in
     Mutex.protect lock (fun () ->
         registry := (!reg_count, r) :: !registry;
         incr reg_count);
@@ -861,7 +857,7 @@ let decode_rings () =
 exception Overflow of { dropped : int; needed : int }
 
 let capture ~capacity f =
-  arm_rings ~capacity ~policy:Ring.Drop_oldest ();
+  arm_rings ~capacity ();
   Fun.protect ~finally:disarm_rings (fun () ->
       bind_ring ~shard:0;
       let result = f () in

@@ -126,11 +126,12 @@ val enabled : unit -> bool
     Instrumentation sites must guard emission with it, and worker loops
     use it to decide whether to {!bind_ring}. *)
 
-val arm_rings : ?capacity:int -> ?policy:Ring.policy -> unit -> unit
+val arm_rings : ?capacity:int -> unit -> unit
 (** Arm tracing and reset the ring registry. Subsequent {!bind_ring}
-    calls create rings of [capacity] records (default [65536]) with
-    overflow [policy] (default [Drop_oldest]). Call before the traced
-    run starts, from the orchestrating domain. *)
+    calls create rings of [capacity] records (default [65536]); a full
+    ring overwrites its oldest record and counts it in
+    {!rings_dropped}. Call before the traced run starts, from the
+    orchestrating domain. *)
 
 val bind_ring : shard:int -> unit
 (** Create a fresh ring for the calling domain, register it under
@@ -150,9 +151,9 @@ val disarm_rings : unit -> unit
     Decode first. *)
 
 val rings_dropped : unit -> int
-(** Total records lost to [Drop_oldest] overflow across all registered
-    rings — nonzero means {!decode_rings} is incomplete and the rings
-    need a bigger capacity. *)
+(** Total records lost to overflow across all registered rings —
+    nonzero means {!decode_rings} is incomplete and the rings need a
+    bigger capacity. *)
 
 val decode_rings : unit -> event list
 (** Merge every registered ring into the canonical event order. The

@@ -5,12 +5,15 @@
     conservative lookahead ({!Repro_netsim.Shard}).
 
     Results are bitwise shard-count-invariant: the same seed produces
-    identical goodputs, core loss and event count for any shard count
-    (the scheduler's [(time, sched, content)] dispatch order is
-    reconstructible from cross-shard messages). At one shard and one
-    flow per host this is the paper's Fig. 13 run, which
+    identical goodputs, core loss, event and drop counts for any shard
+    count (the scheduler's [(time, sched, content)] dispatch order is
+    reconstructible from cross-shard messages); only [cut_messages] and
+    the heap high-water mark depend on it. At one shard and one flow
+    per host this is the paper's Fig. 13 run, which
     {!Fattree_static.run} projects. The `shard-invariance` CI job
-    enforces the invariance via [olia_sim shard-invariance], including
+    enforces the invariance via [olia_sim shard-invariance
+    fattree-sharded], which compares the registry outcomes at 1 and N
+    shards field by field ([Repro_exp.Outcome.bitwise_diff]), including
     a traced leg that byte-compares the decoded sharded trace against
     the 1-shard trace. *)
 

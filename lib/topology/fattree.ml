@@ -54,7 +54,7 @@ let create ~sim ?(shards = 1) ~rng ~k ~rate_bps ~delay ~buffer_pkts
     Array.init shards (fun s ->
         Array.init shards (fun d ->
             if s = d then None
-            else Some (Shard.open_channel group ~src:s ~dst:d ())))
+            else Some (Shard.open_channel group ~src:s ~dst:d)))
   in
   let h = k / 2 in
   let mk pod rate name =

@@ -159,35 +159,44 @@ let test_report_json_shape () =
 
 (* --- differential conformance (float vs fixed-point) -------------------- *)
 
-(* The full diff registry (12 packet simulations of 60 s each) runs
-   under the CI diff-conformance step via [olia_sim check --diff]; the
-   suite exercises the quick profile (shorter runs, wider bands) and
-   the simulator-free lockstep driver. *)
+(* The diff/ cases are ordinary conformance cases: the suite runs the
+   same 60 s scenarios and bands as [olia_sim check], plus the
+   simulator-free lockstep driver on its own. *)
 
-let test_diff_scenario_cases_pass () =
-  let report = Ck.Diff.run_all ~only:"diff/a" ~quick:true () in
-  Alcotest.(check int) "olia and balia twins" 2
-    (List.length report.Ck.Diff.cases);
+let diff_cases_pass ~only ~cases =
+  let report = Ck.Conformance.run_all ~only () in
+  Alcotest.(check int) (only ^ ": cases") cases
+    (List.length report.Ck.Conformance.cases);
   List.iter
-    (fun (cr : Ck.Diff.case_report) ->
+    (fun (cr : Ck.Conformance.case_report) ->
       List.iter
-        (fun (r : Ck.Diff.check_result) ->
-          if not r.pass then
-            Alcotest.failf "%s/%s: deviation %g over limit %g" cr.case
-              r.metric r.deviation r.limit)
+        (fun (r : Ck.Band.result) ->
+          if not r.Ck.Band.pass then
+            Alcotest.failf "%s/%s: deviation %g outside [%g, %g]" cr.case
+              r.band.Ck.Band.metric r.actual r.band.Ck.Band.lo
+              r.band.Ck.Band.hi)
+        cr.results;
+      (* the report carries both backends' values beside the deviation *)
+      List.iter
+        (fun (b : Ck.Band.result) ->
+          match String.split_on_char '.' b.band.Ck.Band.metric with
+          | [ m; "rel_dev" ] ->
+            List.iter
+              (fun side ->
+                if not (List.mem_assoc (m ^ "." ^ side) cr.metrics) then
+                  Alcotest.failf "%s: no %s.%s metric" cr.case m side)
+              [ "float"; "fixed" ]
+          | _ -> ())
         cr.results)
-    report.Ck.Diff.cases;
-  Alcotest.(check bool) "within bands" true report.Ck.Diff.pass
+    report.Ck.Conformance.cases;
+  Alcotest.(check bool) (only ^ ": within bands") true
+    report.Ck.Conformance.pass
+
+let test_diff_scenario_cases_pass () = diff_cases_pass ~only:"diff/a" ~cases:2
 
 let test_diff_scenario_bc_cases_pass () =
-  List.iter
-    (fun only ->
-      let report = Ck.Diff.run_all ~only ~quick:true () in
-      Alcotest.(check int) (only ^ ": olia and balia twins") 2
-        (List.length report.Ck.Diff.cases);
-      Alcotest.(check bool) (only ^ ": within bands") true
-        report.Ck.Diff.pass)
-    [ "diff/b"; "diff/c" ]
+  diff_cases_pass ~only:"diff/b" ~cases:2;
+  diff_cases_pass ~only:"diff/c" ~cases:2
 
 let test_diff_lockstep_bounded () =
   List.iter
@@ -206,28 +215,37 @@ let test_diff_lockstep_bounded () =
     [ ("olia", "olia-fp"); ("balia", "balia-fp") ]
 
 let test_diff_lockstep_cases_pass () =
-  let report = Ck.Diff.run_all ~only:"lockstep" () in
-  Alcotest.(check int) "two lockstep cases" 2
-    (List.length report.Ck.Diff.cases);
-  Alcotest.(check bool) "bounded divergence" true report.Ck.Diff.pass
+  diff_cases_pass ~only:"diff/lockstep" ~cases:2
 
 let test_diff_report_deterministic () =
   let render () =
-    Json.to_string (Ck.Diff.report_to_json (Ck.Diff.run_all ~only:"lockstep" ()))
+    Json.to_string
+      (Ck.Conformance.report_to_json
+         (Ck.Conformance.run_all ~only:"diff/lockstep" ()))
   in
   let a = render () and b = render () in
   Alcotest.(check string) "byte-identical diff reports" a b
 
 let test_diff_provenance_present () =
+  let diff =
+    List.filter
+      (fun (c : Ck.Conformance.case) ->
+        String.starts_with ~prefix:"diff/" c.name)
+      (Ck.Conformance.cases ())
+  in
+  Alcotest.(check int) "six scenario and two lockstep cases" 8
+    (List.length diff);
   List.iter
-    (fun (c : Ck.Diff.case) ->
-      Alcotest.(check bool)
-        (c.name ^ ": cites the kernel source")
-        true
-        (String.length c.source > 0
-        && String.length c.float_algo > 0
-        && String.length c.fixed_algo > 0))
-    (Ck.Diff.cases ~quick:true ())
+    (fun (c : Ck.Conformance.case) ->
+      Alcotest.(check bool) (c.name ^ ": has bands") true (c.bands <> []);
+      List.iter
+        (fun (b : Ck.Band.t) ->
+          Alcotest.(check bool)
+            (b.Ck.Band.id ^ ": cites the kernel source")
+            true
+            (String.starts_with ~prefix:"net/mptcp/mptcp_" b.Ck.Band.source))
+        c.bands)
+    diff
 
 (* --- fluid residual invariants ------------------------------------------ *)
 

@@ -648,11 +648,11 @@ let test_sweep_rings () =
 
 module Ring = Repro_obs.Ring
 
-(* Circular-buffer mechanics: a Drop_oldest ring past capacity keeps
+(* Circular-buffer mechanics: a ring past capacity keeps
    exactly the newest [capacity] records, counts the overwritten ones,
    and [slot_of_index] walks the survivors oldest-to-newest. *)
 let test_ring_wraparound () =
-  let r = Ring.create ~shard:0 ~capacity:8 ~policy:Ring.Drop_oldest in
+  let r = Ring.create ~shard:0 ~capacity:8 in
   for i = 0 to 19 do
     let s = Ring.claim r in
     Ring.set_i r s 0 i;
@@ -675,19 +675,8 @@ let test_ring_wraparound () =
   Alcotest.(check int) "reset forgets the records" 0 (Ring.length r);
   Alcotest.(check int) "and the drop count" 0 (Ring.dropped r)
 
-(* Fail_fast refuses the record that would overwrite history; the null
-   ring (an unbound domain) refuses every record. *)
-let test_ring_fail_fast () =
-  let r = Ring.create ~shard:1 ~capacity:4 ~policy:Ring.Fail_fast in
-  for i = 0 to 3 do
-    let s = Ring.claim r in
-    Ring.set_i r s 0 i
-  done;
-  (match Ring.claim r with
-  | _ -> Alcotest.fail "expected Ring.Full"
-  | exception Ring.Full -> ());
-  Alcotest.(check int) "nothing dropped" 0 (Ring.dropped r);
-  Alcotest.(check int) "the four survivors intact" 4 (Ring.length r);
+(* The null ring (an unbound domain) refuses every record. *)
+let test_ring_null_refuses () =
   match Ring.claim Ring.null with
   | _ -> Alcotest.fail "null ring accepted a record"
   | exception Ring.Full -> ()
@@ -1073,8 +1062,8 @@ let suite =
       test_sweep_rings;
     Alcotest.test_case "ring wraparound keeps the newest records" `Quick
       test_ring_wraparound;
-    Alcotest.test_case "fail-fast and null rings refuse records" `Quick
-      test_ring_fail_fast;
+    Alcotest.test_case "null ring refuses records" `Quick
+      test_ring_null_refuses;
     QCheck_alcotest.to_alcotest prop_decode_partition_invariant;
     Alcotest.test_case "decode keeps each dispatch's order" `Quick
       test_decode_keeps_dispatch_order;

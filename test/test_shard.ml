@@ -3,7 +3,8 @@
    loop against sequential dispatch (golden), the registry fattree
    scenario against a 2-shard run of the same load, exact shard-count
    invariance, determinism of sharded runs, the up-front warm-up check,
-   and byte-identical trace decode across shard counts. *)
+   byte-identical trace decode across shard counts, and the outcome
+   comparison behind the shard-invariance gate. *)
 
 open Mptcp_repro.Netsim
 module Fattree = Mptcp_repro.Topology.Fattree
@@ -156,7 +157,7 @@ let test_windows () =
 let channel_rig ?(burst = 3) () =
   let s0 = Sim.create () and s1 = Sim.create () in
   let group = Shard.create ~sims:[| s0; s1 |] ~lookahead:0.01 in
-  let ch = Shard.open_channel group ~src:0 ~dst:1 () in
+  let ch = Shard.open_channel group ~src:0 ~dst:1 in
   let q =
     Queue.create ~sim:s0 ~rng:(Rng.create ~seed:1) ~rate_bps:12e6
       ~buffer_pkts:10 ~discipline:Queue.Droptail ~wired:true ()
@@ -200,7 +201,7 @@ let test_cut_count_excludes_queued () =
 let test_send_requires_wired_feed () =
   let s0 = Sim.create () and s1 = Sim.create () in
   let group = Shard.create ~sims:[| s0; s1 |] ~lookahead:0.01 in
-  let ch = Shard.open_channel group ~src:0 ~dst:1 () in
+  let ch = Shard.open_channel group ~src:0 ~dst:1 in
   let p =
     Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0.
       ~route:[| Shard.egress ch |]
@@ -378,6 +379,47 @@ let test_traced_decode_shard_invariant () =
   Alcotest.(check bool) "decoded traces byte-identical" true (base = shd);
   Alcotest.(check bool) "non-trivial trace" true (List.length base > 1000)
 
+(* --- the shard-invariance gate's comparison ------------------------------ *)
+
+(* [olia_sim shard-invariance] runs a registry scenario at 1 and N shards
+   and compares the whole outcomes with [Outcome.bitwise_diff]: between
+   1 and 2 shards exactly the exempt pair differs, and a single changed
+   goodput is flagged. *)
+let test_outcome_diff_exempts_only_shard_dependent () =
+  let module O = Mptcp_repro.Exp.Outcome in
+  let (module Sc : Mptcp_repro.Scenarios.Registry.SCENARIO) =
+    Mptcp_repro.Scenarios.Registry.find "fattree-sharded"
+  in
+  let run shards =
+    Sc.run
+      Mptcp_repro.Exp.Spec.
+        [
+          ("shards", Int shards); ("k", Int 4); ("flows_per_host", Int 2);
+          ("duration", Float 1.5); ("warmup", Float 0.5);
+        ]
+  in
+  let base = run 1 and shd = run 2 in
+  let flagged ~exempt b =
+    List.filter_map
+      (fun (d : O.field_diff) ->
+        if d.differing > 0 then Some (d.field, d.differing) else None)
+      (O.bitwise_diff ~exempt base b)
+  in
+  Alcotest.(check (list (pair string int)))
+    "unexempted, only the shard-dependent pair differs"
+    (List.sort compare (List.map (fun m -> (m, 1)) O.shard_dependent))
+    (List.sort compare (flagged ~exempt:[] shd));
+  Alcotest.(check int) "11 metrics and flow_mbps compared" 12
+    (List.length (O.bitwise_diff ~exempt:O.shard_dependent base shd));
+  Alcotest.(check (list (pair string int))) "nothing else differs" []
+    (flagged ~exempt:O.shard_dependent shd);
+  let flows = Array.copy (List.assoc "flow_mbps" shd.O.arrays) in
+  flows.(5) <- Float.succ flows.(5);
+  Alcotest.(check (list (pair string int)))
+    "one changed goodput is flagged" [ ("flow_mbps", 1) ]
+    (flagged ~exempt:O.shard_dependent
+       { shd with O.arrays = [ ("flow_mbps", flows) ] })
+
 let suite =
   [
     Alcotest.test_case "pod cut k=4" `Quick test_cut_k4;
@@ -404,4 +446,6 @@ let suite =
       test_send_requires_wired_feed;
     Alcotest.test_case "deliver rejects a late arrival" `Quick
       test_deliver_rejects_late_arrival;
+    Alcotest.test_case "outcome diff exempts only the shard-dependent pair"
+      `Slow test_outcome_diff_exempts_only_shard_dependent;
   ]
