@@ -7,7 +7,7 @@
      report <trace.jsonl>                   flight-recorder trace analysis
      fluid <a|b|c>                          analytical fixed points
      shard-invariance <scenario> [-p k=v]...  1-shard vs N-shard CI gate
-     check                                  conformance + golden traces
+     check                                  conformance + goldens
 
    Every packet simulation runs through the scenario registry ([run],
    [sweep], [shard-invariance]). [fluid] stays a subcommand of its own:
@@ -680,7 +680,7 @@ module Ck = Mptcp_repro.Check
 let run_check only out update_golden golden_dir =
   if update_golden then begin
     Ck.Golden.update_all ~dir:golden_dir;
-    Printf.printf "golden traces re-recorded under %s/\n" golden_dir;
+    Printf.printf "goldens re-recorded under %s/\n" golden_dir;
     `Ok ()
   end
   else
@@ -696,6 +696,7 @@ let run_check only out update_golden golden_dir =
     let golden =
       selected Ck.Golden.check Ck.Golden.names
       @ selected Ck.Golden.check_report Ck.Golden.report_names
+      @ selected Ck.Golden.check_outcome Ck.Golden.outcome_names
     in
     if report.Ck.Conformance.cases = [] && golden = [] then
       `Error
@@ -708,7 +709,8 @@ let run_check only out update_golden golden_dir =
                   (fun (c : Ck.Conformance.case) -> c.name)
                   (Ck.Conformance.cases ())
                @ List.map (fun n -> "golden/" ^ n)
-                   (Ck.Golden.names @ Ck.Golden.report_names))) )
+                   (Ck.Golden.names @ Ck.Golden.report_names
+                  @ Ck.Golden.outcome_names))) )
     else begin
       List.iter
         (fun (cr : Ck.Conformance.case_report) ->
@@ -749,7 +751,7 @@ let run_check only out update_golden golden_dir =
       in
       Option.iter (fun path -> Json.write ~path json) out;
       Printf.printf
-        "conformance: %d/%d bands within tolerance, %d/%d golden traces match\n"
+        "conformance: %d/%d bands within tolerance, %d/%d goldens match\n"
         (report.Ck.Conformance.bands_total - report.Ck.Conformance.bands_failed)
         report.Ck.Conformance.bands_total
         (List.length (List.filter (fun (_, r) -> Result.is_ok r) golden))
@@ -768,18 +770,18 @@ let check_cmd =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"SUBSTR" ~doc)
   in
   let update_golden =
-    let doc = "Re-record the golden trace files and exit." in
+    let doc = "Re-record the golden traces, reports and outcomes and exit." in
     Arg.(value & flag & info [ "update-golden" ] ~doc)
   in
   let golden_dir =
-    let doc = "Directory holding the golden trace files." in
+    let doc = "Directory holding the golden files." in
     Arg.(value & opt string "test/golden" & info [ "golden-dir" ] ~docv:"DIR" ~doc)
   in
   let doc =
     "Conformance: packet simulations vs fluid-model tolerance bands, \
      fault-recovery checks, float vs fixed-point congestion control \
-     (the $(b,diff/) cases, citing the kernel sources) and golden-trace \
-     regression."
+     (the $(b,diff/) cases, citing the kernel sources) and the goldens: \
+     traces, reports and every registry scenario's outcome."
   in
   Cmd.v
     (Cmd.info "check" ~doc)

@@ -298,6 +298,138 @@ let check_report ~dir name =
     | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" file e)
     | Ok want -> compare_json ~name ~want ~got:(record_report name)
 
+(* --- golden outcomes -------------------------------------------------- *)
+
+(* Every registry scenario at small parameters, recorded as the document
+   [olia_sim run <scenario> -p ... --out <file>] writes: the scenario
+   name, its resolved parameters and its [Outcome.to_json]. Each CC of
+   [Repro_cc.Registry] runs on scenario B; the whole set takes about a
+   second. *)
+let outcome_runs =
+  let testbed = [ "duration=10"; "warmup=2" ] in
+  let tree = [ "k=4"; "duration=3"; "warmup=1" ] in
+  let sharded = [ "k=4"; "flows_per_host=2"; "duration=2"; "warmup=0.5" ] in
+  let algos =
+    List.filter_map
+      (fun algo ->
+        let algo = if algo = "coupled:<eps>" then "coupled:1" else algo in
+        if algo = "olia" then None
+        else
+          Some
+            ( "scenario-b-" ^ String.map (function ':' -> '-' | c -> c) algo,
+              "scenario-b",
+              ("algo=" ^ algo) :: testbed ))
+      Repro_cc.Registry.names
+  in
+  [
+    ("scenario-a", "scenario-a", testbed);
+    ("scenario-b", "scenario-b", testbed);
+    ("scenario-c", "scenario-c", testbed);
+    ("two-bottleneck", "two-bottleneck", [ "duration=10" ]);
+    ( "responsiveness",
+      "responsiveness",
+      [ "duration=10"; "shock_at=3"; "relief_at=6" ] );
+    ("wireless", "wireless", testbed);
+    ("fattree", "fattree", tree);
+    ("fattree-dynamic", "fattree-dynamic", tree);
+    ("fattree-sharded-1", "fattree-sharded", "shards=1" :: sharded);
+    ("fattree-sharded-2", "fattree-sharded", "shards=2" :: sharded);
+  ]
+  @ algos
+  @ [
+      ( "scenario-b-singlepath",
+        "scenario-b",
+        "red_multipath=false" :: testbed );
+      ("scenario-c-background", "scenario-c", "background=3" :: testbed);
+      ("scenario-c-path-manager", "scenario-c", "path_manager=true" :: testbed);
+    ]
+  |> List.map (fun (name, scenario, params) ->
+         ("outcomes/" ^ name, (scenario, params)))
+
+let outcome_names = List.map fst outcome_runs
+
+let record_outcome name =
+  match List.assoc_opt name outcome_runs with
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Golden.record_outcome: unknown outcome %S (have: %s)"
+         name
+         (String.concat ", " outcome_names))
+  | Some (scenario, params) ->
+    let (module Sc : Repro_scenarios.Registry.SCENARIO) =
+      Repro_scenarios.Registry.find scenario
+    in
+    let bindings = List.map (Repro_exp.Spec.parse_assign Sc.spec) params in
+    Json.Obj
+      [
+        ("scenario", Json.String scenario);
+        ("params", Repro_exp.Spec.to_json Sc.spec bindings);
+        ("outcome", Repro_exp.Outcome.to_json (Sc.run bindings));
+      ]
+
+let outcome_path ~dir name = Filename.concat dir (name ^ ".json")
+
+let update_outcome ~dir name =
+  let path = outcome_path ~dir name in
+  let parent = Filename.dirname path in
+  if not (Sys.file_exists parent) then Sys.mkdir parent 0o755;
+  Json.write ~path (record_outcome name)
+
+(* Field-by-field comparison of the outcomes ([Outcome.bitwise_diff]),
+   after both sides went through JSON: a non-finite value compares as
+   the [null] it prints as, so it matches any non-finite value and no
+   finite one. Past the fields, the documents must be byte-identical,
+   which pins the parameters and the field order. *)
+let compare_outcome ~name ~want ~got =
+  let module O = Repro_exp.Outcome in
+  let outcome doc =
+    match doc with
+    | Json.Obj fields -> (
+      match List.assoc_opt "outcome" fields with
+      | Some o -> O.of_json o
+      | None -> Error "no \"outcome\" field")
+    | _ -> Error "not an object"
+  in
+  match (outcome want, outcome got) with
+  | Error e, _ -> Error (Printf.sprintf "%s: bad golden: %s" name e)
+  | _, Error e -> Error (Printf.sprintf "%s: bad outcome: %s" name e)
+  | Ok w, Ok g -> (
+    match
+      List.filter
+        (fun (d : O.field_diff) -> d.differing > 0)
+        (O.bitwise_diff ~exempt:[] w g)
+    with
+    | [] ->
+      if Json.to_string want = Json.to_string got then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "%s: same values, but the parameters or the field order \
+              differ:\n  golden: %s\n  got:    %s"
+             name (Json.to_string want) (Json.to_string got))
+    | diffs ->
+      Error
+        (Printf.sprintf "%s: %d field(s) differ from the golden:%s" name
+           (List.length diffs)
+           (String.concat ""
+              (List.map
+                 (fun (d : O.field_diff) ->
+                   Printf.sprintf "\n  %s: %d of %d value(s), max |diff| %.6g"
+                     d.field d.differing d.values d.max_abs_diff)
+                 diffs))))
+
+let check_outcome ~dir name =
+  let file = outcome_path ~dir name in
+  if not (Sys.file_exists file) then
+    Error
+      (Printf.sprintf "golden outcome %s missing (run with --update-golden)"
+         file)
+  else
+    match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
+    | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" file e)
+    | Ok want -> compare_outcome ~name ~want ~got:(record_outcome name)
+
 let update_all ~dir =
   List.iter (fun (n, _) -> update ~dir n) scenarios;
-  List.iter (fun (n, _) -> update_report ~dir n) report_scenarios
+  List.iter (fun (n, _) -> update_report ~dir n) report_scenarios;
+  List.iter (update_outcome ~dir) outcome_names

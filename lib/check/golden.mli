@@ -55,3 +55,33 @@ val check_report : dir:string -> string -> (unit, string) result
 (** Re-run and compare semantically against the golden report; the error
     pinpoints the first diverging byte of the canonical forms.
     [update_all] refreshes golden reports along with golden traces. *)
+
+(** {2 Golden outcomes}
+
+    Every registry scenario at small parameters: the six testbed
+    scenarios, the three FatTrees ([fattree-sharded] at 1 and 2
+    shards), every {!Repro_cc.Registry} algorithm on scenario B, and a
+    few variants (single-path Red users, background traffic, the path
+    manager). Each file, [<dir>/outcomes/<name>.json], is the document
+    [olia_sim run <scenario> -p ... --out] writes: scenario, resolved
+    parameters and {!Repro_exp.Outcome.to_json}. *)
+
+val outcome_names : string list
+(** ["outcomes/<name>"]: the file stems under the golden directory. *)
+
+val record_outcome : string -> Repro_stats.Json.t
+(** Run the registry scenario and return its document. Raises
+    [Invalid_argument] on an unknown name. *)
+
+val update_outcome : dir:string -> string -> unit
+(** Re-record one golden outcome, creating [<dir>/outcomes/] if
+    needed. *)
+
+val check_outcome : dir:string -> string -> (unit, string) result
+(** Re-run and compare with {!Repro_exp.Outcome.bitwise_diff}. The
+    error names every differing field with its count of differing
+    values and its largest absolute difference. Both outcomes are
+    compared as JSON holds them: a non-finite value reads as [null],
+    which matches any non-finite value and no finite one. With no field
+    differing, the documents must still be byte-identical (parameters,
+    field order). [update_all] re-records the outcomes too. *)

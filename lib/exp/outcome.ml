@@ -37,7 +37,41 @@ let to_json t =
                arrays) );
       ]
 
-type field_diff = { field : string; values : int; differing : int }
+let of_json json =
+  let open Repro_stats.Json in
+  let number = function
+    | Float v -> v
+    | Int i -> float_of_int i
+    | Null -> Float.nan
+    | j -> invalid_arg ("not a number: " ^ to_string j)
+  in
+  let section fields name f =
+    match List.assoc_opt name fields with
+    | None -> []
+    | Some (Obj kv) -> List.map (fun (k, v) -> (k, f v)) kv
+    | Some j -> invalid_arg (Printf.sprintf "%S is not an object: %s" name (to_string j))
+  in
+  let array = function
+    | List l -> Array.of_list (List.map number l)
+    | j -> invalid_arg ("not an array: " ^ to_string j)
+  in
+  match json with
+  | Obj fields when List.mem_assoc "metrics" fields -> (
+    try
+      Ok
+        {
+          metrics = section fields "metrics" number;
+          arrays = section fields "arrays" array;
+        }
+    with Invalid_argument e -> Error e)
+  | j -> Error ("not an outcome: " ^ to_string j)
+
+type field_diff = {
+  field : string;
+  values : int;
+  differing : int;
+  max_abs_diff : float;
+}
 
 let shard_dependent = [ "cut_messages"; "obs_max_heap_depth" ]
 
@@ -46,13 +80,20 @@ let bitwise_diff ~exempt a b =
   let diff field x y =
     match (x, y) with
     | Some x, Some y when Array.length x = Array.length y ->
-      let differing = ref 0 in
-      Array.iter2 (fun x y -> if not (same x y) then incr differing) x y;
-      { field; values = Array.length x; differing = !differing }
+      let differing = ref 0 and worst = ref 0. in
+      Array.iter2
+        (fun x y ->
+          if not (same x y) then begin
+            incr differing;
+            worst := Float.max !worst (Float.abs (x -. y))
+          end)
+        x y;
+      { field; values = Array.length x; differing = !differing;
+        max_abs_diff = !worst }
     | x, y ->
       let len = Option.fold ~none:0 ~some:Array.length in
       let values = Int.max (len x) (len y) in
-      { field; values; differing = values }
+      { field; values; differing = values; max_abs_diff = Float.infinity }
   in
   let fields la lb =
     List.fold_left

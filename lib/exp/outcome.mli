@@ -27,12 +27,22 @@ val to_json : t -> Repro_stats.Json.t
 (** [{"metrics": {...}, "arrays": {...}}]; the [arrays] field is omitted
     when empty. *)
 
+val of_json : Repro_stats.Json.t -> (t, string) result
+(** Inverse of {!to_json}, field order kept. JSON has no non-finite
+    numbers: {!to_json} prints every NaN or infinity as [null], and
+    [of_json] reads [null] back as [nan]. *)
+
 (** {1 Bitwise comparison} *)
 
 type field_diff = {
   field : string;  (** metric or array name *)
   values : int;  (** 1 for a metric, the length for an array *)
   differing : int;  (** values whose bits differ *)
+  max_abs_diff : float;
+      (** the largest [|a - b|] over the differing values: [0.] when
+          none differ (or only the sign of a zero does), [nan] when a
+          differing pair holds a NaN, [infinity] when the field is
+          missing on one side or the array lengths differ *)
 }
 
 val shard_dependent : string list

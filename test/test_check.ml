@@ -408,6 +408,65 @@ let test_golden_report_unknown_name () =
        false
      with Invalid_argument _ -> true)
 
+(* --- golden outcomes ---------------------------------------------------- *)
+
+let test_golden_outcomes_match () =
+  List.iter
+    (fun name ->
+      match Ck.Golden.check_outcome ~dir:golden_dir name with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    Ck.Golden.outcome_names
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_golden_outcome_ulp_named () =
+  (* re-record one outcome into a temp dir and move one metric by one
+     ulp: the comparison must fail and name the field and its largest
+     absolute difference *)
+  let dir = Filename.temp_file "golden_outcome" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let name = "outcomes/scenario-b" in
+  Ck.Golden.update_outcome ~dir name;
+  let file = Filename.concat dir (name ^ ".json") in
+  let doc =
+    match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let field = "px" in
+  let before = ref 0. in
+  let bump = function
+    | Json.Float v ->
+      before := v;
+      Json.Float (Float.succ v)
+    | j -> j
+  in
+  let rec mutate = function
+    | Json.Obj kv ->
+      Json.Obj
+        (List.map (fun (k, v) -> (k, if k = field then bump v else mutate v)) kv)
+    | j -> j
+  in
+  Json.write ~path:file (mutate doc);
+  (match Ck.Golden.check_outcome ~dir name with
+  | Ok () -> Alcotest.fail "a one-ulp change must be detected"
+  | Error e ->
+    let diff = Printf.sprintf "%.6g" (Float.succ !before -. !before) in
+    Alcotest.(check bool)
+      (Printf.sprintf "names %s and max |diff| %s: %s" field diff e)
+      true
+      (contains e (field ^ ": 1 of 1 value(s), max |diff| " ^ diff)));
+  Sys.remove file;
+  Unix.rmdir (Filename.concat dir "outcomes");
+  Unix.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "band: around and edges" `Quick test_band_around;
@@ -461,4 +520,8 @@ let suite =
       test_golden_report_semantic_compare;
     Alcotest.test_case "golden: unknown report name" `Quick
       test_golden_report_unknown_name;
+    Alcotest.test_case "golden: registry outcomes match" `Quick
+      test_golden_outcomes_match;
+    Alcotest.test_case "golden: outcome ulp change named" `Quick
+      test_golden_outcome_ulp_named;
   ]
