@@ -383,18 +383,21 @@ let fig12 () =
 (* ----- window traces (Figs. 7 and 8) ---------------------------------- *)
 
 let trace_summary label cfg =
-  let t = S.Two_bottleneck.run cfg in
+  let o = S.Two_bottleneck.run cfg in
+  let m = E.Outcome.metric o in
   let d = cfg.S.Two_bottleneck.duration in
-  let mean ts = Stats.Timeseries.mean_over ts ~from:(d /. 6.) ~until:d in
+  let mean w =
+    Stats.Timeseries.mean_over
+      (Stats.Timeseries.of_arrays ~times:(E.Outcome.array o "t")
+         (E.Outcome.array o w))
+      ~from:(d /. 6.) ~until:d
+  in
   Printf.printf
     "%s (%-4s): mean w1 = %5.1f, mean w2 = %5.1f pkts; goodput %.2f / %.2f \
-     Mb/s; window flips = %d\n"
-    label cfg.S.Two_bottleneck.algo
-    (mean t.S.Two_bottleneck.w1)
-    (mean t.S.Two_bottleneck.w2)
-    t.S.Two_bottleneck.goodput1_mbps t.S.Two_bottleneck.goodput2_mbps
-    t.S.Two_bottleneck.flip_count;
-  t
+     Mb/s; window flips = %.0f\n"
+    label cfg.S.Two_bottleneck.algo (mean "w1") (mean "w2")
+    (m "goodput1_mbps") (m "goodput2_mbps") (m "flip_count");
+  o
 
 let fig7 () =
   section "Fig 7 - symmetric two-bottleneck: both paths used, no flapping";
@@ -403,8 +406,8 @@ let fig7 () =
   let _ = trace_summary "symmetric" { cfg with algo = "lia" } in
   Printf.printf "alpha samples within [-1,1]: %b\n"
     (Array.for_all
-       (fun (_, a) -> a >= -1. && a <= 1.)
-       (Stats.Timeseries.to_array t.S.Two_bottleneck.alpha1))
+       (fun a -> a >= -1. && a <= 1.)
+       (E.Outcome.array t "alpha1"))
 
 let fig8 () =
   section
@@ -414,7 +417,8 @@ let fig8 () =
   let lia = trace_summary "asymmetric" { cfg with algo = "lia" } in
   Printf.printf
     "congested-path goodput: OLIA %.2f vs LIA %.2f Mb/s (paper: OLIA lower)\n"
-    olia.S.Two_bottleneck.goodput2_mbps lia.S.Two_bottleneck.goodput2_mbps
+    (E.Outcome.metric olia "goodput2_mbps")
+    (E.Outcome.metric lia "goodput2_mbps")
 
 (* ----- FatTree (Fig. 13) ---------------------------------------------- *)
 
@@ -436,22 +440,22 @@ let fig13a () =
     Table.create ~title:"aggregate throughput, % of the permutation optimum"
       ~columns:[ "subflows"; "TCP"; "MPTCP LIA"; "MPTCP OLIA" ]
   in
-  let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
+  let pct cfg =
+    Printf.sprintf "%.1f"
+      (E.Outcome.metric (S.Fattree_static.run cfg) "aggregate_pct_optimal")
+  in
+  let tcp = pct { cfg with subflows = 1 } in
   let subflow_counts = if !quick then [ 2; 4; 8 ] else [ 2; 3; 4; 5; 6; 7; 8 ] in
   List.iter
     (fun n ->
-      let lia = S.Fattree_static.run { cfg with subflows = n; algo = "lia" } in
-      let olia =
-        S.Fattree_static.run { cfg with subflows = n; algo = "olia" }
-      in
+      let lia = pct { cfg with subflows = n; algo = "lia" } in
+      let olia = pct { cfg with subflows = n; algo = "olia" } in
       Table.add_row t
         [
           string_of_int n;
-          (if n = List.hd subflow_counts then
-             Printf.sprintf "%.1f" tcp.S.Fattree_static.aggregate_pct_optimal
-           else "-");
-          Printf.sprintf "%.1f" lia.S.Fattree_static.aggregate_pct_optimal;
-          Printf.sprintf "%.1f" olia.S.Fattree_static.aggregate_pct_optimal;
+          (if n = List.hd subflow_counts then tcp else "-");
+          lia;
+          olia;
         ])
     subflow_counts;
   Table.print t
@@ -459,15 +463,15 @@ let fig13a () =
 let fig13b () =
   section "Fig 13(b) - ranked per-flow throughput (8 subflows)";
   let cfg = fattree_cfg () in
-  let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
-  let lia = S.Fattree_static.run { cfg with subflows = 8; algo = "lia" } in
-  let olia = S.Fattree_static.run { cfg with subflows = 8; algo = "olia" } in
+  let ranked cfg = E.Outcome.array (S.Fattree_static.run cfg) "ranked_pct" in
+  let tcp = ranked { cfg with subflows = 1 } in
+  let lia = ranked { cfg with subflows = 8; algo = "lia" } in
+  let olia = ranked { cfg with subflows = 8; algo = "olia" } in
   let t =
     Table.create ~title:"flow throughput (% of optimal) at selected ranks"
       ~columns:[ "rank percentile"; "TCP"; "MPTCP LIA"; "MPTCP OLIA" ]
   in
-  let pick (r : S.Fattree_static.result) q =
-    let a = r.S.Fattree_static.ranked_pct in
+  let pick a q =
     a.(Stdlib.min
          (Array.length a - 1)
          (int_of_float (q *. float_of_int (Array.length a))))
@@ -483,9 +487,7 @@ let fig13b () =
         ])
     [ 0.05; 0.25; 0.5; 0.75; 0.95 ];
   Table.print t;
-  let jain (r : S.Fattree_static.result) =
-    Summary.jain_index (Array.to_list r.S.Fattree_static.ranked_pct)
-  in
+  let jain a = Summary.jain_index (Array.to_list a) in
   Printf.printf
     "Jain fairness index: TCP %.3f, LIA %.3f, OLIA %.3f (paper: MPTCP \
      fairer than TCP)\n"
@@ -524,15 +526,16 @@ let fig14_impl () =
     List.map
       (fun (label, algo, subflows) ->
         let r = S.Fattree_dynamic.run { cfg with algo; subflows } in
+        let m = E.Outcome.metric r in
         let h = Stats.Histogram.create ~lo:0. ~hi:500. ~bins:100 in
         Array.iter (Stats.Histogram.add h)
-          r.S.Fattree_dynamic.completion_times_ms;
+          (E.Outcome.array r "completion_times_ms");
         Table.add_row t
           [
             label;
-            Printf.sprintf "%.0f ± %.0f" r.S.Fattree_dynamic.mean_completion_ms
-              r.S.Fattree_dynamic.stdev_completion_ms;
-            Printf.sprintf "%.1f" r.S.Fattree_dynamic.core_utilization_pct;
+            Printf.sprintf "%.0f ± %.0f" (m "mean_completion_ms")
+              (m "stdev_completion_ms");
+            Printf.sprintf "%.1f" (m "core_utilization_pct");
             Printf.sprintf "%.0f / %.0f"
               (Stats.Histogram.quantile h 0.5)
               (Stats.Histogram.quantile h 0.9);
@@ -560,7 +563,7 @@ let fig14 () =
       (fun (_, r) ->
         let h = Stats.Histogram.create ~lo:0. ~hi:300. ~bins:15 in
         Array.iter (Stats.Histogram.add h)
-          r.S.Fattree_dynamic.completion_times_ms;
+          (E.Outcome.array r "completion_times_ms");
         Stats.Histogram.pdf h)
       results
   in
@@ -580,6 +583,17 @@ let table3 () =
 
 (* ----- ablations -------------------------------------------------------- *)
 
+(* One Scenario-C row: the multipath and single-path norms and p2. *)
+let scen_c_row t label cfg =
+  let m = E.Outcome.metric (S.Scen_c.run cfg) in
+  Table.add_row t
+    [
+      label;
+      Printf.sprintf "%.3f" (m "norm_multipath");
+      Printf.sprintf "%.3f" (m "norm_single");
+      Printf.sprintf "%.4f" (m "p2");
+    ]
+
 let ablation_epsilon () =
   section "Ablation - the ε-coupled family on Scenario C (design tradeoff)";
   let t =
@@ -588,17 +602,8 @@ let ablation_epsilon () =
       ~columns:[ "algorithm"; "multipath norm"; "single norm"; "p2" ]
   in
   let run algo =
-    let cfg =
+    scen_c_row t algo
       { S.Scen_c.default with algo; duration = duration (); warmup = warmup () }
-    in
-    let r = S.Scen_c.run cfg in
-    Table.add_row t
-      [
-        algo;
-        Printf.sprintf "%.3f" r.S.Scen_c.norm_multipath;
-        Printf.sprintf "%.3f" r.S.Scen_c.norm_single;
-        Printf.sprintf "%.4f" r.S.Scen_c.p2;
-      ]
   in
   List.iter run
     [
@@ -617,23 +622,14 @@ let ablation_seeds () =
   in
   List.iter
     (fun seed ->
-      let r =
-        S.Scen_c.run
-          {
-            S.Scen_c.default with
-            algo = "olia";
-            duration = duration ();
-            warmup = warmup ();
-            seed;
-          }
-      in
-      Table.add_row t
-        [
-          string_of_int seed;
-          Printf.sprintf "%.3f" r.S.Scen_c.norm_multipath;
-          Printf.sprintf "%.3f" r.S.Scen_c.norm_single;
-          Printf.sprintf "%.4f" r.S.Scen_c.p2;
-        ])
+      scen_c_row t (string_of_int seed)
+        {
+          S.Scen_c.default with
+          algo = "olia";
+          duration = duration ();
+          warmup = warmup ();
+          seed;
+        })
     [ 1; 2; 3; 4; 5 ];
   Table.print t
 
@@ -644,16 +640,7 @@ let ablation_future_work () =
       ~title:"path management and background traffic (C1 = C2 = 1 Mb/s)"
       ~columns:[ "variant"; "multipath norm"; "single norm"; "p2" ]
   in
-  let run label cfg =
-    let r = S.Scen_c.run cfg in
-    Table.add_row t
-      [
-        label;
-        Printf.sprintf "%.3f" r.S.Scen_c.norm_multipath;
-        Printf.sprintf "%.3f" r.S.Scen_c.norm_single;
-        Printf.sprintf "%.4f" r.S.Scen_c.p2;
-      ]
-  in
+  let run = scen_c_row t in
   let base =
     {
       S.Scen_c.default with
@@ -682,24 +669,23 @@ let ablation_rtt () =
         [ "algorithm"; "goodput path1"; "goodput path2"; "total Mb/s" ]
   in
   let run algo =
-    let r =
-      S.Two_bottleneck.run
-        {
-          S.Two_bottleneck.symmetric with
-          algo;
-          delay1_ms = 20.;
-          delay2_ms = 80.;
-          duration = 120.;
-        }
+    let m =
+      E.Outcome.metric
+        (S.Two_bottleneck.run
+           {
+             S.Two_bottleneck.symmetric with
+             algo;
+             delay1_ms = 20.;
+             delay2_ms = 80.;
+             duration = 120.;
+           })
     in
     Table.add_row t
       [
         algo;
-        Printf.sprintf "%.2f" r.S.Two_bottleneck.goodput1_mbps;
-        Printf.sprintf "%.2f" r.S.Two_bottleneck.goodput2_mbps;
-        Printf.sprintf "%.2f"
-          (r.S.Two_bottleneck.goodput1_mbps
-          +. r.S.Two_bottleneck.goodput2_mbps);
+        Printf.sprintf "%.2f" (m "goodput1_mbps");
+        Printf.sprintf "%.2f" (m "goodput2_mbps");
+        Printf.sprintf "%.2f" (m "goodput1_mbps" +. m "goodput2_mbps");
       ]
   in
   List.iter run [ "lia"; "olia"; "coupled:2" ];
@@ -723,16 +709,17 @@ let ablation_responsiveness () =
   let fmt x = if Float.is_nan x then "-" else Printf.sprintf "%.1f" x in
   List.iter
     (fun algo ->
-      let r =
-        S.Responsiveness.run { S.Responsiveness.default with algo }
+      let m =
+        E.Outcome.metric
+          (S.Responsiveness.run { S.Responsiveness.default with algo })
       in
       Table.add_row t
         [
           algo;
-          Printf.sprintf "%.2f" r.S.Responsiveness.pre_shock_share;
-          fmt r.S.Responsiveness.shock_response_s;
-          fmt r.S.Responsiveness.relief_response_s;
-          Printf.sprintf "%.2f" r.S.Responsiveness.post_relief_share;
+          Printf.sprintf "%.2f" (m "pre_shock_share");
+          fmt (m "shock_response_s");
+          fmt (m "relief_response_s");
+          Printf.sprintf "%.2f" (m "post_relief_share");
         ])
     [ "lia"; "olia"; "balia"; "coupled:0"; "coupled:2" ];
   Table.print t;
@@ -814,17 +801,18 @@ let ablation_wireless () =
   in
   List.iter
     (fun algo ->
-      let r =
-        S.Wireless.run
-          { S.Wireless.default with algo; duration = duration ();
-            warmup = warmup () }
+      let m =
+        E.Outcome.metric
+          (S.Wireless.run
+             { S.Wireless.default with algo; duration = duration ();
+               warmup = warmup () })
       in
       Table.add_row t
         [
           algo;
-          Printf.sprintf "%.2f" r.S.Wireless.wifi_mbps;
-          Printf.sprintf "%.2f" r.S.Wireless.cell_mbps;
-          Printf.sprintf "%.2f" r.S.Wireless.total_mbps;
+          Printf.sprintf "%.2f" (m "wifi_mbps");
+          Printf.sprintf "%.2f" (m "cell_mbps");
+          Printf.sprintf "%.2f" (m "total_mbps");
         ])
     [ "reno"; "lia"; "olia"; "balia"; "wvegas" ];
   Table.print t;

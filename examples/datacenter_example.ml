@@ -5,6 +5,7 @@
    Run with:  dune exec examples/datacenter_example.exe *)
 
 module Fs = Mptcp_repro.Scenarios.Fattree_static
+module Outcome = Mptcp_repro.Exp.Outcome
 module Table = Mptcp_repro.Stats.Table
 
 let () =
@@ -19,13 +20,13 @@ let () =
       ~columns:[ "transport"; "subflows"; "% of optimal"; "core loss" ]
   in
   let run label subflows algo =
-    let r = Fs.run { cfg with subflows; algo } in
+    let m = Outcome.metric (Fs.run { cfg with subflows; algo }) in
     Table.add_row t
       [
         label;
         string_of_int subflows;
-        Printf.sprintf "%.1f" r.aggregate_pct_optimal;
-        Printf.sprintf "%.4f" r.mean_core_loss;
+        Printf.sprintf "%.1f" (m "aggregate_pct_optimal");
+        Printf.sprintf "%.4f" (m "mean_core_loss");
       ]
   in
   run "TCP" 1 "reno";

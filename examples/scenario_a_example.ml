@@ -6,6 +6,7 @@
    Run with:  dune exec examples/scenario_a_example.exe *)
 
 module Scen_a = Mptcp_repro.Scenarios.Scen_a
+module Outcome = Mptcp_repro.Exp.Outcome
 module Fluid_a = Mptcp_repro.Fluid.Scenario_a
 module Units = Mptcp_repro.Fluid.Units
 module Table = Mptcp_repro.Stats.Table
@@ -40,13 +41,13 @@ let () =
       ~columns:[ "algorithm"; "type1 (MPTCP)"; "type2 (TCP)"; "p2" ]
   in
   let add_run algo =
-    let r = Scen_a.run { cfg with algo } in
+    let m = Outcome.metric (Scen_a.run { cfg with algo }) in
     Table.add_row t
       [
         "measured " ^ algo;
-        Printf.sprintf "%.3f" r.norm_type1;
-        Printf.sprintf "%.3f" r.norm_type2;
-        Printf.sprintf "%.4f" r.p2;
+        Printf.sprintf "%.3f" (m "norm_type1");
+        Printf.sprintf "%.3f" (m "norm_type2");
+        Printf.sprintf "%.4f" (m "p2");
       ]
   in
   add_run "lia";

@@ -7,6 +7,7 @@
    Run with:  dune exec examples/window_trace_example.exe *)
 
 module Tb = Mptcp_repro.Scenarios.Two_bottleneck
+module Outcome = Mptcp_repro.Exp.Outcome
 module Ts = Mptcp_repro.Stats.Timeseries
 
 let bar width value scale =
@@ -20,10 +21,14 @@ let () =
     "Two bottlenecks (10 Mb/s each): path1 shared with %d TCP flows, \
      path2 with %d.\nOLIA windows sampled every 2 s:\n\n"
     cfg.n_tcp1 cfg.n_tcp2;
-  let t = Tb.run cfg in
-  let w1 = Ts.resample t.w1 ~dt:2. ~from:2. ~until:cfg.duration in
-  let w2 = Ts.resample t.w2 ~dt:2. ~from:2. ~until:cfg.duration in
-  let a2 = Ts.resample t.alpha2 ~dt:2. ~from:2. ~until:cfg.duration in
+  let o = Tb.run cfg in
+  (* every array is sampled at the times in "t" *)
+  let trace name =
+    Ts.resample
+      (Ts.of_arrays ~times:(Outcome.array o "t") (Outcome.array o name))
+      ~dt:2. ~from:2. ~until:cfg.duration
+  in
+  let w1 = trace "w1" and w2 = trace "w2" and a2 = trace "alpha2" in
   Printf.printf "%5s  %-22s %-22s %6s\n" "t(s)" "w1 (good path)"
     "w2 (congested path)" "alpha2";
   Array.iteri
@@ -35,8 +40,10 @@ let () =
         a2.(i))
     w1;
   Printf.printf
-    "\ngoodput: path1 %.2f Mb/s, path2 %.2f Mb/s; window flips: %d\n"
-    t.goodput1_mbps t.goodput2_mbps t.flip_count;
+    "\ngoodput: path1 %.2f Mb/s, path2 %.2f Mb/s; window flips: %.0f\n"
+    (Outcome.metric o "goodput1_mbps")
+    (Outcome.metric o "goodput2_mbps")
+    (Outcome.metric o "flip_count");
   print_endline
     "w2 stays near one packet: OLIA sends only probing traffic on the\n\
      congested path, as in the paper's Fig. 8."

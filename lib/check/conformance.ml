@@ -8,7 +8,6 @@ module Eq = Repro_fluid.Equilibrium
 module SA = Repro_scenarios.Scen_a
 module SB = Repro_scenarios.Scen_b
 module SC = Repro_scenarios.Scen_c
-module Meter = Repro_obs.Meter
 
 (* The case registry. Every case runs something — a packet simulation,
    a fluid solver, a fault-injection scenario, a float-vs-fixed-point
@@ -77,14 +76,7 @@ let norms_2class ~n1 ~c1 ~c2 x =
   let t2 = Array.fold_left ( +. ) 0. x.(n1) in
   (t1 /. c1, t2 /. c2)
 
-let metrics_a (r : SA.result) =
-  ("norm_type1", r.SA.norm_type1)
-  :: ("norm_type2", r.SA.norm_type2)
-  :: ("p1", r.SA.p1)
-  :: ("p2", r.SA.p2)
-  :: Meter.metrics r.SA.obs
-
-let run_a algo () = metrics_a (SA.run { SA.default with SA.algo })
+let run_a algo () = (SA.run { SA.default with SA.algo }).metrics
 
 let a_lia_case () =
   let f = FA.lia params_a in
@@ -195,14 +187,7 @@ let net_c () =
       Array.append (Array.make p.FC.n1 multipath) (Array.make p.FC.n2 single);
   }
 
-let metrics_c (r : SC.result) =
-  ("norm_multipath", r.SC.norm_multipath)
-  :: ("norm_single", r.SC.norm_single)
-  :: ("p1", r.SC.p1)
-  :: ("p2", r.SC.p2)
-  :: Meter.metrics r.SC.obs
-
-let run_c algo () = metrics_c (SC.run { SC.default with SC.algo })
+let run_c algo () = (SC.run { SC.default with SC.algo }).metrics
 
 let c_lia_case () =
   let f = FC.lia params_c in
@@ -291,16 +276,8 @@ let params_b =
     rtt = Repro_scenarios.Common.paper_rtt;
   }
 
-let metrics_b (r : SB.result) =
-  ("blue_rate", r.SB.blue_rate)
-  :: ("red_rate", r.SB.red_rate)
-  :: ("aggregate", r.SB.aggregate)
-  :: ("px", r.SB.px)
-  :: ("pt", r.SB.pt)
-  :: Meter.metrics r.SB.obs
-
 let run_b ~red_multipath algo () =
-  metrics_b (SB.run { SB.default with SB.algo; red_multipath })
+  (SB.run { SB.default with SB.algo; red_multipath }).metrics
 
 let b_lia_singlepath_case () =
   let f = FB.lia_red_singlepath params_b in
@@ -501,24 +478,16 @@ let twin_cases () =
   let duration = 60. and warmup = 15. in
   twin_scenario ~scen:"a" ~doc:"scenario A"
     ~metrics:[ "norm_type1"; "norm_type2" ]
-    (fun algo ->
-      metrics_a (SA.run { SA.default with SA.algo; duration; warmup }))
+    (fun algo -> (SA.run { SA.default with SA.algo; duration; warmup }).metrics)
   @ twin_scenario ~scen:"b" ~doc:"scenario B (Red multipath)"
       ~metrics:[ "blue_rate"; "red_rate"; "aggregate" ]
       (fun algo ->
-        metrics_b
-          (SB.run
-             {
-               SB.default with
-               SB.algo;
-               red_multipath = true;
-               duration;
-               warmup;
-             }))
+        (SB.run
+           { SB.default with SB.algo; red_multipath = true; duration; warmup })
+          .metrics)
   @ twin_scenario ~scen:"c" ~doc:"scenario C"
       ~metrics:[ "norm_multipath"; "norm_single" ]
-      (fun algo ->
-        metrics_c (SC.run { SC.default with SC.algo; duration; warmup }))
+      (fun algo -> (SC.run { SC.default with SC.algo; duration; warmup }).metrics)
   @ List.map
       (twin_case ~scen:"lockstep"
          ~doc:"per-ACK lockstep on one prescribed ACK/loss schedule"

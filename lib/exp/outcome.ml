@@ -10,13 +10,16 @@ let metric_opt t name = List.assoc_opt name t.metrics
 
 let metric_names t = List.map fst t.metrics
 
-let metric t name =
-  match metric_opt t name with
+let lookup what fields name =
+  match List.assoc_opt name fields with
   | Some v -> v
   | None ->
     invalid_arg
-      (Printf.sprintf "Outcome.metric: no metric %S (available: %s)" name
-         (String.concat ", " (metric_names t)))
+      (Printf.sprintf "Outcome.%s: no %s %S (available: %s)" what what name
+         (String.concat ", " (List.map fst fields)))
+
+let metric t = lookup "metric" t.metrics
+let array t = lookup "array" t.arrays
 
 let to_json t =
   let open Repro_stats.Json in

@@ -1,7 +1,9 @@
-(** The uniform result type of the experiment API: a set of named scalar
-    metrics plus optional per-flow (or per-sample) arrays. Typed scenario
-    results ([Scen_a.result] etc.) flatten into this shape so the sweep
-    engine, the emitters and the CLI can treat every scenario alike. *)
+(** The one result shape of every scenario: named scalar metrics plus
+    optional per-flow (or per-sample) arrays. Each scenario's
+    [run : config -> Outcome.t] builds it, and its [.mli] lists the
+    names in order; the registry, the sweep engine, the emitters, the
+    CLI, the conformance bands and the bench figures all read it by
+    name. *)
 
 type t = {
   metrics : (string * float) list;  (** scalar results, in display order *)
@@ -20,6 +22,10 @@ val metric : t -> string -> float
     absent. *)
 
 val metric_opt : t -> string -> float option
+
+val array : t -> string -> float array
+(** Raises [Invalid_argument] (listing the available arrays) when
+    absent. *)
 
 val metric_names : t -> string list
 

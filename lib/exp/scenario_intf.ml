@@ -1,8 +1,8 @@
 (** The uniform interface every registered experiment implements: a
     parameter {!Spec.t} (name, doc, typed defaults) and a [run] taking
-    resolved bindings to an {!Outcome.t}. The typed entry points
-    ([Scen_a.run : config -> result] etc.) remain the implementation;
-    registry adapters in [lib/scenarios] wrap them in this signature. *)
+    resolved bindings to an {!Outcome.t}. Each scenario module's typed
+    [run : config -> Outcome.t] is the implementation; the registry
+    adapters in [lib/scenarios] copy the bindings into its config. *)
 
 module type S = sig
   val spec : Spec.t

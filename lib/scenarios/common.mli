@@ -40,7 +40,7 @@ val observe :
 (** Finish a run's meter from the simulator's counters and the drop
     split summed over [queues] (plus any [lossy] hops), attaching any
     labelled per-subflow goodputs (see {!subflow_goodput_bps}). Call it
-    after the event loop, before building the result record. *)
+    after the event loop, before building the outcome. *)
 
 val subflow_goodput_bps :
   label:string -> subflows:int -> measured list -> (string * float) list

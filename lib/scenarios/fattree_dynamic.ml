@@ -27,15 +27,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  completion_times_ms : float array;
-  mean_completion_ms : float;
-  stdev_completion_ms : float;
-  core_utilization_pct : float;
-  long_flow_mbps : float;
-  unfinished_shorts : int;
-}
-
 let run cfg =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
@@ -79,17 +70,15 @@ let run cfg =
         (fun { Repro_workload.Workload.start; size_pkts; src; dst } ->
           incr started_shorts;
           let paths = Repro_topology.Fattree.sample_paths tree ~rng ~src ~dst ~n:1 in
-          let conn = ref None in
           let on_complete t_end =
             incr finished_shorts;
             if start >= cfg.warmup then
-              completions := ((t_end -. start) *. 1000.) :: !completions;
-            ignore !conn
+              completions := ((t_end -. start) *. 1000.) :: !completions
           in
-          conn :=
-            Some
-              (Tcp.create ~sim ~cc:(Repro_cc.Reno.create ()) ~paths
-                 ?size_pkts ~start ~on_complete ~flow_id:src ()))
+          ignore
+            (Tcp.create ~sim ~cc:(Repro_cc.Reno.create ()) ~paths ?size_pkts
+               ~start ~on_complete ~flow_id:src ()
+              : Tcp.conn))
         shorts
     end
   done;
@@ -109,12 +98,13 @@ let run cfg =
       (fun q -> Queue.utilization q ~since:cfg.warmup ~now:cfg.duration)
       core
   in
-  {
-    completion_times_ms;
-    mean_completion_ms = Repro_stats.Summary.mean summary;
-    stdev_completion_ms = Repro_stats.Summary.stdev summary;
-    core_utilization_pct = 100. *. Common.mean utils;
-    long_flow_mbps =
-      Common.mean (List.map (fun m -> m.Common.goodput_mbps) measured);
-    unfinished_shorts = !started_shorts - !finished_shorts;
-  }
+  Repro_exp.Outcome.of_metrics
+    ~arrays:[ ("completion_times_ms", completion_times_ms) ]
+    [
+      ("mean_completion_ms", Repro_stats.Summary.mean summary);
+      ("stdev_completion_ms", Repro_stats.Summary.stdev summary);
+      ("core_utilization_pct", 100. *. Common.mean utils);
+      ( "long_flow_mbps",
+        Common.mean (List.map (fun m -> m.Common.goodput_mbps) measured) );
+      ("unfinished_shorts", float_of_int (!started_shorts - !finished_shorts));
+    ]

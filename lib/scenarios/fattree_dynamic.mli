@@ -21,15 +21,14 @@ val default : config
     here is bounded by the oversubscribed core, so this is affordable),
     OLIA long flows with 8 subflows, 200 ms short-flow arrivals. *)
 
-type result = {
-  completion_times_ms : float array;
-      (** completion time of every short flow that finished *)
-  mean_completion_ms : float;
-  stdev_completion_ms : float;
-  core_utilization_pct : float;
-      (** mean utilization of aggregation↔core links after warm-up *)
-  long_flow_mbps : float;  (** mean long-flow goodput *)
-  unfinished_shorts : int;
-}
+val run : config -> Repro_exp.Outcome.t
+(** Metrics, in order:
+    - [mean_completion_ms], [stdev_completion_ms]: over the short flows
+      started after the warm-up that finished;
+    - [core_utilization_pct]: mean utilization of the aggregation↔core
+      links after the warm-up;
+    - [long_flow_mbps]: mean long-flow goodput;
+    - [unfinished_shorts]: short flows still running at the end.
 
-val run : config -> result
+    Array: [completion_times_ms], the completion time of every short
+    flow started after the warm-up that finished. *)

@@ -180,3 +180,18 @@ let run cfg =
     obs;
     shard_obs;
   }
+
+let outcome r =
+  Repro_exp.Outcome.of_metrics
+    ~arrays:[ ("flow_mbps", r.flow_mbps) ]
+    ([
+       ("aggregate_mbps", r.aggregate_mbps);
+       ("aggregate_pct_optimal", r.aggregate_pct_optimal);
+       ("mean_flow_mbps", r.mean_flow_mbps);
+       ("p10_flow_mbps", r.p10_flow_mbps);
+       ("p50_flow_mbps", r.p50_flow_mbps);
+       ("p90_flow_mbps", r.p90_flow_mbps);
+       ("mean_core_loss", r.mean_core_loss);
+       ("cut_messages", float_of_int r.cut_messages);
+     ]
+    @ Repro_obs.Meter.metrics r.obs)

@@ -68,3 +68,8 @@ val run : config -> result
     Raises [Invalid_argument], before building anything, on
     [warmup >= duration] or [flows_per_host < 1], and on a shard count
     that does not divide [k]. *)
+
+val outcome : result -> Repro_exp.Outcome.t
+(** The registry's view of a run. Metrics, in the order of the record
+    fields: [aggregate_mbps] through [mean_core_loss], [cut_messages],
+    then {!Repro_obs.Meter.metrics} of [obs]. Array: [flow_mbps]. *)

@@ -21,13 +21,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  flow_mbps : float array;
-  aggregate_pct_optimal : float;
-  ranked_pct : float array;
-  mean_core_loss : float;
-}
-
 (* The permutation body of Fattree_sharded at one shard and one flow
    per host: the same tree, RNG stream and event order, so the goodputs
    are its goodputs bit for bit. *)
@@ -50,9 +43,9 @@ let run cfg =
   let flow_mbps = r.Fattree_sharded.flow_mbps in
   let ranked_pct = Array.map (fun m -> 100. *. m /. cfg.rate_mbps) flow_mbps in
   Array.sort compare ranked_pct;
-  {
-    flow_mbps;
-    aggregate_pct_optimal = r.Fattree_sharded.aggregate_pct_optimal;
-    ranked_pct;
-    mean_core_loss = r.Fattree_sharded.mean_core_loss;
-  }
+  Repro_exp.Outcome.of_metrics
+    ~arrays:[ ("flow_mbps", flow_mbps); ("ranked_pct", ranked_pct) ]
+    [
+      ("aggregate_pct_optimal", r.Fattree_sharded.aggregate_pct_optimal);
+      ("mean_core_loss", r.Fattree_sharded.mean_core_loss);
+    ]

@@ -21,15 +21,12 @@ val default : config
 (** k = 8, 10 Mb/s links (a scaled-down stand-in for the paper's
     100 Mb/s; see DESIGN.md), 1 ms hops, 8 subflows, OLIA. *)
 
-type result = {
-  flow_mbps : float array;  (** per-flow goodput *)
-  aggregate_pct_optimal : float;
-      (** total goodput as % of [hosts·rate] (the permutation optimum) *)
-  ranked_pct : float array;
-      (** per-flow goodput as % of optimal, ascending — Fig. 13(b) *)
-  mean_core_loss : float;  (** mean loss probability over core queues *)
-}
+val run : config -> Repro_exp.Outcome.t
+(** Metrics, in order: [aggregate_pct_optimal] (total goodput as % of
+    [hosts·rate], the permutation optimum) and [mean_core_loss] (mean
+    loss probability over the core queues). Arrays: [flow_mbps]
+    (per-flow goodput, flow order) and [ranked_pct] (per-flow goodput
+    as % of the host rate, ascending — Fig. 13(b)).
 
-val run : config -> result
-(** Raises [Invalid_argument] on [warmup >= duration] before building
+    Raises [Invalid_argument] on [warmup >= duration] before building
     the tree. *)

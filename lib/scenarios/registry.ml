@@ -1,5 +1,4 @@
 module Spec = Repro_exp.Spec
-module Outcome = Repro_exp.Outcome
 
 module type SCENARIO = Repro_exp.Scenario_intf.S
 
@@ -40,28 +39,17 @@ module Scenario_a : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Scen_a.run
-        {
-          Scen_a.n1 = Spec.get_int spec b "n1";
-          n2 = Spec.get_int spec b "n2";
-          c1_mbps = Spec.get_float spec b "c1";
-          c2_mbps = Spec.get_float spec b "c2";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.add_metrics
-      (Outcome.of_metrics
-         [
-           ("norm_type1", r.Scen_a.norm_type1);
-           ("norm_type2", r.Scen_a.norm_type2);
-           ("p1", r.Scen_a.p1);
-           ("p2", r.Scen_a.p2);
-         ])
-      (Repro_obs.Meter.metrics r.Scen_a.obs)
+    Scen_a.run
+      {
+        Scen_a.n1 = Spec.get_int spec b "n1";
+        n2 = Spec.get_int spec b "n2";
+        c1_mbps = Spec.get_float spec b "c1";
+        c2_mbps = Spec.get_float spec b "c2";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Scenario_b : SCENARIO = struct
@@ -88,29 +76,17 @@ module Scenario_b : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Scen_b.run
-        {
-          Scen_b.n = Spec.get_int spec b "n";
-          cx_mbps = Spec.get_float spec b "cx";
-          ct_mbps = Spec.get_float spec b "ct";
-          red_multipath = Spec.get_bool spec b "red_multipath";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.add_metrics
-      (Outcome.of_metrics
-         [
-           ("blue_rate", r.Scen_b.blue_rate);
-           ("red_rate", r.Scen_b.red_rate);
-           ("aggregate", r.Scen_b.aggregate);
-           ("px", r.Scen_b.px);
-           ("pt", r.Scen_b.pt);
-         ])
-      (Repro_obs.Meter.metrics r.Scen_b.obs)
+    Scen_b.run
+      {
+        Scen_b.n = Spec.get_int spec b "n";
+        cx_mbps = Spec.get_float spec b "cx";
+        ct_mbps = Spec.get_float spec b "ct";
+        red_multipath = Spec.get_bool spec b "red_multipath";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Scenario_c : SCENARIO = struct
@@ -140,30 +116,19 @@ module Scenario_c : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Scen_c.run
-        {
-          Scen_c.n1 = Spec.get_int spec b "n1";
-          n2 = Spec.get_int spec b "n2";
-          c1_mbps = Spec.get_float spec b "c1";
-          c2_mbps = Spec.get_float spec b "c2";
-          algo = Spec.get_string spec b "algo";
-          background_mbps = Spec.get_float spec b "background";
-          with_path_manager = Spec.get_bool spec b "path_manager";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.add_metrics
-      (Outcome.of_metrics
-         [
-           ("norm_multipath", r.Scen_c.norm_multipath);
-           ("norm_single", r.Scen_c.norm_single);
-           ("p1", r.Scen_c.p1);
-           ("p2", r.Scen_c.p2);
-         ])
-      (Repro_obs.Meter.metrics r.Scen_c.obs)
+    Scen_c.run
+      {
+        Scen_c.n1 = Spec.get_int spec b "n1";
+        n2 = Spec.get_int spec b "n2";
+        c1_mbps = Spec.get_float spec b "c1";
+        c2_mbps = Spec.get_float spec b "c2";
+        algo = Spec.get_string spec b "algo";
+        background_mbps = Spec.get_float spec b "background";
+        with_path_manager = Spec.get_bool spec b "path_manager";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Two_bottleneck_s : SCENARIO = struct
@@ -196,36 +161,18 @@ module Two_bottleneck_s : SCENARIO = struct
     }
 
   let run b =
-    let t =
-      Two_bottleneck.run
-        {
-          Two_bottleneck.n_tcp1 = Spec.get_int spec b "n_tcp1";
-          n_tcp2 = Spec.get_int spec b "n_tcp2";
-          c_mbps = Spec.get_float spec b "c";
-          delay1_ms = Spec.get_float spec b "delay1";
-          delay2_ms = Spec.get_float spec b "delay2";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          sample_period = Spec.get_float spec b "sample_period";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    let series ts = Array.map snd (Repro_stats.Timeseries.to_array ts) in
-    let times = Array.map fst (Repro_stats.Timeseries.to_array t.Two_bottleneck.w1) in
-    Outcome.of_metrics
-      ~arrays:
-        [
-          ("t", times);
-          ("w1", series t.Two_bottleneck.w1);
-          ("w2", series t.Two_bottleneck.w2);
-          ("alpha1", series t.Two_bottleneck.alpha1);
-          ("alpha2", series t.Two_bottleneck.alpha2);
-        ]
-      [
-        ("goodput1_mbps", t.Two_bottleneck.goodput1_mbps);
-        ("goodput2_mbps", t.Two_bottleneck.goodput2_mbps);
-        ("flip_count", float_of_int t.Two_bottleneck.flip_count);
-      ]
+    Two_bottleneck.run
+      {
+        Two_bottleneck.n_tcp1 = Spec.get_int spec b "n_tcp1";
+        n_tcp2 = Spec.get_int spec b "n_tcp2";
+        c_mbps = Spec.get_float spec b "c";
+        delay1_ms = Spec.get_float spec b "delay1";
+        delay2_ms = Spec.get_float spec b "delay2";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        sample_period = Spec.get_float spec b "sample_period";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Responsiveness_s : SCENARIO = struct
@@ -252,25 +199,16 @@ module Responsiveness_s : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Responsiveness.run
-        {
-          Responsiveness.c_mbps = Spec.get_float spec b "c";
-          n_shock = Spec.get_int spec b "n_shock";
-          shock_at = Spec.get_float spec b "shock_at";
-          relief_at = Spec.get_float spec b "relief_at";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.of_metrics
-      [
-        ("pre_shock_share", r.Responsiveness.pre_shock_share);
-        ("shock_response_s", r.Responsiveness.shock_response_s);
-        ("relief_response_s", r.Responsiveness.relief_response_s);
-        ("post_relief_share", r.Responsiveness.post_relief_share);
-      ]
+    Responsiveness.run
+      {
+        Responsiveness.c_mbps = Spec.get_float spec b "c";
+        n_shock = Spec.get_int spec b "n_shock";
+        shock_at = Spec.get_float spec b "shock_at";
+        relief_at = Spec.get_float spec b "relief_at";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Wireless_s : SCENARIO = struct
@@ -300,27 +238,18 @@ module Wireless_s : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Wireless.run
-        {
-          Wireless.wifi_mbps = Spec.get_float spec b "wifi";
-          wifi_loss = Spec.get_float spec b "wifi_loss";
-          wifi_delay_ms = Spec.get_float spec b "wifi_delay";
-          cell_mbps = Spec.get_float spec b "cell";
-          cell_delay_ms = Spec.get_float spec b "cell_delay";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.of_metrics
-      [
-        ("wifi_mbps", r.Wireless.wifi_mbps);
-        ("cell_mbps", r.Wireless.cell_mbps);
-        ("total_mbps", r.Wireless.total_mbps);
-        ("wifi_timeouts", float_of_int r.Wireless.wifi_timeouts);
-      ]
+    Wireless.run
+      {
+        Wireless.wifi_mbps = Spec.get_float spec b "wifi";
+        wifi_loss = Spec.get_float spec b "wifi_loss";
+        wifi_delay_ms = Spec.get_float spec b "wifi_delay";
+        cell_mbps = Spec.get_float spec b "cell";
+        cell_delay_ms = Spec.get_float spec b "cell_delay";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Fattree_s : SCENARIO = struct
@@ -350,29 +279,17 @@ module Fattree_s : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Fattree_static.run
-        {
-          Fattree_static.k = Spec.get_int spec b "k";
-          rate_mbps = Spec.get_float spec b "rate";
-          delay_ms = Spec.get_float spec b "delay";
-          subflows = Spec.get_int spec b "subflows";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.of_metrics
-      ~arrays:
-        [
-          ("flow_mbps", r.Fattree_static.flow_mbps);
-          ("ranked_pct", r.Fattree_static.ranked_pct);
-        ]
-      [
-        ("aggregate_pct_optimal", r.Fattree_static.aggregate_pct_optimal);
-        ("mean_core_loss", r.Fattree_static.mean_core_loss);
-      ]
+    Fattree_static.run
+      {
+        Fattree_static.k = Spec.get_int spec b "k";
+        rate_mbps = Spec.get_float spec b "rate";
+        delay_ms = Spec.get_float spec b "delay";
+        subflows = Spec.get_int spec b "subflows";
+        algo = Spec.get_string spec b "algo";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Fattree_dynamic_s : SCENARIO = struct
@@ -405,31 +322,19 @@ module Fattree_dynamic_s : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Fattree_dynamic.run
-        {
-          Fattree_dynamic.k = Spec.get_int spec b "k";
-          rate_mbps = Spec.get_float spec b "rate";
-          delay_ms = Spec.get_float spec b "delay";
-          oversubscription = Spec.get_float spec b "oversubscription";
-          algo = Spec.get_string spec b "algo";
-          subflows = Spec.get_int spec b "subflows";
-          mean_interval = Spec.get_float spec b "mean_interval";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.of_metrics
-      ~arrays:
-        [ ("completion_times_ms", r.Fattree_dynamic.completion_times_ms) ]
-      [
-        ("mean_completion_ms", r.Fattree_dynamic.mean_completion_ms);
-        ("stdev_completion_ms", r.Fattree_dynamic.stdev_completion_ms);
-        ("core_utilization_pct", r.Fattree_dynamic.core_utilization_pct);
-        ("long_flow_mbps", r.Fattree_dynamic.long_flow_mbps);
-        ("unfinished_shorts", float_of_int r.Fattree_dynamic.unfinished_shorts);
-      ]
+    Fattree_dynamic.run
+      {
+        Fattree_dynamic.k = Spec.get_int spec b "k";
+        rate_mbps = Spec.get_float spec b "rate";
+        delay_ms = Spec.get_float spec b "delay";
+        oversubscription = Spec.get_float spec b "oversubscription";
+        algo = Spec.get_string spec b "algo";
+        subflows = Spec.get_int spec b "subflows";
+        mean_interval = Spec.get_float spec b "mean_interval";
+        duration = Spec.get_float spec b "duration";
+        warmup = Spec.get_float spec b "warmup";
+        seed = Spec.get_int spec b "seed";
+      }
 end
 
 module Fattree_sharded_s : SCENARIO = struct
@@ -464,35 +369,20 @@ module Fattree_sharded_s : SCENARIO = struct
     }
 
   let run b =
-    let r =
-      Fattree_sharded.run
-        {
-          Fattree_sharded.k = Spec.get_int spec b "k";
-          shards = Spec.get_int spec b "shards";
-          rate_mbps = Spec.get_float spec b "rate";
-          delay_ms = Spec.get_float spec b "delay";
-          subflows = Spec.get_int spec b "subflows";
-          flows_per_host = Spec.get_int spec b "flows_per_host";
-          algo = Spec.get_string spec b "algo";
-          duration = Spec.get_float spec b "duration";
-          warmup = Spec.get_float spec b "warmup";
-          seed = Spec.get_int spec b "seed";
-        }
-    in
-    Outcome.add_metrics
-      (Outcome.of_metrics
-         ~arrays:[ ("flow_mbps", r.Fattree_sharded.flow_mbps) ]
-         [
-           ("aggregate_mbps", r.Fattree_sharded.aggregate_mbps);
-           ("aggregate_pct_optimal", r.Fattree_sharded.aggregate_pct_optimal);
-           ("mean_flow_mbps", r.Fattree_sharded.mean_flow_mbps);
-           ("p10_flow_mbps", r.Fattree_sharded.p10_flow_mbps);
-           ("p50_flow_mbps", r.Fattree_sharded.p50_flow_mbps);
-           ("p90_flow_mbps", r.Fattree_sharded.p90_flow_mbps);
-           ("mean_core_loss", r.Fattree_sharded.mean_core_loss);
-           ("cut_messages", float_of_int r.Fattree_sharded.cut_messages);
-         ])
-      (Repro_obs.Meter.metrics r.Fattree_sharded.obs)
+    Fattree_sharded.outcome
+      (Fattree_sharded.run
+         {
+           Fattree_sharded.k = Spec.get_int spec b "k";
+           shards = Spec.get_int spec b "shards";
+           rate_mbps = Spec.get_float spec b "rate";
+           delay_ms = Spec.get_float spec b "delay";
+           subflows = Spec.get_int spec b "subflows";
+           flows_per_host = Spec.get_int spec b "flows_per_host";
+           algo = Spec.get_string spec b "algo";
+           duration = Spec.get_float spec b "duration";
+           warmup = Spec.get_float spec b "warmup";
+           seed = Spec.get_int spec b "seed";
+         })
 end
 
 let all : (string * (module SCENARIO)) list =
@@ -509,8 +399,6 @@ let all : (string * (module SCENARIO)) list =
   ]
 
 let names = List.map fst all
-
-let mem name = List.mem_assoc name all
 
 let find name =
   match List.assoc_opt name all with

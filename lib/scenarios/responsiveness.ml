@@ -21,13 +21,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  pre_shock_share : float;
-  shock_response_s : float;
-  relief_response_s : float;
-  post_relief_share : float;
-}
-
 let run cfg =
   if not (0. < cfg.shock_at && cfg.shock_at < cfg.relief_at
           && cfg.relief_at < cfg.duration) then
@@ -115,10 +108,12 @@ let run cfg =
       float_of_int (b2 - a2) /. float_of_int (tot' - tot)
     | _ -> nan
   in
-  {
-    pre_shock_share = pre;
-    shock_response_s = first_crossing ~after:cfg.shock_at ~below:true (pre /. 2.);
-    relief_response_s =
-      first_crossing ~after:cfg.relief_at ~below:false (pre /. 2.);
-    post_relief_share = goodput_share cfg.relief_at (cfg.duration -. 0.1);
-  }
+  Repro_exp.Outcome.of_metrics
+    [
+      ("pre_shock_share", pre);
+      ( "shock_response_s",
+        first_crossing ~after:cfg.shock_at ~below:true (pre /. 2.) );
+      ( "relief_response_s",
+        first_crossing ~after:cfg.relief_at ~below:false (pre /. 2.) );
+      ("post_relief_share", goodput_share cfg.relief_at (cfg.duration -. 0.1));
+    ]

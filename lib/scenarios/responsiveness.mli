@@ -22,18 +22,14 @@ val default : config
 (** 10 Mb/s links, 8-flow shock at t = 60 s, relief at t = 120 s,
     180 s total, OLIA. *)
 
-type result = {
-  pre_shock_share : float;
-      (** fraction of the user's goodput carried by path 2 before the
-          shock *)
-  shock_response_s : float;
-      (** time after the shock until path 2's window share first drops
-          below half its pre-shock level (nan = never) *)
-  relief_response_s : float;
-      (** time after the relief until path 2's window share first rises
-          back above half its pre-shock level (nan = never) *)
-  post_relief_share : float;
-      (** path-2 goodput share at the end — did the user reclaim it? *)
-}
-
-val run : config -> result
+val run : config -> Repro_exp.Outcome.t
+(** Metrics, in order:
+    - [pre_shock_share]: path 2's share of the user's window before the
+      shock;
+    - [shock_response_s]: time after the shock until path 2's window
+      share first drops below half its pre-shock level (nan = never);
+    - [relief_response_s]: time after the relief until path 2's window
+      share first rises back above half its pre-shock level (nan =
+      never);
+    - [post_relief_share]: path 2's goodput share after the relief —
+      did the user reclaim it? *)

@@ -23,14 +23,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  norm_type1 : float;
-  norm_type2 : float;
-  p1 : float;
-  p2 : float;
-  obs : Repro_obs.Meter.report;
-}
-
 let run cfg =
   let meter = Repro_obs.Meter.start () in
   let sim = Sim.create () in
@@ -88,17 +80,18 @@ let run cfg =
   let rates = List.map (fun m -> m.Common.goodput_mbps) measured in
   let r1, r2 = Common.split_at cfg.n1 rates in
   let m1, m2 = Common.split_at cfg.n1 measured in
-  {
-    norm_type1 = Common.mean r1 /. cfg.c1_mbps;
-    norm_type2 = Common.mean r2 /. cfg.c2_mbps;
-    p1 = Queue.loss_probability q1;
-    p2 = Queue.loss_probability q2;
-    obs =
-      Common.observe ~meter ~sim
-        ~subflow_goodput_bps:
-          (Common.subflow_goodput_bps ~label:"type1" ~subflows:2 m1
-          @ Common.subflow_goodput_bps ~label:"type2" ~subflows:1 m2)
-        [ q1; q2 ];
-  }
-
-let replicate cfg ~seeds = List.map (fun seed -> run { cfg with seed }) seeds
+  let obs =
+    Common.observe ~meter ~sim
+      ~subflow_goodput_bps:
+        (Common.subflow_goodput_bps ~label:"type1" ~subflows:2 m1
+        @ Common.subflow_goodput_bps ~label:"type2" ~subflows:1 m2)
+      [ q1; q2 ]
+  in
+  Repro_exp.Outcome.of_metrics
+    ([
+       ("norm_type1", Common.mean r1 /. cfg.c1_mbps);
+       ("norm_type2", Common.mean r2 /. cfg.c2_mbps);
+       ("p1", Queue.loss_probability q1);
+       ("p2", Queue.loss_probability q2);
+     ]
+    @ Repro_obs.Meter.metrics obs)

@@ -22,17 +22,13 @@ val default : config
 (** N1 = N2 = 10, C1 = C2 = 1 Mb/s, OLIA, 120 s runs with 30 s warmup —
     the paper's operating point. *)
 
-type result = {
-  norm_type1 : float;  (** mean type-1 goodput normalized by c1 *)
-  norm_type2 : float;  (** mean type-2 goodput normalized by c2 *)
-  p1 : float;  (** measured loss probability at the server bottleneck *)
-  p2 : float;  (** measured loss probability at the shared AP *)
-  obs : Repro_obs.Meter.report;  (** run counters and timers *)
-}
-
-val run : config -> result
-(** One measurement (one seed). *)
-
-val replicate : config -> seeds:int list -> result list
-(** The same configuration under several seeds (the paper reports 5
-    repetitions with 95% confidence intervals). *)
+val run : config -> Repro_exp.Outcome.t
+(** One measurement (one seed; the sweep's seed axis replicates it, as
+    the paper's 5 repetitions do). Metrics, in order:
+    - [norm_type1], [norm_type2]: mean type-1 goodput normalized by
+      [c1], mean type-2 goodput normalized by [c2];
+    - [p1], [p2]: measured loss probability at the server bottleneck
+      and at the shared AP;
+    - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
+      [obs_subflow_goodput_bps_type1_sf0], [..._type1_sf1] and
+      [..._type2_sf0]. *)

@@ -23,15 +23,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  blue_rate : float;
-  red_rate : float;
-  aggregate : float;
-  px : float;
-  pt : float;
-  obs : Repro_obs.Meter.report;
-}
-
 let run cfg =
   let meter = Repro_obs.Meter.start () in
   let sim = Sim.create () in
@@ -81,18 +72,19 @@ let run cfg =
   let rates = List.map (fun m -> m.Common.goodput_mbps) measured in
   let rb, rr = Common.split_at cfg.n rates in
   let mb, mr = Common.split_at cfg.n measured in
-  {
-    blue_rate = Common.mean rb;
-    red_rate = Common.mean rr;
-    aggregate = List.fold_left ( +. ) 0. rates;
-    px = Queue.loss_probability qx;
-    pt = Queue.loss_probability qt;
-    obs =
-      Common.observe ~meter ~sim
-        ~subflow_goodput_bps:
-          (Common.subflow_goodput_bps ~label:"blue" ~subflows:2 mb
-          @ Common.subflow_goodput_bps ~label:"red" ~subflows:2 mr)
-        [ qx; qt ];
-  }
-
-let replicate cfg ~seeds = List.map (fun seed -> run { cfg with seed }) seeds
+  let obs =
+    Common.observe ~meter ~sim
+      ~subflow_goodput_bps:
+        (Common.subflow_goodput_bps ~label:"blue" ~subflows:2 mb
+        @ Common.subflow_goodput_bps ~label:"red" ~subflows:2 mr)
+      [ qx; qt ]
+  in
+  Repro_exp.Outcome.of_metrics
+    ([
+       ("blue_rate", Common.mean rb);
+       ("red_rate", Common.mean rr);
+       ("aggregate", List.fold_left ( +. ) 0. rates);
+       ("px", Queue.loss_probability qx);
+       ("pt", Queue.loss_probability qt);
+     ]
+    @ Repro_obs.Meter.metrics obs)

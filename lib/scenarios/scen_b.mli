@@ -18,14 +18,12 @@ type config = {
 val default : config
 (** The Table I/II setting: 15+15 users, CX = 27, CT = 36 Mb/s. *)
 
-type result = {
-  blue_rate : float;  (** mean per-user Blue goodput, Mb/s *)
-  red_rate : float;  (** mean per-user Red goodput, Mb/s *)
-  aggregate : float;  (** total goodput, Mb/s *)
-  px : float;  (** measured loss probability at X *)
-  pt : float;  (** measured loss probability at T *)
-  obs : Repro_obs.Meter.report;  (** run counters and timers *)
-}
-
-val run : config -> result
-val replicate : config -> seeds:int list -> result list
+val run : config -> Repro_exp.Outcome.t
+(** One measurement (one seed). Metrics, in order:
+    - [blue_rate], [red_rate]: mean per-user Blue and Red goodput,
+      Mb/s;
+    - [aggregate]: total goodput, Mb/s;
+    - [px], [pt]: measured loss probability at X and at T;
+    - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
+      [obs_subflow_goodput_bps_blue_sf0], [..._blue_sf1],
+      [..._red_sf0] and [..._red_sf1]. *)

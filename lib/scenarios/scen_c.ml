@@ -27,14 +27,6 @@ let default =
     with_path_manager = false;
   }
 
-type result = {
-  norm_multipath : float;
-  norm_single : float;
-  p1 : float;
-  p2 : float;
-  obs : Repro_obs.Meter.report;
-}
-
 let run cfg =
   let meter = Repro_obs.Meter.start () in
   let sim = Sim.create () in
@@ -94,17 +86,18 @@ let run cfg =
   let rates = List.map (fun m -> m.Common.goodput_mbps) measured in
   let rm, rs = Common.split_at cfg.n1 rates in
   let mm, ms = Common.split_at cfg.n1 measured in
-  {
-    norm_multipath = Common.mean rm /. cfg.c1_mbps;
-    norm_single = Common.mean rs /. cfg.c2_mbps;
-    p1 = Queue.loss_probability ap1;
-    p2 = Queue.loss_probability ap2;
-    obs =
-      Common.observe ~meter ~sim
-        ~subflow_goodput_bps:
-          (Common.subflow_goodput_bps ~label:"multipath" ~subflows:2 mm
-          @ Common.subflow_goodput_bps ~label:"single" ~subflows:1 ms)
-        [ ap1; ap2 ];
-  }
-
-let replicate cfg ~seeds = List.map (fun seed -> run { cfg with seed }) seeds
+  let obs =
+    Common.observe ~meter ~sim
+      ~subflow_goodput_bps:
+        (Common.subflow_goodput_bps ~label:"multipath" ~subflows:2 mm
+        @ Common.subflow_goodput_bps ~label:"single" ~subflows:1 ms)
+      [ ap1; ap2 ]
+  in
+  Repro_exp.Outcome.of_metrics
+    ([
+       ("norm_multipath", Common.mean rm /. cfg.c1_mbps);
+       ("norm_single", Common.mean rs /. cfg.c2_mbps);
+       ("p1", Queue.loss_probability ap1);
+       ("p2", Queue.loss_probability ap2);
+     ]
+    @ Repro_obs.Meter.metrics obs)

@@ -22,13 +22,11 @@ type config = {
 val default : config
 (** N1 = N2 = 10, C1 = C2 = 1 Mb/s, OLIA, 120 s / 30 s warmup. *)
 
-type result = {
-  norm_multipath : float;  (** mean multipath goodput normalized by c1 *)
-  norm_single : float;  (** mean single-path goodput normalized by c2 *)
-  p1 : float;
-  p2 : float;
-  obs : Repro_obs.Meter.report;  (** run counters and timers *)
-}
-
-val run : config -> result
-val replicate : config -> seeds:int list -> result list
+val run : config -> Repro_exp.Outcome.t
+(** One measurement (one seed). Metrics, in order:
+    - [norm_multipath], [norm_single]: mean multipath goodput
+      normalized by [c1], mean single-path goodput normalized by [c2];
+    - [p1], [p2]: measured loss probability at AP1 and at AP2;
+    - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
+      [obs_subflow_goodput_bps_multipath_sf0], [..._multipath_sf1] and
+      [..._single_sf0]. *)

@@ -27,16 +27,6 @@ let symmetric =
 
 let asymmetric = { symmetric with n_tcp2 = 10 }
 
-type traces = {
-  w1 : Repro_stats.Timeseries.t;
-  w2 : Repro_stats.Timeseries.t;
-  alpha1 : Repro_stats.Timeseries.t;
-  alpha2 : Repro_stats.Timeseries.t;
-  goodput1_mbps : float;
-  goodput2_mbps : float;
-  flip_count : int;
-}
-
 let run cfg =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
@@ -114,12 +104,18 @@ let run cfg =
   let mbps acked snap =
     float_of_int (acked - snap) *. 12000. /. window /. 1e6
   in
-  {
-    w1;
-    w2;
-    alpha1;
-    alpha2;
-    goodput1_mbps = mbps (Tcp.subflow_acked mp 0) !acked1;
-    goodput2_mbps = mbps (Tcp.subflow_acked mp 1) !acked2;
-    flip_count = !flips;
-  }
+  let series ts = Array.map snd (Repro_stats.Timeseries.to_array ts) in
+  Repro_exp.Outcome.of_metrics
+    ~arrays:
+      [
+        ("t", Array.map fst (Repro_stats.Timeseries.to_array w1));
+        ("w1", series w1);
+        ("w2", series w2);
+        ("alpha1", series alpha1);
+        ("alpha2", series alpha2);
+      ]
+    [
+      ("goodput1_mbps", mbps (Tcp.subflow_acked mp 0) !acked1);
+      ("goodput2_mbps", mbps (Tcp.subflow_acked mp 1) !acked2);
+      ("flip_count", float_of_int !flips);
+    ]

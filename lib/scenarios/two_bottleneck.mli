@@ -25,16 +25,13 @@ val symmetric : config
 val asymmetric : config
 (** Fig. 8: 5 vs 10 TCP flows. *)
 
-type traces = {
-  w1 : Repro_stats.Timeseries.t;  (** multipath window on path 1, packets *)
-  w2 : Repro_stats.Timeseries.t;
-  alpha1 : Repro_stats.Timeseries.t;  (** OLIA's α on path 1 (zero for LIA) *)
-  alpha2 : Repro_stats.Timeseries.t;
-  goodput1_mbps : float;  (** multipath goodput via path 1 *)
-  goodput2_mbps : float;
-  flip_count : int;
-      (** times the paths swapped window-size order with a margin of 2
-          packets — the flappiness indicator *)
-}
+val run : config -> Repro_exp.Outcome.t
+(** Metrics, in order:
+    - [goodput1_mbps], [goodput2_mbps]: multipath goodput via path 1 and
+      via path 2, after a warm-up of [duration / 6];
+    - [flip_count]: times the paths swapped window-size order with a
+      margin of 2 packets — the flappiness indicator.
 
-val run : config -> traces
+    Arrays, one entry per [sample_period] sample: [t] (the sample
+    times), [w1] and [w2] (the multipath windows, packets), [alpha1]
+    and [alpha2] (OLIA's α on each path; zero for other algorithms). *)

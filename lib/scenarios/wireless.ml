@@ -25,13 +25,6 @@ let default =
     seed = 1;
   }
 
-type result = {
-  wifi_mbps : float;
-  cell_mbps : float;
-  total_mbps : float;
-  wifi_timeouts : int;
-}
-
 let run cfg =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
@@ -85,9 +78,10 @@ let run cfg =
     else 0.
   in
   let wifi = mbps 0 and cell = mbps 1 in
-  {
-    wifi_mbps = wifi;
-    cell_mbps = cell;
-    total_mbps = wifi +. cell;
-    wifi_timeouts = Tcp.subflow_timeouts conn 0;
-  }
+  Repro_exp.Outcome.of_metrics
+    [
+      ("wifi_mbps", wifi);
+      ("cell_mbps", cell);
+      ("total_mbps", wifi +. cell);
+      ("wifi_timeouts", float_of_int (Tcp.subflow_timeouts conn 0));
+    ]

@@ -23,11 +23,8 @@ val default : config
 (** 20 Mb/s WiFi with 1% random loss and 15 ms delay; 8 Mb/s cellular
     with 40 ms delay; OLIA; 90 s / 20 s warm-up. *)
 
-type result = {
-  wifi_mbps : float;  (** goodput carried over the WiFi path *)
-  cell_mbps : float;
-  total_mbps : float;
-  wifi_timeouts : int;
-}
-
-val run : config -> result
+val run : config -> Repro_exp.Outcome.t
+(** Metrics, in order: [wifi_mbps] and [cell_mbps] (goodput carried
+    over each path after the warm-up; [cell_mbps] is 0 for ["reno"],
+    which uses the WiFi path alone), [total_mbps], and [wifi_timeouts]
+    (retransmission timeouts on the WiFi subflow). *)

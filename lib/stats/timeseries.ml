@@ -24,6 +24,11 @@ let add t ~time v =
 
 let length t = t.len
 
+let of_arrays ~times values =
+  let t = create () in
+  Array.iter2 (fun time v -> add t ~time v) times values;
+  t
+
 let to_array t =
   Array.init t.len (fun i -> (t.times.(i), t.values.(i)))
 

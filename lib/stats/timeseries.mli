@@ -13,6 +13,11 @@ val add : t -> time:float -> float -> unit
 val length : t -> int
 (** Number of samples. *)
 
+val of_arrays : times:float array -> float array -> t
+(** The series of the samples [(times.(i), values.(i))], e.g. a window
+    trace read back from an outcome's arrays. Raises [Invalid_argument]
+    on arrays of different lengths or decreasing times. *)
+
 val to_array : t -> (float * float) array
 (** All samples, oldest first. *)
 

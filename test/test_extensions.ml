@@ -519,26 +519,28 @@ let test_lossy_rejects_bad_prob () =
 let test_wireless_multipath_beats_lossy_tcp () =
   let module W = Mptcp_repro.Scenarios.Wireless in
   let cfg = { W.default with duration = 60.; warmup = 15. } in
-  let tcp = W.run { cfg with algo = "reno" } in
-  let olia = W.run { cfg with algo = "olia" } in
+  let run algo = Mptcp_repro.Exp.Outcome.metric (W.run { cfg with algo }) in
+  let tcp = run "reno" and olia = run "olia" in
   Alcotest.(check bool)
-    (Printf.sprintf "OLIA %.1f > TCP-on-WiFi %.1f" olia.total_mbps
-       tcp.total_mbps)
+    (Printf.sprintf "OLIA %.1f > TCP-on-WiFi %.1f" (olia "total_mbps")
+       (tcp "total_mbps"))
     true
-    (olia.total_mbps > tcp.total_mbps);
+    (olia "total_mbps" > tcp "total_mbps");
   (* the clean cellular path carries the bulk for OLIA *)
-  Alcotest.(check bool) "cellular saturated" true (olia.cell_mbps > 6.)
+  Alcotest.(check bool) "cellular saturated" true (olia "cell_mbps" > 6.)
 
 let test_wireless_olia_at_least_matches_lia () =
   (* reference [12]'s qualitative finding, within simulation noise *)
   let module W = Mptcp_repro.Scenarios.Wireless in
   let cfg = { W.default with duration = 90.; warmup = 20. } in
-  let lia = W.run { cfg with algo = "lia" } in
-  let olia = W.run { cfg with algo = "olia" } in
+  let total algo =
+    Mptcp_repro.Exp.Outcome.metric (W.run { cfg with algo }) "total_mbps"
+  in
+  let lia = total "lia" and olia = total "olia" in
   Alcotest.(check bool)
-    (Printf.sprintf "OLIA %.1f vs LIA %.1f" olia.total_mbps lia.total_mbps)
+    (Printf.sprintf "OLIA %.1f vs LIA %.1f" olia lia)
     true
-    (olia.total_mbps > 0.85 *. lia.total_mbps)
+    (olia > 0.85 *. lia)
 
 let suite =
   suite

@@ -449,7 +449,9 @@ let test_builder_reproduces_scenario_c () =
         algo = "olia"; duration = 60.; warmup = 0.1; seed = 1 }
   in
   ignore ap2_queue;
-  let reference_mbps = reference.norm_single *. 10. in
+  let reference_mbps =
+    Mptcp_repro.Exp.Outcome.metric reference "norm_single" *. 10.
+  in
   Alcotest.(check bool)
     (Printf.sprintf "builder %.1f vs hand-wired %.1f Mb/s" single_mbps
        reference_mbps)

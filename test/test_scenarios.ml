@@ -4,6 +4,10 @@
    keep the suite fast; seeds are fixed. *)
 
 module S = Mptcp_repro.Scenarios
+module Outcome = Mptcp_repro.Exp.Outcome
+
+let m = Outcome.metric
+let a = Outcome.array
 
 let duration = 60.
 let warmup = 20.
@@ -15,14 +19,14 @@ let test_scenario_a_olia_beats_lia_for_tcp_users () =
   let lia = S.Scen_a.run cfg in
   let olia = S.Scen_a.run { cfg with algo = "olia" } in
   Alcotest.(check bool)
-    (Printf.sprintf "type2 better under OLIA (%.2f vs %.2f)" olia.norm_type2
-       lia.norm_type2)
+    (Printf.sprintf "type2 better under OLIA (%.2f vs %.2f)"
+       (m olia "norm_type2") (m lia "norm_type2"))
     true
-    (olia.norm_type2 > lia.norm_type2);
+    (m olia "norm_type2" > m lia "norm_type2");
   Alcotest.(check bool)
-    (Printf.sprintf "congestion balanced: p2 lower (%.4f vs %.4f)" olia.p2
-       lia.p2)
-    true (olia.p2 < lia.p2)
+    (Printf.sprintf "congestion balanced: p2 lower (%.4f vs %.4f)" (m olia "p2")
+       (m lia "p2"))
+    true (m olia "p2" < m lia "p2")
 
 let test_scenario_a_type1_unhurt_by_olia () =
   (* switching type-1 users from LIA to OLIA must not cost them much:
@@ -31,13 +35,14 @@ let test_scenario_a_type1_unhurt_by_olia () =
   let lia = S.Scen_a.run { cfg with algo = "lia" } in
   let olia = S.Scen_a.run { cfg with algo = "olia" } in
   Alcotest.(check bool) "within 15%" true
-    (olia.norm_type1 > lia.norm_type1 -. 0.15)
+    (m olia "norm_type1" > m lia "norm_type1" -. 0.15)
 
 let test_scenario_a_loss_probabilities_plausible () =
   let cfg = { S.Scen_a.default with duration; warmup; algo = "lia"; seed = 4 } in
   let r = S.Scen_a.run cfg in
-  Alcotest.(check bool) "p1 in (0.001, 0.1)" true (r.p1 > 0.001 && r.p1 < 0.1);
-  Alcotest.(check bool) "p2 in (0.001, 0.1)" true (r.p2 > 0.001 && r.p2 < 0.1)
+  let p1 = m r "p1" and p2 = m r "p2" in
+  Alcotest.(check bool) "p1 in (0.001, 0.1)" true (p1 > 0.001 && p1 < 0.1);
+  Alcotest.(check bool) "p2 in (0.001, 0.1)" true (p2 > 0.001 && p2 < 0.1)
 
 let test_scenario_b_upgrade_penalty_smaller_with_olia () =
   (* Tables I-II: the aggregate-throughput drop from upgrading Red users
@@ -46,7 +51,7 @@ let test_scenario_b_upgrade_penalty_smaller_with_olia () =
   let drop algo =
     let sp = S.Scen_b.run { base with algo; red_multipath = false } in
     let mp = S.Scen_b.run { base with algo; red_multipath = true } in
-    1. -. (mp.aggregate /. sp.aggregate)
+    1. -. (m mp "aggregate" /. m sp "aggregate")
   in
   let lia_drop = drop "lia" and olia_drop = drop "olia" in
   Alcotest.(check bool)
@@ -59,7 +64,7 @@ let test_scenario_b_lia_aggregate_drop_matches_paper () =
   let base = { S.Scen_b.default with duration; warmup; algo = "lia"; seed = 6 } in
   let sp = S.Scen_b.run { base with red_multipath = false } in
   let mp = S.Scen_b.run base in
-  let drop = 1. -. (mp.aggregate /. sp.aggregate) in
+  let drop = 1. -. (m mp "aggregate" /. m sp "aggregate") in
   Alcotest.(check bool) (Printf.sprintf "drop %.3f in range" drop) true
     (drop > 0.05 && drop < 0.25)
 
@@ -68,8 +73,8 @@ let test_scenario_b_aggregate_near_cutset () =
   let base = { S.Scen_b.default with duration; warmup; algo = "lia"; seed = 7 } in
   let sp = S.Scen_b.run { base with red_multipath = false } in
   Alcotest.(check bool)
-    (Printf.sprintf "aggregate %.1f > 52" sp.aggregate)
-    true (sp.aggregate > 52.)
+    (Printf.sprintf "aggregate %.1f > 52" (m sp "aggregate"))
+    true (m sp "aggregate" > 52.)
 
 let test_scenario_c_olia_less_aggressive () =
   let cfg = { S.Scen_c.default with duration; warmup; seed = 8 } in
@@ -77,27 +82,27 @@ let test_scenario_c_olia_less_aggressive () =
   let olia = S.Scen_c.run { cfg with algo = "olia" } in
   Alcotest.(check bool)
     (Printf.sprintf "single-path users better off (%.2f vs %.2f)"
-       olia.norm_single lia.norm_single)
+       (m olia "norm_single") (m lia "norm_single"))
     true
-    (olia.norm_single > lia.norm_single);
-  Alcotest.(check bool) "p2 improves" true (olia.p2 < lia.p2)
+    (m olia "norm_single" > m lia "norm_single");
+  Alcotest.(check bool) "p2 improves" true (m olia "p2" < m lia "p2")
 
 let test_scenario_c_lia_aggressive_at_equal_capacity () =
   (* P2: at C1 = C2, LIA multipath users take clearly more than C1 *)
   let cfg = { S.Scen_c.default with duration; warmup; algo = "lia"; seed = 9 } in
   let r = S.Scen_c.run cfg in
   Alcotest.(check bool)
-    (Printf.sprintf "multipath %.2f > 1.1" r.norm_multipath)
-    true (r.norm_multipath > 1.1)
+    (Printf.sprintf "multipath %.2f > 1.1" (m r "norm_multipath"))
+    true (m r "norm_multipath" > 1.1)
 
 let test_scenario_c_olia_near_probing_floor () =
   (* with OLIA the multipath users take roughly C1 plus the probe *)
   let cfg = { S.Scen_c.default with duration; warmup; algo = "olia"; seed = 10 } in
   let r = S.Scen_c.run cfg in
   Alcotest.(check bool)
-    (Printf.sprintf "multipath %.2f close to 1" r.norm_multipath)
+    (Printf.sprintf "multipath %.2f close to 1" (m r "norm_multipath"))
     true
-    (r.norm_multipath > 0.85 && r.norm_multipath < 1.2)
+    (m r "norm_multipath" > 0.85 && m r "norm_multipath" < 1.2)
 
 let test_two_bottleneck_symmetric_uses_both () =
   (* Fig. 7: both paths carry real traffic and windows do not flap *)
@@ -106,10 +111,10 @@ let test_two_bottleneck_symmetric_uses_both () =
       { S.Two_bottleneck.symmetric with duration = 60.; seed = 11 }
   in
   Alcotest.(check bool)
-    (Printf.sprintf "both paths used (%.2f / %.2f Mb/s)" t.goodput1_mbps
-       t.goodput2_mbps)
+    (Printf.sprintf "both paths used (%.2f / %.2f Mb/s)" (m t "goodput1_mbps")
+       (m t "goodput2_mbps"))
     true
-    (t.goodput1_mbps > 0.3 && t.goodput2_mbps > 0.3)
+    (m t "goodput1_mbps" > 0.3 && m t "goodput2_mbps" > 0.3)
 
 let test_two_bottleneck_asymmetric_prefers_good_path () =
   (* Fig. 8: OLIA moves traffic to the less congested bottleneck *)
@@ -118,35 +123,29 @@ let test_two_bottleneck_asymmetric_prefers_good_path () =
       { S.Two_bottleneck.asymmetric with duration = 60.; seed = 12 }
   in
   Alcotest.(check bool)
-    (Printf.sprintf "path1 dominates (%.2f vs %.2f)" t.goodput1_mbps
-       t.goodput2_mbps)
+    (Printf.sprintf "path1 dominates (%.2f vs %.2f)" (m t "goodput1_mbps")
+       (m t "goodput2_mbps"))
     true
-    (t.goodput1_mbps > 1.5 *. t.goodput2_mbps)
+    (m t "goodput1_mbps" > 1.5 *. m t "goodput2_mbps")
 
 let test_two_bottleneck_traces_recorded () =
   let t =
     S.Two_bottleneck.run
       { S.Two_bottleneck.symmetric with duration = 20.; seed = 13 }
   in
-  Alcotest.(check bool) "w1 sampled" true
-    (Mptcp_repro.Stats.Timeseries.length t.w1 > 100);
+  Alcotest.(check bool) "w1 sampled" true (Array.length (a t "w1") > 100);
   Alcotest.(check bool) "alpha sampled" true
-    (Mptcp_repro.Stats.Timeseries.length t.alpha1 > 100);
+    (Array.length (a t "alpha1") > 100);
   (* alpha values live in [-1, 1] *)
-  let ok = ref true in
-  Array.iter
-    (fun (_, a) -> if a < -1. || a > 1. then ok := false)
-    (Mptcp_repro.Stats.Timeseries.to_array t.alpha1);
-  Alcotest.(check bool) "alpha bounded" true !ok
+  Alcotest.(check bool) "alpha bounded" true
+    (Array.for_all (fun x -> x >= -1. && x <= 1.) (a t "alpha1"))
 
 let test_two_bottleneck_lia_has_no_alpha () =
   let t =
     S.Two_bottleneck.run
       { S.Two_bottleneck.symmetric with duration = 10.; algo = "lia"; seed = 14 }
   in
-  Array.iter
-    (fun (_, a) -> Test_common.close "alpha zero" 0. a)
-    (Mptcp_repro.Stats.Timeseries.to_array t.alpha1)
+  Array.iter (Test_common.close "alpha zero" 0.) (a t "alpha1")
 
 let test_fattree_static_mptcp_beats_tcp () =
   (* Fig. 13(a): multipath strongly outperforms single-path TCP *)
@@ -156,10 +155,10 @@ let test_fattree_static_mptcp_beats_tcp () =
   let tcp = S.Fattree_static.run { cfg with subflows = 1 } in
   let olia8 = S.Fattree_static.run { cfg with subflows = 8; algo = "olia" } in
   Alcotest.(check bool)
-    (Printf.sprintf "OLIA %.0f%% > TCP %.0f%%" olia8.aggregate_pct_optimal
-       tcp.aggregate_pct_optimal)
+    (Printf.sprintf "OLIA %.0f%% > TCP %.0f%%" (m olia8 "aggregate_pct_optimal")
+       (m tcp "aggregate_pct_optimal"))
     true
-    (olia8.aggregate_pct_optimal > tcp.aggregate_pct_optimal +. 10.)
+    (m olia8 "aggregate_pct_optimal" > m tcp "aggregate_pct_optimal" +. 10.)
 
 let test_fattree_static_more_subflows_help () =
   let cfg =
@@ -170,9 +169,9 @@ let test_fattree_static_more_subflows_help () =
   let eight = S.Fattree_static.run { cfg with subflows = 8 } in
   Alcotest.(check bool)
     (Printf.sprintf "8 subflows %.0f%% >= 2 subflows %.0f%%"
-       eight.aggregate_pct_optimal two.aggregate_pct_optimal)
+       (m eight "aggregate_pct_optimal") (m two "aggregate_pct_optimal"))
     true
-    (eight.aggregate_pct_optimal > two.aggregate_pct_optimal -. 3.)
+    (m eight "aggregate_pct_optimal" > m two "aggregate_pct_optimal" -. 3.)
 
 let test_fattree_static_rank_output () =
   let cfg =
@@ -180,10 +179,11 @@ let test_fattree_static_rank_output () =
       k = 4; duration = 15.; warmup = 5.; subflows = 4; seed = 17 }
   in
   let r = S.Fattree_static.run cfg in
-  Alcotest.(check int) "one rank per host" 16 (Array.length r.ranked_pct);
+  let ranked = a r "ranked_pct" in
+  Alcotest.(check int) "one rank per host" 16 (Array.length ranked);
   let sorted = ref true in
-  for i = 1 to Array.length r.ranked_pct - 1 do
-    if r.ranked_pct.(i) < r.ranked_pct.(i - 1) then sorted := false
+  for i = 1 to Array.length ranked - 1 do
+    if ranked.(i) < ranked.(i - 1) then sorted := false
   done;
   Alcotest.(check bool) "ascending" true !sorted
 
@@ -194,12 +194,13 @@ let test_fattree_dynamic_shapes () =
   in
   let r = S.Fattree_dynamic.run cfg in
   Alcotest.(check bool) "short flows completed" true
-    (Array.length r.completion_times_ms > 100);
+    (Array.length (a r "completion_times_ms") > 100);
   Alcotest.(check bool)
-    (Printf.sprintf "mean completion %.1f ms plausible" r.mean_completion_ms)
+    (Printf.sprintf "mean completion %.1f ms plausible"
+       (m r "mean_completion_ms"))
     true
-    (r.mean_completion_ms > 5. && r.mean_completion_ms < 2000.);
-  Alcotest.(check bool) "core used" true (r.core_utilization_pct > 5.)
+    (m r "mean_completion_ms" > 5. && m r "mean_completion_ms" < 2000.);
+  Alcotest.(check bool) "core used" true (m r "core_utilization_pct" > 5.)
 
 let test_fattree_dynamic_tcp_lower_core_usage () =
   (* Table III: plain TCP long flows leave the core underutilized *)
@@ -211,33 +212,33 @@ let test_fattree_dynamic_tcp_lower_core_usage () =
   let olia = S.Fattree_dynamic.run { cfg with algo = "olia"; subflows = 8 } in
   Alcotest.(check bool)
     (Printf.sprintf "OLIA core %.0f%% > TCP core %.0f%%"
-       olia.core_utilization_pct tcp.core_utilization_pct)
+       (m olia "core_utilization_pct") (m tcp "core_utilization_pct"))
     true
-    (olia.core_utilization_pct > tcp.core_utilization_pct)
+    (m olia "core_utilization_pct" > m tcp "core_utilization_pct")
 
 let test_replicate_produces_independent_runs () =
   let cfg =
     { S.Scen_c.default with duration = 30.; warmup = 10.; algo = "lia" }
   in
-  match S.Scen_c.replicate cfg ~seeds:[ 1; 2; 3 ] with
-  | [ a; b; c ] ->
-    Alcotest.(check bool) "seeds change results" true
-      (a.norm_single <> b.norm_single || b.norm_single <> c.norm_single);
-    (* but not wildly: all within a plausible band *)
-    List.iter
-      (fun r ->
-        Alcotest.(check bool) "band" true
-          (r.S.Scen_c.norm_single > 0.3 && r.S.Scen_c.norm_single < 1.1))
-      [ a; b; c ]
-  | _ -> Alcotest.fail "expected three results"
+  let singles =
+    List.map
+      (fun seed -> m (S.Scen_c.run { cfg with seed }) "norm_single")
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "seeds change results" true
+    (List.exists (fun x -> x <> List.hd singles) singles);
+  (* but not wildly: all within a plausible band *)
+  List.iter
+    (fun x -> Alcotest.(check bool) "band" true (x > 0.3 && x < 1.1))
+    singles
 
 let test_determinism_same_seed_same_result () =
   let cfg =
     { S.Scen_c.default with duration = 20.; warmup = 5.; algo = "olia"; seed = 42 }
   in
   let a = S.Scen_c.run cfg and b = S.Scen_c.run cfg in
-  Test_common.close "bit-identical" a.norm_single b.norm_single;
-  Test_common.close "loss identical" a.p2 b.p2
+  Test_common.close "bit-identical" (m a "norm_single") (m b "norm_single");
+  Test_common.close "loss identical" (m a "p2") (m b "p2")
 
 let suite =
   [
@@ -294,7 +295,7 @@ let test_two_bottleneck_rtt_heterogeneity () =
         seed = 21;
       }
   in
-  let total = t.goodput1_mbps +. t.goodput2_mbps in
+  let total = m t "goodput1_mbps" +. m t "goodput2_mbps" in
   Alcotest.(check bool)
     (Printf.sprintf "total %.2f within [0.5, 4]" total)
     true
@@ -309,10 +310,10 @@ let test_scenario_c_background_traffic () =
   let clean = S.Scen_c.run base in
   let noisy = S.Scen_c.run { base with background_mbps = 3. } in
   Alcotest.(check bool)
-    (Printf.sprintf "singles squeezed: %.2f < %.2f" noisy.norm_single
-       clean.norm_single)
+    (Printf.sprintf "singles squeezed: %.2f < %.2f" (m noisy "norm_single")
+       (m clean "norm_single"))
     true
-    (noisy.norm_single < clean.norm_single)
+    (m noisy "norm_single" < m clean "norm_single")
 
 let test_scenario_c_with_path_manager_runs () =
   let r =
@@ -321,7 +322,7 @@ let test_scenario_c_with_path_manager_runs () =
         with_path_manager = true; seed = 23 }
   in
   Alcotest.(check bool) "sane result" true
-    (r.norm_multipath > 0.5 && r.norm_single > 0.3)
+    (m r "norm_multipath" > 0.5 && m r "norm_single" > 0.3)
 
 let suite =
   suite
@@ -338,11 +339,13 @@ let test_responsiveness_olia_flees_fast () =
   let r =
     S.Responsiveness.run { S.Responsiveness.default with algo = "olia" }
   in
+  let flee = m r "shock_response_s" in
   Alcotest.(check bool)
-    (Printf.sprintf "flees within 10 s (%.1f)" r.shock_response_s)
+    (Printf.sprintf "flees within 10 s (%.1f)" flee)
     true
-    (Float.is_finite r.shock_response_s && r.shock_response_s < 10.);
-  Alcotest.(check bool) "used path 2 beforehand" true (r.pre_shock_share > 0.2)
+    (Float.is_finite flee && flee < 10.);
+  Alcotest.(check bool) "used path 2 beforehand" true
+    (m r "pre_shock_share" > 0.2)
 
 let test_responsiveness_lia_comparable () =
   let olia =
@@ -353,10 +356,10 @@ let test_responsiveness_lia_comparable () =
   in
   (* the paper's claim: OLIA is as responsive as LIA at fleeing *)
   Alcotest.(check bool)
-    (Printf.sprintf "OLIA %.1fs vs LIA %.1fs" olia.shock_response_s
-       lia.shock_response_s)
+    (Printf.sprintf "OLIA %.1fs vs LIA %.1fs" (m olia "shock_response_s")
+       (m lia "shock_response_s"))
     true
-    (olia.shock_response_s < lia.shock_response_s +. 10.)
+    (m olia "shock_response_s" < m lia "shock_response_s" +. 10.)
 
 let suite =
   suite
