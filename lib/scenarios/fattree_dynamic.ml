@@ -28,6 +28,16 @@ let default =
   }
 
 let run cfg =
+  Common.check_window ~who:"Fattree_dynamic.run" ~warmup:cfg.warmup
+    ~duration:cfg.duration;
+  (* a zero, negative or NaN mean would generate short flows forever *)
+  if not (cfg.mean_interval > 0. && Float.is_finite cfg.mean_interval) then
+    invalid_arg
+      (Printf.sprintf
+         "Fattree_dynamic.run: mean_interval must be finite and > 0 (got %g)"
+         cfg.mean_interval);
+  if cfg.subflows < 1 then
+    invalid_arg "Fattree_dynamic.run: subflows must be >= 1";
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in

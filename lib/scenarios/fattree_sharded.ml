@@ -64,8 +64,10 @@ let percentile sorted p =
 let run cfg =
   if cfg.flows_per_host < 1 then
     invalid_arg "Fattree_sharded.run: flows_per_host must be >= 1";
-  if cfg.warmup >= cfg.duration then
-    invalid_arg "Fattree_sharded.run: warmup >= duration";
+  if cfg.subflows < 1 then
+    invalid_arg "Fattree_sharded.run: subflows must be >= 1";
+  Common.check_window ~who:"Fattree_sharded.run" ~warmup:cfg.warmup
+    ~duration:cfg.duration;
   let meter = Repro_obs.Meter.start () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in
@@ -90,7 +92,7 @@ let run cfg =
          (fun i { Repro_workload.Workload.start; src; dst; _ } ->
            let paths =
              Fattree.sample_paths tree ~rng ~src ~dst
-               ~n:(Stdlib.max 1 cfg.subflows)
+               ~n:cfg.subflows
            in
            Tcp.create
              ~sim:(Fattree.sim_of_host tree src)

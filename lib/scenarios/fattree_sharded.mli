@@ -65,9 +65,10 @@ val run : config -> result
     scheduler's [(time, sched, content)] dispatch order makes the same
     seed produce identical goodputs for any shard count. Tracing a
     sharded run works through per-worker rings ([Trace.arm_rings]).
-    Raises [Invalid_argument], before building anything, on
-    [warmup >= duration] or [flows_per_host < 1], and on a shard count
-    that does not divide [k]. *)
+    Raises [Invalid_argument], before building anything, on a window
+    {!Common.check_window} rejects, on [subflows < 1] or
+    [flows_per_host < 1], and on a shard count that does not divide
+    [k]. *)
 
 val outcome : result -> Repro_exp.Outcome.t
 (** The registry's view of a run. Metrics, in the order of the record

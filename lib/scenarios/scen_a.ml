@@ -24,6 +24,7 @@ let default =
   }
 
 let run cfg =
+  Common.check_window ~who:"Scen_a.run" ~warmup:cfg.warmup ~duration:cfg.duration;
   let meter = Repro_obs.Meter.start () in
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in

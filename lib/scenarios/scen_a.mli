@@ -31,4 +31,7 @@ val run : config -> Repro_exp.Outcome.t
       and at the shared AP;
     - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
       [obs_subflow_goodput_bps_type1_sf0], [..._type1_sf1] and
-      [..._type2_sf0]. *)
+      [..._type2_sf0].
+
+    Raises [Invalid_argument] before building anything on a window
+    {!Common.check_window} rejects. *)

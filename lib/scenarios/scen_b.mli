@@ -26,4 +26,7 @@ val run : config -> Repro_exp.Outcome.t
     - [px], [pt]: measured loss probability at X and at T;
     - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
       [obs_subflow_goodput_bps_blue_sf0], [..._blue_sf1],
-      [..._red_sf0] and [..._red_sf1]. *)
+      [..._red_sf0] and [..._red_sf1].
+
+    Raises [Invalid_argument] before building anything on a window
+    {!Common.check_window} rejects. *)

@@ -29,4 +29,8 @@ val run : config -> Repro_exp.Outcome.t
     - [p1], [p2]: measured loss probability at AP1 and at AP2;
     - the run's {!Repro_obs.Meter.metrics}, with per-subflow goodputs
       [obs_subflow_goodput_bps_multipath_sf0], [..._multipath_sf1] and
-      [..._single_sf0]. *)
+      [..._single_sf0].
+
+    Raises [Invalid_argument] before building anything on a window
+    {!Common.check_window} rejects and on a negative or non-finite
+    [background_mbps]. *)

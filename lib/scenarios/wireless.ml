@@ -26,6 +26,8 @@ let default =
   }
 
 let run cfg =
+  Common.check_window ~who:"Wireless.run" ~warmup:cfg.warmup
+    ~duration:cfg.duration;
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let mk_queue mbps name =

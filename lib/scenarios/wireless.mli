@@ -27,4 +27,7 @@ val run : config -> Repro_exp.Outcome.t
 (** Metrics, in order: [wifi_mbps] and [cell_mbps] (goodput carried
     over each path after the warm-up; [cell_mbps] is 0 for ["reno"],
     which uses the WiFi path alone), [total_mbps], and [wifi_timeouts]
-    (retransmission timeouts on the WiFi subflow). *)
+    (retransmission timeouts on the WiFi subflow).
+
+    Raises [Invalid_argument] before building anything on a window
+    {!Common.check_window} rejects. *)

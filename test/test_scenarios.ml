@@ -369,3 +369,57 @@ let suite =
       Alcotest.test_case "responsiveness: OLIA ~ LIA" `Slow
         test_responsiveness_lia_comparable;
     ]
+
+(* --- inputs rejected before anything is built -------------------------- *)
+
+(* Each of these inputs used to hang (a zero, negative or NaN short-flow
+   gap, or a run to a non-finite time) or to be silently absorbed
+   (subflows < 1 ran plain TCP, a negative background meant none). The
+   registry run now raises, so [olia_sim run] exits 124 with the
+   message. *)
+let rejects scenario params expect () =
+  let (module Sc : S.Registry.SCENARIO) = S.Registry.find scenario in
+  let bindings =
+    List.map (Mptcp_repro.Exp.Spec.parse_assign Sc.spec) params
+  in
+  match Sc.run bindings with
+  | _ ->
+    Alcotest.failf "%s %s was accepted" scenario (String.concat " " params)
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" expect msg
+
+let rejected =
+  let mean v =
+    "Fattree_dynamic.run: mean_interval must be finite and > 0 (got " ^ v
+    ^ ")"
+  in
+  let duration who v = who ^ ": duration must be finite (got " ^ v ^ ")" in
+  let subflows who = who ^ ": subflows must be >= 1" in
+  [
+    ("fattree-dynamic", [ "mean_interval=0" ], mean "0");
+    ("fattree-dynamic", [ "mean_interval=-0.2" ], mean "-0.2");
+    ("fattree-dynamic", [ "mean_interval=nan" ], mean "nan");
+    ( "fattree-dynamic",
+      [ "duration=inf" ],
+      duration "Fattree_dynamic.run" "inf" );
+    ("fattree-dynamic", [ "subflows=0" ], subflows "Fattree_dynamic.run");
+    ("fattree", [ "subflows=0" ], subflows "Fattree_sharded.run");
+    ("fattree-sharded", [ "subflows=-2" ], subflows "Fattree_sharded.run");
+    ( "scenario-c",
+      [ "background=-3" ],
+      "Scen_c.run: background must be finite and >= 0 Mb/s (got -3)" );
+    ("scenario-a", [ "duration=inf" ], duration "Scen_a.run" "inf");
+    ("scenario-b", [ "duration=nan" ], duration "Scen_b.run" "nan");
+    ("scenario-c", [ "duration=inf" ], duration "Scen_c.run" "inf");
+    ("wireless", [ "duration=inf" ], duration "Wireless.run" "inf");
+  ]
+
+let suite =
+  suite
+  @ List.map
+      (fun (scenario, params, expect) ->
+        Alcotest.test_case
+          (Printf.sprintf "rejects: %s %s" scenario (String.concat " " params))
+          `Quick
+          (rejects scenario params expect))
+      rejected
