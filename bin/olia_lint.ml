@@ -9,7 +9,7 @@
 
 let usage =
   "usage: olia_lint [--json] [--format text|json|sarif] [--rule ID[,ID...]] \
-   [--alloc-free-root NAME] [--graph-dump] [--rules] [DIR|FILE ...]"
+   [--graph-dump] [--rules] [DIR|FILE ...]"
 
 let print_rules () =
   List.iter
@@ -24,7 +24,6 @@ let () =
   let rules = ref false in
   let graph_dump = ref false in
   let only_rules = ref [] in
-  let extra_roots = ref [] in
   let roots = ref [] in
   let set_format f =
     match f with
@@ -56,9 +55,6 @@ let () =
        "FMT report format: text (default), json, or sarif");
       ("--rule", Arg.String add_only,
        "IDS only report these rule ids (comma-separated, repeatable)");
-      ("--alloc-free-root", Arg.String (fun n -> extra_roots := n :: !extra_roots),
-       "NAME add a module-qualified function (e.g. Sim.dispatch) to the \
-        R9 root set");
       ("--graph-dump", Arg.Set graph_dump,
        " print the whole-program call graph and exit");
       ("--rules", Arg.Set rules, " print the rule catalogue and exit");
@@ -88,11 +84,7 @@ let () =
       (Repro_lint.Callgraph.dump (Repro_lint.Engine.graph_of_sources sources));
     exit 0);
   let files = List.length sources in
-  let findings =
-    Repro_lint.Engine.lint_sources
-      ~extra_alloc_free_roots:(List.rev !extra_roots)
-      sources
-  in
+  let findings = Repro_lint.Engine.lint_sources sources in
   let findings =
     match !only_rules with
     | [] -> findings

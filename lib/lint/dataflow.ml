@@ -57,12 +57,10 @@ let finding_at g parent i ~rule ~file ~loc msg =
 
 (* --- R9: alloc-free proof of the hot path ----------------------------- *)
 
-let check_alloc_free ?(extra_roots = []) g =
+let check_alloc_free g =
   let roots = ref [] in
   for i = Callgraph.size g - 1 downto 0 do
-    let n = Callgraph.node g i in
-    if n.Summary.alloc_free_root || List.mem (Summary.display n) extra_roots
-    then roots := i :: !roots
+    if (Callgraph.node g i).Summary.alloc_free_root then roots := i :: !roots
   done;
   let parent, order = bfs g !roots ~follow:(fun e -> e.Callgraph.hot) in
   let findings = ref [] in

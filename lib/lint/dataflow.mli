@@ -6,10 +6,9 @@
     entry point waives the findings it implies. Walks are in node-id
     order, so output is deterministic. *)
 
-val check_alloc_free : ?extra_roots:string list -> Callgraph.t -> Finding.t list
-(** R9: from every [[@olia.alloc_free]] entry point (plus
-    [extra_roots], module-qualified names from [--alloc-free-root]),
-    follow unguarded call edges and flag every unguarded allocation
+val check_alloc_free : Callgraph.t -> Finding.t list
+(** R9: from every [[@olia.alloc_free]] entry point, follow unguarded
+    call edges and flag every unguarded allocation
     site, every float-returning function lacking [@inline], and every
     partial application, each with its chain. *)
 

@@ -54,7 +54,7 @@ let graph_of_sources sources =
   let structures, _ = parse_all sources in
   graph_of_structures structures
 
-let lint_sources ?(extra_alloc_free_roots = []) sources =
+let lint_sources sources =
   let structures, parse_failures = parse_all sources in
   (* pass 1: the per-file catalogue, R5 across files *)
   let raw =
@@ -68,7 +68,7 @@ let lint_sources ?(extra_alloc_free_roots = []) sources =
   let g = graph_of_structures structures in
   let raw =
     raw
-    @ Dataflow.check_alloc_free ~extra_roots:extra_alloc_free_roots g
+    @ Dataflow.check_alloc_free g
     @ Dataflow.check_determinism_taint g
   in
   (* Suppression: a whole-program finding is waived by a directive at
@@ -135,6 +135,6 @@ let read_sources roots =
       { path; content })
     (collect_files roots)
 
-let lint_paths ?extra_alloc_free_roots roots =
+let lint_paths roots =
   let sources = read_sources roots in
-  (List.length sources, lint_sources ?extra_alloc_free_roots sources)
+  (List.length sources, lint_sources sources)

@@ -14,15 +14,13 @@
 
 type source = { path : string; content : string }
 
-val lint_sources : ?extra_alloc_free_roots:string list -> source list -> Finding.t list
+val lint_sources : source list -> Finding.t list
 (** Parse every source ([.ml] as implementation, [.mli] as interface),
     run both passes, then drop findings waived by valid {!Suppress}
     directives — a whole-program finding is waived by a directive at
     its own site {e or} at its chain's root. Unparseable files yield a
     single [Parse] finding; malformed directives yield [Suppress]
-    findings. Neither of those two can be waived.
-    [extra_alloc_free_roots] adds module-qualified names (e.g.
-    ["Sim.dispatch"]) to the [[@olia.alloc_free]] root set. *)
+    findings. Neither of those two can be waived. *)
 
 val graph_of_sources : source list -> Callgraph.t
 (** Pass 1 + graph construction only, for [--graph-dump]. Unparseable
@@ -36,7 +34,6 @@ val collect_files : string list -> string list
 val read_sources : string list -> source list
 (** [collect_files] plus file contents, in the same order. *)
 
-val lint_paths :
-  ?extra_alloc_free_roots:string list -> string list -> int * Finding.t list
+val lint_paths : string list -> int * Finding.t list
 (** [read_sources] then [lint_sources]; returns the number of files
     scanned alongside the findings. *)

@@ -434,14 +434,6 @@ let[@olia.alloc_free] dispatch x = Helper.consume x
          };
        ])
 
-let test_r9_extra_roots () =
-  let src = "let f x = ref x" in
-  check_count "no annotation, no finding" Finding.R9 0 (lint src);
-  check_count "--alloc-free-root seeds the same walk" Finding.R9 1
-    (Engine.lint_sources
-       ~extra_alloc_free_roots:[ "Fixture.f" ]
-       [ { Engine.path = "lib/foo/fixture.ml"; content = src } ])
-
 let test_r9_mutual_recursion () =
   check_count "cycle in the call graph terminates, silently" Finding.R9 0
     (lint
@@ -665,8 +657,6 @@ let suite =
       test_r9_module_init_exempt;
     Alcotest.test_case "R9 suppressible at root or site" `Quick
       test_r9_suppressible_at_root;
-    Alcotest.test_case "R9 extra roots seed the walk" `Quick
-      test_r9_extra_roots;
     Alcotest.test_case "R9 survives mutual recursion" `Quick
       test_r9_mutual_recursion;
     Alcotest.test_case "call graph honors shadowing" `Quick
