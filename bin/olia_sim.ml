@@ -685,18 +685,13 @@ let run_check only out update_golden golden_dir =
   end
   else
     let report = Ck.Conformance.run_all ?only () in
-    let selected check names =
+    let golden =
       List.filter_map
         (fun n ->
           if Ck.Conformance.selects only ("golden/" ^ n) then
-            Some (n, check ~dir:golden_dir n)
+            Some (n, Ck.Golden.check ~dir:golden_dir n)
           else None)
-        names
-    in
-    let golden =
-      selected Ck.Golden.check Ck.Golden.names
-      @ selected Ck.Golden.check_report Ck.Golden.report_names
-      @ selected Ck.Golden.check_outcome Ck.Golden.outcome_names
+        Ck.Golden.names
     in
     if report.Ck.Conformance.cases = [] && golden = [] then
       `Error
@@ -708,9 +703,7 @@ let run_check only out update_golden golden_dir =
                (List.map
                   (fun (c : Ck.Conformance.case) -> c.name)
                   (Ck.Conformance.cases ())
-               @ List.map (fun n -> "golden/" ^ n)
-                   (Ck.Golden.names @ Ck.Golden.report_names
-                  @ Ck.Golden.outcome_names))) )
+               @ List.map (fun n -> "golden/" ^ n) Ck.Golden.names)) )
     else begin
       List.iter
         (fun (cr : Ck.Conformance.case_report) ->

@@ -2,12 +2,14 @@ open Repro_netsim
 module Trace = Repro_obs.Trace
 module Json = Repro_stats.Json
 
-(* Golden-trace regression: three small canonical runs whose full event
-   streams are recorded under [test/golden/]. The comparator zeroes
-   every timestamp before comparing, so a golden check pins the
-   *semantic* event sequence — which packets were enqueued, forwarded,
-   dropped (and why), every cwnd move and state transition — while
-   timing-only refactors of the simulator stay invisible to it. *)
+(* Golden regression: small canonical runs recorded under
+   [test/golden/]. Four hand-built rigs pin their full event streams;
+   the comparator zeroes every timestamp before comparing, so a golden
+   trace pins the *semantic* event sequence — which packets were
+   enqueued, forwarded, dropped (and why), every cwnd move and state
+   transition — while timing-only refactors of the simulator stay
+   invisible to it. Two flight-recorder reports and the outcome of
+   every registry scenario are pinned beside them. *)
 
 (* Every golden run captures through the trace rings, like
    `olia_sim run --trace`. The capacity holds the largest fixture (a
@@ -115,26 +117,89 @@ let olia_fp_two_path () =
   in
   Sim.run_until sim 60.
 
-let scenarios =
+(* --- reports ------------------------------------------------------------ *)
+
+(* One canonical flight-recorder report: a small fixed-seed Scenario B
+   run analyzed with Obs.Report. Unlike the traces above, the report
+   keeps its timestamps — the document is a pure function of the seed,
+   so it is byte-reproducible and CI can regenerate it from the CLI:
+
+     olia_sim run scenario-b -p n=4 -p cx=8 -p ct=10 \
+       -p duration=8 -p warmup=2 --report report_ci.json
+
+   Its olia-fp twin pins the fixed-point path end to end through the
+   flight recorder. *)
+let report_scen_b_config =
+  {
+    Repro_scenarios.Scen_b.default with
+    n = 4;
+    cx_mbps = 8.;
+    ct_mbps = 10.;
+    duration = 8.;
+    warmup = 2.;
+  }
+
+let report_of config =
+  let acc = Repro_obs.Report.create () in
+  List.iter (Repro_obs.Report.feed acc)
+    (collect (fun () -> ignore (Repro_scenarios.Scen_b.run config)));
+  Repro_obs.Report.to_json acc
+
+(* --- outcomes ----------------------------------------------------------- *)
+
+(* Every registry scenario at small parameters, recorded as the document
+   [olia_sim run <scenario> -p ... --out <file>] writes: the scenario
+   name, its resolved parameters and its [Outcome.to_json]. Each CC of
+   [Repro_cc.Registry] runs on scenario B; the set takes about a
+   second. *)
+let outcome_runs =
+  let testbed = [ "duration=10"; "warmup=2" ] in
+  let tree = [ "k=4"; "duration=3"; "warmup=1" ] in
+  let sharded = [ "k=4"; "flows_per_host=2"; "duration=2"; "warmup=0.5" ] in
+  let algo a =
+    let a = if a = "coupled:<eps>" then "coupled:1" else a in
+    ( "scenario-b-" ^ String.map (function ':' -> '-' | c -> c) a,
+      "scenario-b",
+      ("algo=" ^ a) :: testbed )
+  in
   [
-    ("reno-droptail", reno_droptail);
-    ("olia-two-path", olia_two_path);
-    ("olia-fp-two-path", olia_fp_two_path);
-    ("fault-flap", fault_flap);
+    ("scenario-a", "scenario-a", testbed);
+    ("scenario-b", "scenario-b", testbed);
+    ("scenario-c", "scenario-c", testbed);
+    ("two-bottleneck", "two-bottleneck", [ "duration=10" ]);
+    ( "responsiveness",
+      "responsiveness",
+      [ "duration=10"; "shock_at=3"; "relief_at=6" ] );
+    ("wireless", "wireless", testbed);
+    ("fattree", "fattree", tree);
+    ("fattree-dynamic", "fattree-dynamic", tree);
+    ("fattree-sharded-1", "fattree-sharded", "shards=1" :: sharded);
+    ("fattree-sharded-2", "fattree-sharded", "shards=2" :: sharded);
   ]
+  @ List.map algo (List.filter (( <> ) "olia") Repro_cc.Registry.names)
+  @ [
+      ("scenario-b-singlepath", "scenario-b", "red_multipath=false" :: testbed);
+      ("scenario-c-background", "scenario-c", "background=3" :: testbed);
+      ("scenario-c-path-manager", "scenario-c", "path_manager=true" :: testbed);
+    ]
 
-let names = List.map fst scenarios
+let outcome_of scenario params =
+  let (module Sc : Repro_scenarios.Registry.SCENARIO) =
+    Repro_scenarios.Registry.find scenario
+  in
+  let bindings = List.map (Repro_exp.Spec.parse_assign Sc.spec) params in
+  Json.Obj
+    [
+      ("scenario", Json.String scenario);
+      ("params", Repro_exp.Spec.to_json Sc.spec bindings);
+      ("outcome", Repro_exp.Outcome.to_json (Sc.run bindings));
+    ]
 
-let record name =
-  match List.assoc_opt name scenarios with
-  | Some f -> collect f
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Golden.record: unknown scenario %S (have: %s)" name
-           (String.concat ", " names))
+(* --- comparison --------------------------------------------------------- *)
 
-(* Timestamps carry no semantic weight here: they are kept in the golden
-   files for human debugging but zeroed on both sides before comparing. *)
+(* Timestamps carry no semantic weight in a trace: they are kept in the
+   golden files for human debugging but zeroed on both sides before
+   comparing. *)
 let canon : Trace.event -> Trace.event = function
   | Trace.Pkt_enqueue r -> Trace.Pkt_enqueue { r with time = 0. }
   | Trace.Pkt_drop r -> Trace.Pkt_drop { r with time = 0. }
@@ -146,34 +211,20 @@ let canon : Trace.event -> Trace.event = function
   | Trace.Subflow_add r -> Trace.Subflow_add { r with time = 0. }
   | Trace.Subflow_remove r -> Trace.Subflow_remove { r with time = 0. }
 
-let path ~dir name = Filename.concat dir (name ^ ".jsonl")
-
-let update ~dir name = Trace.write_jsonl ~path:(path ~dir name) (record name)
-
-let load ~dir name =
-  let file = path ~dir name in
-  if not (Sys.file_exists file) then
-    Error (Printf.sprintf "golden file %s missing (run with --update-golden)" file)
-  else
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line -> (
-              match Json.of_string line with
-              | Error e ->
-                  Error (Printf.sprintf "%s:%d: bad JSON: %s" file lineno e)
-              | Ok j -> (
-                  match Trace.of_json j with
-                  | Error e ->
-                      Error
-                        (Printf.sprintf "%s:%d: bad event: %s" file lineno e)
-                  | Ok ev -> go (ev :: acc) (lineno + 1)))
-        in
-        go [] 1)
+let load_events file =
+  let ic = open_in file in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc lineno =
+        match input_line ic with
+        | exception End_of_file -> Ok (List.rev acc)
+        | line -> (
+          match Result.bind (Json.of_string line) Trace.of_json with
+          | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e)
+          | Ok ev -> go (ev :: acc) (lineno + 1))
+      in
+      go [] 1)
 
 let show e = Json.to_string (Trace.to_json (canon e))
 
@@ -202,72 +253,11 @@ let compare_events ~name ~want ~got =
   in
   go 0 want got
 
-let check ~dir name =
-  match load ~dir name with
-  | Error _ as e -> e
-  | Ok want -> compare_events ~name ~want ~got:(record name)
-
-(* --- golden reports --------------------------------------------------- *)
-
-(* One canonical flight-recorder report: a small fixed-seed Scenario B
-   run analyzed with Obs.Report. Unlike the traces above, the report
-   keeps its timestamps — the document is a pure function of the seed,
-   so it is byte-reproducible and CI can regenerate it from the CLI:
-
-     olia_sim run scenario-b -p n=4 -p cx=8 -p ct=10 \
-       -p duration=8 -p warmup=2 --report report_ci.json *)
-
-let report_scen_b_config =
-  {
-    Repro_scenarios.Scen_b.default with
-    n = 4;
-    cx_mbps = 8.;
-    ct_mbps = 10.;
-    duration = 8.;
-    warmup = 2.;
-  }
-
-let report_of config =
-  let acc = Repro_obs.Report.create () in
-  List.iter (Repro_obs.Report.feed acc)
-    (collect (fun () -> ignore (Repro_scenarios.Scen_b.run config)));
-  Repro_obs.Report.to_json acc
-
-let report_scen_b () = report_of report_scen_b_config
-
-(* The Scenario B fixture again with the olia-fp backend: the golden
-   report is a pure function of the seed and the integer update rules,
-   so it pins the fixed-point path end to end through the flight
-   recorder. *)
-let report_scen_b_olia_fp () =
-  report_of { report_scen_b_config with algo = "olia-fp" }
-
-let report_scenarios =
-  [
-    ("report-scen-b", report_scen_b);
-    ("report-scen-b-olia-fp", report_scen_b_olia_fp);
-  ]
-let report_names = List.map fst report_scenarios
-
-let record_report name =
-  match List.assoc_opt name report_scenarios with
-  | Some f -> f ()
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Golden.record_report: unknown report %S (have: %s)"
-           name
-           (String.concat ", " report_names))
-
-let report_path ~dir name = Filename.concat dir (name ^ ".json")
-
-let update_report ~dir name =
-  (* lint: allow R11 -- the scenario meters its run (wall time shown to the operator), but the JSON tree written here holds only seeded simulation outputs, byte-compared in CI *)
-  Json.write ~path:(report_path ~dir name) (record_report name)
-
-(* Semantic comparison: both sides are parsed and re-serialized through
-   the Json printer, so formatting differences (whitespace, a hand-
-   edited golden file) don't register — only value changes do. The
-   error pinpoints the first diverging byte of the canonical forms. *)
+(* Semantic comparison of JSON documents: both sides are parsed and
+   re-serialized through the Json printer, so formatting differences
+   (whitespace, a hand-edited golden file) don't register — only value
+   changes do. The error pinpoints the first diverging byte of the
+   canonical forms. *)
 let compare_json ~name ~want ~got =
   let w = Json.to_string want and g = Json.to_string got in
   if w = g then Ok ()
@@ -282,154 +272,111 @@ let compare_json ~name ~want ~got =
     in
     Error
       (Printf.sprintf
-         "%s: report diverges from golden at byte %d:\n  golden: …%s…\n  \
+         "%s: diverges from golden at byte %d:\n  golden: …%s…\n  \
           got:    …%s…"
          name !i (ctx w) (ctx g))
   end
 
-let check_report ~dir name =
-  let file = report_path ~dir name in
-  if not (Sys.file_exists file) then
-    Error
-      (Printf.sprintf "golden report %s missing (run with --update-golden)"
-         file)
-  else
-    match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
-    | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" file e)
-    | Ok want -> compare_json ~name ~want ~got:(record_report name)
-
-(* --- golden outcomes -------------------------------------------------- *)
-
-(* Every registry scenario at small parameters, recorded as the document
-   [olia_sim run <scenario> -p ... --out <file>] writes: the scenario
-   name, its resolved parameters and its [Outcome.to_json]. Each CC of
-   [Repro_cc.Registry] runs on scenario B; the whole set takes about a
-   second. *)
-let outcome_runs =
-  let testbed = [ "duration=10"; "warmup=2" ] in
-  let tree = [ "k=4"; "duration=3"; "warmup=1" ] in
-  let sharded = [ "k=4"; "flows_per_host=2"; "duration=2"; "warmup=0.5" ] in
-  let algos =
-    List.filter_map
-      (fun algo ->
-        let algo = if algo = "coupled:<eps>" then "coupled:1" else algo in
-        if algo = "olia" then None
-        else
-          Some
-            ( "scenario-b-" ^ String.map (function ':' -> '-' | c -> c) algo,
-              "scenario-b",
-              ("algo=" ^ algo) :: testbed ))
-      Repro_cc.Registry.names
-  in
-  [
-    ("scenario-a", "scenario-a", testbed);
-    ("scenario-b", "scenario-b", testbed);
-    ("scenario-c", "scenario-c", testbed);
-    ("two-bottleneck", "two-bottleneck", [ "duration=10" ]);
-    ( "responsiveness",
-      "responsiveness",
-      [ "duration=10"; "shock_at=3"; "relief_at=6" ] );
-    ("wireless", "wireless", testbed);
-    ("fattree", "fattree", tree);
-    ("fattree-dynamic", "fattree-dynamic", tree);
-    ("fattree-sharded-1", "fattree-sharded", "shards=1" :: sharded);
-    ("fattree-sharded-2", "fattree-sharded", "shards=2" :: sharded);
-  ]
-  @ algos
-  @ [
-      ( "scenario-b-singlepath",
-        "scenario-b",
-        "red_multipath=false" :: testbed );
-      ("scenario-c-background", "scenario-c", "background=3" :: testbed);
-      ("scenario-c-path-manager", "scenario-c", "path_manager=true" :: testbed);
-    ]
-  |> List.map (fun (name, scenario, params) ->
-         ("outcomes/" ^ name, (scenario, params)))
-
-let outcome_names = List.map fst outcome_runs
-
-let record_outcome name =
-  match List.assoc_opt name outcome_runs with
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Golden.record_outcome: unknown outcome %S (have: %s)"
-         name
-         (String.concat ", " outcome_names))
-  | Some (scenario, params) ->
-    let (module Sc : Repro_scenarios.Registry.SCENARIO) =
-      Repro_scenarios.Registry.find scenario
-    in
-    let bindings = List.map (Repro_exp.Spec.parse_assign Sc.spec) params in
-    Json.Obj
-      [
-        ("scenario", Json.String scenario);
-        ("params", Repro_exp.Spec.to_json Sc.spec bindings);
-        ("outcome", Repro_exp.Outcome.to_json (Sc.run bindings));
-      ]
-
-let outcome_path ~dir name = Filename.concat dir (name ^ ".json")
-
-let update_outcome ~dir name =
-  let path = outcome_path ~dir name in
-  let parent = Filename.dirname path in
-  if not (Sys.file_exists parent) then Sys.mkdir parent 0o755;
-  Json.write ~path (record_outcome name)
-
-(* Field-by-field comparison of the outcomes ([Outcome.bitwise_diff]),
-   after both sides went through JSON: a non-finite value compares as
-   the [null] it prints as, so it matches any non-finite value and no
-   finite one. Past the fields, the documents must be byte-identical,
+(* Outcomes compare field by field ([Outcome.bitwise_diff]) after both
+   sides went through JSON: a non-finite value compares as the [null]
+   it prints as, so it matches any non-finite value and no finite one.
+   With no field differing, the documents must still be identical,
    which pins the parameters and the field order. *)
 let compare_outcome ~name ~want ~got =
   let module O = Repro_exp.Outcome in
-  let outcome doc =
-    match doc with
-    | Json.Obj fields -> (
-      match List.assoc_opt "outcome" fields with
-      | Some o -> O.of_json o
-      | None -> Error "no \"outcome\" field")
-    | _ -> Error "not an object"
+  let outcome = function
+    | Json.Obj fields when List.mem_assoc "outcome" fields ->
+      O.of_json (List.assoc "outcome" fields)
+    | _ -> Error "no outcome"
   in
   match (outcome want, outcome got) with
-  | Error e, _ -> Error (Printf.sprintf "%s: bad golden: %s" name e)
-  | _, Error e -> Error (Printf.sprintf "%s: bad outcome: %s" name e)
+  | Error e, _ | _, Error e -> Error (Printf.sprintf "%s: %s" name e)
   | Ok w, Ok g -> (
     match
       List.filter
         (fun (d : O.field_diff) -> d.differing > 0)
         (O.bitwise_diff ~exempt:[] w g)
     with
-    | [] ->
-      if Json.to_string want = Json.to_string got then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "%s: same values, but the parameters or the field order \
-              differ:\n  golden: %s\n  got:    %s"
-             name (Json.to_string want) (Json.to_string got))
+    | [] -> compare_json ~name ~want ~got
     | diffs ->
       Error
-        (Printf.sprintf "%s: %d field(s) differ from the golden:%s" name
-           (List.length diffs)
-           (String.concat ""
-              (List.map
-                 (fun (d : O.field_diff) ->
-                   Printf.sprintf "\n  %s: %d of %d value(s), max |diff| %.6g"
-                     d.field d.differing d.values d.max_abs_diff)
-                 diffs))))
+        (String.concat "\n  "
+           (Printf.sprintf "%s: %d field(s) differ from the golden:" name
+              (List.length diffs)
+           :: List.map
+                (fun (d : O.field_diff) ->
+                  Printf.sprintf "%s: %d of %d value(s), max |diff| %.6g"
+                    d.field d.differing d.values d.max_abs_diff)
+                diffs)))
 
-let check_outcome ~dir name =
-  let file = outcome_path ~dir name in
+(* --- the golden registry ------------------------------------------------ *)
+
+(* A trace rig pins its decoded events; a report or an outcome pins a
+   JSON document, recorded by its thunk and compared by its own
+   comparator. *)
+type golden =
+  | Trace of (unit -> unit)
+  | Json of
+      (unit -> Json.t)
+      * (name:string -> want:Json.t -> got:Json.t -> (unit, string) result)
+
+let goldens =
+  let report config = Json ((fun () -> report_of config), compare_json) in
+  [
+    ("reno-droptail", Trace reno_droptail);
+    ("olia-two-path", Trace olia_two_path);
+    ("olia-fp-two-path", Trace olia_fp_two_path);
+    ("fault-flap", Trace fault_flap);
+    ("report-scen-b", report report_scen_b_config);
+    ("report-scen-b-olia-fp", report { report_scen_b_config with algo = "olia-fp" });
+  ]
+  @ List.map
+      (fun (name, scenario, params) ->
+        ( "outcomes/" ^ name,
+          Json ((fun () -> outcome_of scenario params), compare_outcome) ))
+      outcome_runs
+
+let names = List.map fst goldens
+
+let find name =
+  match List.assoc_opt name goldens with
+  | Some g -> g
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Golden: unknown golden %S (have: %s)" name
+         (String.concat ", " names))
+
+let record name =
+  match find name with
+  | Trace f -> collect f
+  | Json _ -> invalid_arg ("Golden.record: not a trace: " ^ name)
+
+let path ~dir name =
+  Filename.concat dir
+    (name ^ match find name with Trace _ -> ".jsonl" | Json _ -> ".json")
+
+let update ~dir name =
+  let path = path ~dir name in
+  if not (Sys.file_exists (Filename.dirname path)) then
+    Sys.mkdir (Filename.dirname path) 0o755;
+  match find name with
+  | Trace f -> Trace.write_jsonl ~path (collect f)
+  | Json (doc, _) ->
+    (* lint: allow R11 -- the scenarios meter their runs (wall time shown to the operator), but the JSON trees written here hold only seeded simulation outputs, byte-compared in CI *)
+    Json.write ~path (doc ())
+
+let update_all ~dir = List.iter (update ~dir) names
+
+let check ~dir name =
+  let file = path ~dir name in
   if not (Sys.file_exists file) then
-    Error
-      (Printf.sprintf "golden outcome %s missing (run with --update-golden)"
-         file)
+    Error (Printf.sprintf "golden %s missing (run with --update-golden)" file)
   else
-    match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
-    | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" file e)
-    | Ok want -> compare_outcome ~name ~want ~got:(record_outcome name)
-
-let update_all ~dir =
-  List.iter (fun (n, _) -> update ~dir n) scenarios;
-  List.iter (fun (n, _) -> update_report ~dir n) report_scenarios;
-  List.iter (update_outcome ~dir) outcome_names
+    match find name with
+    | Trace f ->
+      Result.bind (load_events file) (fun want ->
+          compare_events ~name ~want ~got:(collect f))
+    | Json (doc, compare) -> (
+      match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
+      | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" file e)
+      | Ok want -> compare ~name ~want ~got:(doc ()))

@@ -1,87 +1,57 @@
-(** Golden-trace regression tests.
+(** Golden regression: small canonical runs pinned under [test/golden/],
+    one registry of three kinds.
 
-    Four small canonical simulations — a Reno transfer through a tight
-    droptail bottleneck, an OLIA transfer over two asymmetric paths,
-    the same transfer on the [olia-fp] fixed-point kernel twin, and a
-    finite transfer through a flapping link — have their full
-    {!Repro_obs.Trace} event streams recorded as JSONL under
-    [test/golden/]. A {!check} re-runs the scenario and diffs the
-    semantic event sequence against the recorded one, zeroing all
-    timestamps first: intentional behaviour changes require
-    re-recording with [olia_sim check --update-golden]. *)
+    - {b Traces} ([<name>.jsonl]): four hand-built rigs — a Reno
+      transfer through a tight droptail bottleneck, an OLIA transfer
+      over two asymmetric paths, the same transfer on the [olia-fp]
+      fixed-point kernel twin, and a finite transfer through a flapping
+      link — with their full {!Repro_obs.Trace} event streams. The
+      comparison zeroes every timestamp and reports the first
+      divergence (event index, golden vs got).
+    - {b Reports} ([report-*.json]): the flight-recorder document
+      ({!Repro_obs.Report}) of a small fixed-seed Scenario B run on
+      each OLIA backend. Timestamps are kept — the report is a pure
+      function of the seed — and the comparison is semantic: both sides
+      are parsed and re-serialized, so only value changes register, and
+      the error pinpoints the first diverging byte.
+    - {b Outcomes} ([outcomes/<name>.json]): every registry scenario at
+      small parameters — the six testbed scenarios, the three FatTrees
+      ([fattree-sharded] at 1 and 2 shards), every {!Repro_cc.Registry}
+      algorithm on scenario B, and a few variants. Each file is the
+      document [olia_sim run <scenario> -p ... --out] writes: scenario,
+      resolved parameters and {!Repro_exp.Outcome.to_json}. The
+      outcomes compare with {!Repro_exp.Outcome.bitwise_diff}, and the
+      error names every differing field with its count of differing
+      values and its largest absolute difference. Both sides are
+      compared as JSON holds them: a non-finite value reads as [null],
+      which matches any non-finite value and no finite one. With no
+      field differing, the documents must still be identical
+      (parameters, field order).
+
+    Intentional behaviour changes are re-recorded with
+    [olia_sim check --update-golden]. Recording arms and disarms the
+    process-wide trace rings — not for use around concurrent traced
+    runs. *)
 
 val names : string list
-(** The canonical scenario names (also the golden file basenames). *)
+(** Every golden, as its file's path below the golden directory without
+    the extension (["reno-droptail"], ["report-scen-b"],
+    ["outcomes/scenario-a"], ...). The functions below raise
+    [Invalid_argument] on any other name. *)
 
 val record : string -> Repro_obs.Trace.event list
-(** Run a canonical scenario with the trace rings armed
-    ([Trace.capture]) and return its decoded event stream. Raises
-    [Invalid_argument] on an unknown name and [Trace.Overflow] if the
-    run outgrows the rings. Arms and disarms the process-wide rings —
-    not for use around concurrent traced runs. *)
+(** Run a trace rig with the trace rings armed ([Trace.capture]) and
+    return its decoded event stream. Raises [Invalid_argument] on a
+    name that is not a trace, and [Trace.Overflow] if the run outgrows
+    the rings. *)
 
 val update : dir:string -> string -> unit
-(** Re-record one scenario's golden file ([<dir>/<name>.jsonl]). *)
+(** Re-record one golden file under [dir], creating [dir/outcomes/] if
+    needed. *)
 
 val update_all : dir:string -> unit
 
 val check : dir:string -> string -> (unit, string) result
-(** Re-run the scenario and compare against the golden file. The error
-    carries a first-divergence diagnostic (event index, golden vs got,
-    both with timestamps zeroed). *)
-
-(** {2 Golden reports}
-
-    A canonical flight-recorder document: a small fixed-seed Scenario B
-    run analyzed with {!Repro_obs.Report} and pinned as JSON under
-    [test/golden/]. Timestamps are kept — the report is a pure function
-    of the seed — and the comparison is semantic: both sides are parsed
-    and re-serialized, so only value changes register. *)
-
-val report_names : string list
-(** The canonical report names (also the golden file basenames,
-    [<name>.json]). *)
-
-val record_report : string -> Repro_stats.Json.t
-(** Run the canonical scenario with the trace rings armed, feed the
-    decoded stream to a report and return the document. Raises
-    [Invalid_argument] on an unknown name; same ring caveats as
-    {!record}. *)
-
-val update_report : dir:string -> string -> unit
-(** Re-record one golden report ([<dir>/<name>.json]). *)
-
-val check_report : dir:string -> string -> (unit, string) result
-(** Re-run and compare semantically against the golden report; the error
-    pinpoints the first diverging byte of the canonical forms.
-    [update_all] refreshes golden reports along with golden traces. *)
-
-(** {2 Golden outcomes}
-
-    Every registry scenario at small parameters: the six testbed
-    scenarios, the three FatTrees ([fattree-sharded] at 1 and 2
-    shards), every {!Repro_cc.Registry} algorithm on scenario B, and a
-    few variants (single-path Red users, background traffic, the path
-    manager). Each file, [<dir>/outcomes/<name>.json], is the document
-    [olia_sim run <scenario> -p ... --out] writes: scenario, resolved
-    parameters and {!Repro_exp.Outcome.to_json}. *)
-
-val outcome_names : string list
-(** ["outcomes/<name>"]: the file stems under the golden directory. *)
-
-val record_outcome : string -> Repro_stats.Json.t
-(** Run the registry scenario and return its document. Raises
-    [Invalid_argument] on an unknown name. *)
-
-val update_outcome : dir:string -> string -> unit
-(** Re-record one golden outcome, creating [<dir>/outcomes/] if
-    needed. *)
-
-val check_outcome : dir:string -> string -> (unit, string) result
-(** Re-run and compare with {!Repro_exp.Outcome.bitwise_diff}. The
-    error names every differing field with its count of differing
-    values and its largest absolute difference. Both outcomes are
-    compared as JSON holds them: a non-finite value reads as [null],
-    which matches any non-finite value and no finite one. With no field
-    differing, the documents must still be byte-identical (parameters,
-    field order). [update_all] re-records the outcomes too. *)
+(** Re-run and compare against the golden file; the error explains the
+    first divergence (traces, reports) or every differing field
+    (outcomes). *)

@@ -42,29 +42,26 @@ let to_json t =
 
 let of_json json =
   let open Repro_stats.Json in
+  let bad j = invalid_arg ("not an outcome field: " ^ to_string j) in
   let number = function
     | Float v -> v
     | Int i -> float_of_int i
     | Null -> Float.nan
-    | j -> invalid_arg ("not a number: " ^ to_string j)
+    | j -> bad j
   in
-  let section fields name f =
-    match List.assoc_opt name fields with
-    | None -> []
+  let array = function List l -> Array.of_list (List.map number l) | j -> bad j in
+  let section f = function
     | Some (Obj kv) -> List.map (fun (k, v) -> (k, f v)) kv
-    | Some j -> invalid_arg (Printf.sprintf "%S is not an object: %s" name (to_string j))
-  in
-  let array = function
-    | List l -> Array.of_list (List.map number l)
-    | j -> invalid_arg ("not an array: " ^ to_string j)
+    | None -> []
+    | Some j -> bad j
   in
   match json with
-  | Obj fields when List.mem_assoc "metrics" fields -> (
+  | Obj fields -> (
     try
       Ok
         {
-          metrics = section fields "metrics" number;
-          arrays = section fields "arrays" array;
+          metrics = section number (List.assoc_opt "metrics" fields);
+          arrays = section array (List.assoc_opt "arrays" fields);
         }
     with Invalid_argument e -> Error e)
   | j -> Error ("not an outcome: " ^ to_string j)

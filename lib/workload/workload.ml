@@ -21,12 +21,6 @@ let permutation_long_flows ~rng ~hosts ~max_jitter =
       })
 
 let poisson_short_flows ~rng ~src ~dst ~mean_interval ~size_pkts ~duration =
-  (* a zero, negative or NaN gap, or a horizon no gap sum reaches,
-     would never end the schedule *)
-  if not (mean_interval > 0. && Float.is_finite mean_interval
-          && Float.is_finite duration) then
-    invalid_arg "Workload.poisson_short_flows: need a finite mean_interval > 0 \
-                 and a finite duration";
   let rec gen t acc =
     let t = t +. Rng.exponential rng ~mean:mean_interval in
     if t >= duration then List.rev acc

@@ -29,9 +29,9 @@ val poisson_short_flows :
   flow_spec list
 (** Short flows of fixed size from [src] to [dst], arriving as a Poisson
     process of the given mean inter-arrival time, truncated at
-    [duration] (Fig. 14: 70 kB every 200 ms on average). Raises
-    [Invalid_argument] unless [mean_interval] is finite and positive
-    and [duration] is finite. *)
+    [duration] (Fig. 14: 70 kB every 200 ms on average). The schedule
+    ends only for a finite, positive [mean_interval] and a finite
+    [duration]; the dynamic FatTree scenario checks both first. *)
 
 val short_flow_pkts : int
 (** 70 kB in MSS-sized packets (= 47), the paper's short-flow size. *)
