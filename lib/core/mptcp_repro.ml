@@ -61,7 +61,6 @@ module Netsim = struct
   module Cbr = Repro_netsim.Cbr
   module Path_manager = Repro_netsim.Path_manager
   module Monitor = Repro_netsim.Monitor
-  module Lossy = Repro_netsim.Lossy
   module Fault = Repro_netsim.Fault
   module Shard = Repro_netsim.Shard
 end

@@ -33,32 +33,36 @@ let create ~sim ~rng ?(name = "fault") () =
     passed = 0;
   }
 
-let mode t = t.mode
 let is_down t = match t.mode with Down -> true | _ -> false
 let dropped t = t.dropped
 let reordered t = t.reordered
 let passed t = t.passed
 
+(* Each range is written so that a NaN parameter fails it: every
+   comparison with NaN is false, and a NaN loss probability would
+   otherwise pass as zero ([Rng.float < nan] never drops). *)
+let check_burst ~who loss_prob =
+  if not (loss_prob >= 0. && loss_prob < 1.) then
+    invalid_arg (who ^ ": burst loss_prob must be in [0, 1)")
+
 let set_mode t mode =
   (match mode with
-  | Burst { loss_prob } ->
-    if loss_prob < 0. || loss_prob >= 1. then
-      invalid_arg "Fault.set_mode: burst loss_prob must be in [0, 1)"
+  | Burst { loss_prob } -> check_burst ~who:"Fault.set_mode" loss_prob
   | Reorder { prob; extra_delay } ->
-    if prob < 0. || prob > 1. then
+    if not (prob >= 0. && prob <= 1.) then
       invalid_arg "Fault.set_mode: reorder prob must be in [0, 1]";
-    if extra_delay <= 0. then
+    if not (extra_delay > 0.) then
       invalid_arg "Fault.set_mode: reorder extra_delay must be positive"
   | Up | Down -> ());
   t.mode <- mode
 
-let drop t (p : Packet.t) =
+let drop t (p : Packet.t) ~cause =
   t.dropped <- t.dropped + 1;
   if Trace.enabled () then
     Trace.pkt_drop ~time:(Sim.now t.sim) ~queue:t.name_id ~flow:p.flow
       ~subflow:p.subflow ~seq:p.seq
       ~kind:(Packet.kind_code p.kind)
-      ~cause:Trace.Link_down;
+      ~cause;
   Packet.free p
 
 let hop t (p : Packet.t) =
@@ -68,14 +72,14 @@ let hop t (p : Packet.t) =
     Packet.forward p
   | Down ->
     (* A dead link swallows traffic in both directions: data and ACKs. *)
-    drop t p
+    drop t p ~cause:Trace.Link_down
   | Burst { loss_prob } -> (
     match p.kind with
     | Packet.Ack ->
       t.passed <- t.passed + 1;
       Packet.forward p
     | Packet.Data ->
-      if Rng.float t.rng < loss_prob then drop t p
+      if Rng.float t.rng < loss_prob then drop t p ~cause:Trace.Random_loss
       else begin
         t.passed <- t.passed + 1;
         Packet.forward p
@@ -105,8 +109,7 @@ let schedule_flap t ~down_at ~up_at =
 
 let schedule_burst t ~at ~until ~loss_prob =
   if until <= at then invalid_arg "Fault.schedule_burst: until <= at";
-  if loss_prob < 0. || loss_prob >= 1. then
-    invalid_arg "Fault.schedule_burst: loss_prob must be in [0, 1)";
+  check_burst ~who:"Fault.schedule_burst" loss_prob;
   schedule_mode t ~at (Burst { loss_prob });
   schedule_mode t ~at:until Up
 

@@ -1,5 +1,5 @@
 (** Deterministic fault injection: a gate hop that can take a link
-    down, drop bursts of data packets, or delay (reorder) packets for
+    down, drop data packets at random, or delay (reorder) packets for
     scheduled windows of simulated time.
 
     Place {!hop} on a route like a queue or pipe and drive the failure
@@ -10,10 +10,14 @@
     ([lib/check]) relies on byte-identical reports across runs.
 
     While [Down] the gate swallows traffic in both directions (data and
-    ACKs), as a dead link would; [Burst] drops only data, like
-    {!Lossy}; [Reorder] holds back a random subset of packets by a
-    fixed extra delay so later packets overtake them. Drops are traced
-    as [Trace.Pkt_drop] with cause [Link_down]. *)
+    ACKs), as a dead link would; [Burst] drops each data packet
+    independently and lets ACKs through, as a lossy wireless hop with a
+    reliable reverse channel would (a gate left in [Burst] for the
+    whole run is the wireless scenario's random-loss link); [Reorder]
+    holds back a random subset of packets by a fixed extra delay so
+    later packets overtake them. Drops are traced as [Trace.Pkt_drop]:
+    outage drops with cause [Link_down], burst drops with
+    [Random_loss]. *)
 
 type mode =
   | Up  (** pass-through (initial state) *)
@@ -31,12 +35,12 @@ val create : sim:Sim.t -> rng:Rng.t -> ?name:string -> unit -> t
 val hop : t -> Packet.hop
 (** The gate's entry point, to place on routes. *)
 
-val mode : t -> mode
 val is_down : t -> bool
 
 val set_mode : t -> mode -> unit
 (** Switch immediately. Raises [Invalid_argument] on parameters outside
-    their documented ranges. *)
+    their ranges ([Burst]: [0 <= loss_prob < 1]; [Reorder]:
+    [0 <= prob <= 1], [extra_delay > 0]), NaN included. *)
 
 val schedule_flap : t -> down_at:float -> up_at:float -> unit
 (** Link outage over [\[down_at, up_at)]. Raises [Invalid_argument]
@@ -44,7 +48,7 @@ val schedule_flap : t -> down_at:float -> up_at:float -> unit
 
 val schedule_burst : t -> at:float -> until:float -> loss_prob:float -> unit
 (** Burst-loss episode over [\[at, until)] dropping each data packet
-    with probability [loss_prob] (in [\[0, 1)]). *)
+    with probability [loss_prob] (in [\[0, 1)]; checked at once). *)
 
 val schedule_reorder :
   t -> at:float -> until:float -> prob:float -> extra_delay:float -> unit

@@ -7,7 +7,6 @@ type path = { fwd : Packet.hop array; rev : Packet.hop array }
    store to it allocates 2 words and takes a write barrier, and every
    read joined with a computed float in an [if] boxes the other side. *)
 type limits = {
-  min_rto : float;
   rcv_wnd : float;  (* receive-window cap on each subflow's cwnd, packets *)
 }
 
@@ -18,8 +17,6 @@ type sub_floats = {
   mutable rttvar : float;
   mutable rto : float;
   mutable inc_cached : float;  (* cached congestion-avoidance increase *)
-  mutable delack_echo : float;
-      (* receiver state: timestamp to echo when the delack flushes *)
 }
 
 type conn = {
@@ -27,9 +24,9 @@ type conn = {
   rcv_sim : Sim.t;
       (* event loop of the receiver endpoint; [sim] unless the receiver
          lives in another shard's domain (see Shard). Receiver-side
-         state (rcv_cum, ooo, the delack fields) is mutated only on
-         this loop, sender-side state only on [sim]'s — the two field
-         sets are disjoint, so the split needs no locking. *)
+         state (rcv_cum, ooo) is mutated only on this loop, sender-side
+         state only on [sim]'s — the two field sets are disjoint, so
+         the split needs no locking. *)
   cc : Repro_cc.Cc_types.t;
   flow_id : int;
   mutable subs : sub array;
@@ -41,7 +38,6 @@ type conn = {
   size_pkts : int option;
   on_complete : (float -> unit) option;
   limits : limits;
-  delayed_ack : bool;
 }
 
 and sub = {
@@ -68,9 +64,6 @@ and sub = {
   (* receiver state *)
   mutable rcv_cum : int;  (* next expected sequence number *)
   ooo : (int, unit) Hashtbl.t;
-  mutable delack_count : int;  (* in-order segments not yet acknowledged *)
-  mutable delack_timer : Sim.Timer.t;
-  mutable delack_fire : unit -> unit;  (* persistent delayed-ACK callback *)
 }
 
 let fmax = Repro_cc.Cc_types.fmax
@@ -247,6 +240,9 @@ let rec try_send sub =
 
 (* --- receiving acks ------------------------------------------------ *)
 
+(* RTO floor, seconds: Linux's tcp_rto_min. *)
+let min_rto = 0.2
+
 (* Inlined so [echo] stays unboxed: a float argument to an out-of-line
    call is passed boxed. *)
 let[@inline] sample_rtt sub echo =
@@ -264,7 +260,6 @@ let[@inline] sample_rtt sub echo =
     (* Linux floors rttvar at tcp_rto_min/4, so RTO ≈ srtt + 200 ms even
        when the RTT variance collapses; this absorbs queueing-delay spikes
        at the bottleneck without spurious timeouts. *)
-    let min_rto = sub.conn.limits.min_rto in
     let rttvar = fmax f.rttvar (min_rto /. 4.) in
     f.rto <- fmin 60. (fmax (f.srtt +. (4. *. rttvar)) min_rto);
     if Trace.enabled () then
@@ -283,14 +278,7 @@ let check_completion conn =
       conn.completion_time <- Some (Sim.now conn.sim);
       Array.iter
         (* lint: allow R9 -- same once-per-connection transition as above *)
-        (fun s ->
-          Sim.Timer.cancel conn.sim s.rto_timer;
-          (* the delack timer belongs to the receiver's loop; cancelling
-             it from the sender's domain would race when the endpoints
-             are sharded. Leave it to fire (its callback checks
-             delack_count) unless both ends share a loop. *)
-          if conn.rcv_sim == conn.sim then
-            Sim.Timer.cancel conn.sim s.delack_timer)
+        (fun s -> Sim.Timer.cancel conn.sim s.rto_timer)
         conn.subs;
       match conn.on_complete with
       | Some f -> f (Sim.now conn.sim)
@@ -465,20 +453,11 @@ let sack_block_around sub seq =
 
 (* Inlined, like [sample_rtt], so [echo] stays unboxed. *)
 let[@inline] send_ack sub ~echo ~sack =
-  sub.delack_count <- 0;
   let ack =
     Packet.ack ~flow:sub.conn.flow_id ~subflow:sub.idx ~ackno:sub.rcv_cum
       ~echo ~sack ~route:sub.rev_route ~sent_at:(Sim.now sub.conn.rcv_sim)
   in
   Packet.forward ack
-
-(* RFC 1122 delayed-ACK timer: flush a pending acknowledgment within
-   100 ms even if the second segment never arrives. *)
-let arm_delack_timer sub =
-  let sim = sub.conn.rcv_sim in
-  if not (Sim.Timer.active sim sub.delack_timer) then
-    sub.delack_timer <-
-      Sim.schedule_after ~src:"tcp.delack" sim 0.1 sub.delack_fire
 
 let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
   match p.kind with
@@ -489,8 +468,7 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     (* the sink owns the segment; recycle it before building the ACK so
        the ACK reuses the same pool cell *)
     Packet.free p;
-    let in_order = seq = sub.rcv_cum in
-    if in_order then begin
+    if seq = sub.rcv_cum then begin
       sub.rcv_cum <- sub.rcv_cum + 1;
       while Hashtbl.length sub.ooo > 0 && Hashtbl.mem sub.ooo sub.rcv_cum do
         Hashtbl.remove sub.ooo sub.rcv_cum;
@@ -500,24 +478,14 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
     else if seq > sub.rcv_cum && not (Hashtbl.mem sub.ooo seq) then
       (* lint: allow R9 -- out-of-order bookkeeping, absent on the in-order steady state *)
       Hashtbl.add sub.ooo seq ();
-    let gap = Hashtbl.length sub.ooo > 0 in
-    if sub.conn.delayed_ack && in_order && not gap then begin
-      sub.delack_count <- sub.delack_count + 1;
-      sub.f.delack_echo <- sent_at;
-      if sub.delack_count >= 2 then send_ack sub ~echo:sent_at ~sack:None
-      else arm_delack_timer sub
-    end
-    else
-      (* out-of-order data, duplicates and hole-filling segments are
-         acknowledged immediately, carrying SACK information *)
-      send_ack sub ~echo:sent_at ~sack:(sack_block_around sub seq)
+    (* every segment is acknowledged at once; out-of-order data carries
+       a SACK block *)
+    send_ack sub ~echo:sent_at ~sack:(sack_block_around sub seq)
 
 (* --- construction --------------------------------------------------- *)
 
 let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
-    ?(initial_cwnd = 2.) ?(min_rto = 0.2) ?(rcv_wnd = 10_000.)
-    ?(delayed_ack = false) ?(subflow_join_delay = 0.) ?on_complete ~flow_id
-    () =
+    ?(initial_cwnd = 2.) ?(rcv_wnd = 10_000.) ?on_complete ~flow_id () =
   if Array.length paths = 0 then invalid_arg "Tcp.create: no paths";
   let rcv_sim = match rcv_sim with Some s -> s | None -> sim in
   let conn =
@@ -533,8 +501,7 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
       completion_time = None;
       size_pkts;
       on_complete;
-      limits = { min_rto; rcv_wnd };
-      delayed_ack;
+      limits = { rcv_wnd };
     }
   in
   let multipath = Array.length paths > 1 in
@@ -560,7 +527,6 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
             rttvar = 0.;
             rto = 1.;
             inc_cached = 0.;
-            delack_echo = 0.;
           };
         snd_una = 0;
         snd_nxt = 0;
@@ -578,9 +544,6 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
         enabled = true;
         rcv_cum = 0;
         ooo = Hashtbl.create 64;
-        delack_count = 0;
-        delack_timer = Sim.Timer.none;
-        delack_fire = ignore;
       }
     in
     sub.fwd_route <- Array.append path.fwd [| sink_handler sub |];
@@ -588,10 +551,6 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
     sub.rto_fire <-
       (fun () ->
         if (not sub.conn.completed) && flight sub > 0 then on_timeout sub);
-    sub.delack_fire <-
-      (fun () ->
-        if sub.delack_count > 0 then
-          send_ack sub ~echo:sub.f.delack_echo ~sack:None);
     sub
   in
   conn.subs <- Array.mapi make_sub paths;
@@ -599,13 +558,10 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
     Array.map
       (fun _ -> { Repro_cc.Cc_types.cwnd = 0.; rtt = 0.1 })
       conn.subs;
-  (* the first subflow starts immediately; additional subflows join after
-     the MP_JOIN handshake delay, as in real MPTCP *)
   Array.iteri
     (fun idx sub ->
-      let at = if idx = 0 then start else start +. subflow_join_delay in
       ignore
-        (Sim.schedule_at ~src:"tcp.start" sim at (fun () ->
+        (Sim.schedule_at ~src:"tcp.start" sim start (fun () ->
              if Trace.enabled () then
                Trace.subflow_add ~time:(Sim.now sim) ~flow:conn.flow_id
                  ~subflow:idx;

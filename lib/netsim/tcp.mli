@@ -30,35 +30,28 @@ val create :
   ?size_pkts:int ->
   ?start:float ->
   ?initial_cwnd:float ->
-  ?min_rto:float ->
   ?rcv_wnd:float ->
-  ?delayed_ack:bool ->
-  ?subflow_join_delay:float ->
   ?on_complete:(float -> unit) ->
   flow_id:int ->
   unit ->
   conn
-(** Create a connection and schedule its first transmission at [start]
-    (default 0). [size_pkts = None] means an infinite (long-lived) flow;
-    finite flows call [on_complete] with the completion time once every
-    packet is delivered. [initial_cwnd] defaults to 2 packets, [min_rto]
-    to 0.2 s and [rcv_wnd] — the receiver-window cap on each subflow's
-    usable window — to 10000 packets. [delayed_ack] enables RFC 1122
-    receiver behavior (ACK every second in-order segment, 100 ms flush
-    timer; default off, as in the htsim comparisons).
-    [subflow_join_delay] postpones the start of every subflow but the
-    first, emulating the MP_JOIN handshake (default 0). The [cc]
+(** Create a connection and schedule every subflow's first
+    transmission at [start] (default 0). [size_pkts = None] means an
+    infinite (long-lived) flow; finite flows call [on_complete] with
+    the completion time once every packet is delivered.
+    [initial_cwnd] defaults to 2 packets and [rcv_wnd] — the
+    receiver-window cap on each subflow's usable window — to 10000
+    packets. The receiver acknowledges every segment at once, as in
+    the htsim comparisons, and the RTO floor is 0.2 s. The [cc]
     instance must be private to this connection.
 
     [rcv_sim] (default [sim]) is the event loop of the receiver
     endpoint, for sharded topologies where sender and receiver run in
-    different domains ({!Shard}): receiver-side handlers (the data sink
-    and the delayed-ACK timer) then schedule on [rcv_sim], and the
-    sender's completion path leaves the receiver's timers alone.
-    Sender-side and receiver-side mutable state are disjoint field
-    sets, so no locking is needed as long as the forward route is
-    dispatched by [rcv_sim] past the shard cut and the reverse route by
-    [sim]. *)
+    different domains ({!Shard}): the data sink then sends its ACKs on
+    [rcv_sim]; the receiver arms no timer. Sender-side and
+    receiver-side mutable state are disjoint field sets, so no locking
+    is needed as long as the forward route is dispatched by [rcv_sim]
+    past the shard cut and the reverse route by [sim]. *)
 
 val subflow_count : conn -> int
 val total_acked : conn -> int

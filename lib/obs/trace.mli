@@ -19,7 +19,7 @@ type tcp_state = Slow_start | Congestion_avoidance | Fast_recovery
 type drop_cause =
   | Overflow  (** buffer full on arrival *)
   | Red_early  (** RED early (probabilistic) drop *)
-  | Random_loss  (** lossy-link Bernoulli drop *)
+  | Random_loss  (** Bernoulli drop by a [Fault] gate in [Burst] mode *)
   | Link_down  (** fault-injected outage swallowed the packet *)
 
 type event =

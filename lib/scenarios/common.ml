@@ -53,9 +53,9 @@ let measure_conns ~sim ~warmup ~duration conns =
     conns
 
 (* One meter report per run: the simulator's own counters plus the
-   drop split summed over the scenario's queues. Random-loss drops come
-   from Lossy hops, which only the wireless scenario uses. *)
-let observe ~meter ~sim ?(lossy = []) ?(subflow_goodput_bps = []) queues =
+   drop split summed over the scenario's queues. No metered scenario
+   has a random-loss hop, so [drops_random] is 0. *)
+let observe ~meter ~sim ?(subflow_goodput_bps = []) queues =
   let sum f = List.fold_left (fun acc q -> acc + f q) 0 queues in
   (* lint: allow R11 -- the meter reports elapsed wall time of the run by design (operator-facing); every simulation metric it carries is seeded *)
   Repro_obs.Meter.finish meter ~sim_s:(Sim.now sim)
@@ -63,8 +63,7 @@ let observe ~meter ~sim ?(lossy = []) ?(subflow_goodput_bps = []) queues =
     ~max_heap_depth:(Sim.max_heap_depth sim)
     ~drops_overflow:(sum Queue.drops_overflow)
     ~drops_red:(sum Queue.drops_red)
-    ~drops_random:
-      (List.fold_left (fun acc l -> acc + Lossy.dropped l) 0 lossy)
+    ~drops_random:0
     ~subflow_goodput_bps
 
 let paper_rtt = 0.150

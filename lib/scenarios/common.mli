@@ -38,12 +38,11 @@ val mbps_of_pps : float -> float
 val observe :
   meter:Repro_obs.Meter.t ->
   sim:Repro_netsim.Sim.t ->
-  ?lossy:Repro_netsim.Lossy.t list ->
   ?subflow_goodput_bps:(string * float) list ->
   Repro_netsim.Queue.t list ->
   Repro_obs.Meter.report
 (** Finish a run's meter from the simulator's counters and the drop
-    split summed over [queues] (plus any [lossy] hops), attaching any
+    split summed over [queues], attaching any
     labelled per-subflow goodputs (see {!subflow_goodput_bps}). Call it
     after the event loop, before building the outcome. *)
 

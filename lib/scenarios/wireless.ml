@@ -38,13 +38,14 @@ let run cfg =
   in
   let wifi_q = mk_queue cfg.wifi_mbps "wifi" in
   let cell_q = mk_queue cfg.cell_mbps "cellular" in
-  let lossy = Lossy.create ~sim ~name:"wifi-lossy" ~rng:(Rng.split rng) ~loss_prob:cfg.wifi_loss () in
+  let lossy = Fault.create ~sim ~rng:(Rng.split rng) ~name:"wifi-lossy" () in
+  Fault.set_mode lossy (Burst { loss_prob = cfg.wifi_loss });
   let pipe delay_ms = Pipe.create ~sim ~delay:(delay_ms /. 1000.) in
   let wifi_fwd = pipe cfg.wifi_delay_ms and wifi_rev = pipe cfg.wifi_delay_ms in
   let cell_fwd = pipe cfg.cell_delay_ms and cell_rev = pipe cfg.cell_delay_ms in
   let wifi_path =
     {
-      Tcp.fwd = [| Queue.hop wifi_q; Lossy.hop lossy; Pipe.hop wifi_fwd |];
+      Tcp.fwd = [| Queue.hop wifi_q; Fault.hop lossy; Pipe.hop wifi_fwd |];
       rev = [| Pipe.hop wifi_rev |];
     }
   in

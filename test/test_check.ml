@@ -6,6 +6,7 @@ open Mptcp_repro.Netsim
 module Ck = Mptcp_repro.Check
 module F = Mptcp_repro.Fluid
 module Json = Mptcp_repro.Stats.Json
+module Trace = Mptcp_repro.Obs.Trace
 
 (* --- bands -------------------------------------------------------------- *)
 
@@ -92,6 +93,69 @@ let test_fault_schedule_validation () =
   Alcotest.check_raises "burst prob"
     (Invalid_argument "Fault.set_mode: burst loss_prob must be in [0, 1)")
     (fun () -> Fault.set_mode gate (Fault.Burst { loss_prob = 1. }))
+
+(* Every range check fails on NaN: a NaN loss probability used to pass
+   as zero ([Rng.float < nan] never drops). *)
+let fault_rejects_nan (what, mode, expect) =
+  Alcotest.test_case ("fault: NaN " ^ what ^ " rejected") `Quick (fun () ->
+      let sim = Sim.create () in
+      let gate = Fault.create ~sim ~rng:(Rng.create ~seed:1) () in
+      Alcotest.check_raises what (Invalid_argument expect) (fun () ->
+          Fault.set_mode gate mode))
+
+let fault_nan_cases =
+  List.map fault_rejects_nan
+    [
+      ( "burst loss_prob",
+        Fault.Burst { loss_prob = Float.nan },
+        "Fault.set_mode: burst loss_prob must be in [0, 1)" );
+      ( "reorder prob",
+        Fault.Reorder { prob = Float.nan; extra_delay = 0.5 },
+        "Fault.set_mode: reorder prob must be in [0, 1]" );
+      ( "reorder extra_delay",
+        Fault.Reorder { prob = 0.5; extra_delay = Float.nan },
+        "Fault.set_mode: reorder extra_delay must be positive" );
+    ]
+
+(* A burst drop is a random loss and an outage drop a dead link: the
+   trace names each with its own cause. *)
+let test_fault_traces_drop_causes () =
+  let gate, events =
+    Trace.capture ~capacity:1024 (fun () ->
+        let sim = Sim.create () in
+        let gate = Fault.create ~sim ~rng:(Rng.create ~seed:1) () in
+        let route, _ = drain_route [| Fault.hop gate |] in
+        let send seq =
+          Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq ~sent_at:0. ~route)
+        in
+        Fault.set_mode gate (Fault.Burst { loss_prob = 0.5 });
+        for seq = 0 to 99 do
+          send seq
+        done;
+        Fault.set_mode gate Fault.Down;
+        send 100;
+        gate)
+  in
+  let drops =
+    List.filter_map
+      (function
+        | Trace.Pkt_drop { seq; cause; _ } -> Some (seq, cause) | _ -> None)
+      events
+  in
+  Alcotest.(check int) "one record per drop" (Fault.dropped gate)
+    (List.length drops);
+  Alcotest.(check bool) "some burst drops" true (List.length drops > 1);
+  List.iter
+    (fun (seq, cause) ->
+      if seq = 100 then
+        Alcotest.(check bool) "outage drop is link_down" true
+          (cause = Trace.Link_down)
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "burst drop of seq %d is random_loss" seq)
+          true
+          (cause = Trace.Random_loss))
+    drops
 
 let test_fault_reorder_delivers_late () =
   let sim = Sim.create () in
@@ -299,13 +363,22 @@ let test_dormant_invariants_stay_quiet () =
 (* dune copies test/golden/*.jsonl next to the test binary. *)
 let golden_dir = "golden"
 
+(* Compares every named golden before failing, so a change that moves
+   several of them names each one, as [olia_sim check] does. *)
 let check_goldens names =
-  List.iter
-    (fun name ->
-      match Ck.Golden.check ~dir:golden_dir name with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    names
+  match
+    List.filter_map
+      (fun name ->
+        match Ck.Golden.check ~dir:golden_dir name with
+        | Ok () -> None
+        | Error e -> Some (Printf.sprintf "FAIL golden/%s\n  %s" name e))
+      names
+  with
+  | [] -> ()
+  | failures ->
+    Alcotest.failf "%d of %d goldens differ:\n%s" (List.length failures)
+      (List.length names)
+      (String.concat "\n" failures)
 
 let goldens prefix = List.filter (String.starts_with ~prefix) Ck.Golden.names
 
@@ -475,6 +548,8 @@ let suite =
       test_fault_schedule_validation;
     Alcotest.test_case "fault: reorder delivers late" `Quick
       test_fault_reorder_delivers_late;
+    Alcotest.test_case "fault: drop causes traced" `Quick
+      test_fault_traces_drop_causes;
     Alcotest.test_case "conformance: fluid cross-validation" `Quick
       test_fluid_cross_cases_pass;
     Alcotest.test_case "conformance: fault recovery" `Slow
@@ -519,3 +594,4 @@ let suite =
     Alcotest.test_case "golden: outcome ulp change named" `Quick
       test_golden_outcome_ulp_named;
   ]
+  @ fault_nan_cases

@@ -1,6 +1,6 @@
 (* Tests for the extension features: CUBIC and Scalable TCP (paper
-   Remark 3), the LIA fluid ODE, delayed ACKs, CBR background traffic and
-   the path manager (paper §VII future-work items). *)
+   Remark 3), the LIA fluid ODE, CBR background traffic, the path manager
+   (paper §VII future-work items) and random wireless loss. *)
 
 open Mptcp_repro.Netsim
 open Mptcp_repro.Cc
@@ -275,63 +275,6 @@ let test_cbr_steals_capacity_from_tcp () =
   Alcotest.(check bool) (Printf.sprintf "TCP squeezed to %.1f" mbps) true
     (mbps < 7.)
 
-(* --- delayed ACKs ----------------------------------------------------------- *)
-
-let delack_rig ~delayed_ack ~seed =
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed in
-  let q =
-    Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:300
-      ~discipline:Queue.Droptail ()
-  in
-  let ack_count = ref 0 in
-  let count_acks (p : Packet.t) =
-    (match p.Packet.kind with Packet.Ack -> incr ack_count | Packet.Data -> ());
-    Packet.forward p
-  in
-  let fwd = Pipe.create ~sim ~delay:0.04 and rv = Pipe.create ~sim ~delay:0.04 in
-  let conn =
-    Tcp.create ~sim ~cc:(Reno.create ()) ~delayed_ack
-      ~paths:
-        [|
-          {
-            Tcp.fwd = [| Queue.hop q; Pipe.hop fwd |];
-            rev = [| count_acks; Pipe.hop rv |];
-          };
-        |]
-      ~size_pkts:400 ~flow_id:0 ()
-  in
-  Sim.run_until sim 60.;
-  (conn, !ack_count)
-
-let test_delayed_ack_halves_ack_count () =
-  let conn1, acks1 = delack_rig ~delayed_ack:false ~seed:3 in
-  let conn2, acks2 = delack_rig ~delayed_ack:true ~seed:3 in
-  Alcotest.(check bool) "both complete" true
-    (Tcp.completed conn1 && Tcp.completed conn2);
-  Alcotest.(check bool)
-    (Printf.sprintf "acks %d < 0.7 x %d" acks2 acks1)
-    true
-    (float_of_int acks2 < 0.7 *. float_of_int acks1)
-
-let test_delayed_ack_still_completes_under_loss () =
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed:4 in
-  let q =
-    Queue.create ~sim ~rng ~rate_bps:2e6 ~buffer_pkts:15
-      ~discipline:Queue.Droptail ()
-  in
-  let fwd = Pipe.create ~sim ~delay:0.04 and rv = Pipe.create ~sim ~delay:0.04 in
-  let conn =
-    Tcp.create ~sim ~cc:(Reno.create ()) ~delayed_ack:true
-      ~paths:
-        [| { Tcp.fwd = [| Queue.hop q; Pipe.hop fwd |]; rev = [| Pipe.hop rv |] } |]
-      ~size_pkts:600 ~flow_id:0 ()
-  in
-  Sim.run_until sim 120.;
-  Alcotest.(check bool) "completed" true (Tcp.completed conn);
-  Alcotest.(check int) "exact delivery" 600 (Tcp.total_acked conn)
-
 (* --- subflow enable/disable and the path manager ----------------------------- *)
 
 let two_queue_conn ~sim ~rng ~cc ~rate2 =
@@ -468,10 +411,6 @@ let suite =
     Alcotest.test_case "cbr: start/stop window" `Quick test_cbr_start_stop;
     Alcotest.test_case "cbr: displaces TCP" `Slow
       test_cbr_steals_capacity_from_tcp;
-    Alcotest.test_case "delack: halves ACK volume" `Slow
-      test_delayed_ack_halves_ack_count;
-    Alcotest.test_case "delack: completes under loss" `Slow
-      test_delayed_ack_still_completes_under_loss;
     Alcotest.test_case "paths: disable stops new data" `Slow
       test_disable_stops_new_data;
     Alcotest.test_case "path manager: discards bad path" `Slow
@@ -483,26 +422,31 @@ let suite =
 
 (* --- lossy links and the wireless scenario ----------------------------- *)
 
+(* A random-loss link is a [Fault] gate held in [Burst] mode, as the
+   wireless scenario builds it. *)
+let lossy_gate ~seed ~loss_prob =
+  let gate = Fault.create ~sim:(Sim.create ()) ~rng:(Rng.create ~seed) () in
+  Fault.set_mode gate (Fault.Burst { loss_prob });
+  gate
+
 let test_lossy_drop_rate () =
-  let rng = Rng.create ~seed:40 in
-  let lossy = Lossy.create ~rng ~loss_prob:0.2 () in
+  let lossy = lossy_gate ~seed:40 ~loss_prob:0.2 in
   let forwarded = ref 0 in
-  let route = [| Lossy.hop lossy; (fun _ -> incr forwarded) |] in
+  let route = [| Fault.hop lossy; (fun _ -> incr forwarded) |] in
   for i = 0 to 9999 do
     Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0. ~route)
   done;
   Alcotest.(check int) "conservation" 10000
-    (Lossy.dropped lossy + Lossy.passed lossy);
-  Alcotest.(check int) "forwarded = passed" (Lossy.passed lossy) !forwarded;
-  let rate = float_of_int (Lossy.dropped lossy) /. 10000. in
+    (Fault.dropped lossy + Fault.passed lossy);
+  Alcotest.(check int) "forwarded = passed" (Fault.passed lossy) !forwarded;
+  let rate = float_of_int (Fault.dropped lossy) /. 10000. in
   Alcotest.(check bool) (Printf.sprintf "rate %.3f near 0.2" rate) true
     (rate > 0.17 && rate < 0.23)
 
 let test_lossy_spares_acks () =
-  let rng = Rng.create ~seed:41 in
-  let lossy = Lossy.create ~rng ~loss_prob:0.9 () in
+  let lossy = lossy_gate ~seed:41 ~loss_prob:0.9 in
   let forwarded = ref 0 in
-  let route = [| Lossy.hop lossy; (fun _ -> incr forwarded) |] in
+  let route = [| Fault.hop lossy; (fun _ -> incr forwarded) |] in
   for _ = 1 to 100 do
     Packet.forward
       (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack:None ~route
@@ -511,10 +455,9 @@ let test_lossy_spares_acks () =
   Alcotest.(check int) "all acks pass" 100 !forwarded
 
 let test_lossy_rejects_bad_prob () =
-  let rng = Rng.create ~seed:42 in
   Alcotest.check_raises "p=1"
-    (Invalid_argument "Lossy.create: loss_prob must be in [0, 1)") (fun () ->
-      ignore (Lossy.create ~rng ~loss_prob:1. ()))
+    (Invalid_argument "Fault.set_mode: burst loss_prob must be in [0, 1)")
+    (fun () -> ignore (lossy_gate ~seed:42 ~loss_prob:1.))
 
 let test_wireless_multipath_beats_lossy_tcp () =
   let module W = Mptcp_repro.Scenarios.Wireless in

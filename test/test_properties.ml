@@ -543,9 +543,8 @@ let prop_cwnd_floor_after_losses =
             Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps:4e6
               ~buffer_pkts:30 ~discipline:Queue.Droptail ()
           in
-          let lossy =
-            Lossy.create ~sim ~rng:(Rng.split rng) ~loss_prob ()
-          in
+          let lossy = Fault.create ~sim ~rng:(Rng.split rng) () in
+          Fault.set_mode lossy (Fault.Burst { loss_prob });
           let fwd = Pipe.create ~sim ~delay:0.02 in
           let rv = Pipe.create ~sim ~delay:0.02 in
           let cc =
@@ -559,14 +558,14 @@ let prop_cwnd_floor_after_losses =
               ~paths:
                 [|
                   {
-                    Tcp.fwd = [| Lossy.hop lossy; Queue.hop q; Pipe.hop fwd |];
+                    Tcp.fwd = [| Fault.hop lossy; Queue.hop q; Pipe.hop fwd |];
                     rev = [| Pipe.hop rv |];
                   };
                 |]
               ~flow_id:0 ()
           in
           Sim.run_until sim 20.;
-          Lossy.dropped lossy > 0 && Tcp.subflow_cwnd conn 0 >= 1.))
+          Fault.dropped lossy > 0 && Tcp.subflow_cwnd conn 0 >= 1.))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

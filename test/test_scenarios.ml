@@ -374,7 +374,8 @@ let suite =
 
 (* Each of these inputs used to hang (a zero, negative or NaN short-flow
    gap, or a run to a non-finite time) or to be silently absorbed
-   (subflows < 1 ran plain TCP, a negative background meant none). The
+   (subflows < 1 ran plain TCP, a negative background meant none, a NaN
+   wireless loss rate meant no loss). The
    registry run now raises, so [olia_sim run] exits 124 with the
    message. *)
 let rejects scenario params expect () =
@@ -412,6 +413,9 @@ let rejected =
     ("scenario-b", [ "duration=nan" ], duration "Scen_b.run" "nan");
     ("scenario-c", [ "duration=inf" ], duration "Scen_c.run" "inf");
     ("wireless", [ "duration=inf" ], duration "Wireless.run" "inf");
+    ( "wireless",
+      [ "wifi_loss=nan" ],
+      "Fault.set_mode: burst loss_prob must be in [0, 1)" );
   ]
 
 let suite =

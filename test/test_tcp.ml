@@ -324,28 +324,6 @@ let suite =
       test_goodput_matches_loss_throughput_formula;
   ]
 
-let test_subflow_join_delay () =
-  let rig = make_rig ~seed:20 () in
-  let path2 = second_path rig in
-  let conn =
-    Tcp.create ~sim:rig.sim ~cc:(Olia.create ()) ~paths:[| rig.path; path2 |]
-      ~subflow_join_delay:5. ~flow_id:0 ()
-  in
-  Sim.run_until rig.sim 4.;
-  Alcotest.(check bool) "first subflow active" true
-    (Tcp.subflow_acked conn 0 > 0);
-  Alcotest.(check int) "second subflow waiting" 0 (Tcp.subflow_acked conn 1);
-  Sim.run_until rig.sim 15.;
-  Alcotest.(check bool) "second subflow joined" true
-    (Tcp.subflow_acked conn 1 > 0)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "mptcp: subflow join delay" `Quick
-        test_subflow_join_delay;
-    ]
-
 let test_rto_backoff_and_reset () =
   (* a blackhole path: every RTO doubles the timer; after the path heals
      the next RTT sample restores a normal RTO *)

@@ -473,7 +473,7 @@ let test_duplex_one_event_per_hop () =
    flight below the buffer, so nothing is ever dropped. Armed invariant
    checks build their messages eagerly, so with them nothing is
    asserted about allocation. *)
-let tcp_alloc_case ?(duplex = false) ~algo ~subflows ~delayed_ack () =
+let tcp_alloc_case ?(duplex = false) ~algo ~subflows () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:3 in
   let base = Mptcp_repro.Cc.Registry.create algo in
@@ -517,7 +517,7 @@ let tcp_alloc_case ?(duplex = false) ~algo ~subflows ~delayed_ack () =
   in
   let conn =
     Tcp.create ~sim ~cc ~paths:(Array.init subflows path) ~initial_cwnd:40.
-      ~rcv_wnd:40. ~delayed_ack ~flow_id:0 ()
+      ~rcv_wnd:40. ~flow_id:0 ()
   in
   Sim.run_until sim 2.;
   let acks0 = !acks and calls0 = !calls in
@@ -527,9 +527,9 @@ let tcp_alloc_case ?(duplex = false) ~algo ~subflows ~delayed_ack () =
   let w1 = Gc.minor_words () in
   let events = Sim.events_processed sim - ev0 in
   let name =
-    Printf.sprintf "%s%s, %d subflow(s), delayed_ack %b" algo
+    Printf.sprintf "%s%s, %d subflow(s)" algo
       (if duplex then " over Duplex" else "")
-      subflows delayed_ack
+      subflows
   in
   let retx = ref 0 in
   for i = 0 to subflows - 1 do
@@ -545,39 +545,35 @@ let tcp_zero_alloc ~duplex () =
     (fun algo ->
       List.iter
         (fun subflows ->
-          List.iter
-            (fun delayed_ack ->
-              let name, words, acks, calls, events =
-                tcp_alloc_case ~duplex ~algo ~subflows ~delayed_ack ()
-              in
-              Alcotest.(check bool) (name ^ ": ACKs flowed") true (acks > 1000);
-              if strict then
-                Alcotest.(check (float 0.))
-                  (Printf.sprintf
-                     "%s: minor words beyond 2 per increase (%d ACKs, %d \
-                      calls)"
-                     name acks calls)
-                  0.
-                  (words -. (2. *. float_of_int calls))
-              else if measured && duplex then begin
-                (* non-inlining build: every float crossing into Sim
-                   boxes, and a wired hop makes more such calls per
-                   event; bound the words per event instead *)
-                let per_event = words /. float_of_int events in
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: minor words per event (%.1f) < 32" name
-                     per_event)
-                  true (per_event < 32.)
-              end
-              else if measured then begin
-                (* non-inlining build: see the bound above *)
-                let per_ack = words /. float_of_int acks in
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: minor words per ACK (%.1f) < 64" name
-                     per_ack)
-                  true (per_ack < 64.)
-              end)
-            [ false; true ])
+          let name, words, acks, calls, events =
+            tcp_alloc_case ~duplex ~algo ~subflows ()
+          in
+          Alcotest.(check bool) (name ^ ": ACKs flowed") true (acks > 1000);
+          if strict then
+            Alcotest.(check (float 0.))
+              (Printf.sprintf
+                 "%s: minor words beyond 2 per increase (%d ACKs, %d calls)"
+                 name acks calls)
+              0.
+              (words -. (2. *. float_of_int calls))
+          else if measured && duplex then begin
+            (* non-inlining build: every float crossing into Sim boxes,
+               and a wired hop makes more such calls per event; bound the
+               words per event instead *)
+            let per_event = words /. float_of_int events in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: minor words per event (%.1f) < 32" name
+                 per_event)
+              true (per_event < 32.)
+          end
+          else if measured then begin
+            (* non-inlining build: see the bound above *)
+            let per_ack = words /. float_of_int acks in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: minor words per ACK (%.1f) < 64" name
+                 per_ack)
+              true (per_ack < 64.)
+          end)
         [ 1; 2; 8 ])
     [ "reno"; "lia"; "olia"; "olia-fp"; "balia" ]
 
