@@ -16,12 +16,12 @@ let () =
      same server through different provider networks. *)
   List.iter (Builder.add_node b)
     [ "client"; "dsl"; "lte"; "isp1"; "isp2"; "server" ];
-  Builder.link b "client" "dsl" ~rate_mbps:8. ~delay_ms:15. ();
-  Builder.link b "client" "lte" ~rate_mbps:15. ~delay_ms:35. ();
-  Builder.link b "dsl" "isp1" ~rate_mbps:50. ~delay_ms:5. ();
-  Builder.link b "lte" "isp2" ~rate_mbps:50. ~delay_ms:5. ();
-  Builder.link b "isp1" "server" ~rate_mbps:100. ~delay_ms:5. ();
-  Builder.link b "isp2" "server" ~rate_mbps:100. ~delay_ms:5. ();
+  Builder.link b "client" "dsl" ~rate_mbps:8. ~delay_ms:15.;
+  Builder.link b "client" "lte" ~rate_mbps:15. ~delay_ms:35.;
+  Builder.link b "dsl" "isp1" ~rate_mbps:50. ~delay_ms:5.;
+  Builder.link b "lte" "isp2" ~rate_mbps:50. ~delay_ms:5.;
+  Builder.link b "isp1" "server" ~rate_mbps:100. ~delay_ms:5.;
+  Builder.link b "isp2" "server" ~rate_mbps:100. ~delay_ms:5.;
 
   let paths =
     Builder.paths b ~src:"client" ~dst:"server" ~disjoint:true ~k:2 ()

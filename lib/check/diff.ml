@@ -54,7 +54,7 @@ type lockstep_result = {
 
 let lockstep_subflows = [| (10., 0.05); (6., 0.15) |]
 
-let lockstep ?(steps = 4000) ~float_algo ~fixed_algo () =
+let lockstep ~float_algo ~fixed_algo =
   let mk algo =
     ( Registry.create algo,
       Array.map
@@ -77,7 +77,7 @@ let lockstep ?(steps = 4000) ~float_algo ~fixed_algo () =
     end
   in
   let max_rel = ref 0. in
-  for t = 1 to steps do
+  for t = 1 to 4000 do
     for idx = 0 to nsub - 1 do
       (* losses at fixed co-prime periods: identical on both backends,
          dependent on neither backend's state *)
@@ -104,7 +104,7 @@ let lockstep ?(steps = 4000) ~float_algo ~fixed_algo () =
   }
 
 let lockstep_metrics ~float_algo ~fixed_algo =
-  let r = lockstep ~float_algo ~fixed_algo () in
+  let r = lockstep ~float_algo ~fixed_algo in
   let final a = [ ("final_cwnd_sf0", a.(0)); ("final_cwnd_sf1", a.(1)) ] in
   ("max_rel_divergence", r.max_rel_divergence)
   :: deviations (final r.final_float) (final r.final_fixed)

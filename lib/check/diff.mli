@@ -27,12 +27,10 @@ type lockstep_result = {
   final_fixed : float array;
 }
 
-val lockstep :
-  ?steps:int -> float_algo:string -> fixed_algo:string -> unit ->
-  lockstep_result
+val lockstep : float_algo:string -> fixed_algo:string -> lockstep_result
 (** Drive both backends through an identical prescribed ACK/loss
-    schedule on two asymmetric synthetic subflows (no simulator, no
-    randomness; default 4000 steps). *)
+    schedule on two asymmetric synthetic subflows for 4000 steps (no
+    simulator, no randomness). *)
 
 val lockstep_metrics :
   float_algo:string -> fixed_algo:string -> (string * float) list

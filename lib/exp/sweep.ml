@@ -162,7 +162,8 @@ type agg = {
 
 type agg_table = { over : string; rows : agg list }
 
-let aggregate ?(over = "seed") pts =
+let aggregate pts =
+  let over = "seed" in
   let order = ref [] in
   let tbl = Hashtbl.create 16 in
   List.iter

@@ -55,18 +55,19 @@ val run :
 (** {1 Aggregation} *)
 
 type agg = {
-  group : Spec.bindings;  (** the point's bindings minus the [over] key *)
+  group : Spec.bindings;  (** the point's bindings minus the seed *)
   n : int;  (** replications aggregated *)
   stats : (string * (float * float)) list;
       (** metric name → (mean, sample stddev; 0 when n = 1) *)
 }
 
 type agg_table = { over : string; rows : agg list }
+(** [over] is the key aggregated away, always ["seed"]. *)
 
-val aggregate : ?over:string -> point list -> agg_table
-(** Group points whose bindings differ only in [over] (default
-    ["seed"]) and compute per-metric mean and standard deviation.
-    Groups appear in first-encounter order. *)
+val aggregate : point list -> agg_table
+(** Group points whose bindings differ only in their seed and compute
+    per-metric mean and standard deviation. Groups appear in
+    first-encounter order. *)
 
 (** {1 Emitters} *)
 

@@ -1,4 +1,8 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
+(* Convergence tolerance of every solver here: the bisection interval
+   width, and Newton's |f x|. *)
+let tol = 1e-12
+
+let bisect ~f lo hi =
   let flo = f lo and fhi = f hi in
   (* Armed invariant: a bisection answer is a finite point of the
      original bracket whose function value is finite — catches NaN
@@ -30,9 +34,9 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
         else if flo *. fmid < 0. then loop lo mid flo (iter - 1)
         else loop mid hi fmid (iter - 1)
     in
-    loop lo hi flo max_iter
+    loop lo hi flo 200
 
-let find_increasing_root ?(tol = 1e-12) ~f () =
+let find_increasing_root ~f () =
   (* Shrink towards 0 until f < 0, grow until f > 0. *)
   let rec find_lo x n =
     if n = 0 then failwith "Roots.find_increasing_root: no negative value"
@@ -46,9 +50,9 @@ let find_increasing_root ?(tol = 1e-12) ~f () =
   in
   let lo = find_lo 1. 200 in
   let hi = find_hi 1. 200 in
-  bisect ~tol ~f lo hi
+  bisect ~f lo hi
 
-let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~df x0 =
+let newton ~f ~df x0 =
   let rec loop x iter =
     if iter = 0 then failwith "Roots.newton: no convergence"
     else
@@ -63,7 +67,7 @@ let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~df x0 =
         if Float.equal d 0. then failwith "Roots.newton: zero derivative"
         else loop (x -. (fx /. d)) (iter - 1)
   in
-  loop x0 max_iter
+  loop x0 100
 
 let poly_eval coeffs x =
   let acc = ref 0. in
@@ -77,7 +81,7 @@ let poly_derivative coeffs =
   if n <= 1 then [| 0. |]
   else Array.init (n - 1) (fun i -> float_of_int (i + 1) *. coeffs.(i + 1))
 
-let positive_poly_root ?(tol = 1e-12) coeffs =
+let positive_poly_root coeffs =
   let f = poly_eval coeffs in
   if f 0. > 0. then failwith "Roots.positive_poly_root: positive at 0";
   let rec find_hi x n =
@@ -86,4 +90,4 @@ let positive_poly_root ?(tol = 1e-12) coeffs =
     else find_hi (x *. 2.) (n - 1)
   in
   let hi = find_hi 1. 200 in
-  bisect ~tol ~f 0. hi
+  bisect ~f 0. hi

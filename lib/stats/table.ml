@@ -15,8 +15,8 @@ let add_row t row =
   in
   t.rows <- padded :: t.rows
 
-let add_float_row t ?(prec = 4) label xs =
-  add_row t (label :: List.map (fun x -> Printf.sprintf "%.*g" prec x) xs);
+let add_float_row t label xs =
+  add_row t (label :: List.map (fun x -> Printf.sprintf "%.4g" x) xs);
   t
 
 let widths t =
@@ -61,6 +61,6 @@ let rows t = List.rev t.rows
 let to_csv t ~path =
   Csv.write_rows ~path ~header:t.columns (rows t)
 
-let print ?(oc = stdout) t =
-  output_string oc (to_string t);
-  flush oc
+let print t =
+  output_string stdout (to_string t);
+  flush stdout

@@ -10,13 +10,14 @@ val add_row : t -> string list -> unit
 (** Append a row. Rows shorter than the header are padded with empty
     cells; longer rows raise [Invalid_argument]. *)
 
-val add_float_row : t -> ?prec:int -> string -> float list -> t
+val add_float_row : t -> string -> float list -> t
 (** [add_float_row t label xs] appends a row whose first cell is [label]
-    and remaining cells render [xs] with [prec] significant digits
-    (default 4). Returns [t] for chaining. *)
+    and remaining cells render [xs] with 4 significant digits. Returns
+    [t] for chaining. *)
 
-val print : ?oc:out_channel -> t -> unit
-(** Render with column alignment, a title and a separator rule. *)
+val print : t -> unit
+(** Render to stdout with column alignment, a title and a separator
+    rule. *)
 
 val to_string : t -> string
 (** Rendered table as a string. *)

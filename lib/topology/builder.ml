@@ -5,7 +5,7 @@ type t = {
   rng : Rng.t;
   names : (string, int) Hashtbl.t;
   mutable nodes : string list;  (* reversed *)
-  mutable links : (int * int * Duplex.t * float) list;  (* u, v, link, weight *)
+  mutable links : (int * int * Duplex.t) list;
   mutable graph : Duplex.t Graph.t option;  (* rebuilt lazily *)
 }
 
@@ -33,25 +33,17 @@ let vertex t name =
   | Some v -> v
   | None -> invalid_arg ("Builder: unknown node " ^ name)
 
-let link t a b ~rate_mbps ~delay_ms ?buffer_pkts ?(red = true) ?(weight = 1.)
-    () =
+let link t a b ~rate_mbps ~delay_ms =
   let u = vertex t a and v = vertex t b in
   let rate_bps = rate_mbps *. 1e6 in
-  let buffer_pkts =
-    match buffer_pkts with
-    | Some b -> b
-    | None -> Stdlib.max 50 (int_of_float (300. *. rate_bps /. 10e6))
-  in
-  let discipline =
-    if red then Queue.Red (Queue.paper_red ~link_mbps:rate_mbps)
-    else Queue.Droptail
-  in
   let duplex =
     Duplex.create ~sim:t.sim ~rng:(Rng.split t.rng) ~rate_bps
-      ~delay:(delay_ms /. 1000.) ~buffer_pkts ~discipline
+      ~delay:(delay_ms /. 1000.)
+      ~buffer_pkts:(Stdlib.max 50 (int_of_float (300. *. rate_bps /. 10e6)))
+      ~discipline:(Queue.Red (Queue.paper_red ~link_mbps:rate_mbps))
       ~name:(a ^ "-" ^ b) ()
   in
-  t.links <- (u, v, duplex, weight) :: t.links;
+  t.links <- (u, v, duplex) :: t.links;
   t.graph <- None
 
 let graph t =
@@ -60,8 +52,7 @@ let graph t =
   | None ->
     let g = Graph.create ~vertices:(Stdlib.max 1 (node_count t)) in
     List.iter
-      (fun (u, v, duplex, weight) ->
-        ignore (Graph.add_edge g ~u ~v ~weight duplex))
+      (fun (u, v, duplex) -> ignore (Graph.add_edge g ~u ~v duplex))
       (List.rev t.links);
     t.graph <- Some g;
     g

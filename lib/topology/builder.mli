@@ -13,23 +13,10 @@ val create :
 val add_node : t -> string -> unit
 (** Declare a node. Raises [Invalid_argument] on duplicates. *)
 
-val node_count : t -> int
-
-val link :
-  t ->
-  string ->
-  string ->
-  rate_mbps:float ->
-  delay_ms:float ->
-  ?buffer_pkts:int ->
-  ?red:bool ->
-  ?weight:float ->
-  unit ->
-  unit
-(** Join two declared nodes with a duplex link. [red] selects the paper's
-    RED profile (default) or DropTail; [buffer_pkts] defaults to the
-    scenario convention (300 packets at 10 Mb/s, scaled). [weight]
-    affects routing only (default 1). *)
+val link : t -> string -> string -> rate_mbps:float -> delay_ms:float -> unit
+(** Join two declared nodes with a duplex link: the paper's RED profile
+    on a buffer of the scenario convention (300 packets at 10 Mb/s,
+    scaled), routing weight 1. *)
 
 val queue : t -> string -> string -> Repro_netsim.Queue.t
 (** The queue serving the [a]→[b] direction of the link joining the two

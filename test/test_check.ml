@@ -265,7 +265,7 @@ let test_diff_scenario_bc_cases_pass () =
 let test_diff_lockstep_bounded () =
   List.iter
     (fun (float_algo, fixed_algo) ->
-      let r = Ck.Diff.lockstep ~float_algo ~fixed_algo () in
+      let r = Ck.Diff.lockstep ~float_algo ~fixed_algo in
       Alcotest.(check bool)
         (fixed_algo ^ ": cwnd trajectories stay close") true
         (r.Ck.Diff.max_rel_divergence < 0.25);

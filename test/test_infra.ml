@@ -157,10 +157,10 @@ let scenario_c_via_builder () =
   let rng = Rng.create ~seed:1 in
   let b = Builder.create ~sim ~rng () in
   List.iter (Builder.add_node b) [ "client"; "ap1"; "ap2"; "internet" ];
-  Builder.link b "client" "ap1" ~rate_mbps:10. ~delay_ms:20. ();
-  Builder.link b "client" "ap2" ~rate_mbps:10. ~delay_ms:20. ();
-  Builder.link b "ap1" "internet" ~rate_mbps:100. ~delay_ms:20. ();
-  Builder.link b "ap2" "internet" ~rate_mbps:100. ~delay_ms:20. ();
+  Builder.link b "client" "ap1" ~rate_mbps:10. ~delay_ms:20.;
+  Builder.link b "client" "ap2" ~rate_mbps:10. ~delay_ms:20.;
+  Builder.link b "ap1" "internet" ~rate_mbps:100. ~delay_ms:20.;
+  Builder.link b "ap2" "internet" ~rate_mbps:100. ~delay_ms:20.;
   (sim, b)
 
 let test_builder_path_routes_packets () =
@@ -409,10 +409,10 @@ let test_builder_reproduces_scenario_c () =
   let b = Builder.create ~sim ~rng () in
   List.iter (Builder.add_node b) [ "clients"; "ap1"; "ap2"; "net" ];
   (* 20 ms per stage gives the testbed's 80 ms round trip *)
-  Builder.link b "clients" "ap1" ~rate_mbps:10. ~delay_ms:20. ();
-  Builder.link b "clients" "ap2" ~rate_mbps:10. ~delay_ms:20. ();
-  Builder.link b "ap1" "net" ~rate_mbps:1000. ~delay_ms:20. ();
-  Builder.link b "ap2" "net" ~rate_mbps:1000. ~delay_ms:20. ();
+  Builder.link b "clients" "ap1" ~rate_mbps:10. ~delay_ms:20.;
+  Builder.link b "clients" "ap2" ~rate_mbps:10. ~delay_ms:20.;
+  Builder.link b "ap1" "net" ~rate_mbps:1000. ~delay_ms:20.;
+  Builder.link b "ap2" "net" ~rate_mbps:1000. ~delay_ms:20.;
   let paths =
     Builder.paths b ~src:"clients" ~dst:"net" ~disjoint:true ~k:2 ()
   in
