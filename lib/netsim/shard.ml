@@ -14,8 +14,6 @@ type msg = {
          order in which the egress hops executed on the source domain,
          i.e. the order in which the sequential run would have armed
          these deliveries. The merge tie-break after (arrival, egress). *)
-  chan_id : int;
-  chan_seq : int;
   kind : Packet.kind;
   pkt_seq : int;
   flow : int;
@@ -32,18 +30,16 @@ type msg = {
 type channel = {
   src_shard : int;
   dst_shard : int;
-  chan_id : int;
   latency : float;
   src_sim : Sim.t;
   src_counter : int ref;
       (* shared across all channels leaving the same shard; touched
          only by the source domain *)
-  (* [seq], [passed] and the [ahead] heap are touched only by the
-     source domain (inside its window, or after the run); [inbox] is the
+  (* [passed] and the [ahead] heap are touched only by the source
+     domain (inside its window, or after the run); [inbox] is the
      cross-domain hand-off and is the only field both sides touch,
      always under [lock]. Messages are pushed in send order, so the
      reversed list is the channel's FIFO. *)
-  mutable seq : int;
   mutable passed : int; (* messages whose egress the source clock reached *)
   mutable ahead : floatarray; (* min-heap of the other messages' egress *)
   mutable ahead_len : int;
@@ -77,11 +73,9 @@ let open_channel t ~src ~dst =
     {
       src_shard = src;
       dst_shard = dst;
-      chan_id = List.length t.channels;
       latency = t.lookahead;
       src_sim = t.sims.(src);
       src_counter = t.counters.(src);
-      seq = 0;
       passed = 0;
       ahead = Float.Array.make 16 0.;
       ahead_len = 0;
@@ -167,8 +161,6 @@ let send ch (p : Packet.t) =
       egress;
       src_shard = ch.src_shard;
       src_seq;
-      chan_id = ch.chan_id;
-      chan_seq = ch.seq;
       kind = p.Packet.kind;
       pkt_seq = p.Packet.seq;
       flow = p.Packet.flow;
@@ -182,7 +174,6 @@ let send ch (p : Packet.t) =
       echo = p.Packet.times.Packet.echo;
     }
   in
-  ch.seq <- ch.seq + 1;
   Packet.free p;
   Mutex.lock ch.lock;
   ch.inbox <- m :: ch.inbox;

@@ -68,8 +68,6 @@ type msg = {
           order in which the egress hops executed on the source domain.
           It orders only messages equal in arrival and egress, whose
           deliveries the destination then orders by packet content. *)
-  chan_id : int;  (** registration index of the carrying channel *)
-  chan_seq : int;  (** per-channel send sequence number *)
   kind : Packet.kind;
   pkt_seq : int;
   flow : int;

@@ -80,12 +80,14 @@ let test_cut_rejects_bad_shards () =
 
 (* --- merge order -------------------------------------------------------- *)
 
+(* Each message carries its channel in [flow] and its per-channel send
+   index in [pkt_seq]: payload fields the merge never reads. *)
 let msg ~arrival ~src_shard ~src_seq ~chan_id ~chan_seq =
   {
-    Shard.arrival; egress = arrival; src_shard; src_seq; chan_id; chan_seq;
+    Shard.arrival; egress = arrival; src_shard; src_seq;
     kind = Packet.Data;
-    pkt_seq = 0; flow = 0; subflow = 0; hop = 0; route = [||]; ackno = 0;
-    sack = None; sent_at = 0.; enqueued_at = 0.; echo = 0.;
+    pkt_seq = chan_seq; flow = chan_id; subflow = 0; hop = 0; route = [||];
+    ackno = 0; sack = None; sent_at = 0.; enqueued_at = 0.; echo = 0.;
   }
 
 (* Per-channel batches (arrival non-decreasing, chan_seq increasing,
@@ -129,11 +131,11 @@ let prop_merge_is_sequential_order =
                  (fun m ->
                    match batch with
                    | [] -> false
-                   | b :: _ -> m.Shard.chan_id = b.Shard.chan_id)
+                   | b :: _ -> m.Shard.flow = b.Shard.flow)
                  merged
              in
-             List.map (fun m -> m.Shard.chan_seq) kept
-             = List.map (fun m -> m.Shard.chan_seq) batch)
+             List.map (fun m -> m.Shard.pkt_seq) kept
+             = List.map (fun m -> m.Shard.pkt_seq) batch)
            batches)
 
 let test_windows () =
