@@ -13,9 +13,6 @@ val alpha_scale : int
 val rate_scale_limit : int
 (** BALIA rescales rates once the largest exceeds [2^rate_scale_limit]. *)
 
-val scale_num : int
-(** Bits removed per BALIA rescale step. *)
-
 val one : int
 (** [1 lsl scale]: 1.0 in [scale] units. *)
 
@@ -43,7 +40,8 @@ val num_scale_down : int -> int
     [2^rate_scale_limit]. *)
 
 val rescale : int -> int -> int
-(** [rescale v down] shifts [v] right by [scale_num * down] bits. *)
+(** [rescale v down] shifts [v] right by [5 * down] bits: BALIA
+    removes 5 bits per rescale step. *)
 
 val of_float_scaled : float -> int
 (** Nearest fixed-point value (in [scale] units) of a nonnegative

@@ -78,26 +78,6 @@ let congestion_cost t x =
   Array.iteri (fun i l -> acc := !acc +. link_cost l loads.(i)) t.links;
   !acc
 
-let weighted_total user xu =
-  let acc = ref 0. in
-  Array.iteri
-    (fun r route -> acc := !acc +. (xu.(r) /. (route.rtt *. route.rtt)))
-    user.routes;
-  !acc
-
-let utility_vstar t ~tau x =
-  let user_terms = ref 0. in
-  Array.iteri
-    (fun u user ->
-      let s = weighted_total user x.(u) in
-      let term =
-        if s <= 0. then neg_infinity
-        else -1. /. (tau.(u) *. tau.(u) *. s)
-      in
-      user_terms := !user_terms +. term)
-    t.users;
-  !user_terms -. (0.5 *. congestion_cost t x)
-
 let utility_v t x =
   let user_terms = ref 0. in
   Array.iteri

@@ -45,9 +45,6 @@ val congestion_cost : t -> float array array -> float
 (** The paper's congestion cost [C(x) = Σ_l ∫₀^load p_l(y) dy], computed
     in closed form for the power-law loss curves. *)
 
-val utility_vstar : t -> tau:float array -> float array array -> float
-(** The utility [V*] of Eq. 17 for given per-user constants [tau]. *)
-
 val utility_v : t -> float array array -> float
 (** The equal-RTT utility [V] of §V-C, using each user's first-route RTT as
     its common [rtt_u]. *)

@@ -58,12 +58,3 @@ let optimum_with_probing ({ n1; n2; c1; c2; rtt } as params) =
     norm1 = 1.;
     norm2 = y /. c2;
   }
-
-let lia_allocation params =
-  let pt = lia params in
-  {
-    type1_total = pt.x1 +. pt.x2;
-    type2_total = pt.y;
-    norm1 = pt.norm_type1;
-    norm2 = pt.norm_type2;
-  }

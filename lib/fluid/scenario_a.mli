@@ -37,6 +37,4 @@ val optimum_with_probing : params -> allocation
     one MSS per RTT over the shared AP ([x2 = 1/rtt]), so
     [y = c2 − (n1/n2)/rtt] (Appendix A.2). *)
 
-val lia_allocation : params -> allocation
-(** The LIA fixed point folded into an [allocation] for side-by-side
-    tables. *)
+

@@ -96,12 +96,3 @@ let optimum_with_probing ({ c1; c2; rtt; _ } as params) =
     norm_multipath = multipath /. c1;
     norm_single = single /. c2;
   }
-
-let lia_allocation params =
-  let pt = lia params in
-  {
-    multipath_total = pt.x1 +. pt.x2;
-    single_total = pt.y;
-    norm_multipath = pt.norm_multipath;
-    norm_single = pt.norm_single;
-  }

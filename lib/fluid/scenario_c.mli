@@ -47,5 +47,4 @@ val optimum_with_probing : params -> allocation
     [max(c1 + 1/rtt, fair_share)], single-path users
     [min(c2 − (n1/n2)/rtt, fair_share)]. *)
 
-val lia_allocation : params -> allocation
-(** The LIA fixed point folded into an [allocation]. *)
+

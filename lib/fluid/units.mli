@@ -4,15 +4,9 @@
     trip times in seconds and loss probabilities are dimensionless. Helpers
     convert to and from the Mbps figures quoted in the paper. *)
 
-val mss_bytes : int
-(** Maximum segment size used throughout (1500 bytes, as in the paper's
-    Fig. 17 discussion). *)
-
-val mss_bits : float
-(** MSS in bits. *)
-
 val pps_of_mbps : float -> float
-(** Convert a rate in Mbit/s to MSS-sized packets per second. *)
+(** Convert a rate in Mbit/s to MSS-sized (1500-byte, as in the paper's
+    Fig. 17 discussion) packets per second. *)
 
 val mbps_of_pps : float -> float
 (** Convert packets per second to Mbit/s. *)

@@ -42,7 +42,6 @@ and hop = t -> unit
 
 let data_size = 1500
 let ack_size = 40
-let kind_name p = match p.kind with Data -> "data" | Ack -> "ack"
 let[@inline] kind_code = function Data -> 0 | Ack -> 1
 let no_route : hop array = [||]
 

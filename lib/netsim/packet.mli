@@ -65,9 +65,6 @@ val data_size : int
 val ack_size : int
 (** 40 bytes. *)
 
-val kind_name : t -> string
-(** ["data"] or ["ack"], for trace events. *)
-
 val kind_code : kind -> int
 (** [Data] is 0, [Ack] is 1: the fixed integer encoding used by the
     binary trace rings and the scheduler's content tie-break. *)

@@ -10,9 +10,6 @@ val split : t -> t
 (** An independent generator derived from [t]'s stream, for giving each
     component (queue, workload, …) its own stream. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 

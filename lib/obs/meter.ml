@@ -58,18 +58,6 @@ let merge_shards shards =
       (ev + s.events_processed, Stdlib.max depth s.max_heap_depth))
     (0, 0) shards
 
-let shards_to_json shards =
-  Json.List
-    (List.map
-       (fun s ->
-         Json.Obj
-           [
-             ("shard", Json.Int s.shard);
-             ("events_processed", Json.Int s.events_processed);
-             ("max_heap_depth", Json.Int s.max_heap_depth);
-           ])
-       (List.sort (fun a b -> Int.compare a.shard b.shard) shards))
-
 (* Deterministic counters only: these are a function of the seed, so
    exporting them keeps Exp.Sweep's parallel-equals-sequential and
    byte-identical-JSON guarantees intact. Wall timers stay in the

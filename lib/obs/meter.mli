@@ -18,7 +18,9 @@ type report = {
   max_heap_depth : int;  (** event-heap high-water mark *)
   drops_overflow : int;  (** data drops from full buffers *)
   drops_red : int;  (** data drops from RED early marking *)
-  drops_random : int;  (** drops from lossy links *)
+  drops_random : int;
+      (** random-loss drops; 0 in every metered scenario, none of which
+          has a random-loss hop *)
   subflow_goodput_bps : (string * float) list;
       (** labelled per-subflow goodputs, bit/s (e.g.
           [("type1_sf0", 9.1e5)]); empty when a scenario does not
@@ -47,10 +49,6 @@ val merge_shards : shard_counters list -> int * int
 (** [(total events, max heap depth)] merged in ascending shard order —
     a deterministic reduction, so the merged values feed the same
     [obs_*] metrics a 1-shard run reports. *)
-
-val shards_to_json : shard_counters list -> Repro_stats.Json.t
-(** Per-shard breakdown (ascending shards) for operator-facing
-    output. *)
 
 val metrics : report -> (string * float) list
 (** The deterministic counters as [("obs_*", v)] pairs, suitable for

@@ -9,9 +9,6 @@
     baseline recorded for it: [max floor spread]. An entry whose spread
     exceeds [2 *. floor] is recorded ungated. *)
 
-val schema : string
-(** Current schema tag, ["olia-bench/2"]. *)
-
 val floor : float
 (** The smallest tolerance any entry gets, [0.12]. *)
 
@@ -37,7 +34,7 @@ val write : path:string -> t -> unit
 
 val read : path:string -> (t, string) result
 (** Parse a snapshot file; errors cover I/O, JSON syntax, and a schema
-    other than {!schema} (named in the message). *)
+    other than ["olia-bench/2"] (named in the message). *)
 
 type verdict =
   | Pass

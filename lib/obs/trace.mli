@@ -89,22 +89,6 @@ val of_json : Repro_stats.Json.t -> (event, string) result
 (** Inverse of {!to_json}. Finite floats round-trip exactly (the Json
     printer guarantees it); a [null] numeric field reads back as nan. *)
 
-val state_name : tcp_state -> string
-val cause_name : drop_cause -> string
-
-(** {1 Integer encodings}
-
-    Fixed codes used inside the binary ring records. Packet kinds
-    follow [Packet.kind_code] (data 0, ack 1). *)
-
-val state_code : tcp_state -> int
-val state_of_code : int -> tcp_state
-val cause_code : drop_cause -> int
-val cause_of_code : int -> drop_cause
-
-val kind_name_of_code : int -> string
-(** [0 -> "data"], [1 -> "ack"]. *)
-
 (** {1 Interning}
 
     Queue names intern to small ints at component creation time so the
@@ -115,9 +99,6 @@ val kind_name_of_code : int -> string
 val intern : string -> int
 (** Id of [s], allocating a fresh one on first sight. Stable for the
     process lifetime. *)
-
-val intern_name : int -> string
-(** Inverse of {!intern}; raises [Invalid_argument] on unknown ids. *)
 
 (** {1 Rings} *)
 

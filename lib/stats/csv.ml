@@ -28,10 +28,3 @@ let write_series ~path ~columns rows =
     List.map (Printf.sprintf "%.6g") row
   in
   write_rows ~path ~header:columns (List.map render rows)
-
-let of_timeseries ~path ~name ts =
-  let rows =
-    Array.to_list
-      (Array.map (fun (t, v) -> [ t; v ]) (Timeseries.to_array ts))
-  in
-  write_series ~path ~columns:[ "time"; name ] rows

@@ -12,7 +12,3 @@ val write_series :
   path:string -> columns:string list -> float list list -> unit
 (** Numeric convenience: every row printed with [%.6g]. Raises
     [Invalid_argument] if a row's width differs from the header's. *)
-
-val of_timeseries :
-  path:string -> name:string -> Timeseries.t -> unit
-(** Dump a time series as [time,<name>] rows. *)

@@ -26,19 +26,12 @@ val add : t -> float -> unit
 val count : t -> int
 (** Total number of recorded observations. *)
 
-val bins : t -> int
-(** Number of bins. *)
-
 val bin_width : t -> float
 (** Width of each bin under linear spacing; for a log histogram this is
     the mean width, prefer {!bin_edge}. *)
 
 val bin_edge : t -> int -> float
-(** Lower edge of bin [i]; [bin_edge t (bins t)] is [hi]. *)
-
-val bin_center : t -> int -> float
-(** Center abscissa of bin [i]: arithmetic midpoint under linear
-    spacing, geometric midpoint under log spacing. *)
+(** Lower edge of bin [i]; [bin_edge t n] is [hi] for [n] bins. *)
 
 val bin_count : t -> int -> int
 (** Raw count in bin [i]. *)

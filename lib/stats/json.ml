@@ -80,8 +80,6 @@ let write ~path j =
      raise e);
   close_out oc
 
-let pp fmt j = Format.pp_print_string fmt (to_string j)
-
 (* --- parsing ------------------------------------------------------- *)
 
 exception Parse_error of int * string

@@ -13,15 +13,9 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
-val to_channel : out_channel -> t -> unit
-(** [to_string] streamed to a channel, with a trailing newline. *)
-
 val write : path:string -> t -> unit
 (** Write the compact rendering (plus newline) to [path], creating or
     truncating it. *)
-
-val pp : Format.formatter -> t -> unit
-(** Same compact rendering, as a formatter. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed). Numeric

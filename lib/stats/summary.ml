@@ -86,6 +86,3 @@ let jain_index xs =
     let s2 = List.fold_left (fun a x -> a +. (x *. x)) 0. xs in
     if s2 = 0. then 1. else s *. s /. (n *. s2)
 
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "(empty)"
-  else Format.fprintf ppf "%.4g ± %.2g (n=%d)" (mean t) (ci95_halfwidth t) t.n

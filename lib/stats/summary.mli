@@ -50,9 +50,6 @@ val of_list : float list -> t
 val of_array : float array -> t
 (** Summary of an array of observations. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable ["mean ± ci (n=...)"] rendering. *)
-
 val jain_index : float list -> float
 (** Jain's fairness index [(Σx)² / (n·Σx²)]: 1 when all shares are equal,
     [1/n] when one user takes everything. [nan] on an empty list. *)

@@ -59,10 +59,6 @@ let edge_endpoints t e =
   check_edge t e;
   (t.edges.(e).u, t.edges.(e).v)
 
-let neighbors t v =
-  check_vertex t v;
-  t.adj.(v)
-
 type hop = { edge : int; from_u_to_v : bool }
 
 let hop_of t ~from edge_id =

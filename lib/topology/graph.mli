@@ -20,9 +20,6 @@ val add_edge : 'a t -> u:int -> v:int -> ?weight:float -> 'a -> int
 
 val edge_payload : 'a t -> int -> 'a
 val edge_endpoints : 'a t -> int -> int * int
-val neighbors : 'a t -> int -> (int * int) list
-(** [(neighbor, edge id)] pairs. *)
-
 val find_edge : 'a t -> u:int -> v:int -> int option
 (** The edge joining [u] and [v], if any. *)
 
