@@ -8,7 +8,7 @@
    1 findings, 2 usage error. *)
 
 let usage =
-  "usage: olia_lint [--json] [--format text|json|sarif] [--rule ID[,ID...]] \
+  "usage: olia_lint [--format text|json|sarif] [--rule ID[,ID...]] \
    [--graph-dump] [--rules] [DIR|FILE ...]"
 
 let print_rules () =
@@ -49,8 +49,6 @@ let () =
   in
   let spec =
     [
-      ("--json", Arg.Unit (fun () -> format := "json"),
-       " report findings as JSON on stdout (same as --format json)");
       ("--format", Arg.String set_format,
        "FMT report format: text (default), json, or sarif");
       ("--rule", Arg.String add_only,

@@ -153,16 +153,6 @@ let with_trace ~trace ~report ~ring_capacity f =
       in
       (acc, r)
 
-let shards_opt =
-  let doc =
-    "Simulation shards (OCaml domains), for scenarios with a $(b,shards) \
-     parameter such as fattree-sharded. Shorthand for $(b,-p shards=N). \
-     Results are bitwise shard-count-invariant, and $(b,--trace) works at \
-     any shard count: each domain records into its own ring and the \
-     decoded trace is byte-identical to the $(b,--shards 1) trace."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-
 let has_shards_param (module Sc : S.Registry.SCENARIO) =
   List.exists (fun p -> p.E.Spec.key = "shards") Sc.spec.E.Spec.params
 
@@ -182,17 +172,10 @@ let require_shards cmd name (module Sc : S.Registry.SCENARIO) =
          cmd name
          (String.concat ", " (sharded_scenario_names ())))
 
-let run_generic name params shards out trace trace_ring report format profile =
+let run_generic name params out trace trace_ring report format profile =
   try
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
     let bindings = List.map (E.Spec.parse_assign Sc.spec) params in
-    let bindings =
-      match shards with
-      | None -> bindings
-      | Some n ->
-        require_shards "--shards" name (module Sc);
-        ("shards", E.Spec.Int n) :: bindings
-    in
     if profile then begin
       Obs.Profile.reset ();
       Obs.Profile.set_enabled true
@@ -251,7 +234,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run_generic $ scenario_pos $ params_opt $ shards_opt $ out_opt
+        (const run_generic $ scenario_pos $ params_opt $ out_opt
         $ trace_opt $ trace_ring_opt $ report_opt $ format_opt $ profile_opt))
 
 (* --- report: offline trace analysis ------------------------------------- *)
