@@ -82,7 +82,7 @@ val ack : flow:int -> subflow:int -> ackno:int -> echo:float ->
 val free : t -> unit
 (** Return a packet to the pool. Call exactly once, at the point the
     packet leaves the simulation: a protocol sink that has absorbed it,
-    or a queue/fault/lossy stage that dropped it. Double frees raise
+    or a queue/fault stage that dropped it. Double frees raise
     [Invariant.Violation] when invariants are armed. *)
 
 val forward : t -> unit

@@ -42,9 +42,9 @@ val observe :
   Repro_netsim.Queue.t list ->
   Repro_obs.Meter.report
 (** Finish a run's meter from the simulator's counters and the drop
-    split summed over [queues], attaching any
-    labelled per-subflow goodputs (see {!subflow_goodput_bps}). Call it
-    after the event loop, before building the outcome. *)
+    split summed over [queues], attaching any labelled per-subflow
+    goodputs (see {!subflow_goodput_bps}). Call it after the event
+    loop, before building the outcome. *)
 
 val subflow_goodput_bps :
   label:string -> subflows:int -> measured list -> (string * float) list

@@ -85,4 +85,3 @@ let jain_index xs =
     let s = List.fold_left ( +. ) 0. xs in
     let s2 = List.fold_left (fun a x -> a +. (x *. x)) 0. xs in
     if s2 = 0. then 1. else s *. s /. (n *. s2)
-
