@@ -375,9 +375,8 @@ let suite =
 (* Each of these inputs used to hang (a zero, negative or NaN short-flow
    gap, or a run to a non-finite time) or to be silently absorbed
    (subflows < 1 ran plain TCP, a negative background meant none, a NaN
-   wireless loss rate meant no loss). The
-   registry run now raises, so [olia_sim run] exits 124 with the
-   message. *)
+   wireless loss rate meant no loss). The registry run now raises, so
+   [olia_sim run] exits 124 with the message. *)
 let rejects scenario params expect () =
   let (module Sc : S.Registry.SCENARIO) = S.Registry.find scenario in
   let bindings =
