@@ -57,6 +57,7 @@ module Netsim = struct
   module Packet = Repro_netsim.Packet
   module Queue = Repro_netsim.Queue
   module Pipe = Repro_netsim.Pipe
+  module Seqset = Repro_netsim.Seqset
   module Tcp = Repro_netsim.Tcp
   module Cbr = Repro_netsim.Cbr
   module Path_manager = Repro_netsim.Path_manager

@@ -3,17 +3,15 @@
    Layout choices are driven by the zero-alloc forwarding path:
 
    - [kind] is a constant constructor; the ACK payload lives in plain
-     fields ([ackno], [sack]) so building an ACK allocates nothing.
+     int fields ([ackno], [sack_lo], [sack_hi]) so building an ACK
+     allocates nothing, in order or not.
    - the float timestamps live in [stamps], a float-only record, so
      re-stamping them is an unboxed store. In the main (mixed) record a
      [mutable float] field would box on every write.
    - records are recycled through a per-domain free list: [data]/[ack]
      pop a cell, [free] pushes it back. Sinks and drop sites own the
      packet and must [free] it; [live] catches double frees and
-     use-after-free when OLIA_DEBUG_INVARIANTS is armed.
-   - a pointer store into a record or array is a [caml_modify] write
-     barrier, so [sack] is stored only when it changes: nearly every
-     packet carries [None] into a cell that already holds it. *)
+     use-after-free when OLIA_DEBUG_INVARIANTS is armed. *)
 
 type kind = Data | Ack
 
@@ -33,7 +31,8 @@ type t = {
   mutable hop : int;
   mutable route : hop array;
   mutable ackno : int;
-  mutable sack : (int * int) option;
+  mutable sack_lo : int;
+  mutable sack_hi : int;
   times : stamps;
   mutable live : bool;
 }
@@ -56,7 +55,8 @@ let fresh () =
     hop = 0;
     route = no_route;
     ackno = 0;
-    sack = None;
+    sack_lo = 0;
+    sack_hi = 0;
     (* lint: allow R9 -- same pool-miss cold path as the outer record *)
     times = { sent_at = 0.; enqueued_at = 0.; echo = 0.; departs = 0. };
     live = true;
@@ -83,14 +83,11 @@ let alloc () =
     p
   end
 
-let[@inline] set_sack p sack = if p.sack != sack then p.sack <- sack
-
 let[@olia.alloc_free] free p =
   if Invariant.enabled () then
     Invariant.require p.live "Packet.free: packet already freed";
   p.live <- false;
   p.route <- no_route;
-  set_sack p None;
   let pool = Domain.DLS.get pool_key in
   if pool.len = Array.length pool.stack then begin
     let cap = max 64 (2 * pool.len) in
@@ -112,14 +109,16 @@ let[@inline] [@olia.alloc_free] data ~flow ~subflow ~seq ~sent_at ~route =
   p.hop <- 0;
   p.route <- route;
   p.ackno <- 0;
-  set_sack p None;
+  p.sack_lo <- 0;
+  p.sack_hi <- 0;
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- 0.;
   p.times.departs <- sent_at;
   p
 
-let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack ~route ~sent_at =
+let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack_lo ~sack_hi
+    ~route ~sent_at =
   let p = alloc () in
   p.kind <- Ack;
   p.seq <- 0;
@@ -129,7 +128,8 @@ let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack ~route ~se
   p.hop <- 0;
   p.route <- route;
   p.ackno <- ackno;
-  set_sack p sack;
+  p.sack_lo <- sack_lo;
+  p.sack_hi <- sack_hi;
   p.times.sent_at <- sent_at;
   p.times.enqueued_at <- sent_at;
   p.times.echo <- echo;

@@ -15,8 +15,9 @@
 type kind =
   | Data  (** one MSS of payload *)
   | Ack
-      (** cumulative ACK; the payload rides in the [ackno], [sack] and
-          [times.echo] fields so that building one allocates nothing *)
+      (** cumulative ACK; the payload rides in the [ackno], [sack_lo],
+          [sack_hi] and [times.echo] fields so that building one
+          allocates nothing *)
 
 (** Float-only timestamp block (unboxed stores). *)
 type stamps = {
@@ -47,10 +48,12 @@ type t = {
   mutable route : hop array;
   mutable ackno : int;
       (** ACKs only: the next expected sequence number *)
-  mutable sack : (int * int) option;
-      (** ACKs only: the most recent SACK block [\[lo, hi)] of
-          out-of-order data held by the receiver; [None] on the
-          in-order path, so the steady state allocates nothing *)
+  mutable sack_lo : int;
+  mutable sack_hi : int;
+      (** ACKs only: the most recent SACK block [\[sack_lo, sack_hi)]
+          of out-of-order data held by the receiver, the run around the
+          segment that triggered the ACK; an empty range (both 0) on
+          the in-order path and on data packets *)
   times : stamps;
   mutable live : bool;
       (** debug-only ownership bit: set by the pool, cleared by
@@ -75,9 +78,10 @@ val data : flow:int -> subflow:int -> seq:int -> sent_at:float ->
     per-domain pool. *)
 
 val ack : flow:int -> subflow:int -> ackno:int -> echo:float ->
-  sack:(int * int) option -> route:hop array -> sent_at:float -> t
+  sack_lo:int -> sack_hi:int -> route:hop array -> sent_at:float -> t
 (** An acknowledgment positioned at the first hop of [route], drawn from
-    the per-domain pool. *)
+    the per-domain pool, carrying the SACK block
+    [\[sack_lo, sack_hi)] (pass [~sack_lo:0 ~sack_hi:0] for none). *)
 
 val free : t -> unit
 (** Return a packet to the pool. Call exactly once, at the point the

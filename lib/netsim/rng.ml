@@ -1,21 +1,37 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte [Bytes], read and written
+   through the unboxed 64-bit primitives. A [mutable int64] record field
+   would point at a boxed [Int64]: every draw would allocate 3 words and
+   take a write barrier. [mix] and [int64] are [@inline] so the state
+   stays unboxed through a draw; an out-of-line function returning an
+   [int64] boxes its result. Byte order is irrelevant: the state is only
+   ever read back whole. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = mix (int64 t) }
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden in
+  set_state t 0 s;
+  mix s
+
+let split t = of_state (mix (int64 t))
 
 let[@inline] float t =
   Int64.to_float (Int64.shift_right_logical (int64 t) 11) /. 9007199254740992.

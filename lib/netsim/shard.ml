@@ -21,7 +21,8 @@ type msg = {
   hop : int;
   route : Packet.hop array;
   ackno : int;
-  sack : (int * int) option;
+  sack_lo : int;
+  sack_hi : int;
   sent_at : float;
   enqueued_at : float;
   echo : float;
@@ -168,7 +169,8 @@ let send ch (p : Packet.t) =
       hop = p.Packet.hop;
       route = p.Packet.route;
       ackno = p.Packet.ackno;
-      sack = p.Packet.sack;
+      sack_lo = p.Packet.sack_lo;
+      sack_hi = p.Packet.sack_hi;
       sent_at = p.Packet.times.Packet.sent_at;
       enqueued_at = p.Packet.times.Packet.enqueued_at;
       echo = p.Packet.times.Packet.echo;
@@ -223,7 +225,8 @@ let deliver sim (m : msg) =
         ~sent_at:m.sent_at ~route:m.route
     | Packet.Ack ->
       Packet.ack ~flow:m.flow ~subflow:m.subflow ~ackno:m.ackno ~echo:m.echo
-        ~sack:m.sack ~route:m.route ~sent_at:m.sent_at
+        ~sack_lo:m.sack_lo ~sack_hi:m.sack_hi ~route:m.route
+        ~sent_at:m.sent_at
   in
   p.Packet.hop <- m.hop;
   p.Packet.times.Packet.enqueued_at <- m.enqueued_at;

@@ -75,7 +75,10 @@ type msg = {
   hop : int;  (** next hop index into [route] on arrival *)
   route : Packet.hop array;
   ackno : int;
-  sack : (int * int) option;
+  sack_lo : int;
+  sack_hi : int;
+      (** the ACK's SACK block [\[sack_lo, sack_hi)], copied from
+          {!Packet.t}; empty (both 0) on data and in-order ACKs *)
   sent_at : float;
   enqueued_at : float;
   echo : float;

@@ -57,13 +57,13 @@ and sub = {
   mutable rto_fire : unit -> unit;  (* persistent RTO callback *)
   mutable retransmits : int;
   mutable timeouts : int;
-  sacked : (int, unit) Hashtbl.t;  (* scoreboard of SACKed sequences *)
+  sacked : Seqset.t;  (* scoreboard of SACKed sequences, base snd_una *)
   mutable high_rtx : int;  (* highest seq retransmitted this recovery *)
   mutable inc_credit : int;  (* newly-acked packets the cache still covers *)
   mutable enabled : bool;  (* path manager can stop new data on a subflow *)
   (* receiver state *)
   mutable rcv_cum : int;  (* next expected sequence number *)
-  ooo : (int, unit) Hashtbl.t;
+  ooo : Seqset.t;  (* out-of-order data held, base rcv_cum *)
 }
 
 let fmax = Repro_cc.Cc_types.fmax
@@ -142,12 +142,6 @@ let transmit sub seq =
   in
   Packet.forward p
 
-let purge_sacked sub =
-  Hashtbl.filter_map_inplace
-    (* lint: allow R9 -- the filter closure exists only while SACK state is non-empty, i.e. during loss-recovery episodes *)
-    (fun seq () -> if seq >= sub.snd_una then Some () else None)
-    sub.sacked
-
 (* RFC 6298 timer management on a single persistent timer per subflow:
    [restart_rto] moves the deadline (or arms the timer if idle) when new
    data is acknowledged; [ensure_rto] arms it, without pushing an
@@ -189,7 +183,6 @@ let on_timeout sub =
      window reopens *)
   sub.snd_nxt <- sub.snd_una;
   sub.high_rtx <- sub.snd_una - 1;
-  purge_sacked sub;
   sub.f.rto <- fmin (2. *. sub.f.rto) 60.;
   transmit sub sub.snd_una;
   sub.snd_nxt <- sub.snd_una + 1;
@@ -228,7 +221,7 @@ let rec try_send sub =
       if flight sub = 0 then restart_rto sub;
       let seq = sub.snd_nxt in
       sub.snd_nxt <- sub.snd_nxt + 1;
-      if Hashtbl.length sub.sacked > 0 && Hashtbl.mem sub.sacked seq then
+      if Seqset.mem sub.sacked seq then
         (* the receiver already holds this segment (go-back-N skip) *)
         try_send sub
       else begin
@@ -286,26 +279,23 @@ let check_completion conn =
     end
 
 (* RFC 6675-style NextSeg: the lowest hole in [snd_una, recover) that has
-   not been retransmitted in this recovery episode. The scan is a
-   toplevel recursion (a local [rec] closure would capture [sub] and
-   allocate on every call). *)
+   not been retransmitted in this recovery episode, or -1 if there is
+   none. The scan is a toplevel recursion (a local [rec] closure would
+   capture [sub] and allocate on every call). *)
 let rec find_hole sub seq =
-  if seq >= sub.recover then None
-  else if Hashtbl.mem sub.sacked seq then find_hole sub (seq + 1)
-  else
-    (* lint: allow R9 -- [Some seq] only materializes during loss recovery, bounded by the loss rate, not on the in-order ACK steady state *)
-    Some seq
-
-let next_hole sub = find_hole sub (Int.max sub.snd_una (sub.high_rtx + 1))
+  if seq >= sub.recover then -1
+  else if Seqset.mem sub.sacked seq then find_hole sub (seq + 1)
+  else seq
 
 let retransmit_hole sub =
-  match next_hole sub with
-  | None -> false
-  | Some seq ->
+  let seq = find_hole sub (Int.max sub.snd_una (sub.high_rtx + 1)) in
+  if seq < 0 then false
+  else begin
     sub.retransmits <- sub.retransmits + 1;
     sub.high_rtx <- seq;
     transmit sub seq;
     true
+  end
 
 let enter_recovery sub =
   let conn = sub.conn in
@@ -349,6 +339,7 @@ let on_new_ack sub ackno =
   let from_state = if traced then trace_state sub else Trace.Slow_start in
   let newly = ackno - sub.snd_una in
   sub.snd_una <- ackno;
+  Seqset.advance sub.sacked ackno;
   (* after a go-back-N rewind the receiver may already hold later data *)
   if ackno > sub.snd_nxt then sub.snd_nxt <- ackno;
   conn.cc.Repro_cc.Cc_types.on_ack ~idx:sub.idx ~acked:newly;
@@ -358,8 +349,7 @@ let on_new_ack sub ackno =
       invalidate_increase sub;
       sub.in_recovery <- false;
       sub.dupacks <- 0;
-      sub.f.cwnd <- fmax 1. sub.f.ssthresh;
-      purge_sacked sub
+      sub.f.cwnd <- fmax 1. sub.f.ssthresh
     end
     else begin
       (* partial ACK: retransmit the next hole, deflate *)
@@ -406,14 +396,10 @@ let on_dup_ack sub =
   if Trace.enabled () then emit_cwnd sub;
   check_window sub
 
-let record_sack sub = function
-  | None -> ()
-  | Some (lo, hi) ->
-    for seq = lo to hi - 1 do
-      if seq >= sub.snd_una && not (Hashtbl.mem sub.sacked seq) then
-        (* lint: allow R9 -- SACK bookkeeping only on reordered ACKs, bounded by the reorder window *)
-        Hashtbl.add sub.sacked seq ()
-    done
+let record_sack sub lo hi =
+  for seq = Int.max lo sub.snd_una to hi - 1 do
+    Seqset.add sub.sacked seq
+  done
 
 let[@olia.alloc_free] ack_handler sub (p : Packet.t) =
   (match p.kind with
@@ -422,7 +408,7 @@ let[@olia.alloc_free] ack_handler sub (p : Packet.t) =
     if not sub.conn.completed then begin
       let ackno = p.ackno in
       sample_rtt sub p.times.echo;
-      record_sack sub p.sack;
+      record_sack sub p.sack_lo p.sack_hi;
       (* the packet goes back to the pool before the ACK is processed:
          nothing below reads it, and the cell is free for reuse by
          whatever try_send transmits *)
@@ -438,24 +424,19 @@ let[@olia.alloc_free] ack_handler sub (p : Packet.t) =
 (* The SACK block is the contiguous run of out-of-order data around the
    segment that just arrived, as a real receiver would report first.
    The run bounds walk tail-recursively rather than through local
-   [ref]s; the [Some] block itself only exists on reordered arrivals. *)
-let rec sack_lo sub lo =
-  if Hashtbl.mem sub.ooo (lo - 1) then sack_lo sub (lo - 1) else lo
+   [ref]s. *)
+let rec run_lo sub lo =
+  if Seqset.mem sub.ooo (lo - 1) then run_lo sub (lo - 1) else lo
 
-let rec sack_hi sub hi =
-  if Hashtbl.mem sub.ooo hi then sack_hi sub (hi + 1) else hi
-
-let sack_block_around sub seq =
-  if Hashtbl.length sub.ooo = 0 || not (Hashtbl.mem sub.ooo seq) then None
-  else
-    (* lint: allow R9 -- SACK blocks are built only for out-of-order arrivals, off the in-order steady state the alloc-free proof covers *)
-    Some (sack_lo sub seq, sack_hi sub (seq + 1))
+let rec run_hi sub hi =
+  if Seqset.mem sub.ooo hi then run_hi sub (hi + 1) else hi
 
 (* Inlined, like [sample_rtt], so [echo] stays unboxed. *)
-let[@inline] send_ack sub ~echo ~sack =
+let[@inline] send_ack sub ~echo ~sack_lo ~sack_hi =
   let ack =
     Packet.ack ~flow:sub.conn.flow_id ~subflow:sub.idx ~ackno:sub.rcv_cum
-      ~echo ~sack ~route:sub.rev_route ~sent_at:(Sim.now sub.conn.rcv_sim)
+      ~echo ~sack_lo ~sack_hi ~route:sub.rev_route
+      ~sent_at:(Sim.now sub.conn.rcv_sim)
   in
   Packet.forward ack
 
@@ -469,18 +450,16 @@ let[@olia.alloc_free] sink_handler sub (p : Packet.t) =
        the ACK reuses the same pool cell *)
     Packet.free p;
     if seq = sub.rcv_cum then begin
-      sub.rcv_cum <- sub.rcv_cum + 1;
-      while Hashtbl.length sub.ooo > 0 && Hashtbl.mem sub.ooo sub.rcv_cum do
-        Hashtbl.remove sub.ooo sub.rcv_cum;
-        sub.rcv_cum <- sub.rcv_cum + 1
-      done
+      sub.rcv_cum <- run_hi sub (seq + 1);
+      Seqset.advance sub.ooo sub.rcv_cum
     end
-    else if seq > sub.rcv_cum && not (Hashtbl.mem sub.ooo seq) then
-      (* lint: allow R9 -- out-of-order bookkeeping, absent on the in-order steady state *)
-      Hashtbl.add sub.ooo seq ();
+    else if seq > sub.rcv_cum then Seqset.add sub.ooo seq;
     (* every segment is acknowledged at once; out-of-order data carries
-       a SACK block *)
-    send_ack sub ~echo:sent_at ~sack:(sack_block_around sub seq)
+       a SACK block, in-order and duplicate data the empty one *)
+    let held = Seqset.mem sub.ooo seq in
+    send_ack sub ~echo:sent_at
+      ~sack_lo:(if held then run_lo sub seq else 0)
+      ~sack_hi:(if held then run_hi sub (seq + 1) else 0)
 
 (* --- construction --------------------------------------------------- *)
 
@@ -538,12 +517,12 @@ let create ~sim ?rcv_sim ~cc ~paths ?size_pkts ?(start = 0.)
         rto_fire = ignore;
         retransmits = 0;
         timeouts = 0;
-        sacked = Hashtbl.create 64;
+        sacked = Seqset.create ();
         high_rtx = -1;
         inc_credit = 0;
         enabled = true;
         rcv_cum = 0;
-        ooo = Hashtbl.create 64;
+        ooo = Seqset.create ();
       }
     in
     sub.fwd_route <- Array.append path.fwd [| sink_handler sub |];

@@ -60,7 +60,7 @@ let test_fault_down_drops_everything () =
   let route, delivered = drain_route [| Fault.hop gate |] in
   Fault.set_mode gate Fault.Down;
   Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0. ~route);
-  Packet.forward (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack:None ~route ~sent_at:0.);
+  Packet.forward (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route ~sent_at:0.);
   Sim.run sim;
   Alcotest.(check int) "nothing through" 0 !delivered;
   Alcotest.(check int) "both dropped" 2 (Fault.dropped gate);
@@ -76,7 +76,7 @@ let test_fault_burst_spares_acks () =
   done;
   let data_through = !delivered in
   for i = 0 to 49 do
-    Packet.forward (Packet.ack ~flow:0 ~subflow:0 ~ackno:i ~echo:0. ~sack:None ~route ~sent_at:0.)
+    Packet.forward (Packet.ack ~flow:0 ~subflow:0 ~ackno:i ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route ~sent_at:0.)
   done;
   Sim.run sim;
   Alcotest.(check bool) "some data dropped" true (Fault.dropped gate > 0);

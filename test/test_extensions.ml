@@ -449,7 +449,7 @@ let test_lossy_spares_acks () =
   let route = [| Fault.hop lossy; (fun _ -> incr forwarded) |] in
   for _ = 1 to 100 do
     Packet.forward
-      (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack:None ~route
+      (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route
          ~sent_at:0.)
   done;
   Alcotest.(check int) "all acks pass" 100 !forwarded

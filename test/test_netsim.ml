@@ -95,6 +95,73 @@ let prop_shuffle_preserves_elements =
       Rng.shuffle (Rng.create ~seed) a;
       List.sort compare (Array.to_list a) = List.sort compare xs)
 
+(* SplitMix64 at seed 42, recorded when the state was still a boxed
+   [Int64] record field: a change of storage must not move one draw. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create ~seed:42 in
+  let floats g want =
+    List.iter
+      (fun bits ->
+        Alcotest.(check int64) "float bits" bits
+          (Int64.bits_of_float (Rng.float g)))
+      want
+  in
+  floats r
+    [ 0x3fe31367e26140c7L; 0x3fc486da5f92b86cL; 0x3fc54c85f31d00d8L;
+      0x3fa896d649de0310L ];
+  List.iter
+    (fun v -> Alcotest.(check int) "int" v (Rng.int r 1000))
+    [ 779; 57; 244; 993; 390; 923 ];
+  let child = Rng.split r in
+  floats child
+    [ 0x3fc4c961dfbd0af8L; 0x3fec8d2496a1ca41L; 0x3fcb34e6751324f8L ];
+  floats r [ 0x3fec5be13f199e4dL; 0x3feccc9f62cda7b8L ]
+
+(* --- Seqset ------------------------------------------------------------ *)
+
+module Iset = Set.Make (Int)
+
+(* Random add/advance sequences against a reference set. Adds land up
+   to 400 past the base, far beyond the initial 64 bits, so the ring
+   grows; small advances wrap members around it, and jumps of up to
+   2000 skip past its whole capacity. *)
+let prop_seqset_matches_reference =
+  QCheck.Test.make ~name:"seqset: matches a reference set" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 150)
+        (pair (int_range 0 9) (int_range 0 400)))
+    (fun ops ->
+      let s = Seqset.create () in
+      let base = ref 0 and model = ref Iset.empty in
+      let agrees seq = Seqset.mem s seq = Iset.mem seq !model in
+      let step (kind, x) =
+        (match kind with
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+          Seqset.add s (!base + x);
+          model := Iset.add (!base + x) !model
+        | 6 | 7 | 8 ->
+          base := !base + (if kind = 8 then 5 * x else x mod 40);
+          Seqset.advance s !base;
+          model := Iset.filter (fun m -> m >= !base) !model
+        | _ -> ());
+        Seqset.cardinal s = Iset.cardinal !model
+        && agrees (!base + x)
+        && agrees (!base - 1)
+        && Iset.for_all (Seqset.mem s) !model
+      in
+      List.for_all step ops
+      && List.for_all agrees (List.init 3000 (fun i -> !base - 70 + i)))
+
+let test_seqset_rejects_below_base () =
+  let s = Seqset.create () in
+  Seqset.advance s 10;
+  Alcotest.check_raises "add below"
+    (Invalid_argument "Seqset.add: sequence below the base") (fun () ->
+      Seqset.add s 9);
+  Alcotest.check_raises "advance back"
+    (Invalid_argument "Seqset.advance: base moved back") (fun () ->
+      Seqset.advance s 9)
+
 (* --- Sim --------------------------------------------------------------- *)
 
 let test_sim_ordering () =
@@ -192,7 +259,7 @@ let test_packet_sizes () =
   let p = Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0. ~route:[||] in
   Alcotest.(check int) "data" 1500 p.Packet.size_bytes;
   let a =
-    Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack:None ~route:[||]
+    Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route:[||]
       ~sent_at:0.
   in
   Alcotest.(check int) "ack" 40 a.Packet.size_bytes
@@ -380,7 +447,7 @@ let test_queue_ack_not_counted_in_loss_stats () =
   let route = [| Queue.hop q; sink |] in
   Sim.schedule_at sim 0. (fun () ->
       Packet.forward
-        (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack:None ~route
+        (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route
            ~sent_at:0.));
   Sim.run sim;
   Alcotest.(check int) "acks invisible to loss stats" 0 (Queue.arrivals q)
@@ -432,6 +499,10 @@ let suite =
     Alcotest.test_case "rng: derangement" `Quick test_rng_derangement;
     Alcotest.test_case "rng: derangement n=2" `Quick test_rng_derangement_n2;
     q prop_shuffle_preserves_elements;
+    Alcotest.test_case "rng: stream pinned" `Quick test_rng_stream_pinned;
+    q prop_seqset_matches_reference;
+    Alcotest.test_case "seqset: rejects below the base" `Quick
+      test_seqset_rejects_below_base;
     Alcotest.test_case "sim: time ordering" `Quick test_sim_ordering;
     Alcotest.test_case "sim: FIFO tie-break" `Quick test_sim_fifo_ties;
     Alcotest.test_case "sim: clock advances" `Quick test_sim_clock_advances;

@@ -87,7 +87,8 @@ let msg ~arrival ~src_shard ~src_seq ~chan_id ~chan_seq =
     Shard.arrival; egress = arrival; src_shard; src_seq;
     kind = Packet.Data;
     pkt_seq = chan_seq; flow = chan_id; subflow = 0; hop = 0; route = [||];
-    ackno = 0; sack = None; sent_at = 0.; enqueued_at = 0.; echo = 0.;
+    ackno = 0; sack_lo = 0; sack_hi = 0; sent_at = 0.; enqueued_at = 0.;
+    echo = 0.;
   }
 
 (* Per-channel batches (arrival non-decreasing, chan_seq increasing,

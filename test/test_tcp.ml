@@ -377,9 +377,131 @@ let test_completion_callback_time_matches () =
     Alcotest.(check bool) "sane time" true (t > 0.08 && t < 10.)
   | None -> Alcotest.fail "did not complete"
 
+(* Drop segment 20 once. Until its retransmission arrives every ACK
+   names hole 20 and the run that overtook it: [21, 22), [21, 23), ...
+   Every other ACK carries the empty block (0, 0). *)
+let test_sack_block_names_run () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:33 in
+  let dropped = ref false in
+  let drop_once (p : Packet.t) =
+    if p.Packet.seq = 20 && not !dropped then begin
+      dropped := true;
+      Packet.free p
+    end
+    else Packet.forward p
+  in
+  let acks = ref [] in
+  let read_ack (p : Packet.t) =
+    acks := (p.Packet.ackno, p.Packet.sack_lo, p.Packet.sack_hi) :: !acks;
+    Packet.forward p
+  in
+  let q =
+    Queue.create ~sim ~rng ~rate_bps:10e6 ~buffer_pkts:300
+      ~discipline:Queue.Droptail ()
+  in
+  let fwd = Pipe.create ~sim ~delay:0.02 in
+  let rv = Pipe.create ~sim ~delay:0.02 in
+  let path =
+    {
+      Tcp.fwd = [| drop_once; Queue.hop q; Pipe.hop fwd |];
+      rev = [| read_ack; Pipe.hop rv |];
+    }
+  in
+  let conn =
+    Tcp.create ~sim ~cc:(Reno.create ()) ~paths:[| path |] ~size_pkts:100
+      ~flow_id:0 ()
+  in
+  Sim.run_until sim 30.;
+  Alcotest.(check bool) "completed" true (Tcp.completed conn);
+  let acks = List.rev !acks in
+  let blocks = List.filter (fun (_, lo, hi) -> lo <> hi) acks in
+  List.iter
+    (fun (_, lo, hi) ->
+      if lo = hi then
+        Alcotest.(check (pair int int)) "empty block" (0, 0) (lo, hi))
+    acks;
+  Alcotest.(check bool)
+    (Printf.sprintf "enough duplicates for fast retransmit (%d)"
+       (List.length blocks))
+    true
+    (List.length blocks >= 3);
+  List.iteri
+    (fun i (ackno, lo, hi) ->
+      Alcotest.(check (triple int int int)) "hole and run" (20, 21, 22 + i)
+        (ackno, lo, hi))
+    blocks;
+  (* the retransmission fills the hole: the next ACK jumps over the run *)
+  let rec after_run = function
+    | (_, lo, _) :: ((a, lo', _) :: _ as rest) ->
+      if lo <> 0 && lo' = 0 then a else after_run rest
+    | _ -> Alcotest.fail "no ACK after the run"
+  in
+  Alcotest.(check int) "cumulative jump" (22 + List.length blocks - 1)
+    (after_run acks)
+
+(* A reorder gate holds a fifth of the segments back by 20 ms, about
+   160 segment times at 100 Mb/s, so out-of-order data and SACK blocks
+   reach far past the 64 sequence numbers both rings start with. At
+   each ACK every segment below its cumulative ACK and in its SACK
+   block must have reached the receiver, and the transfer must end with
+   exactly its size acknowledged. *)
+let test_exactly_once_under_reordering () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:34 in
+  let n = 3000 in
+  let q =
+    Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps:100e6 ~buffer_pkts:1000
+      ~discipline:Queue.Droptail ()
+  in
+  let gate = Fault.create ~sim ~rng:(Rng.split rng) () in
+  Fault.set_mode gate (Fault.Reorder { prob = 0.2; extra_delay = 0.02 });
+  let arrived = Array.make n false in
+  let at_receiver (p : Packet.t) =
+    arrived.(p.Packet.seq) <- true;
+    Packet.forward p
+  in
+  let prefix = ref 0 and wrong = ref 0 and widest = ref 0 in
+  let check_ack (p : Packet.t) =
+    let ackno = p.Packet.ackno and lo = p.Packet.sack_lo
+    and hi = p.Packet.sack_hi in
+    while !prefix < ackno && arrived.(!prefix) do incr prefix done;
+    if !prefix < ackno then incr wrong;
+    if lo < hi && lo <= ackno then incr wrong;
+    for s = lo to hi - 1 do
+      if not arrived.(s) then incr wrong
+    done;
+    widest := Int.max !widest (hi - ackno);
+    Packet.forward p
+  in
+  let fwd = Pipe.create ~sim ~delay:0.01 in
+  let rv = Pipe.create ~sim ~delay:0.01 in
+  let path =
+    {
+      Tcp.fwd = [| Fault.hop gate; Queue.hop q; Pipe.hop fwd; at_receiver |];
+      rev = [| check_ack; Pipe.hop rv |];
+    }
+  in
+  let conn =
+    Tcp.create ~sim ~cc:(Reno.create ()) ~paths:[| path |]
+      ~size_pkts:n ~initial_cwnd:300. ~flow_id:0 ()
+  in
+  Sim.run_until sim 60.;
+  Alcotest.(check bool) "completed" true (Tcp.completed conn);
+  Alcotest.(check int) "exact count" n (Tcp.total_acked conn);
+  Alcotest.(check bool) "segments reordered" true (Fault.reordered gate > 0);
+  Alcotest.(check int) "ACKs name only data that arrived" 0 !wrong;
+  Alcotest.(check bool)
+    (Printf.sprintf "SACK reaches past 64 (%d)" !widest)
+    true (!widest > 64)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "tcp: SACK block names the out-of-order run" `Quick
+        test_sack_block_names_run;
+      Alcotest.test_case "tcp: exactly-once delivery under reordering" `Quick
+        test_exactly_once_under_reordering;
       Alcotest.test_case "tcp: rto backoff and healing" `Quick
         test_rto_backoff_and_reset;
       Alcotest.test_case "tcp: rcv_wnd caps flight" `Quick

@@ -3,10 +3,11 @@
    centrepiece is a model-based property checking the wheel dispatches
    exactly like a reference (time, seq) heap over random workloads of
    schedule/cancel/reschedule — the wheel is an optimization, never a
-   semantic change. The last two tests pin the performance contract:
-   the steady-state packet path allocates nothing on the minor heap,
-   and a real TCP connection allocates nothing per ACK but the float
-   its congestion controller returns. *)
+   semantic change. The last tests pin the performance contract: the
+   steady-state packet path and the random draws allocate nothing on
+   the minor heap, and a real TCP connection, lossless or lossy,
+   allocates nothing per ACK but the floats its congestion controller
+   returns. *)
 
 open Mptcp_repro.Netsim
 
@@ -345,7 +346,7 @@ let test_steady_state_zero_alloc () =
     let echo = p.Packet.times.Packet.sent_at in
     Packet.free p;
     Packet.forward
-      (Packet.ack ~flow:0 ~subflow:0 ~ackno:(seq + 1) ~echo ~sack:None
+      (Packet.ack ~flow:0 ~subflow:0 ~ackno:(seq + 1) ~echo ~sack_lo:0 ~sack_hi:0
          ~route:rev_route ~sent_at:(Sim.now sim))
   in
   let fwd_route = [| Queue.hop q; Pipe.hop fwd_pipe; responder |] in
@@ -384,6 +385,23 @@ let test_steady_state_zero_alloc () =
         true (per_pkt < 64.)
     end
 
+(* RED's drop draw and a [Burst] gate's loss draw run per packet. The
+   SplitMix64 state is read and written unboxed, so once [Rng.float]
+   inlines (release builds; see the canary above) 10^5 draws allocate
+   nothing. *)
+let test_rng_draws_zero_alloc () =
+  let r = Rng.create ~seed:1 in
+  let hits = ref 0 and sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 50_000 do
+    if Rng.float r < 0.5 then incr hits;
+    sum := !sum + Rng.int r 1000
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "draws ran" true (!hits > 0 && !sum > 0);
+  if Sys.backend_type = Sys.Native && build_inlines_schedule_path () then
+    Alcotest.(check (float 0.)) "minor words for 10^5 draws" 0. (w1 -. w0)
+
 (* The wired half of the contract: a queue built by [Duplex] hands each
    packet to its wire at admission, so a link hop costs exactly one
    event (the arrival at the far end) and still nothing on the minor
@@ -414,7 +432,7 @@ let test_duplex_one_event_per_hop () =
     let echo = p.Packet.times.Packet.sent_at in
     Packet.free p;
     Packet.forward
-      (Packet.ack ~flow:0 ~subflow:0 ~ackno:(seq + 1) ~echo ~sack:None
+      (Packet.ack ~flow:0 ~subflow:0 ~ackno:(seq + 1) ~echo ~sack_lo:0 ~sack_hi:0
          ~route:rev_route ~sent_at:(Sim.now sim))
   in
   let fwd_route =
@@ -577,6 +595,127 @@ let tcp_zero_alloc ~duplex () =
         [ 1; 2; 8 ])
     [ "reno"; "lia"; "olia"; "olia-fp"; "balia" ]
 
+(* The same contract under loss, on the impairments the paper's
+   scenarios use: a RED bottleneck (Scenarios A-C), a [Fault] gate in
+   [Burst] mode (the wireless path's random loss) and a gate that flaps
+   down and up (outages that end in an RTO and go-back-N). Each lost
+   segment runs the RED draw, the SACK scoreboard, the receiver's
+   out-of-order set and the CC's loss hooks; all of it allocates
+   nothing but the float each [increase] and [loss_decrease] closure
+   returns. [rcv_wnd] caps the flight, as on the lossless rig, and the
+   packet pool is warmed first: a window still growing inside the
+   measured span would otherwise draw fresh packets from the heap. *)
+type loss_rig = Red_bottleneck | Burst_gate | Outage_flaps
+
+let loss_rig_name = function
+  | Red_bottleneck -> "RED bottleneck"
+  | Burst_gate -> "Fault burst gate"
+  | Outage_flaps -> "Fault outage flaps"
+
+let warm_packet_pool n =
+  Array.iter Packet.free
+    (Array.init n (fun seq ->
+         Packet.data ~flow:0 ~subflow:0 ~seq ~sent_at:0. ~route:[||]))
+
+let tcp_lossy_case ~rig ~algo =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:5 in
+  let base = Mptcp_repro.Cc.Registry.create algo in
+  let increases = ref 0 and decreases = ref 0 in
+  let cc =
+    {
+      base with
+      Mptcp_repro.Cc.Types.increase =
+        (fun ~views ~idx ->
+          incr increases;
+          base.Mptcp_repro.Cc.Types.increase ~views ~idx);
+      loss_decrease =
+        (fun ~views ~idx ->
+          incr decreases;
+          base.Mptcp_repro.Cc.Types.loss_decrease ~views ~idx);
+    }
+  in
+  let path i =
+    let delay = 0.005 *. float_of_int (i + 1) in
+    let discipline =
+      match rig with
+      | Red_bottleneck ->
+        Queue.Red { min_th = 5.; max_th = 15.; max_p = 0.1; weight = 0.002 }
+      | Burst_gate | Outage_flaps -> Queue.Droptail
+    in
+    let q =
+      Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps:10e6 ~buffer_pkts:100
+        ~discipline ()
+    in
+    let gate = Fault.create ~sim ~rng:(Rng.split rng) () in
+    (match rig with
+    | Red_bottleneck -> ()
+    | Burst_gate -> Fault.set_mode gate (Fault.Burst { loss_prob = 0.01 })
+    | Outage_flaps ->
+      for k = 0 to 11 do
+        let down_at = 0.25 +. (0.5 *. float_of_int k) in
+        Fault.schedule_flap gate ~down_at ~up_at:(down_at +. 0.05)
+      done);
+    {
+      Tcp.fwd =
+        [| Fault.hop gate; Queue.hop q; Pipe.hop (Pipe.create ~sim ~delay) |];
+      rev = [| Pipe.hop (Pipe.create ~sim ~delay) |];
+    }
+  in
+  let subflows = 2 in
+  let conn =
+    Tcp.create ~sim ~cc ~paths:(Array.init subflows path) ~rcv_wnd:40.
+      ~flow_id:0 ()
+  in
+  let retransmits () =
+    let n = ref 0 in
+    for i = 0 to subflows - 1 do
+      n := !n + Tcp.subflow_retransmits conn i
+    done;
+    !n
+  in
+  warm_packet_pool 1024;
+  Sim.run_until sim 2.;
+  let retx0 = retransmits () and acked0 = Tcp.total_acked conn in
+  let calls0 = !increases + !decreases in
+  let w0 = Gc.minor_words () in
+  Sim.run_until sim 6.;
+  let w1 = Gc.minor_words () in
+  let name = Printf.sprintf "%s, %s" (loss_rig_name rig) algo in
+  Alcotest.(check bool) (name ^ ": retransmits") true (retransmits () > retx0);
+  ( name,
+    w1 -. w0,
+    Tcp.total_acked conn - acked0,
+    !increases + !decreases - calls0 )
+
+let tcp_lossy_zero_alloc () =
+  let measured = Sys.backend_type = Sys.Native && not (Invariant.enabled ()) in
+  let strict = measured && build_inlines_schedule_path () in
+  List.iter
+    (fun rig ->
+      List.iter
+        (fun algo ->
+          let name, words, acked, calls = tcp_lossy_case ~rig ~algo in
+          Alcotest.(check bool) (name ^ ": data flowed") true (acked > 1000);
+          if strict then
+            Alcotest.(check (float 0.))
+              (Printf.sprintf
+                 "%s: minor words beyond 2 per increase or loss_decrease \
+                  (%d calls)"
+                 name calls)
+              0.
+              (words -. (2. *. float_of_int calls))
+          else if measured then begin
+            (* non-inlining build: see the lossless rig's bound *)
+            let per_pkt = words /. float_of_int acked in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: minor words per packet (%.1f) < 64" name
+                 per_pkt)
+              true (per_pkt < 64.)
+          end)
+        [ "reno"; "lia"; "olia"; "olia-fp"; "balia" ])
+    [ Red_bottleneck; Burst_gate; Outage_flaps ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -606,6 +745,8 @@ let suite =
     Alcotest.test_case "overflow spill cancel" `Quick test_overflow_spill_cancel;
     Alcotest.test_case "steady-state path allocates nothing" `Quick
       test_steady_state_zero_alloc;
+    Alcotest.test_case "Rng draws allocate nothing" `Quick
+      test_rng_draws_zero_alloc;
     Alcotest.test_case "TCP ACK path allocates only the CC return" `Quick
       (tcp_zero_alloc ~duplex:false);
     Alcotest.test_case "Duplex link hop is one event and allocates nothing"
@@ -613,4 +754,7 @@ let suite =
     Alcotest.test_case
       "TCP ACK path through Duplex links allocates only the CC return" `Quick
       (tcp_zero_alloc ~duplex:true);
+    Alcotest.test_case
+      "TCP loss path (RED, burst, outage) allocates only the CC returns"
+      `Quick tcp_lossy_zero_alloc;
   ]
