@@ -7,7 +7,7 @@
     and sorted.
 
     Linting is two passes: pass 1 parses every file and runs the
-    per-file catalogue (R1-R4, R6-R8) plus R5 across files; pass 2
+    per-file catalogue (R1-R4, R6-R7) plus R5 across files; pass 2
     digests the parsed structures into {!Summary} nodes, builds the
     {!Callgraph}, and runs the interprocedural checks ({!Dataflow}:
     R9 alloc-free, R11 determinism taint). *)

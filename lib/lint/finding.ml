@@ -6,7 +6,6 @@ type rule =
   | R5
   | R6
   | R7
-  | R8
   | R9
   | R11
   | Parse
@@ -20,24 +19,19 @@ let rule_name = function
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
-  | R8 -> "R8"
   | R9 -> "R9"
   | R11 -> "R11"
   | Parse -> "parse"
   | Suppress -> "suppress"
 
-let rule_of_name = function
-  | "R1" -> Some R1
-  | "R2" -> Some R2
-  | "R3" -> Some R3
-  | "R4" -> Some R4
-  | "R5" -> Some R5
-  | "R6" -> Some R6
-  | "R7" -> Some R7
-  | "R8" -> Some R8
-  | "R9" -> Some R9
-  | "R11" -> Some R11
-  | _ -> None
+let all = [ R1; R2; R3; R4; R5; R6; R7; R9; R11; Parse; Suppress ]
+let is_waivable = function Parse | Suppress -> false | _ -> true
+
+let rule_of_name name =
+  List.find_opt (fun r -> is_waivable r && rule_name r = name) all
+
+let waivable =
+  String.concat ", " (List.map rule_name (List.filter is_waivable all))
 
 let rule_doc = function
   | R1 ->
@@ -63,10 +57,6 @@ let rule_doc = function
   | R7 ->
     "seed plumbing: lib/scenarios must thread the RNG seed from the \
      caller's config, never hard-code or default it"
-  | R8 ->
-    "timer attribution: every Sim.schedule_*/Sim.every call must carry an \
-     explicit ~src label so the event-loop profiler can attribute \
-     dispatches"
   | R9 ->
     "alloc-free: no allocation site may be reachable from an \
      [@olia.alloc_free] hot-path entry point (whole-program)"
@@ -85,7 +75,6 @@ let rule_index = function
   | R5 -> 5
   | R6 -> 6
   | R7 -> 7
-  | R8 -> 8
   | R9 -> 9
   | R11 -> 11
   | Parse -> 12

@@ -12,7 +12,6 @@ type rule =
   | R5  (** registry completeness: scenario unreachable from the registry *)
   | R6  (** error hygiene: [ignore] of a [result] value *)
   | R7  (** seed plumbing: hard-coded or defaulted RNG seed in scenarios *)
-  | R8  (** timer attribution: [Sim.schedule_*]/[Sim.every] without [~src] *)
   | R9  (** alloc-free: allocation reachable from a hot-path entry point *)
   | R11
       (** determinism taint: nondeterminism source flowing into an
@@ -20,12 +19,20 @@ type rule =
   | Parse  (** the file does not parse; nothing else was checked *)
   | Suppress  (** malformed suppression directive *)
 
+val all : rule list
+(** Every rule in report order: the waivable rules, then [Parse] and
+    [Suppress]. [olia_lint --rules] prints this list. *)
+
+val waivable : string
+(** The waivable rules of {!all}, ["R1, R2, ..., R9, R11"], for the
+    clean-run line and suppression errors. *)
+
 val rule_name : rule -> string
-(** ["R1"] ... ["R9"], ["R11"], ["parse"], ["suppress"]. *)
+(** ["R1"] ... ["R7"], ["R9"], ["R11"], ["parse"], ["suppress"]. *)
 
 val rule_of_name : string -> rule option
-(** Inverse of {!rule_name} for the suppressible rules R1-R9, R11 only:
-    [Parse] and [Suppress] findings cannot be waived. *)
+(** Inverse of {!rule_name} for the waivable rules only: [Parse] and
+    [Suppress] findings cannot be waived. *)
 
 val rule_doc : rule -> string
 (** One-line summary of what the rule protects. *)

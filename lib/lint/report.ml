@@ -8,7 +8,8 @@ let to_text ~files findings =
   (match findings with
    | [] ->
      Buffer.add_string b
-       (Printf.sprintf "olia_lint: %d files clean (rules R1-R9, R11)\n" files)
+       (Printf.sprintf "olia_lint: %d files clean (rules %s)\n" files
+          Finding.waivable)
    | _ ->
      Buffer.add_string b
        (Printf.sprintf "olia_lint: %d finding%s in %d files\n"

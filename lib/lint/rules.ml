@@ -39,13 +39,6 @@ let scope_r4 path = under [ "lib" ] path
 let scope_r6 _ = true
 let scope_r7 path = under [ "lib"; "scenarios" ] path
 
-(* R8 covers library and bench code; the scheduler implementation
-   itself is the one file allowed to name its internals however it
-   likes. Tests schedule throwaway events and are exempt. *)
-let scope_r8 path =
-  (under [ "lib" ] path || under [ "bench" ] path)
-  && not (under [ "lib"; "netsim"; "sim.ml" ] path)
-
 (* --- longident helpers ----------------------------------------------- *)
 
 let rec lid_root = function
@@ -495,54 +488,6 @@ let check_r7 ~path structure =
   it.structure it structure;
   !found
 
-(* --- R8: timer attribution ------------------------------------------- *)
-
-(* The event-loop profiler buckets dispatches by the [~src] label given
-   at scheduling time; an unlabelled call shows up as an anonymous
-   bucket that cannot be traced back to its subsystem. Matches any
-   [<path>.Sim.<scheduler>] application ([Sim.schedule_at],
-   [Netsim.Sim.every], [Repro_netsim.Sim.schedule_pkt_after], ...)
-   that passes no [~src] argument. *)
-
-let r8_schedulers =
-  [ "schedule_at"; "schedule_after"; "schedule_pkt_at"; "schedule_pkt_after";
-    "every" ]
-
-let is_sim_scheduler name =
-  match List.rev (String.split_on_char '.' name) with
-  | fn :: "Sim" :: _ -> List.mem fn r8_schedulers
-  | _ -> false
-
-let check_r8 ~path structure =
-  let found = ref [] in
-  let expr self e =
-    (match e.pexp_desc with
-     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args)
-       when is_sim_scheduler (canonical (lid_name txt)) ->
-       let has_src =
-         List.exists
-           (fun (label, _) ->
-             match label with
-             | Asttypes.Labelled "src" | Asttypes.Optional "src" -> true
-             | _ -> false)
-           args
-       in
-       if not has_src then
-         found :=
-           finding ~rule:Finding.R8 ~path loc
-             (Printf.sprintf
-                "%s without ~src: the event-loop profiler cannot attribute \
-                 this timer's dispatches (label the call site, e.g. \
-                 ~src:\"tcp.rto\")"
-                (lid_name txt))
-           :: !found
-     | _ -> ());
-    Ast_iterator.default_iterator.expr self e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.structure it structure;
-  !found
-
 (* --- R5: registry completeness --------------------------------------- *)
 
 let basename path =
@@ -669,5 +614,4 @@ let check_structure ~path structure =
   let r4 = if scope_r4 path then check_r4 ~path structure else [] in
   let r6 = if scope_r6 path then check_r6 ~path structure else [] in
   let r7 = if scope_r7 path then check_r7 ~path structure else [] in
-  let r8 = if scope_r8 path then check_r8 ~path structure else [] in
-  r1 @ r2 @ r3 @ r3_fp @ r4 @ r6 @ r7 @ r8
+  r1 @ r2 @ r3 @ r3_fp @ r4 @ r6 @ r7

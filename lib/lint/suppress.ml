@@ -50,8 +50,8 @@ let parse_body ~file ~line body =
        else if List.mem None rules then
          invalid
            (Printf.sprintf "unknown rule id in lint directive (waivable \
-                            rules are R1-R9, R11): %s"
-              (String.concat " " ids))
+                            rules are %s): %s"
+              Finding.waivable (String.concat " " ids))
        else (
          match reason with
          | None | Some "" ->

@@ -16,7 +16,7 @@
     is itself reported as a [Suppress] finding — and [parse]/[suppress]
     findings can never be waived.
 
-    Whole-program findings (R9-R11) carry a [root] location — the entry
+    Whole-program findings (R9, R11) carry a [root] location — the entry
     point of the offending call chain — and are waived either by a
     directive at the finding's own site or by one at the chain's root
     (see {!Engine}); both checks go through {!permits_line}. *)

@@ -19,6 +19,7 @@ val create :
   unit ->
   t
 (** Send MSS-sized packets back-to-back at [rate_bps] from [start]
-    (default 0) until [stop] (default: forever). *)
+    (default 0) until [stop] (default: forever). Raises
+    [Invalid_argument] unless [rate_bps] is finite and positive. *)
 
 val packets_sent : t -> int

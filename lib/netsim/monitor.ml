@@ -1,18 +1,19 @@
 type probe = { name : string; sample : unit -> float }
 
 type t = {
-  sim : Sim.t;
   period : float;
   mutable probes : probe list;  (* reversed registration order *)
-  mutable timer : Sim.Timer.t;
   table : (string, Repro_stats.Timeseries.t) Hashtbl.t;
 }
 
 let create ~sim ~period ?(start = 0.) ?(stop = infinity) () =
-  if period <= 0. then invalid_arg "Monitor.create: period <= 0";
-  let t = { sim; period; probes = []; timer = Sim.Timer.none;
-            table = Hashtbl.create 8 } in
-  let tick () =
+  (* NaN fails both comparisons *)
+  if not (period > 0. && period < infinity) then
+    invalid_arg
+      (Printf.sprintf "Monitor.create: period must be finite and > 0 (got %g)"
+         period);
+  let t = { period; probes = []; table = Hashtbl.create 8 } in
+  let rec tick () =
     let now = Sim.now sim in
     List.iter
       (fun p ->
@@ -20,10 +21,11 @@ let create ~sim ~period ?(start = 0.) ?(stop = infinity) () =
           (p.sample ()))
       (List.rev t.probes);
     (* keep sampling as long as other events may still be scheduled *)
-    if not (now +. period <= stop && Sim.pending sim > 0) then
-      Sim.Timer.cancel sim t.timer
+    if now +. period <= stop && Sim.pending sim > 0 then
+      ignore
+        (Sim.schedule_after ~src:"monitor.sample" sim period tick : Sim.Timer.t)
   in
-  t.timer <- Sim.every ~src:"monitor.sample" ~start sim period tick;
+  ignore (Sim.schedule_at ~src:"monitor.sample" sim start tick : Sim.Timer.t);
   t
 
 let series t name = Hashtbl.find t.table name

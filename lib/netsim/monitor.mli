@@ -6,7 +6,8 @@ type t
 
 val create :
   sim:Sim.t -> period:float -> ?start:float -> ?stop:float -> unit -> t
-(** A monitor sampling every [period] seconds from [start] (default 0).
+(** A monitor sampling every [period] seconds from [start] (default 0);
+    raises [Invalid_argument] unless [period] is finite and positive.
     Without [stop], sampling continues while other events remain queued —
     note that two such monitors keep each other alive forever under
     [Sim.run], so pass [stop] (or use [Sim.run_until]) when attaching

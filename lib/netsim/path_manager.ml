@@ -75,6 +75,13 @@ let check t =
   snapshot t
 
 let attach ~sim ~policy conn =
+  let period = policy.check_period in
+  (* NaN fails both comparisons *)
+  if not (period > 0. && period < infinity) then
+    invalid_arg
+      (Printf.sprintf
+         "Path_manager.attach: check_period must be finite and > 0 (got %g)"
+         period);
   let n = Tcp.subflow_count conn in
   let t =
     {
@@ -91,10 +98,15 @@ let attach ~sim ~policy conn =
   (* baseline the counters so the first period excludes history from
      before the manager was attached *)
   snapshot t;
-  ignore
-    (Sim.every ~src:"path_manager.check" sim policy.check_period (fun () ->
-         check t)
-      : Sim.Timer.t);
+  let rec arm () =
+    ignore
+      (Sim.schedule_after ~src:"path_manager.check" sim period tick
+        : Sim.Timer.t)
+  and tick () =
+    check t;
+    arm ()
+  in
+  arm ();
   t
 
 let discards t = t.discards

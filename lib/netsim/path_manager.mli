@@ -20,7 +20,8 @@ val default_policy : policy
 type t
 
 val attach : sim:Sim.t -> policy:policy -> Tcp.conn -> t
-(** Start managing a connection's subflows. *)
+(** Start managing a connection's subflows. Raises [Invalid_argument]
+    unless [policy.check_period] is finite and positive. *)
 
 val discards : t -> int
 (** Times a path was discarded so far. *)

@@ -4,7 +4,8 @@
 type t
 
 val create : sim:Sim.t -> delay:float -> t
-(** [delay] in seconds; must be non-negative. *)
+(** [delay] in seconds. Raises [Invalid_argument] unless it is finite
+    and non-negative. *)
 
 val hop : t -> Packet.hop
 (** The entry point, to place on routes. A packet arrives [delay]

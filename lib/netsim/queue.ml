@@ -147,7 +147,12 @@ and[@olia.alloc_free] finish_service t =
 
 let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue")
     ?(wired = false) () =
-  if rate_bps <= 0. then invalid_arg "Queue.create: rate must be > 0";
+  (* NaN fails both comparisons: a NaN rate would make RED's thresholds
+     NaN and drop every packet *)
+  if not (rate_bps > 0. && rate_bps < infinity) then
+    invalid_arg
+      (Printf.sprintf "Queue.create: rate must be finite and > 0 (got %g)"
+         rate_bps);
   if buffer_pkts <= 0 then invalid_arg "Queue.create: buffer must be > 0";
   let t =
     {

@@ -33,7 +33,8 @@ val create :
   t
 (** A queue serving packets at [rate_bps]. Packets beyond [buffer_pkts]
     are always dropped (hard limit); RED drops probabilistically before
-    that.
+    that. Raises [Invalid_argument] unless [rate_bps] is finite and
+    positive and [buffer_pkts] positive.
 
     A {e wired} queue ([~wired:true]; default [false]) feeds a wire
     directly and costs no event per packet. It computes each packet's

@@ -14,13 +14,15 @@
    live in a sorted spill list, and every spill tick is strictly
    greater than every wheel tick so the two never interleave.
 
-   Cells are a pool indexed by small ints. The seven int fields of a
+   Cells are a pool indexed by small ints. The eight int fields of a
    cell are packed at stride 8 in one [int array] (one cache line per
-   cell) and its three float fields at stride 4 in one [floatarray]
-   (unboxed stores); the free list threads through the [next] field. A
-   [Timer.t] handle packs the cell index with a generation stamp into
-   one immediate int, so arming, firing, cancelling and re-arming a
-   timer allocates nothing. *)
+   cell) and its two float fields, the exact fire time and the [sched]
+   key, at stride 2 in one [floatarray] (unboxed stores); the free list
+   threads through the [next] field. A [Timer.t] handle packs the cell
+   index with a generation stamp into one immediate int, so arming,
+   firing, cancelling and re-arming a timer allocates nothing. Every
+   timer is one-shot: a periodic source re-arms itself from its own
+   callback. *)
 
 module Profile = Repro_obs.Profile
 module Trace = Repro_obs.Trace
@@ -52,8 +54,6 @@ let st_free = 0
 let st_wheel = 1
 let st_due = 2
 let st_spill = 3
-let st_running = 4 (* periodic timer inside its own callback *)
-let st_cancelled = 5 (* periodic cancelled from inside its callback *)
 
 let nil = -1
 let cls_none = -1
@@ -75,8 +75,7 @@ let o_kind = 7 (* 1 when the callback is the packet fn, else 0 *)
 type t = {
   (* --- cell pool (all grown together) --- *)
   mutable cap : int;
-  mutable fl_ : floatarray;
-      (* stride 4: exact fire time; period; scheduling time; (unused) *)
+  mutable fl_ : floatarray; (* stride 2: exact fire time; scheduling time *)
   mutable ints_ : int array; (* stride 8: the o_* fields above *)
   mutable fn_ : (unit -> unit) array;
   mutable pfn_ : (Packet.t -> unit) array;
@@ -132,7 +131,7 @@ let create () =
   init_cells ints_ ~from:0 ~until:cap;
   {
     cap;
-    fl_ = Float.Array.make (cap * 4) 0.;
+    fl_ = Float.Array.make (cap * 2) 0.;
     ints_;
     fn_ = Array.make cap nop;
     pfn_ = Array.make cap pnop;
@@ -197,12 +196,10 @@ let max_heap_depth t = t.max_depth
 
 (* --- cell field accessors --- *)
 
-let[@inline] get_time t c = Float.Array.unsafe_get t.fl_ (c lsl 2)
-let[@inline] set_time t c v = Float.Array.unsafe_set t.fl_ (c lsl 2) v
-let[@inline] get_period t c = Float.Array.unsafe_get t.fl_ ((c lsl 2) + 1)
-let[@inline] set_period t c v = Float.Array.unsafe_set t.fl_ ((c lsl 2) + 1) v
-let[@inline] get_sched t c = Float.Array.unsafe_get t.fl_ ((c lsl 2) + 2)
-let[@inline] set_sched t c v = Float.Array.unsafe_set t.fl_ ((c lsl 2) + 2) v
+let[@inline] get_time t c = Float.Array.unsafe_get t.fl_ (c lsl 1)
+let[@inline] set_time t c v = Float.Array.unsafe_set t.fl_ (c lsl 1) v
+let[@inline] get_sched t c = Float.Array.unsafe_get t.fl_ ((c lsl 1) + 1)
+let[@inline] set_sched t c v = Float.Array.unsafe_set t.fl_ ((c lsl 1) + 1) v
 let[@inline] get_tick t c = Array.unsafe_get t.ints_ ((c lsl 3) + o_tick)
 let[@inline] set_tick t c v = Array.unsafe_set t.ints_ ((c lsl 3) + o_tick) v
 let[@inline] get_seq t c = Array.unsafe_get t.ints_ ((c lsl 3) + o_seq)
@@ -233,8 +230,8 @@ let grow t =
     a
   in
   (* lint: allow R9 -- same amortized growth as [gi] above *)
-  let fl = Float.Array.make (cap' * 4) 0. in
-  Float.Array.blit t.fl_ 0 fl 0 (cap * 4);
+  let fl = Float.Array.make (cap' * 2) 0. in
+  Float.Array.blit t.fl_ 0 fl 0 (cap * 2);
   t.fl_ <- fl;
   t.ints_ <- gi t.ints_ 0 (cap * 8) (cap' * 8);
   init_cells t.ints_ ~from:cap ~until:cap';
@@ -597,7 +594,6 @@ let rec advance t =
 let[@inline] schedule_cell t time =
   let c = alloc_cell t in
   set_time t c time;
-  set_period t c 0.;
   set_sched t c (Float.Array.unsafe_get t.stage 1);
   set_kind t c 0;
   set_tick t c (tick_of_time time);
@@ -620,7 +616,7 @@ let[@inline] check_time t time =
    rather than a float parameter: the inlined wrappers below store the
    caller's (unboxed) float there, so no box is ever materialised on
    the schedule path. *)
-let schedule_staged ?(src = "other") t fn =
+let schedule_staged ~src t fn =
   let time = Float.Array.unsafe_get t.stage 0 in
   check_time t time;
   (* Profiling wraps at scheduling time, not in the dispatch loop, so
@@ -633,17 +629,17 @@ let schedule_staged ?(src = "other") t fn =
   commit_cell t c;
   handle_of t c
 
-let[@inline] schedule_at ?src t time fn =
+let[@inline] schedule_at ~src t time fn =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_staged ?src t fn
+  schedule_staged ~src t fn
 
-let[@inline] schedule_after ?src t delay fn =
+let[@inline] schedule_after ~src t delay fn =
   Float.Array.unsafe_set t.stage 0 (Float.Array.unsafe_get t.clk 0 +. delay);
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_staged ?src t fn
+  schedule_staged ~src t fn
 
-let schedule_pkt_staged ?(src = "other") t fn p =
+let schedule_pkt_staged ~src t fn p =
   let time = Float.Array.unsafe_get t.stage 0 in
   check_time t time;
   let c = schedule_cell t time in
@@ -664,70 +660,38 @@ let schedule_pkt_staged ?(src = "other") t fn p =
   commit_cell t c;
   handle_of t c
 
-let[@inline] schedule_pkt_at ?src t time fn p =
-  Float.Array.unsafe_set t.stage 0 time;
-  Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_pkt_staged ?src t fn p
-
-let[@inline] schedule_pkt_after ?src t delay fn p =
+let[@inline] schedule_pkt_after ~src t delay fn p =
   Float.Array.unsafe_set t.stage 0 (Float.Array.unsafe_get t.clk 0 +. delay);
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_pkt_staged ?src t fn p
+  schedule_pkt_staged ~src t fn p
 
-(* Cross-shard delivery: schedule at [time] but break same-instant ties
-   as if the timer had been armed at [sched] — the egress time on the
-   source shard, i.e. exactly when the sequential run's propagation
-   pipe would have scheduled this arrival. [sched] may lie in the past;
-   it is an ordering key, not a deadline. *)
-let[@inline] schedule_pkt_at_sched ?src t ~sched time fn p =
+(* Schedule at [time] but break same-instant ties as if the timer had
+   been armed at [sched]: for a cross-shard delivery the egress time on
+   the source shard, for a pipe arrival the packet's departure — in
+   both cases exactly when an unwired queue's serve event would have
+   scheduled this arrival. [sched] may lie in the past; it is an
+   ordering key, not a deadline. *)
+let[@inline] schedule_pkt_at_sched ~src t ~sched time fn p =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 sched;
-  schedule_pkt_staged ?src t fn p
-
-let every ?(src = "other") ?start t period fn =
-  if not (period -. period = 0. && period > 0.) then
-    invalid_arg "Sim.every: period must be finite and positive";
-  let start =
-    match start with
-    | Some s -> s
-    | None -> Float.Array.unsafe_get t.clk 0 +. period
-  in
-  check_time t start;
-  let fn =
-    if Profile.enabled () then fun () -> Profile.dispatch ~src fn else fn
-  in
-  Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  let c = schedule_cell t start in
-  set_period t c period;
-  t.fn_.(c) <- fn;
-  commit_cell t c;
-  handle_of t c
+  schedule_pkt_staged ~src t fn p
 
 (* --- timer operations --- *)
 
-let timer_active t h =
-  let c = cell_of t h in
-  c <> nil && get_state t c <> st_cancelled
+let timer_active t h = cell_of t h <> nil
 
 let timer_cancel t h =
   let c = cell_of t h in
-  if c <> nil then
-    if get_state t c = st_running then
-      (* A periodic timer cancelling itself mid-callback: the dispatcher
-         already took it off the books; just stop the re-arm. *)
-      set_state t c st_cancelled
-    else if get_state t c <> st_cancelled then begin
-      unlink t c;
-      t.len <- t.len - 1;
-      free_cell t c
-    end
+  if c <> nil then begin
+    unlink t c;
+    t.len <- t.len - 1;
+    free_cell t c
+  end
 
 let reschedule_staged t h =
   let time = Float.Array.unsafe_get t.stage 0 in
   let c = cell_of t h in
   if c = nil then invalid_arg "Sim.Timer.reschedule: timer not active";
-  if get_period t c > 0. then
-    invalid_arg "Sim.Timer.reschedule: timer is periodic";
   if time -. time <> 0. then
     invalid_arg "Sim.Timer.reschedule: non-finite time";
   if time < Float.Array.unsafe_get t.clk 0 then
@@ -766,32 +730,7 @@ let[@olia.alloc_free] dispatch t =
   Float.Array.unsafe_set t.clk 1 (get_sched t c);
   t.processed <- t.processed + 1;
   t.len <- t.len - 1;
-  let period = get_period t c in
-  if period > 0. then begin
-    t.cur_key <- (get_seq t c lsl 1) lor cls_closure;
-    if Trace.enabled () then
-      Trace.set_dispatch_ctx ~sched:(get_sched t c) ~cls:0 ~flow:0 ~subflow:0
-        ~pseq:0 ~kind:0;
-    set_state t c st_running;
-    (Array.unsafe_get t.fn_ c) ();
-    if get_state t c = st_running then begin
-      (* Re-arm in place: same cell, same handle, fresh seq — taken
-         exactly where the old tail-recursive [schedule_after] idiom
-         took its seq, after the callback body. The clock equals [time]
-         here, so [sched = time] is the arming-time clock. *)
-      let time' = time +. period in
-      set_time t c time';
-      set_sched t c time;
-      set_tick t c (tick_of_time time');
-      set_seq t c t.next_seq;
-      t.next_seq <- t.next_seq + 1;
-      place t c;
-      t.len <- t.len + 1;
-      if t.len > t.max_depth then t.max_depth <- t.len
-    end
-    else free_cell t c
-  end
-  else if get_kind t c = 1 then begin
+  if get_kind t c = 1 then begin
     t.cur_key <- (get_seq t c lsl 1) lor cls_packet;
     let pfn = Array.unsafe_get t.pfn_ c in
     let pkt = Array.unsafe_get t.pkt_ c in

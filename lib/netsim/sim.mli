@@ -17,7 +17,12 @@
     Timer cells are pooled in free lists and handles are unboxed
     integers, so the steady-state schedule/cancel/reschedule cycle of a
     well-behaved component (one persistent timer, re-armed in place)
-    allocates nothing. *)
+    allocates nothing.
+
+    Every timer fires once. Periodic work re-arms itself with
+    {!schedule_after} as the last statement of its callback, which
+    takes the tie-break sequence number after everything the callback
+    scheduled. *)
 
 type t
 
@@ -40,23 +45,19 @@ module Timer : sig
 
   val active : sim -> t -> bool
   (** [active sim h] is [true] while the timer is scheduled and has not
-      yet fired or been cancelled. A periodic timer is also active
-      while its callback is running (it will re-arm unless cancelled). *)
+      yet fired or been cancelled. *)
 
   val cancel : sim -> t -> unit
   (** Cancel the timer. A no-op on a stale handle (already fired or
-      cancelled), so callers need not track firing themselves. A
-      periodic timer cancelled from inside its own callback does not
-      re-arm. *)
+      cancelled), so callers need not track firing themselves. *)
 
   val reschedule : sim -> t -> float -> unit
-  (** [reschedule sim h time] moves a pending one-shot timer to [time],
-      keeping its callback and handle but taking a fresh tie-break
-      sequence number (exactly as if it had been cancelled and
-      scheduled anew at this instant). Raises [Invalid_argument] if the
-      handle is stale, the timer is periodic, [time] is not finite, or
-      [time] is in the past (rescheduling backward across [now] is
-      rejected). *)
+  (** [reschedule sim h time] moves a pending timer to [time], keeping
+      its callback and handle but taking a fresh tie-break sequence
+      number (exactly as if it had been cancelled and scheduled anew at
+      this instant). Raises [Invalid_argument] if the handle is stale,
+      [time] is not finite, or [time] is in the past (rescheduling
+      backward across [now] is rejected). *)
 end
 
 val create : unit -> t
@@ -94,71 +95,58 @@ val departed : t -> float -> float -> int -> bool
     such a departure instant whose delay equals the next packet's
     service time exactly. *)
 
-val schedule_at : ?src:string -> t -> float -> (unit -> unit) -> Timer.t
-(** [schedule_at t time fn] runs [fn] when the clock reaches [time] and
-    returns a handle for cancellation. Raises [Invalid_argument] if
-    [time] is in the past or not finite (NaN and infinities are
-    rejected rather than silently misordering the schedule). [src]
-    labels the event source for [Repro_obs.Profile] attribution
-    (default ["other"]); when profiling is armed at scheduling time the
+val schedule_at : src:string -> t -> float -> (unit -> unit) -> Timer.t
+(** [schedule_at ~src t time fn] runs [fn] when the clock reaches
+    [time] and returns a handle for cancellation. Raises
+    [Invalid_argument] if [time] is in the past or not finite (NaN and
+    infinities are rejected rather than silently misordering the
+    schedule). [src] labels the event source for [Repro_obs.Profile]
+    attribution; when profiling is armed at scheduling time the
     callback is wrapped to account its dispatch count and wall time,
     otherwise the label costs nothing. *)
 
-val schedule_after : ?src:string -> t -> float -> (unit -> unit) -> Timer.t
-(** [schedule_after t delay fn] = [schedule_at t (now t +. delay) fn]. *)
-
-val schedule_pkt_at :
-  ?src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
-(** [schedule_pkt_at t time fn p] runs [fn p] when the clock reaches
-    [time]. The packet rides in the pooled timer cell itself, so
-    scheduling a delivery costs no closure allocation: pass a static
-    function (for example [Packet.forward]) and the whole operation is
-    allocation-free. Semantics otherwise as {!schedule_at}. *)
+val schedule_after : src:string -> t -> float -> (unit -> unit) -> Timer.t
+(** [schedule_after ~src t delay fn] =
+    [schedule_at ~src t (now t +. delay) fn]. *)
 
 val schedule_pkt_after :
-  ?src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
-(** Delay form of {!schedule_pkt_at}. *)
+  src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
+(** [schedule_pkt_after ~src t delay fn p] runs [fn p] [delay] seconds
+    from now. The packet rides in the pooled timer cell itself, so
+    scheduling a delivery costs no closure allocation: pass a static
+    function (for example [Packet.forward]) and the whole operation is
+    allocation-free. Semantics otherwise as {!schedule_after}. *)
 
 val schedule_pkt_at_sched :
-  ?src:string ->
+  src:string ->
   t ->
   sched:float ->
   float ->
   (Packet.t -> unit) ->
   Packet.t ->
   Timer.t
-(** [schedule_pkt_at_sched t ~sched time fn p] is {!schedule_pkt_at}
-    with an explicit tie-break key: same-instant events dispatch as if
-    this timer had been armed when the clock read [sched] rather than
-    now. [Shard.deliver] passes the message's egress time on the source
+(** [schedule_pkt_at_sched ~src t ~sched time fn p] runs [fn p] when
+    the clock reaches [time], as {!schedule_pkt_after} does, with an
+    explicit tie-break key: same-instant events dispatch as if this
+    timer had been armed when the clock read [sched] rather than now.
+    [Shard.deliver] passes the message's egress time on the source
     shard — the instant the sequential run's propagation pipe would
     have scheduled the arrival — so sharded and sequential runs order
-    same-instant ties identically. [sched] may lie in the past; it is
-    an ordering key, not a deadline. *)
-
-val every : ?src:string -> ?start:float -> t -> float -> (unit -> unit) -> Timer.t
-(** [every t period fn] runs [fn] at [start] (default [now t +. period])
-    and then every [period] seconds until the returned timer is
-    cancelled — the one sanctioned way to stop it is
-    [Timer.cancel t h] (typically from inside [fn] itself). The re-arm
-    happens after [fn] returns and reuses the same cell and handle, so
-    a periodic tick allocates nothing and its tie-break sequence number
-    is taken exactly where the old hand-rolled [let rec tick () = ...;
-    schedule_after t period tick] idiom took it. Raises
-    [Invalid_argument] if [period] is not finite and positive, or
-    [start] is in the past. *)
+    same-instant ties identically; [Pipe.hop] passes a wired queue's
+    departure. [sched] may lie in the past; it is an ordering key, not
+    a deadline. *)
 
 val run_until : t -> float -> unit
 (** Process events in order until no event remains at or before the
     horizon; the clock ends at the horizon. *)
 
 val run : t -> unit
-(** Process events until none remain. Periodic timers re-arm forever,
-    so a simulation using {!every} must cancel its periodic timers (or
-    use {!run_until}) to terminate. *)
+(** Process events until none remain. A source that re-arms itself
+    unconditionally keeps this running forever; bound it or use
+    {!run_until}. *)
 
 val pending : t -> int
-(** Number of scheduled timers (periodic timers count once). *)
+(** Number of scheduled timers. *)
 
 val events_processed : t -> int
 (** Total events executed so far (for the micro-benchmarks). *)

@@ -4,9 +4,8 @@
    single ref read, and [Sim.schedule_at] only wraps a callback in
    [dispatch] when profiling was armed at scheduling time, so the
    profiling-off path costs one ref read per schedule and nothing per
-   dispatch. Attribution is by the [~src] label the scheduling site
-   passes (e.g. "queue.serve", "tcp.rto"); unlabelled sites pool under
-   "other".
+   dispatch. Attribution is by the [~src] label every scheduling site
+   passes (e.g. "queue.serve", "tcp.rto").
 
    Accumulators are per-domain: each domain gets its own table from
    domain-local storage, so dispatch never takes a lock. Workers in a

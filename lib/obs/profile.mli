@@ -6,8 +6,8 @@
     costs one ref read per schedule and nothing per dispatch.
 
     Sources are the [~src] labels scheduling sites pass (e.g.
-    ["queue.serve"], ["tcp.rto"]); unlabelled sites pool under
-    ["other"]. Accumulators are per-domain (domain-local storage, no
+    ["queue.serve"], ["tcp.rto"]); [Sim] requires one on every call.
+    Accumulators are per-domain (domain-local storage, no
     lock on the dispatch path), so sharded runs profile cleanly: each
     worker calls {!bind} with its shard id, {!report} rolls every
     domain up, and {!report_by_shard} keeps the per-shard breakdown

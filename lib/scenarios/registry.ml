@@ -346,7 +346,7 @@ module Fattree_sharded_s : SCENARIO = struct
       doc =
         "production-scale FatTree permutation experiment (k=8: 128 hosts, \
          1024 flows), runnable sharded pod-per-domain with conservative \
-         lookahead (--shards)";
+         lookahead (-p shards=N)";
       params =
         [
           Spec.int "k" d.Fattree_sharded.k

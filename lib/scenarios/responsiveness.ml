@@ -66,15 +66,17 @@ let run cfg =
       : Sim.Timer.t);
   (* sample the multipath user's path-2 window share *)
   let share_ts = Repro_stats.Timeseries.create () in
-  let sample_timer = ref Sim.Timer.none in
-  let sample () =
+  let rec sample () =
     let w1 = Tcp.subflow_cwnd mp 0 and w2 = Tcp.subflow_cwnd mp 1 in
     Repro_stats.Timeseries.add share_ts ~time:(Sim.now sim)
       (w2 /. Stdlib.max (w1 +. w2) 1e-9);
-    if not (Sim.now sim +. 0.2 < cfg.duration) then
-      Sim.Timer.cancel sim !sample_timer
+    if Sim.now sim +. 0.2 < cfg.duration then
+      ignore
+        (Sim.schedule_after ~src:"responsiveness.sample" sim 0.2 sample
+          : Sim.Timer.t)
   in
-  sample_timer := Sim.every ~src:"responsiveness.sample" ~start:1. sim 0.2 sample;
+  ignore
+    (Sim.schedule_at ~src:"responsiveness.sample" sim 1. sample : Sim.Timer.t);
   (* goodput share probes *)
   let acked2_at = ref [] in
   List.iter

@@ -28,6 +28,12 @@ let symmetric =
 let asymmetric = { symmetric with n_tcp2 = 10 }
 
 let run cfg =
+  (* NaN fails both comparisons *)
+  if not (cfg.sample_period > 0. && cfg.sample_period < infinity) then
+    invalid_arg
+      (Printf.sprintf
+         "Two_bottleneck.run: sample_period must be finite and > 0 (got %g)"
+         cfg.sample_period);
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.c_mbps *. 1e6 in
@@ -71,8 +77,7 @@ let run cfg =
   let alpha1 = Repro_stats.Timeseries.create () in
   let alpha2 = Repro_stats.Timeseries.create () in
   let flips = ref 0 and order = ref 0 in
-  let sample_timer = ref Sim.Timer.none in
-  let sample () =
+  let rec sample () =
     let t = Sim.now sim in
     let cw1 = Tcp.subflow_cwnd mp 0 and cw2 = Tcp.subflow_cwnd mp 1 in
     Repro_stats.Timeseries.add w1 ~time:t cw1;
@@ -86,12 +91,14 @@ let run cfg =
     in
     if new_order <> !order && !order <> 0 then incr flips;
     order := new_order;
-    if not (t +. cfg.sample_period <= cfg.duration) then
-      Sim.Timer.cancel sim !sample_timer
+    if t +. cfg.sample_period <= cfg.duration then
+      ignore
+        (Sim.schedule_after ~src:"two_bottleneck.sample" sim cfg.sample_period
+           sample
+          : Sim.Timer.t)
   in
-  sample_timer :=
-    Sim.every ~src:"two_bottleneck.sample" ~start:0. sim cfg.sample_period
-      sample;
+  ignore
+    (Sim.schedule_at ~src:"two_bottleneck.sample" sim 0. sample : Sim.Timer.t);
   let acked1 = ref 0 and acked2 = ref 0 in
   let warmup = cfg.duration /. 6. in
   ignore

@@ -9,8 +9,8 @@ open Mptcp_repro.Cc
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))
@@ -250,6 +250,20 @@ let test_cbr_start_stop () =
   Alcotest.(check bool) "one second's worth" true
     (abs (Cbr.packets_sent cbr - 100) <= 1)
 
+let test_cbr_rejects_bad_rate () =
+  let sim = Sim.create () in
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           ("Cbr.create: rate must be finite and > 0 (got " ^ shown ^ ")"))
+        (fun () ->
+          ignore
+            (Cbr.create ~sim ~rate_bps:bad ~route:[| Cbr.blackhole |]
+               ~flow_id:0 ())))
+    [ (0., "0"); (-1., "-1"); (nan, "nan"); (infinity, "inf") ];
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.pending sim)
+
 let test_cbr_steals_capacity_from_tcp () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:7 in
@@ -329,7 +343,7 @@ let test_path_manager_discards_bad_path () =
   let _ = congest_queue ~sim ~rng q2 6 in
   (* attach after the start-up transients have settled *)
   let pm = ref None in
-  Sim.schedule_at sim 20. (fun () ->
+  Sim.schedule_at ~src:"test" sim 20. (fun () ->
       pm :=
         Some
           (Path_manager.attach ~sim
@@ -354,6 +368,25 @@ let test_path_manager_reprobes () =
   Sim.run_until sim 120.;
   Alcotest.(check bool) "reprobed at least once" true
     (Path_manager.reprobes pm >= 1)
+
+let test_path_manager_rejects_bad_period () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:12 in
+  let conn, _, _ = two_queue_conn ~sim ~rng ~cc:(Olia.create ()) ~rate2:1e6 in
+  let pending = Sim.pending sim in
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           ("Path_manager.attach: check_period must be finite and > 0 (got "
+          ^ shown ^ ")"))
+        (fun () ->
+          ignore
+            (Path_manager.attach ~sim
+               ~policy:{ Path_manager.default_policy with check_period = bad }
+               conn)))
+    [ (0., "0"); (nan, "nan"); (infinity, "inf") ];
+  Alcotest.(check int) "nothing scheduled" pending (Sim.pending sim)
 
 let test_path_manager_keeps_min_active () =
   let sim = Sim.create () in
@@ -409,6 +442,8 @@ let suite =
       test_lia_ode_derivative_zero_at_fixed_point;
     Alcotest.test_case "cbr: rate and count" `Quick test_cbr_rate;
     Alcotest.test_case "cbr: start/stop window" `Quick test_cbr_start_stop;
+    Alcotest.test_case "cbr: rejects bad rates" `Quick
+      test_cbr_rejects_bad_rate;
     Alcotest.test_case "cbr: displaces TCP" `Slow
       test_cbr_steals_capacity_from_tcp;
     Alcotest.test_case "paths: disable stops new data" `Slow
@@ -416,6 +451,8 @@ let suite =
     Alcotest.test_case "path manager: discards bad path" `Slow
       test_path_manager_discards_bad_path;
     Alcotest.test_case "path manager: re-probes" `Slow test_path_manager_reprobes;
+    Alcotest.test_case "path manager: rejects bad periods" `Quick
+      test_path_manager_rejects_bad_period;
     Alcotest.test_case "path manager: keeps one active" `Slow
       test_path_manager_keeps_min_active;
   ]

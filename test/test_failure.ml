@@ -9,8 +9,8 @@ open Mptcp_repro.Cc
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 (* a controllable on/off valve placed on a path *)
@@ -41,9 +41,9 @@ let two_path_rig ~seed =
 let test_mptcp_survives_one_path_failure () =
   let sim, gate1, _gate2, paths = two_path_rig ~seed:1 in
   let conn = Tcp.create ~sim ~cc:(Olia.create ()) ~paths ~flow_id:0 () in
-  Sim.schedule_at sim 20. (fun () -> gate1 := false);
+  Sim.schedule_at ~src:"test" sim 20. (fun () -> gate1 := false);
   let acked_path2_at_cut = ref 0 in
-  Sim.schedule_at sim 20.01 (fun () ->
+  Sim.schedule_at ~src:"test" sim 20.01 (fun () ->
       acked_path2_at_cut := Tcp.subflow_acked conn 1);
   Sim.run_until sim 60.;
   (* the surviving path keeps the connection moving at link speed *)
@@ -58,10 +58,10 @@ let test_mptcp_survives_one_path_failure () =
 let test_mptcp_reclaims_healed_path () =
   let sim, gate1, _gate2, paths = two_path_rig ~seed:2 in
   let conn = Tcp.create ~sim ~cc:(Olia.create ()) ~paths ~flow_id:0 () in
-  Sim.schedule_at sim 20. (fun () -> gate1 := false);
-  Sim.schedule_at sim 40. (fun () -> gate1 := true);
+  Sim.schedule_at ~src:"test" sim 20. (fun () -> gate1 := false);
+  Sim.schedule_at ~src:"test" sim 40. (fun () -> gate1 := true);
   let acked_at_heal = ref 0 in
-  Sim.schedule_at sim 40.01 (fun () ->
+  Sim.schedule_at ~src:"test" sim 40.01 (fun () ->
       acked_at_heal := Tcp.subflow_acked conn 0);
   Sim.run_until sim 160.;
   (* after healing, path 1 carries real traffic again; RTO backoff (up to
@@ -77,10 +77,10 @@ let test_total_blackout_then_recovery () =
       ~on_complete:(fun t -> done_at := t) ~flow_id:0 ()
   in
   (* both paths die for 5 seconds, early enough to interrupt the flow *)
-  Sim.schedule_at sim 1. (fun () ->
+  Sim.schedule_at ~src:"test" sim 1. (fun () ->
       gate1 := false;
       gate2 := false);
-  Sim.schedule_at sim 6. (fun () ->
+  Sim.schedule_at ~src:"test" sim 6. (fun () ->
       gate1 := true;
       gate2 := true);
   Sim.run_until sim 120.;
@@ -109,7 +109,7 @@ let test_receiver_silence_causes_backoff_not_livelock () =
         |]
       ~flow_id:0 ()
   in
-  Sim.schedule_at sim 5. (fun () -> ack_up := false);
+  Sim.schedule_at ~src:"test" sim 5. (fun () -> ack_up := false);
   Sim.run_until sim 65.;
   let sent_during_silence = Sim.events_processed sim in
   (* exponential backoff keeps the event count bounded: far fewer than a
@@ -133,7 +133,7 @@ let test_path_manager_handles_flapping_link () =
       conn
   in
   let rec flap up t =
-    Sim.schedule_at sim t (fun () -> gate1 := up);
+    Sim.schedule_at ~src:"test" sim t (fun () -> gate1 := up);
     if t +. 15. < 120. then flap (not up) (t +. 15.)
   in
   flap false 15.;
@@ -146,7 +146,7 @@ let test_short_flow_during_outage_still_completes () =
   let sim, gate1, _gate2, paths = two_path_rig ~seed:6 in
   (* the flow starts exactly during a path-1 outage *)
   gate1 := false;
-  Sim.schedule_at sim 30. (fun () -> gate1 := true);
+  Sim.schedule_at ~src:"test" sim 30. (fun () -> gate1 := true);
   let conn =
     Tcp.create ~sim ~cc:(Olia.create ()) ~paths ~size_pkts:100 ~flow_id:0 ()
   in

@@ -8,8 +8,8 @@ open Mptcp_repro.Topology
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))
@@ -220,7 +220,7 @@ let test_monitor_samples_series () =
       clock := !clock +. 1.;
       !clock);
   (* keep the sim alive for 5 seconds *)
-  Sim.schedule_at sim 5. (fun () -> ());
+  Sim.schedule_at ~src:"test" sim 5. (fun () -> ());
   Sim.run sim;
   let ts = Monitor.series m "clock" in
   Alcotest.(check bool) "about 10 samples" true
@@ -263,6 +263,20 @@ let test_monitor_rejects_duplicate_names () =
   Alcotest.check_raises "dup" (Invalid_argument "Monitor.watch: duplicate name x")
     (fun () -> Monitor.watch m "x" (fun () -> 0.))
 
+(* The sampler re-arms itself every [period], so the period is checked
+   at construction; NaN fails the check too. *)
+let test_monitor_rejects_bad_period () =
+  let sim = Sim.create () in
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           ("Monitor.create: period must be finite and > 0 (got " ^ shown
+          ^ ")"))
+        (fun () -> ignore (Monitor.create ~sim ~period:bad ())))
+    [ (0., "0"); (-1., "-1"); (nan, "nan"); (infinity, "inf") ];
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.pending sim)
+
 let test_csv_roundtrip () =
   let path = Filename.temp_file "repro" ".csv" in
   Mptcp_repro.Stats.Csv.write_series ~path ~columns:[ "a"; "b" ]
@@ -296,7 +310,7 @@ let test_monitor_to_csv () =
   let sim = Sim.create () in
   let m = Monitor.create ~sim ~period:1. () in
   Monitor.watch m "v" (fun () -> Sim.now sim);
-  Sim.schedule_at sim 3. (fun () -> ());
+  Sim.schedule_at ~src:"test" sim 3. (fun () -> ());
   Sim.run sim;
   let path = Filename.temp_file "repro" ".csv" in
   Monitor.to_csv m ~path;
@@ -389,6 +403,8 @@ let suite =
     Alcotest.test_case "csv: escaping" `Quick test_csv_escaping;
     Alcotest.test_case "csv: ragged rows" `Quick test_csv_rejects_ragged_rows;
     Alcotest.test_case "monitor: csv export" `Quick test_monitor_to_csv;
+    Alcotest.test_case "monitor: rejects bad periods" `Quick
+      test_monitor_rejects_bad_period;
     Alcotest.test_case "wvegas: grows below target" `Quick
       test_wvegas_grows_when_below_target;
     Alcotest.test_case "wvegas: shrinks when queueing" `Quick

@@ -209,50 +209,6 @@ let test_r7_suppressible () =
 let rng = Rng.create ~seed:7
 |})
 
-(* --- R8: timer attribution ------------------------------------------ *)
-
-let test_r8_fires () =
-  let f =
-    lint ~path:"lib/netsim/fixture.ml"
-      {|
-let f sim = Sim.schedule_at sim 1. (fun () -> ())
-let g sim = ignore (Netsim.Sim.schedule_after sim 0.1 (fun () -> ()))
-let h sim p = Repro_netsim.Sim.schedule_pkt_after sim 0.1 Packet.forward p
-let k sim = Sim.every sim 5. (fun () -> ())
-|}
-  in
-  check_count "four unlabelled scheduler calls" Finding.R8 4 f
-
-let test_r8_src_fine () =
-  check_count "labelled calls pass" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       {|
-let f sim = Sim.schedule_at ~src:"fixture.tick" sim 1. (fun () -> ())
-let g ?src sim = Sim.every ?src sim 5. (fun () -> ())
-|})
-
-let test_r8_scope () =
-  let fixture = "let f sim = Sim.schedule_at sim 1. (fun () -> ())" in
-  check_count "bench is in scope" Finding.R8 1
-    (lint ~path:"bench/fixture.ml" fixture);
-  check_count "tests are exempt" Finding.R8 0
-    (lint ~path:"test/test_x.ml" fixture);
-  check_count "the scheduler itself is exempt" Finding.R8 0
-    (lint ~path:"lib/netsim/sim.ml" fixture)
-
-let test_r8_other_modules_fine () =
-  check_count "non-Sim schedulers are not the target" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       "let f cron = Cron.schedule_at cron 1. (fun () -> ())")
-
-let test_r8_suppressible () =
-  check_count "waivable like any rule" Finding.R8 0
-    (lint ~path:"lib/netsim/fixture.ml"
-       {|
-(* lint: allow R8 -- fixture exercising the waiver *)
-let f sim = Sim.schedule_at sim 1. (fun () -> ())
-|})
-
 (* --- clean code, parse errors --------------------------------------- *)
 
 let test_clean_passes () =
@@ -313,6 +269,33 @@ let hello () = print_endline "hi"
 let test_suppress_unknown_rule () =
   check_count "unknown rule id rejected" Finding.Suppress 1
     (lint "(* lint: allow R99 -- no such rule *)\nlet x = 1")
+
+(* [olia_lint --rules], the clean-run line and the suppression error all
+   render [Finding.all]; R8 (timer labels, now a required argument of
+   every [Sim.schedule_*]) is gone from each. *)
+let test_rule_list () =
+  Alcotest.(check (list string))
+    "catalogue"
+    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R9"; "R11"; "parse";
+      "suppress" ]
+    (List.map Finding.rule_name Finding.all);
+  List.iter
+    (fun r ->
+      let name = Finding.rule_name r in
+      Alcotest.(check bool)
+        (name ^ " waivable by name") (r <> Parse && r <> Suppress)
+        (Finding.rule_of_name name = Some r))
+    Finding.all;
+  Alcotest.(check string) "clean-run line"
+    "olia_lint: 3 files clean (rules R1, R2, R3, R4, R5, R6, R7, R9, R11)\n"
+    (Report.to_text ~files:3 []);
+  match lint "(* lint: allow R8 -- no such rule *)\nlet x = 1" with
+  | [ f ] ->
+    Alcotest.(check string) "suppression error"
+      "unknown rule id in lint directive (waivable rules are R1, R2, R3, \
+       R4, R5, R6, R7, R9, R11): R8"
+      f.message
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_suppress_in_string_ignored () =
   check_count "directive text inside a string literal is inert"
@@ -626,12 +609,6 @@ let suite =
     Alcotest.test_case "R7 scoped to lib/scenarios" `Quick
       test_r7_scoped_to_scenarios;
     Alcotest.test_case "R7 suppressible" `Quick test_r7_suppressible;
-    Alcotest.test_case "R8 fires on unlabelled timers" `Quick test_r8_fires;
-    Alcotest.test_case "R8 accepts ~src labels" `Quick test_r8_src_fine;
-    Alcotest.test_case "R8 scoped to lib/ and bench/" `Quick test_r8_scope;
-    Alcotest.test_case "R8 ignores non-Sim schedulers" `Quick
-      test_r8_other_modules_fine;
-    Alcotest.test_case "R8 suppressible" `Quick test_r8_suppressible;
     Alcotest.test_case "clean code produces no findings" `Quick
       test_clean_passes;
     Alcotest.test_case "unparseable file yields one finding" `Quick
@@ -644,6 +621,8 @@ let suite =
       test_suppress_needs_reason;
     Alcotest.test_case "suppression with unknown rule rejected" `Quick
       test_suppress_unknown_rule;
+    Alcotest.test_case "one rule list behind every rendering" `Quick
+      test_rule_list;
     Alcotest.test_case "directive inside string literal inert" `Quick
       test_suppress_in_string_ignored;
     Alcotest.test_case "text report" `Quick test_report_text;

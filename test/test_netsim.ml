@@ -4,8 +4,8 @@ open Mptcp_repro.Netsim
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))
@@ -167,9 +167,9 @@ let test_seqset_rejects_below_base () =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule_at sim 3. (fun () -> log := 3 :: !log);
-  Sim.schedule_at sim 1. (fun () -> log := 1 :: !log);
-  Sim.schedule_at sim 2. (fun () -> log := 2 :: !log);
+  Sim.schedule_at ~src:"test" sim 3. (fun () -> log := 3 :: !log);
+  Sim.schedule_at ~src:"test" sim 1. (fun () -> log := 1 :: !log);
+  Sim.schedule_at ~src:"test" sim 2. (fun () -> log := 2 :: !log);
   Sim.run sim;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -177,7 +177,7 @@ let test_sim_fifo_ties () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 0 to 9 do
-    Sim.schedule_at sim 1. (fun () -> log := i :: !log)
+    Sim.schedule_at ~src:"test" sim 1. (fun () -> log := i :: !log)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "insertion order at equal times"
@@ -187,14 +187,14 @@ let test_sim_fifo_ties () =
 let test_sim_clock_advances () =
   let sim = Sim.create () in
   let seen = ref 0. in
-  Sim.schedule_at sim 2.5 (fun () -> seen := Sim.now sim);
+  Sim.schedule_at ~src:"test" sim 2.5 (fun () -> seen := Sim.now sim);
   Sim.run sim;
   check_close 1e-12 "clock at event" 2.5 !seen
 
 let test_sim_run_until_horizon () =
   let sim = Sim.create () in
   let fired = ref false in
-  Sim.schedule_at sim 10. (fun () -> fired := true);
+  Sim.schedule_at ~src:"test" sim 10. (fun () -> fired := true);
   Sim.run_until sim 5.;
   Alcotest.(check bool) "not yet" false !fired;
   check_close 1e-12 "clock at horizon" 5. (Sim.now sim);
@@ -204,24 +204,24 @@ let test_sim_run_until_horizon () =
 let test_sim_schedule_during_run () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule_at sim 1. (fun () ->
+  Sim.schedule_at ~src:"test" sim 1. (fun () ->
       log := "a" :: !log;
-      Sim.schedule_after sim 1. (fun () -> log := "b" :: !log));
+      Sim.schedule_after ~src:"test" sim 1. (fun () -> log := "b" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "a"; "b" ] (List.rev !log)
 
 let test_sim_rejects_past () =
   let sim = Sim.create () in
-  Sim.schedule_at sim 5. (fun () ->
+  Sim.schedule_at ~src:"test" sim 5. (fun () ->
       Alcotest.check_raises "past"
         (Invalid_argument "Sim.schedule_at: time in the past") (fun () ->
-          Sim.schedule_at sim 1. (fun () -> ())));
+          Sim.schedule_at ~src:"test" sim 1. (fun () -> ())));
   Sim.run sim
 
 let test_sim_pending_and_processed () =
   let sim = Sim.create () in
   for i = 1 to 5 do
-    Sim.schedule_at sim (float_of_int i) (fun () -> ())
+    Sim.schedule_at ~src:"test" sim (float_of_int i) (fun () -> ())
   done;
   Alcotest.(check int) "pending" 5 (Sim.pending sim);
   Sim.run sim;
@@ -235,7 +235,8 @@ let prop_sim_heap_orders_events =
       let sim = Sim.create () in
       let fired = ref [] in
       List.iter
-        (fun t -> Sim.schedule_at sim t (fun () -> fired := t :: !fired))
+        (fun t ->
+          Sim.schedule_at ~src:"test" sim t (fun () -> fired := t :: !fired))
         times;
       Sim.run sim;
       let fired = List.rev !fired in
@@ -276,14 +277,19 @@ let test_pipe_delays () =
   in
   let route = [| Pipe.hop pipe; sink |] in
   let p = Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0. ~route in
-  Sim.schedule_at sim 1. (fun () -> Packet.forward p);
+  Sim.schedule_at ~src:"test" sim 1. (fun () -> Packet.forward p);
   Sim.run sim;
   check_close 1e-12 "arrival time" 1.25 !arrival
 
 let test_pipe_rejects_negative () =
   let sim = Sim.create () in
-  Alcotest.check_raises "negative" (Invalid_argument "Pipe.create: negative delay")
-    (fun () -> ignore (Pipe.create ~sim ~delay:(-1.)))
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           ("Pipe.create: delay must be finite and >= 0 (got " ^ shown ^ ")"))
+        (fun () -> ignore (Pipe.create ~sim ~delay:bad)))
+    [ (-1., "-1"); (nan, "nan"); (infinity, "inf") ]
 
 let test_pipe_preserves_order_and_concurrency () =
   let sim = Sim.create () in
@@ -292,9 +298,9 @@ let test_pipe_preserves_order_and_concurrency () =
   let sink (p : Packet.t) = arrivals := (p.Packet.seq, Sim.now sim) :: !arrivals in
   let route = [| Pipe.hop pipe; sink |] in
   (* two packets 10 ms apart both experience exactly 100 ms *)
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq:1 ~sent_at:0. ~route));
-  Sim.schedule_at sim 0.01 (fun () ->
+  Sim.schedule_at ~src:"test" sim 0.01 (fun () ->
       Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq:2 ~sent_at:0. ~route));
   Sim.run sim;
   match List.rev !arrivals with
@@ -315,10 +321,10 @@ let test_sim_departed_branches () =
   Alcotest.(check bool) "idle: due now" true (d 0. 0.);
   Alcotest.(check bool) "idle: due later" false (d 1e-9 0.);
   let in_closure = ref [] and in_packet = ref [] and tie = ref "" in
-  Sim.schedule_at sim 1. (fun () ->
+  Sim.schedule_at ~src:"test" sim 1. (fun () ->
       (* the closure below takes sequence number [armed] *)
       let armed = Sim.next_seq sim in
-      Sim.schedule_at sim 2. (fun () ->
+      Sim.schedule_at ~src:"test" sim 2. (fun () ->
           in_closure :=
             [
               d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5;
@@ -328,7 +334,7 @@ let test_sim_departed_branches () =
           | _ -> tie := "decided"
           | exception Invalid_argument m -> tie := m);
       ignore
-        (Sim.schedule_pkt_at sim 2.
+        (Sim.schedule_pkt_after ~src:"test" sim 1.
            (fun p ->
              in_packet := [ d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5; d 2. 1. ];
              Packet.free p)
@@ -360,7 +366,7 @@ let test_queue_serialization_rate () =
   let times = ref [] in
   let sink (_ : Packet.t) = times := Sim.now sim :: !times in
   let route = [| Queue.hop q; sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       Packet.forward (data_to ~route 0);
       Packet.forward (data_to ~route 1);
       Packet.forward (data_to ~route 2));
@@ -380,7 +386,7 @@ let test_queue_droptail_overflow () =
   let delivered = ref 0 in
   let sink (_ : Packet.t) = incr delivered in
   let route = [| Queue.hop q; sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       for i = 0 to 19 do
         Packet.forward (data_to ~route i)
       done);
@@ -401,10 +407,10 @@ let test_queue_red_drops_under_sustained_load () =
   let rec offer i =
     if i < 8000 then begin
       Packet.forward (data_to ~route i);
-      Sim.schedule_after sim 0.0005 (fun () -> offer (i + 1))
+      Sim.schedule_after ~src:"test" sim 0.0005 (fun () -> offer (i + 1))
     end
   in
-  Sim.schedule_at sim 0. (fun () -> offer 0);
+  Sim.schedule_at ~src:"test" sim 0. (fun () -> offer 0);
   Sim.run sim;
   Alcotest.(check bool) "red drops" true (Queue.drops q > 0);
   (* RED keeps the backlog mostly below the hard limit *)
@@ -422,10 +428,10 @@ let test_queue_red_no_drops_light_load () =
   let rec offer i =
     if i < 2000 then begin
       Packet.forward (data_to ~route i);
-      Sim.schedule_after sim 0.002 (fun () -> offer (i + 1))
+      Sim.schedule_after ~src:"test" sim 0.002 (fun () -> offer (i + 1))
     end
   in
-  Sim.schedule_at sim 0. (fun () -> offer 0);
+  Sim.schedule_at ~src:"test" sim 0. (fun () -> offer 0);
   Sim.run sim;
   Alcotest.(check int) "no drops" 0 (Queue.drops q)
 
@@ -445,7 +451,7 @@ let test_queue_ack_not_counted_in_loss_stats () =
       ~discipline:Queue.Droptail () in
   let sink (_ : Packet.t) = () in
   let route = [| Queue.hop q; sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       Packet.forward
         (Packet.ack ~flow:0 ~subflow:0 ~ackno:0 ~echo:0. ~sack_lo:0 ~sack_hi:0 ~route
            ~sent_at:0.));
@@ -459,7 +465,7 @@ let test_queue_utilization_and_reset () =
       ~discipline:Queue.Droptail () in
   let sink (_ : Packet.t) = () in
   let route = [| Queue.hop q; sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       for i = 0 to 4 do
         Packet.forward (data_to ~route i)
       done);
@@ -474,11 +480,16 @@ let test_queue_utilization_and_reset () =
 let test_queue_invalid_args () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:1 in
-  Alcotest.check_raises "rate" (Invalid_argument "Queue.create: rate must be > 0")
-    (fun () ->
-      ignore
-        (Queue.create ~sim ~rng ~rate_bps:0. ~buffer_pkts:10
-           ~discipline:Queue.Droptail ()));
+  List.iter
+    (fun (bad, shown) ->
+      Alcotest.check_raises ("rate " ^ shown)
+        (Invalid_argument
+           ("Queue.create: rate must be finite and > 0 (got " ^ shown ^ ")"))
+        (fun () ->
+          ignore
+            (Queue.create ~sim ~rng ~rate_bps:bad ~buffer_pkts:10
+               ~discipline:Queue.Droptail ())))
+    [ (0., "0"); (nan, "nan"); (infinity, "inf") ];
   Alcotest.check_raises "buffer"
     (Invalid_argument "Queue.create: buffer must be > 0") (fun () ->
       ignore
@@ -580,7 +591,7 @@ let test_invariant_queue_clean_run () =
       let delivered = ref 0 in
       let sink (_ : Packet.t) = incr delivered in
       let route = [| Queue.hop q; sink |] in
-      Sim.schedule_at sim 0. (fun () ->
+      Sim.schedule_at ~src:"test" sim 0. (fun () ->
           for i = 0 to 19 do
             Packet.forward (data_to ~route i)
           done);
@@ -596,12 +607,12 @@ let test_invariant_survives_stats_reset () =
       let q = Queue.create ~sim ~rng ~rate_bps:12e6 ~buffer_pkts:8
           ~discipline:Queue.Droptail () in
       let route = [| Queue.hop q; (fun (_ : Packet.t) -> ()) |] in
-      Sim.schedule_at sim 0. (fun () ->
+      Sim.schedule_at ~src:"test" sim 0. (fun () ->
           for i = 0 to 5 do
             Packet.forward (data_to ~route i)
           done);
-      Sim.schedule_at sim 0.001 (fun () -> Queue.reset_stats q);
-      Sim.schedule_at sim 0.002 (fun () ->
+      Sim.schedule_at ~src:"test" sim 0.001 (fun () -> Queue.reset_stats q);
+      Sim.schedule_at ~src:"test" sim 0.002 (fun () ->
           for i = 6 to 11 do
             Packet.forward (data_to ~route i)
           done);

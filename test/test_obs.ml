@@ -8,8 +8,8 @@ open Repro_netsim
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 module Trace = Repro_obs.Trace
 module Meter = Repro_obs.Meter
@@ -197,7 +197,7 @@ let test_counters_match_monitor () =
   Monitor.watch_drops mon "drops" q;
   let sink (_ : Packet.t) = () in
   let route = [| Queue.hop q; sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       for i = 0 to 19 do
         Packet.forward (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0. ~route)
       done);
@@ -846,7 +846,7 @@ let test_decode_drops_departures_past_horizon () =
   let route = [| Queue.hop q; Pipe.hop pipe; Packet.free |] in
   let (), evs =
     Trace.capture ~capacity:256 (fun () ->
-        Sim.schedule_at sim 0.1 (fun () ->
+        Sim.schedule_at ~src:"test" sim 0.1 (fun () ->
             for i = 0 to 9 do
               Packet.forward
                 (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0.1 ~route)
@@ -1000,7 +1000,7 @@ let test_profile_attributes_sim_sources () =
       in
       let sink (_ : Packet.t) = () in
       let route = [| Queue.hop q; sink |] in
-      Sim.schedule_at sim 0. (fun () ->
+      Sim.schedule_at ~src:"test.burst" sim 0. (fun () ->
           for i = 0 to 19 do
             Packet.forward
               (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0. ~route)
@@ -1011,10 +1011,10 @@ let test_profile_attributes_sim_sources () =
       | None -> Alcotest.fail "no attribution for queue.serve"
       | Some e ->
         Alcotest.(check bool) "queue.serve dispatched" true (e.Profile.count > 0));
-      (* the unlabelled schedule above pools under "other" *)
-      (match List.find_opt (fun e -> e.Profile.src = "other") entries with
-      | None -> Alcotest.fail "no attribution for unlabelled sources"
-      | Some e -> Alcotest.(check int) "one unlabelled dispatch" 1 e.Profile.count);
+      (* the burst scheduled above has a bucket of its own *)
+      (match List.find_opt (fun e -> e.Profile.src = "test.burst") entries with
+      | None -> Alcotest.fail "no attribution for test.burst"
+      | Some e -> Alcotest.(check int) "one burst dispatch" 1 e.Profile.count);
       let table = Repro_stats.Table.to_string (Profile.to_table entries) in
       Alcotest.(check bool)
         "table renders the hot source" true

@@ -11,8 +11,8 @@ module Json = Mptcp_repro.Stats.Json
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 (* --- simulator conservation -------------------------------------------- *)
@@ -34,7 +34,7 @@ let prop_queue_conserves_packets =
       let route = [| Queue.hop q; sink |] in
       (* random arrival times in [0, 0.2): bursts stress the buffer *)
       for i = 0 to n_packets - 1 do
-        Sim.schedule_at sim
+        Sim.schedule_at ~src:"test" sim
           (Rng.uniform rng 0.2)
           (fun () ->
             Packet.forward
@@ -59,7 +59,7 @@ let prop_red_drops_bounded_by_droptail_capacity =
       let sink (_ : Packet.t) = incr forwarded in
       let route = [| Queue.hop q; sink |] in
       for i = 0 to 999 do
-        Sim.schedule_at sim
+        Sim.schedule_at ~src:"test" sim
           (Rng.uniform rng 1.)
           (fun () ->
             Packet.forward
@@ -253,7 +253,8 @@ let run_wcase ~wired c =
             ~start ~flow_id:i ())
         c.flows
     in
-    Sim.schedule_at sim 0.5 (fun () -> Array.iter Queue.reset_stats queues);
+    Sim.schedule_at ~src:"test" sim 0.5 (fun () ->
+        Array.iter Queue.reset_stats queues);
     Sim.run_until sim 1.5;
     List.map Tcp.total_acked conns
   in

@@ -416,6 +416,33 @@ let rejected =
       [ "wifi_loss=nan" ],
       "Fault.set_mode: burst loss_prob must be in [0, 1)" );
   ]
+  (* A NaN or infinite link rate made RED's thresholds NaN and dropped
+     every packet; a NaN or infinite delay was caught only at the first
+     packet, by the scheduler. *)
+  @ List.concat_map
+      (fun (scenario, key) ->
+        List.map
+          (fun (v, shown) ->
+            ( scenario,
+              [ key ^ "=" ^ v ],
+              "Queue.create: rate must be finite and > 0 (got " ^ shown ^ ")"
+            ))
+          [ ("nan", "nan"); ("infinity", "inf") ])
+      [ ("scenario-a", "c1"); ("scenario-b", "cx"); ("two-bottleneck", "c") ]
+  @ [
+      ( "two-bottleneck",
+        [ "delay2=nan" ],
+        "Pipe.create: delay must be finite and >= 0 (got nan)" );
+    ]
+  (* The sampler re-arms itself every [sample_period]: zero would spin
+     the clock in place, NaN and infinity would stop the trace. *)
+  @ List.map
+      (fun (v, shown) ->
+        ( "two-bottleneck",
+          [ "sample_period=" ^ v ],
+          "Two_bottleneck.run: sample_period must be finite and > 0 (got "
+          ^ shown ^ ")" ))
+      [ ("0", "0"); ("-1", "-1"); ("nan", "nan"); ("infinity", "inf") ]
 
 let suite =
   suite

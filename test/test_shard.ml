@@ -172,7 +172,7 @@ let channel_rig ?(burst = 3) () =
   in
   let route = [| Queue.hop q; Shard.egress ch; sink |] in
   ignore
-    (Sim.schedule_at s0 0.5 (fun () ->
+    (Sim.schedule_at ~src:"test" s0 0.5 (fun () ->
          for i = 0 to burst - 1 do
            Packet.forward
              (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0.5 ~route)

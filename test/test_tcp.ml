@@ -5,8 +5,8 @@ open Mptcp_repro.Cc
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))
@@ -100,7 +100,7 @@ let test_two_flows_share_fairly () =
   let a = mk 0. 0 and b = mk 0.3 1 in
   (* skip startup transients *)
   let snap_a = ref 0 and snap_b = ref 0 in
-  Sim.schedule_at rig.sim 30. (fun () ->
+  Sim.schedule_at ~src:"test" rig.sim 30. (fun () ->
       snap_a := Tcp.total_acked a;
       snap_b := Tcp.total_acked b);
   Sim.run_until rig.sim 120.;
@@ -251,7 +251,8 @@ let test_utilization_under_full_load () =
         Tcp.create ~sim:rig.sim ~cc:(Reno.create ()) ~paths:[| rig.path |]
           ~start:(float_of_int i *. 0.2) ~flow_id:i ())
   in
-  Sim.schedule_at rig.sim 20. (fun () -> Queue.reset_stats rig.queue);
+  Sim.schedule_at ~src:"test" rig.sim 20. (fun () ->
+      Queue.reset_stats rig.queue);
   Sim.run_until rig.sim 80.;
   let util = Queue.utilization rig.queue ~since:20. ~now:80. in
   Alcotest.(check bool)
@@ -270,7 +271,7 @@ let test_goodput_matches_loss_throughput_formula () =
           ~start:(float_of_int i *. 0.2) ~flow_id:i ())
   in
   let snaps = Array.make 10 0 in
-  Sim.schedule_at rig.sim 30. (fun () ->
+  Sim.schedule_at ~src:"test" rig.sim 30. (fun () ->
       Queue.reset_stats rig.queue;
       List.iteri (fun i c -> snaps.(i) <- Tcp.total_acked c) conns);
   Sim.run_until rig.sim 120.;

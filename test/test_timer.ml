@@ -1,13 +1,13 @@
 (* The Timer.t half of the scheduler API: cancellation, rescheduling,
-   periodic timers, and the hierarchical timing wheel behind them. The
-   centrepiece is a model-based property checking the wheel dispatches
-   exactly like a reference (time, seq) heap over random workloads of
-   schedule/cancel/reschedule — the wheel is an optimization, never a
-   semantic change. The last tests pin the performance contract: the
-   steady-state packet path and the random draws allocate nothing on
-   the minor heap, and a real TCP connection, lossless or lossy,
-   allocates nothing per ACK but the floats its congestion controller
-   returns. *)
+   self re-arming periodic work, and the hierarchical timing wheel
+   behind them. The centrepiece is a model-based property checking the
+   wheel dispatches exactly like a reference (time, seq) heap over
+   random workloads of schedule/cancel/reschedule — the wheel is an
+   optimization, never a semantic change. The last tests pin the
+   performance contract: the steady-state packet path and the random
+   draws allocate nothing on the minor heap, and a real TCP connection,
+   lossless or lossy, allocates nothing per ACK but the floats its
+   congestion controller returns. *)
 
 open Mptcp_repro.Netsim
 
@@ -202,63 +202,30 @@ let test_non_finite_rejected () =
               : Sim.Timer.t)))
     [ nan; infinity; neg_infinity ]
 
-(* --- every ------------------------------------------------------------- *)
+(* --- periodic work ------------------------------------------------------ *)
 
-let test_every_fires_periodically () =
+(* Every timer fires once; a periodic source re-arms itself as the last
+   statement of its callback. The re-arm then takes its tie-break
+   sequence number after everything the callback armed, so an event the
+   callback arms for the next tick's instant runs before that tick. *)
+let test_rearm_ticks_each_period () =
   let sim = Sim.create () in
-  let times = ref [] in
-  let t =
-    Sim.every ~src:"test.every" sim 0.5 (fun () ->
-        times := Sim.now sim :: !times)
+  let log = ref [] in
+  let note what = log := Printf.sprintf "%s %g" what (Sim.now sim) :: !log in
+  let rec tick () =
+    note "tick";
+    ignore
+      (Sim.schedule_after ~src:"test.echo" sim 0.5 (fun () -> note "echo")
+        : Sim.Timer.t);
+    if Sim.now sim < 1.5 then
+      ignore (Sim.schedule_after ~src:"test.tick" sim 0.5 tick : Sim.Timer.t)
   in
-  Sim.run_until sim 2.25;
-  Sim.Timer.cancel sim t;
+  ignore (Sim.schedule_after ~src:"test.tick" sim 0.5 tick : Sim.Timer.t);
   Sim.run sim;
-  Alcotest.(check (list (float 1e-9)))
-    "first fire at now + period, then every period" [ 0.5; 1.; 1.5; 2. ]
-    (List.rev !times)
-
-let test_every_explicit_start () =
-  let sim = Sim.create () in
-  let times = ref [] in
-  let t =
-    Sim.every ~src:"test.every" ~start:0. sim 1. (fun () ->
-        times := Sim.now sim :: !times)
-  in
-  Sim.run_until sim 2.5;
-  Sim.Timer.cancel sim t;
-  Alcotest.(check (list (float 1e-9))) "starts where told" [ 0.; 1.; 2. ]
-    (List.rev !times)
-
-let test_every_self_cancel () =
-  let sim = Sim.create () in
-  let n = ref 0 in
-  let t = ref Sim.Timer.none in
-  t :=
-    Sim.every ~src:"test.every" sim 1. (fun () ->
-        incr n;
-        if !n = 3 then Sim.Timer.cancel sim !t);
-  Sim.run sim;
-  Alcotest.(check int) "stops itself after three ticks" 3 !n;
-  Alcotest.(check bool) "handle is dead" false (Sim.Timer.active sim !t)
-
-let test_every_not_reschedulable () =
-  let sim = Sim.create () in
-  let t = Sim.every ~src:"test.every" sim 1. (fun () -> ()) in
-  Alcotest.check_raises "periodic reschedule"
-    (Invalid_argument "Sim.Timer.reschedule: timer is periodic") (fun () ->
-      Sim.Timer.reschedule sim t 5.);
-  Sim.Timer.cancel sim t
-
-let test_every_rejects_bad_period () =
-  let sim = Sim.create () in
-  List.iter
-    (fun bad ->
-      Alcotest.check_raises "bad period"
-        (Invalid_argument "Sim.every: period must be finite and positive")
-        (fun () ->
-          ignore (Sim.every ~src:"test" sim bad (fun () -> ()) : Sim.Timer.t)))
-    [ 0.; -1.; nan; infinity ]
+  Alcotest.(check (list string))
+    "first tick at now + period, each echo before the tick it ties"
+    [ "tick 0.5"; "echo 1"; "tick 1"; "echo 1.5"; "tick 1.5"; "echo 2" ]
+    (List.rev !log)
 
 (* --- overflow spill ---------------------------------------------------- *)
 
@@ -350,21 +317,22 @@ let test_steady_state_zero_alloc () =
          ~route:rev_route ~sent_at:(Sim.now sim))
   in
   let fwd_route = [| Queue.hop q; Pipe.hop fwd_pipe; responder |] in
-  let sent = ref 0 in
-  let tick () =
+  let sent = ref 0 and src = ref Sim.Timer.none in
+  let rec tick () =
     Packet.forward
       (Packet.data ~flow:0 ~subflow:0 ~seq:!sent ~sent_at:(Sim.now sim)
          ~route:fwd_route);
-    incr sent
+    incr sent;
+    src := Sim.schedule_after ~src:"test.source" sim 0.002 tick
   in
-  let src = Sim.every ~src:"test.source" ~start:0. sim 0.002 tick in
+  src := Sim.schedule_at ~src:"test.source" sim 0. tick;
   (* warm-up: grow pools, the queue ring and the wheel's cell arrays *)
   Sim.run_until sim 1.;
   let before = !acked in
   let w0 = Gc.minor_words () in
   Sim.run_until sim 11.;
   let w1 = Gc.minor_words () in
-  Sim.Timer.cancel sim src;
+  Sim.Timer.cancel sim !src;
   Sim.run sim;
   let packets = !acked - before in
   Alcotest.(check bool) "traffic flowed" true (packets > 4000);
@@ -439,20 +407,21 @@ let test_duplex_one_event_per_hop () =
     Array.concat
       (List.map D.fwd_hops (Array.to_list links) @ [ [| responder |] ])
   in
-  let sent = ref 0 in
-  let tick () =
+  let sent = ref 0 and src = ref Sim.Timer.none in
+  let rec tick () =
     Packet.forward
       (Packet.data ~flow:0 ~subflow:0 ~seq:!sent ~sent_at:(Sim.now sim)
          ~route:fwd_route);
-    incr sent
+    incr sent;
+    src := Sim.schedule_after ~src:"test.source" sim 0.002 tick
   in
-  let src = Sim.every ~src:"test.source" ~start:0. sim 0.002 tick in
+  src := Sim.schedule_at ~src:"test.source" sim 0. tick;
   Sim.run_until sim 1.;
   let before = !acked in
   let w0 = Gc.minor_words () in
   Sim.run_until sim 11.;
   let w1 = Gc.minor_words () in
-  Sim.Timer.cancel sim src;
+  Sim.Timer.cancel sim !src;
   Sim.run sim;
   let packets = !acked - before in
   Alcotest.(check bool) "traffic flowed" true (packets > 4000);
@@ -732,14 +701,8 @@ let suite =
       test_reschedule_stale_rejected;
     Alcotest.test_case "non-finite times rejected" `Quick
       test_non_finite_rejected;
-    Alcotest.test_case "every: fires each period" `Quick
-      test_every_fires_periodically;
-    Alcotest.test_case "every: explicit start" `Quick test_every_explicit_start;
-    Alcotest.test_case "every: self-cancel" `Quick test_every_self_cancel;
-    Alcotest.test_case "every: not reschedulable" `Quick
-      test_every_not_reschedulable;
-    Alcotest.test_case "every: rejects bad periods" `Quick
-      test_every_rejects_bad_period;
+    Alcotest.test_case "re-arm: ticks each period" `Quick
+      test_rearm_ticks_each_period;
     Alcotest.test_case "overflow spill ordering" `Quick
       test_overflow_spill_ordering;
     Alcotest.test_case "overflow spill cancel" `Quick test_overflow_spill_cancel;

@@ -5,8 +5,8 @@ open Mptcp_repro.Topology
 module Sim = struct
   include Sim
 
-  let schedule_at ?src sim t f = ignore (Sim.schedule_at ?src sim t f : Sim.Timer.t)
-  let schedule_after ?src sim d f = ignore (Sim.schedule_after ?src sim d f : Sim.Timer.t)
+  let schedule_at ~src sim t f = ignore (Sim.schedule_at ~src sim t f : Sim.Timer.t)
+  let schedule_after ~src sim d f = ignore (Sim.schedule_after ~src sim d f : Sim.Timer.t)
 end
 
 let check_close eps = Alcotest.(check (float eps))
@@ -34,7 +34,7 @@ let test_duplex_directions_independent () =
   let rev_sink (_ : Packet.t) = rev_arr := Sim.now sim in
   let fwd_route = Array.append (Duplex.fwd_hops link) [| fwd_sink |] in
   let rev_route = Array.append (Duplex.rev_hops link) [| rev_sink |] in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       Packet.forward
         (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0. ~route:fwd_route);
       Packet.forward
@@ -153,7 +153,7 @@ let test_fattree_oversubscription_slows_uplinks () =
     Array.append path.Mptcp_repro.Netsim.Tcp.fwd
       [| (fun _ -> last_arrival := Sim.now sim) |]
   in
-  Sim.schedule_at sim 0. (fun () ->
+  Sim.schedule_at ~src:"test" sim 0. (fun () ->
       for i = 0 to 9 do
         Packet.forward
           (Packet.data ~flow:0 ~subflow:0 ~seq:i ~sent_at:0. ~route)
