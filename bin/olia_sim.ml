@@ -60,13 +60,31 @@ let run_list () =
       Printf.printf "%s\n  %s\n" Sc.spec.E.Spec.name Sc.spec.E.Spec.doc;
       List.iter
         (fun p ->
-          Printf.printf "    %-16s %-7s default %-8s %s\n" p.E.Spec.key
-            (E.Spec.type_name p.E.Spec.default)
+          Printf.printf "    %-16s default %-8s %s (domain %s)\n" p.E.Spec.key
             (E.Spec.value_to_string p.E.Spec.default)
-            p.E.Spec.doc)
+            p.E.Spec.doc p.E.Spec.domain)
         Sc.spec.E.Spec.params;
       print_newline ())
     S.Registry.names
+
+(* A key bound twice on the command line would shadow one of its values
+   without a word, so it is refused where the strings become bindings;
+   [bound] pairs each key with the flag that bound it. *)
+let refuse_repeats cmd bound =
+  ignore
+    (List.fold_left
+       (fun seen (key, flag) ->
+         Option.iter
+           (fun first ->
+             invalid_arg
+               (Printf.sprintf "%s: %s is bound twice (%s, then %s)" cmd key
+                  first flag))
+           (List.assoc_opt key seen);
+         (key, flag) :: seen)
+       [] bound
+      : (string * string) list)
+
+let by flag l = List.map (fun (key, _) -> (key, flag)) l
 
 let list_cmd =
   let doc = "List every registered scenario and its parameters." in
@@ -176,6 +194,7 @@ let run_generic name params out trace trace_ring report format profile =
   try
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
     let bindings = List.map (E.Spec.parse_assign Sc.spec) params in
+    refuse_repeats "run" (by "-p" bindings);
     if profile then begin
       Obs.Profile.reset ();
       Obs.Profile.set_enabled true
@@ -305,11 +324,12 @@ let run_sweep name axes params seeds domains out agg_out =
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
     let fixed = List.map (E.Spec.parse_assign Sc.spec) params in
     let axes = List.map (E.Sweep.axis_of_assign Sc.spec) axes in
-    let axes =
-      if seeds > 1 && not (List.exists (fun a -> a.E.Sweep.key = "seed") axes)
-      then axes @ [ E.Sweep.seed_axis seeds ]
-      else axes
-    in
+    let axis flag a = (a.E.Sweep.key, flag) in
+    let seed_axis = if seeds > 1 then [ E.Sweep.seed_axis seeds ] else [] in
+    refuse_repeats "sweep"
+      (by "-p" fixed @ List.map (axis "-x") axes
+      @ List.map (axis "--seeds") seed_axis);
+    let axes = axes @ seed_axis in
     if axes = [] then invalid_arg "sweep: give at least one -x axis";
     let pts = E.Sweep.points Sc.spec ~fixed axes in
     let requested =
@@ -457,6 +477,8 @@ let run_shard_invariance name params shards min_speedup traced trace_ring
     let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
     let bindings = List.map (E.Spec.parse_assign Sc.spec) params in
     require_shards "shard-invariance" name (module Sc);
+    refuse_repeats "shard-invariance"
+      (by "-p" bindings @ [ ("shards", "--shards") ]);
     let at s = ("shards", E.Spec.Int s) :: bindings in
     if shards < 2 then
       invalid_arg "shard-invariance: --shards must be >= 2 (it is compared \

@@ -43,9 +43,13 @@ let reno_droptail () =
   in
   Sim.run_until sim 60.
 
-(* A short OLIA transfer over two asymmetric paths: exercises coupled
-   window increases and the per-subflow event attribution. *)
-let olia_two_path () =
+(* A short transfer over two asymmetric paths under [cc]: exercises
+   coupled window increases and the per-subflow event attribution. Run
+   with OLIA and with its fixed-point kernel twin, it pins the integer
+   CC's event stream byte-for-byte too, so every cwnd move the scaled
+   arithmetic produces is deterministic across runs (and trivially
+   across shard counts — the trace is a single-wheel run). *)
+let two_path cc () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:11 in
   let q0 = mk_queue ~sim ~rng ~rate_bps:2e6 ~buffer_pkts:10 "gold-p0" in
@@ -60,8 +64,7 @@ let olia_two_path () =
     |]
   in
   let _conn =
-    Tcp.create ~sim ~cc:(Repro_cc.Olia.create ()) ~paths ~size_pkts:120
-      ~flow_id:0 ()
+    Tcp.create ~sim ~cc:(cc ()) ~paths ~size_pkts:120 ~flow_id:0 ()
   in
   Sim.run_until sim 60.
 
@@ -92,30 +95,6 @@ let fault_flap () =
   in
   Fault.schedule_flap gate ~down_at:2. ~up_at:4.;
   Sim.run_until sim 120.
-
-(* The same two-path transfer on the fixed-point kernel twin: pins the
-   integer CC's event stream byte-for-byte, so every cwnd move the
-   scaled arithmetic produces is deterministic across runs (and trivially
-   across shard counts — the trace is a single-wheel run). *)
-let olia_fp_two_path () =
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed:11 in
-  let q0 = mk_queue ~sim ~rng ~rate_bps:2e6 ~buffer_pkts:10 "gold-p0" in
-  let q1 = mk_queue ~sim ~rng ~rate_bps:1e6 ~buffer_pkts:6 "gold-p1" in
-  let pipe delay = Pipe.create ~sim ~delay in
-  let fwd0 = pipe one_way and rev0 = pipe one_way in
-  let fwd1 = pipe 0.035 and rev1 = pipe 0.035 in
-  let paths =
-    [|
-      { Tcp.fwd = [| Queue.hop q0; Pipe.hop fwd0 |]; rev = [| Pipe.hop rev0 |] };
-      { Tcp.fwd = [| Queue.hop q1; Pipe.hop fwd1 |]; rev = [| Pipe.hop rev1 |] };
-    |]
-  in
-  let _conn =
-    Tcp.create ~sim ~cc:(Repro_cc.Olia_fp.create ()) ~paths ~size_pkts:120
-      ~flow_id:0 ()
-  in
-  Sim.run_until sim 60.
 
 (* --- reports ------------------------------------------------------------ *)
 
@@ -324,8 +303,8 @@ let goldens =
   let report config = Json ((fun () -> report_of config), compare_json) in
   [
     ("reno-droptail", Trace reno_droptail);
-    ("olia-two-path", Trace olia_two_path);
-    ("olia-fp-two-path", Trace olia_fp_two_path);
+    ("olia-two-path", Trace (two_path Repro_cc.Olia.create));
+    ("olia-fp-two-path", Trace (two_path Repro_cc.Olia_fp.create));
     ("fault-flap", Trace fault_flap);
     ("report-scen-b", report report_scen_b_config);
     ("report-scen-b-olia-fp", report { report_scen_b_config with algo = "olia-fp" });

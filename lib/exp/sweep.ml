@@ -32,7 +32,7 @@ let range ~like ~key lo hi step =
   | _ -> fail "ranges apply to int/float parameters only"
 
 let axis spec ~key vspec =
-  let p = Spec.param spec key in
+  let p = Spec.find spec key in
   let numeric =
     match p.Spec.default with
     | Spec.Int _ | Spec.Float _ -> true
@@ -73,7 +73,7 @@ let points spec ?(fixed = []) axes =
   Spec.validate spec fixed;
   List.iter
     (fun ax ->
-      ignore (Spec.param spec ax.key);
+      ignore (Spec.find spec ax.key);
       Spec.validate spec (List.map (fun v -> (ax.key, v)) ax.values))
     axes;
   let rec cross = function

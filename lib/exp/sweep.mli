@@ -28,8 +28,10 @@ val seed_axis : int -> axis
 
 val points : Spec.t -> ?fixed:Spec.bindings -> axis list -> Spec.bindings list
 (** The cross-product in row-major order (the last axis varies fastest),
-    each point extended with the [fixed] overrides. Axis keys and fixed
-    bindings are validated against the spec. *)
+    each point extended with the [fixed] overrides. Each axis value and
+    fixed binding is checked on its own for its key, type and domain
+    ({!Spec.validate}); the cross-parameter rules are checked when a
+    point runs. *)
 
 type point = { bindings : Spec.bindings; outcome : Outcome.t }
 

@@ -14,14 +14,12 @@ let mbps_of_pps pps = pps *. 1500. *. 8. /. 1e6
 
 (* An event loop run to a non-finite time never returns: its flows
    keep it busy forever. *)
-let check_window ~who ~warmup ~duration =
+let measure_conns ~sim ~warmup ~duration conns =
   if not (Float.is_finite duration) then
     invalid_arg
-      (Printf.sprintf "%s: duration must be finite (got %g)" who duration);
-  if warmup >= duration then invalid_arg (who ^ ": warmup >= duration")
-
-let measure_conns ~sim ~warmup ~duration conns =
-  check_window ~who:"measure_conns" ~warmup ~duration;
+      (Printf.sprintf "measure_conns: duration must be finite (got %g)"
+         duration);
+  if warmup >= duration then invalid_arg "measure_conns: warmup >= duration";
   let conns_a = Array.of_list conns in
   let totals = Array.make (Array.length conns_a) 0 in
   let per_sf =

@@ -17,11 +17,6 @@ type measured = {
           connection's paths *)
 }
 
-val check_window : who:string -> warmup:float -> duration:float -> unit
-(** Raises [Invalid_argument] (prefixed by [who]) on a non-finite
-    [duration], which no event loop reaches, and on
-    [warmup >= duration]. Scenarios call it before building anything. *)
-
 val measure_conns :
   sim:Repro_netsim.Sim.t ->
   warmup:float ->
@@ -30,7 +25,9 @@ val measure_conns :
   measured list
 (** Run the simulation to [duration], snapshotting each connection's
     delivered packets at [warmup]; goodputs cover
-    [\[warmup, duration\]]. Checks the window with {!check_window}. *)
+    [\[warmup, duration\]]. Raises [Invalid_argument] on a non-finite
+    [duration], which no event loop reaches, and on
+    [warmup >= duration]. *)
 
 val mbps_of_pps : float -> float
 (** 1500-byte packets per second → Mbit/s. *)

@@ -33,6 +33,4 @@ val run : config -> Repro_exp.Outcome.t
     Array: [completion_times_ms], the completion time of every short
     flow started after the warm-up that finished.
 
-    Raises [Invalid_argument] before building anything on a window
-    {!Common.check_window} rejects, on a [mean_interval] that is not
-    finite and positive, and on [subflows < 1]. *)
+    The registry checks its inputs; called directly, it trusts them. *)

@@ -62,12 +62,6 @@ let percentile sorted p =
   else sorted.(Stdlib.min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let run cfg =
-  if cfg.flows_per_host < 1 then
-    invalid_arg "Fattree_sharded.run: flows_per_host must be >= 1";
-  if cfg.subflows < 1 then
-    invalid_arg "Fattree_sharded.run: subflows must be >= 1";
-  Common.check_window ~who:"Fattree_sharded.run" ~warmup:cfg.warmup
-    ~duration:cfg.duration;
   let meter = Repro_obs.Meter.start () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.rate_mbps *. 1e6 in

@@ -28,5 +28,4 @@ val run : config -> Repro_exp.Outcome.t
     (per-flow goodput, flow order) and [ranked_pct] (per-flow goodput
     as % of the host rate, ascending — Fig. 13(b)).
 
-    Raises [Invalid_argument] before building the tree on what
-    {!Fattree_sharded.run} rejects. *)
+    The registry checks its inputs; called directly, it trusts them. *)

@@ -2,400 +2,306 @@ module Spec = Repro_exp.Spec
 
 module type SCENARIO = Repro_exp.Scenario_intf.S
 
-(* Parameters shared by most testbed configs. *)
-let algo_param default =
-  Spec.string "algo" default
-    "congestion control: reno, lia, olia, balia, cubic, scalable, wvegas or \
-     coupled:<eps>"
+(* One entry: the spec and the decoder come from the same term, and
+   [run] checks every binding and the scenario's cross-parameter rules
+   before [body] builds anything. Only the spec stays live between runs:
+   each run builds the term's decoder afresh, so its closures do not sit
+   on the heap of every program that links the registry. *)
+let scenario ~name ~doc ~rules term body =
+  let spec = Spec.make ~name ~doc (term ()) in
+  ( name,
+    (module struct
+      let spec = spec
+      let run b = body (Spec.decode spec (term ()) ~rules b)
+    end : SCENARIO) )
 
-let seed_param = Spec.int "seed" 1 "PRNG seed (deterministic given the seed)"
-let duration_param d = Spec.float "duration" d "simulated duration, seconds"
+(* Domains and parameters shared by most scenarios. *)
+let nat = Spec.int_at_least 0
+let pos_int = Spec.int_at_least 1
+let nonneg = Spec.at_least 0.
 
-let warmup_param w =
-  Spec.float "warmup" w "warm-up excluded from the measurements, seconds"
+let cc_name =
+  Spec.names (String.concat "|" Repro_cc.Registry.names) (fun name ->
+      match Repro_cc.Registry.create name with
+      | _ -> true
+      | exception Invalid_argument _ -> false)
 
-module Scenario_a : SCENARIO = struct
-  let d = Scen_a.default
+let algo d = Spec.param cc_name "algo" d "congestion control algorithm"
+let seed s = Spec.param nat "seed" s "PRNG seed (deterministic given the seed)"
 
-  let spec =
-    {
-      Spec.name = "scenario-a";
-      doc =
-        "N1 MPTCP streaming clients with a private path and a subflow \
-         through a shared AP used by N2 regular-TCP clients (paper Fig. 2)";
-      params =
-        [
-          Spec.int "n1" d.Scen_a.n1 "number of multipath (type-1) users";
-          Spec.int "n2" d.Scen_a.n2 "number of single-path (type-2) users";
-          Spec.float "c1" d.Scen_a.c1_mbps
-            "per-user capacity at the server bottleneck, Mb/s";
-          Spec.float "c2" d.Scen_a.c2_mbps
-            "per-user capacity at the shared AP, Mb/s";
-          algo_param d.Scen_a.algo;
-          duration_param d.Scen_a.duration;
-          warmup_param d.Scen_a.warmup;
-          seed_param;
-        ];
-    }
+let duration d =
+  Spec.param Spec.positive "duration" d "simulated duration, seconds"
 
-  let run b =
+let warmup w =
+  Spec.param nonneg "warmup" w "warm-up excluded from the measurements, seconds"
+
+let window w d = Spec.below ("warmup", w) ("duration", d)
+
+let scenario_a =
+  let d = Scen_a.default in
+  scenario ~name:"scenario-a"
+    ~doc:
+      "N1 MPTCP streaming clients with a private path and a subflow through \
+       a shared AP used by N2 regular-TCP clients (paper Fig. 2)"
+    ~rules:[ (fun c -> window c.Scen_a.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ n1 = param pos_int "n1" d.n1 "number of multipath (type-1) users"
+        and+ n2 = param pos_int "n2" d.n2 "number of single-path (type-2) users"
+        and+ c1_mbps =
+          param positive "c1" d.c1_mbps
+            "per-user capacity at the server bottleneck, Mb/s"
+        and+ c2_mbps =
+          param positive "c2" d.c2_mbps
+            "per-user capacity at the shared AP, Mb/s"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Scen_a.n1; n2; c1_mbps; c2_mbps; algo; duration; warmup; seed }))
     Scen_a.run
-      {
-        Scen_a.n1 = Spec.get_int spec b "n1";
-        n2 = Spec.get_int spec b "n2";
-        c1_mbps = Spec.get_float spec b "c1";
-        c2_mbps = Spec.get_float spec b "c2";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Scenario_b : SCENARIO = struct
-  let d = Scen_b.default
-
-  let spec =
-    {
-      Spec.name = "scenario-b";
-      doc =
-        "the four-ISP multihoming story: Blue users are multihomed, Red \
-         users may upgrade to MPTCP (paper Tables I-II)";
-      params =
-        [
-          Spec.int "n" d.Scen_b.n "users per class";
-          Spec.float "cx" d.Scen_b.cx_mbps "total capacity of ISP X, Mb/s";
-          Spec.float "ct" d.Scen_b.ct_mbps "total capacity of ISP T, Mb/s";
-          Spec.bool "red_multipath" d.Scen_b.red_multipath
-            "have Red users upgraded to MPTCP?";
-          algo_param d.Scen_b.algo;
-          duration_param d.Scen_b.duration;
-          warmup_param d.Scen_b.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
+let scenario_b =
+  let d = Scen_b.default in
+  scenario ~name:"scenario-b"
+    ~doc:
+      "the four-ISP multihoming story: Blue users are multihomed, Red users \
+       may upgrade to MPTCP (paper Tables I-II)"
+    ~rules:[ (fun c -> window c.Scen_b.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ n = param pos_int "n" d.n "users per class"
+        and+ cx_mbps =
+          param positive "cx" d.cx_mbps "total capacity of ISP X, Mb/s"
+        and+ ct_mbps =
+          param positive "ct" d.ct_mbps "total capacity of ISP T, Mb/s"
+        and+ red_multipath =
+          param bool "red_multipath" d.red_multipath
+            "have Red users upgraded to MPTCP?"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Scen_b.n; cx_mbps; ct_mbps; red_multipath; algo; duration; warmup;
+          seed }))
     Scen_b.run
-      {
-        Scen_b.n = Spec.get_int spec b "n";
-        cx_mbps = Spec.get_float spec b "cx";
-        ct_mbps = Spec.get_float spec b "ct";
-        red_multipath = Spec.get_bool spec b "red_multipath";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Scenario_c : SCENARIO = struct
-  let d = Scen_c.default
-
-  let spec =
-    {
-      Spec.name = "scenario-c";
-      doc =
-        "N1 multipath users on a private AP1 plus a shared AP2 that N2 \
-         single-path TCP users depend on (paper Fig. 5)";
-      params =
-        [
-          Spec.int "n1" d.Scen_c.n1 "number of multipath users";
-          Spec.int "n2" d.Scen_c.n2 "number of single-path users";
-          Spec.float "c1" d.Scen_c.c1_mbps "per-user capacity at AP1, Mb/s";
-          Spec.float "c2" d.Scen_c.c2_mbps "per-user capacity at AP2, Mb/s";
-          algo_param d.Scen_c.algo;
-          Spec.float "background" d.Scen_c.background_mbps
-            "CBR background traffic through AP2, Mb/s (0 = none)";
-          Spec.bool "path_manager" d.Scen_c.with_path_manager
-            "attach the bad-path-discarding manager to multipath users";
-          duration_param d.Scen_c.duration;
-          warmup_param d.Scen_c.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
+let scenario_c =
+  let d = Scen_c.default in
+  scenario ~name:"scenario-c"
+    ~doc:
+      "N1 multipath users on a private AP1 plus a shared AP2 that N2 \
+       single-path TCP users depend on (paper Fig. 5)"
+    ~rules:[ (fun c -> window c.Scen_c.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ n1 = param pos_int "n1" d.n1 "number of multipath users"
+        and+ n2 = param pos_int "n2" d.n2 "number of single-path users"
+        and+ c1_mbps =
+          param positive "c1" d.c1_mbps "per-user capacity at AP1, Mb/s"
+        and+ c2_mbps =
+          param positive "c2" d.c2_mbps "per-user capacity at AP2, Mb/s"
+        and+ algo = algo d.algo
+        and+ background_mbps =
+          param nonneg "background" d.background_mbps
+            "CBR background traffic through AP2, Mb/s (0 = none)"
+        and+ with_path_manager =
+          param bool "path_manager" d.with_path_manager
+            "attach the bad-path-discarding manager to multipath users"
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Scen_c.n1; n2; c1_mbps; c2_mbps; algo; duration; warmup; seed;
+          background_mbps; with_path_manager }))
     Scen_c.run
-      {
-        Scen_c.n1 = Spec.get_int spec b "n1";
-        n2 = Spec.get_int spec b "n2";
-        c1_mbps = Spec.get_float spec b "c1";
-        c2_mbps = Spec.get_float spec b "c2";
-        algo = Spec.get_string spec b "algo";
-        background_mbps = Spec.get_float spec b "background";
-        with_path_manager = Spec.get_bool spec b "path_manager";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Two_bottleneck_s : SCENARIO = struct
-  let d = Two_bottleneck.symmetric
-
-  let spec =
-    {
-      Spec.name = "two-bottleneck";
-      doc =
-        "one two-path MPTCP user over two separate bottlenecks shared with \
-         regular TCP flows; window/alpha traces (paper Figs. 7-8)";
-      params =
-        [
-          Spec.int "n_tcp1" d.Two_bottleneck.n_tcp1
-            "TCP flows sharing bottleneck 1";
-          Spec.int "n_tcp2" d.Two_bottleneck.n_tcp2
-            "TCP flows sharing bottleneck 2";
-          Spec.float "c" d.Two_bottleneck.c_mbps
-            "capacity of each bottleneck, Mb/s";
-          Spec.float "delay1" d.Two_bottleneck.delay1_ms
-            "one-way propagation of path 1, ms";
-          Spec.float "delay2" d.Two_bottleneck.delay2_ms
-            "one-way propagation of path 2, ms";
-          algo_param d.Two_bottleneck.algo;
-          duration_param d.Two_bottleneck.duration;
-          Spec.float "sample_period" d.Two_bottleneck.sample_period
-            "window/alpha sampling interval, seconds";
-          seed_param;
-        ];
-    }
-
-  let run b =
+let two_bottleneck =
+  let d = Two_bottleneck.symmetric in
+  scenario ~name:"two-bottleneck"
+    ~doc:
+      "one two-path MPTCP user over two separate bottlenecks shared with \
+       regular TCP flows; window/alpha traces (paper Figs. 7-8)"
+    ~rules:[]
+    (fun () ->
+      Spec.(
+        let+ n_tcp1 =
+          param nat "n_tcp1" d.n_tcp1 "TCP flows sharing bottleneck 1"
+        and+ n_tcp2 =
+          param nat "n_tcp2" d.n_tcp2 "TCP flows sharing bottleneck 2"
+        and+ c_mbps =
+          param positive "c" d.c_mbps "capacity of each bottleneck, Mb/s"
+        and+ delay1_ms =
+          param nonneg "delay1" d.delay1_ms "one-way propagation of path 1, ms"
+        and+ delay2_ms =
+          param nonneg "delay2" d.delay2_ms "one-way propagation of path 2, ms"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ sample_period =
+          param positive "sample_period" d.sample_period
+            "window/alpha sampling interval, seconds"
+        and+ seed = seed d.seed in
+        { Two_bottleneck.n_tcp1; n_tcp2; c_mbps; delay1_ms; delay2_ms; algo;
+          duration; sample_period; seed }))
     Two_bottleneck.run
-      {
-        Two_bottleneck.n_tcp1 = Spec.get_int spec b "n_tcp1";
-        n_tcp2 = Spec.get_int spec b "n_tcp2";
-        c_mbps = Spec.get_float spec b "c";
-        delay1_ms = Spec.get_float spec b "delay1";
-        delay2_ms = Spec.get_float spec b "delay2";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        sample_period = Spec.get_float spec b "sample_period";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Responsiveness_s : SCENARIO = struct
-  let d = Responsiveness.default
-
-  let spec =
-    {
-      Spec.name = "responsiveness";
-      doc =
-        "shock/relief responsiveness: TCP flows slam into path 2 and later \
-         leave; how fast does the multipath user react? (paper SII claim)";
-      params =
-        [
-          Spec.float "c" d.Responsiveness.c_mbps "link capacity, Mb/s";
-          Spec.int "n_shock" d.Responsiveness.n_shock
-            "TCP flows that slam into path 2";
-          Spec.float "shock_at" d.Responsiveness.shock_at "shock time, seconds";
-          Spec.float "relief_at" d.Responsiveness.relief_at
-            "relief time, seconds";
-          algo_param d.Responsiveness.algo;
-          duration_param d.Responsiveness.duration;
-          seed_param;
-        ];
-    }
-
-  let run b =
+(* The goodput share after the relief is measured up to 0.1 s before the
+   end, so the relief must come before that last probe. *)
+let responsiveness =
+  let d = Responsiveness.default in
+  scenario ~name:"responsiveness"
+    ~doc:
+      "shock/relief responsiveness: TCP flows slam into path 2 and later \
+       leave; how fast does the multipath user react? (paper SII claim)"
+    ~rules:
+      [
+        (fun c ->
+          Spec.below ("shock_at", c.Responsiveness.shock_at)
+            ("relief_at", c.relief_at));
+        (fun c ->
+          Spec.below ("relief_at", c.Responsiveness.relief_at)
+            ("duration - 0.1", c.duration -. 0.1));
+      ]
+    (fun () ->
+      Spec.(
+        let+ c_mbps = param positive "c" d.c_mbps "link capacity, Mb/s"
+        and+ n_shock =
+          param nat "n_shock" d.n_shock "TCP flows that slam into path 2"
+        and+ shock_at =
+          param positive "shock_at" d.shock_at "shock time, seconds"
+        and+ relief_at =
+          param positive "relief_at" d.relief_at "relief time, seconds"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ seed = seed d.seed in
+        { Responsiveness.c_mbps; n_shock; shock_at; relief_at; duration; algo;
+          seed }))
     Responsiveness.run
-      {
-        Responsiveness.c_mbps = Spec.get_float spec b "c";
-        n_shock = Spec.get_int spec b "n_shock";
-        shock_at = Spec.get_float spec b "shock_at";
-        relief_at = Spec.get_float spec b "relief_at";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Wireless_s : SCENARIO = struct
-  let d = Wireless.default
-
-  let spec =
-    {
-      Spec.name = "wireless";
-      doc =
-        "WiFi+cellular bonding with random wireless losses (the paper's \
-         reference [12])";
-      params =
-        [
-          Spec.float "wifi" d.Wireless.wifi_mbps "WiFi path rate, Mb/s";
-          Spec.float "wifi_loss" d.Wireless.wifi_loss
-            "random per-packet loss on the WiFi path";
-          Spec.float "wifi_delay" d.Wireless.wifi_delay_ms
-            "WiFi one-way propagation, ms";
-          Spec.float "cell" d.Wireless.cell_mbps "cellular path rate, Mb/s";
-          Spec.float "cell_delay" d.Wireless.cell_delay_ms
-            "cellular one-way propagation, ms";
-          algo_param d.Wireless.algo;
-          duration_param d.Wireless.duration;
-          warmup_param d.Wireless.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
+let wireless =
+  let d = Wireless.default in
+  scenario ~name:"wireless"
+    ~doc:
+      "WiFi+cellular bonding with random wireless losses (the paper's \
+       reference [12])"
+    ~rules:[ (fun c -> window c.Wireless.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ wifi_mbps =
+          param positive "wifi" d.wifi_mbps "WiFi path rate, Mb/s"
+        and+ wifi_loss =
+          param probability "wifi_loss" d.wifi_loss
+            "random per-packet loss on the WiFi path"
+        and+ wifi_delay_ms =
+          param nonneg "wifi_delay" d.wifi_delay_ms
+            "WiFi one-way propagation, ms"
+        and+ cell_mbps =
+          param positive "cell" d.cell_mbps "cellular path rate, Mb/s"
+        and+ cell_delay_ms =
+          param nonneg "cell_delay" d.cell_delay_ms
+            "cellular one-way propagation, ms"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Wireless.wifi_mbps; wifi_loss; wifi_delay_ms; cell_mbps;
+          cell_delay_ms; algo; duration; warmup; seed }))
     Wireless.run
-      {
-        Wireless.wifi_mbps = Spec.get_float spec b "wifi";
-        wifi_loss = Spec.get_float spec b "wifi_loss";
-        wifi_delay_ms = Spec.get_float spec b "wifi_delay";
-        cell_mbps = Spec.get_float spec b "cell";
-        cell_delay_ms = Spec.get_float spec b "cell_delay";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Fattree_s : SCENARIO = struct
-  let d = Fattree_static.default
+(* FatTree parameters. The per-hop delay is the lookahead of the tree's
+   shard group, which must be positive even on one shard. *)
+let arity d doc = Spec.param Spec.even_int "k" d doc
+let arity_doc = "FatTree arity (k=8 gives 128 hosts)"
+let rate d = Spec.param Spec.positive "rate" d "host link capacity, Mb/s"
+let delay d doc = Spec.param Spec.positive "delay" d doc
+let hop_doc = "per-hop one-way latency, ms"
+let subflows d doc = Spec.param pos_int "subflows" d doc
+let subflows_doc = "MPTCP subflows per connection (1 = plain TCP)"
 
-  let spec =
-    {
-      Spec.name = "fattree";
-      doc =
-        "static FatTree permutation experiment: every host sends one \
-         long-lived flow to a random distinct host (paper Fig. 13)";
-      params =
-        [
-          Spec.int "k" d.Fattree_static.k
-            "FatTree arity (even; k=8 gives 128 hosts)";
-          Spec.float "rate" d.Fattree_static.rate_mbps
-            "host link capacity, Mb/s";
-          Spec.float "delay" d.Fattree_static.delay_ms
-            "per-hop one-way latency, ms";
-          Spec.int "subflows" d.Fattree_static.subflows
-            "MPTCP subflows per connection (1 = plain TCP)";
-          algo_param d.Fattree_static.algo;
-          duration_param d.Fattree_static.duration;
-          warmup_param d.Fattree_static.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
+let fattree =
+  let d = Fattree_static.default in
+  scenario ~name:"fattree"
+    ~doc:
+      "static FatTree permutation experiment: every host sends one \
+       long-lived flow to a random distinct host (paper Fig. 13)"
+    ~rules:[ (fun c -> window c.Fattree_static.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ k = arity d.k arity_doc
+        and+ rate_mbps = rate d.rate_mbps
+        and+ delay_ms = delay d.delay_ms hop_doc
+        and+ subflows = subflows d.subflows subflows_doc
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Fattree_static.k; rate_mbps; delay_ms; subflows; algo; duration;
+          warmup; seed }))
     Fattree_static.run
-      {
-        Fattree_static.k = Spec.get_int spec b "k";
-        rate_mbps = Spec.get_float spec b "rate";
-        delay_ms = Spec.get_float spec b "delay";
-        subflows = Spec.get_int spec b "subflows";
-        algo = Spec.get_string spec b "algo";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Fattree_dynamic_s : SCENARIO = struct
-  let d = Fattree_dynamic.default
-
-  let spec =
-    {
-      Spec.name = "fattree-dynamic";
-      doc =
-        "4:1 oversubscribed FatTree with continuous long flows and 70 kB \
-         short flows (paper Fig. 14, Table III)";
-      params =
-        [
-          Spec.int "k" d.Fattree_dynamic.k "FatTree arity";
-          Spec.float "rate" d.Fattree_dynamic.rate_mbps
-            "host link capacity, Mb/s";
-          Spec.float "delay" d.Fattree_dynamic.delay_ms
-            "per-hop one-way latency, ms";
-          Spec.float "oversubscription" d.Fattree_dynamic.oversubscription
-            "aggregation-to-core oversubscription factor";
-          algo_param d.Fattree_dynamic.algo;
-          Spec.int "subflows" d.Fattree_dynamic.subflows
-            "subflows of the long flows";
-          Spec.float "mean_interval" d.Fattree_dynamic.mean_interval
-            "short-flow inter-arrival mean, seconds";
-          duration_param d.Fattree_dynamic.duration;
-          warmup_param d.Fattree_dynamic.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
+let fattree_dynamic =
+  let d = Fattree_dynamic.default in
+  scenario ~name:"fattree-dynamic"
+    ~doc:
+      "4:1 oversubscribed FatTree with continuous long flows and 70 kB \
+       short flows (paper Fig. 14, Table III)"
+    ~rules:[ (fun c -> window c.Fattree_dynamic.warmup c.duration) ]
+    (fun () ->
+      Spec.(
+        let+ k = arity d.k "FatTree arity"
+        and+ rate_mbps = rate d.rate_mbps
+        and+ delay_ms = delay d.delay_ms hop_doc
+        and+ oversubscription =
+          param (at_least 1.) "oversubscription" d.oversubscription
+            "aggregation-to-core oversubscription factor"
+        and+ algo = algo d.algo
+        and+ subflows = subflows d.subflows "subflows of the long flows"
+        and+ mean_interval =
+          param positive "mean_interval" d.mean_interval
+            "short-flow inter-arrival mean, seconds"
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Fattree_dynamic.k; rate_mbps; delay_ms; oversubscription; algo;
+          subflows; mean_interval; duration; warmup; seed }))
     Fattree_dynamic.run
-      {
-        Fattree_dynamic.k = Spec.get_int spec b "k";
-        rate_mbps = Spec.get_float spec b "rate";
-        delay_ms = Spec.get_float spec b "delay";
-        oversubscription = Spec.get_float spec b "oversubscription";
-        algo = Spec.get_string spec b "algo";
-        subflows = Spec.get_int spec b "subflows";
-        mean_interval = Spec.get_float spec b "mean_interval";
-        duration = Spec.get_float spec b "duration";
-        warmup = Spec.get_float spec b "warmup";
-        seed = Spec.get_int spec b "seed";
-      }
-end
 
-module Fattree_sharded_s : SCENARIO = struct
-  let d = Fattree_sharded.default
+let fattree_sharded =
+  let d = Fattree_sharded.default in
+  let divides c =
+    if c.Fattree_sharded.k mod c.shards = 0 then None
+    else Some (Printf.sprintf "shards = %d must divide k = %d" c.shards c.k)
+  in
+  scenario ~name:"fattree-sharded"
+    ~doc:
+      "production-scale FatTree permutation experiment (k=8: 128 hosts, 1024 \
+       flows), runnable sharded pod-per-domain with conservative lookahead \
+       (-p shards=N)"
+    ~rules:[ (fun c -> window c.Fattree_sharded.warmup c.duration); divides ]
+    (fun () ->
+      Spec.(
+        let+ k = arity d.k arity_doc
+        and+ shards =
+          param pos_int "shards" d.shards
+            "simulation shards (domains); must divide k; 1 = sequential"
+        and+ rate_mbps = rate d.rate_mbps
+        and+ delay_ms =
+          delay d.delay_ms "per-hop one-way latency, ms (the shard lookahead)"
+        and+ subflows = subflows d.subflows subflows_doc
+        and+ flows_per_host =
+          param pos_int "flows_per_host" d.flows_per_host
+            "long-lived permutation flows originating at each host"
+        and+ algo = algo d.algo
+        and+ duration = duration d.duration
+        and+ warmup = warmup d.warmup
+        and+ seed = seed d.seed in
+        { Fattree_sharded.k; shards; rate_mbps; delay_ms; subflows;
+          flows_per_host; algo; duration; warmup; seed }))
+    (fun c -> Fattree_sharded.outcome (Fattree_sharded.run c))
 
-  let spec =
-    {
-      Spec.name = "fattree-sharded";
-      doc =
-        "production-scale FatTree permutation experiment (k=8: 128 hosts, \
-         1024 flows), runnable sharded pod-per-domain with conservative \
-         lookahead (-p shards=N)";
-      params =
-        [
-          Spec.int "k" d.Fattree_sharded.k
-            "FatTree arity (even; k=8 gives 128 hosts)";
-          Spec.int "shards" d.Fattree_sharded.shards
-            "simulation shards (domains); must divide k; 1 = sequential";
-          Spec.float "rate" d.Fattree_sharded.rate_mbps
-            "host link capacity, Mb/s";
-          Spec.float "delay" d.Fattree_sharded.delay_ms
-            "per-hop one-way latency, ms (the shard lookahead)";
-          Spec.int "subflows" d.Fattree_sharded.subflows
-            "MPTCP subflows per connection (1 = plain TCP)";
-          Spec.int "flows_per_host" d.Fattree_sharded.flows_per_host
-            "long-lived permutation flows originating at each host";
-          algo_param d.Fattree_sharded.algo;
-          duration_param d.Fattree_sharded.duration;
-          warmup_param d.Fattree_sharded.warmup;
-          seed_param;
-        ];
-    }
-
-  let run b =
-    Fattree_sharded.outcome
-      (Fattree_sharded.run
-         {
-           Fattree_sharded.k = Spec.get_int spec b "k";
-           shards = Spec.get_int spec b "shards";
-           rate_mbps = Spec.get_float spec b "rate";
-           delay_ms = Spec.get_float spec b "delay";
-           subflows = Spec.get_int spec b "subflows";
-           flows_per_host = Spec.get_int spec b "flows_per_host";
-           algo = Spec.get_string spec b "algo";
-           duration = Spec.get_float spec b "duration";
-           warmup = Spec.get_float spec b "warmup";
-           seed = Spec.get_int spec b "seed";
-         })
-end
-
-let all : (string * (module SCENARIO)) list =
+let all =
   [
-    ("scenario-a", (module Scenario_a));
-    ("scenario-b", (module Scenario_b));
-    ("scenario-c", (module Scenario_c));
-    ("two-bottleneck", (module Two_bottleneck_s));
-    ("responsiveness", (module Responsiveness_s));
-    ("wireless", (module Wireless_s));
-    ("fattree", (module Fattree_s));
-    ("fattree-dynamic", (module Fattree_dynamic_s));
-    ("fattree-sharded", (module Fattree_sharded_s));
+    scenario_a; scenario_b; scenario_c; two_bottleneck; responsiveness;
+    wireless; fattree; fattree_dynamic; fattree_sharded;
   ]
 
 let names = List.map fst all

@@ -22,9 +22,6 @@ let default =
   }
 
 let run cfg =
-  if not (0. < cfg.shock_at && cfg.shock_at < cfg.relief_at
-          && cfg.relief_at < cfg.duration) then
-    invalid_arg "Responsiveness.run: need 0 < shock < relief < duration";
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.c_mbps *. 1e6 in
@@ -64,12 +61,12 @@ let run cfg =
     (Sim.schedule_at ~src:"responsiveness.relief" sim cfg.relief_at (fun () ->
          List.iter (fun c -> Tcp.set_subflow_enabled c 0 false) shock_flows)
       : Sim.Timer.t);
-  (* sample the multipath user's path-2 window share *)
+  (* sample the multipath user's path-2 window share; both windows stay
+     at 1 packet or more *)
   let share_ts = Repro_stats.Timeseries.create () in
   let rec sample () =
     let w1 = Tcp.subflow_cwnd mp 0 and w2 = Tcp.subflow_cwnd mp 1 in
-    Repro_stats.Timeseries.add share_ts ~time:(Sim.now sim)
-      (w2 /. Stdlib.max (w1 +. w2) 1e-9);
+    Repro_stats.Timeseries.add share_ts ~time:(Sim.now sim) (w2 /. (w1 +. w2));
     if Sim.now sim +. 0.2 < cfg.duration then
       ignore
         (Sim.schedule_after ~src:"responsiveness.sample" sim 0.2 sample
@@ -77,16 +74,19 @@ let run cfg =
   in
   ignore
     (Sim.schedule_at ~src:"responsiveness.sample" sim 1. sample : Sim.Timer.t);
-  (* goodput share probes *)
-  let acked2_at = ref [] in
-  List.iter
-    (fun t ->
+  (* goodput share probes: path 2's and the total delivered packets at
+     each probe time, by position *)
+  let probes =
+    [| cfg.shock_at /. 2.; cfg.shock_at; cfg.relief_at; cfg.duration -. 0.1 |]
+  in
+  let acked = Array.make (Array.length probes) (0, 0) in
+  Array.iteri
+    (fun i t ->
       ignore
         (Sim.schedule_at ~src:"responsiveness.probe" sim t (fun () ->
-             acked2_at :=
-               (t, Tcp.subflow_acked mp 1, Tcp.total_acked mp) :: !acked2_at)
+             acked.(i) <- (Tcp.subflow_acked mp 1, Tcp.total_acked mp))
           : Sim.Timer.t))
-    [ cfg.shock_at /. 2.; cfg.shock_at; cfg.relief_at; cfg.duration -. 0.1 ];
+    probes;
   Sim.run_until sim cfg.duration;
   let share_between t0 t1 =
     Repro_stats.Timeseries.mean_over share_ts ~from:t0 ~until:t1
@@ -101,14 +101,10 @@ let run cfg =
             hit := t -. after);
     !hit
   in
-  let goodput_share t0 t1 =
-    let find t =
-      List.find_opt (fun (x, _, _) -> abs_float (x -. t) < 1e-6) !acked2_at
-    in
-    match (find t0, find t1) with
-    | Some (_, a2, tot), Some (_, b2, tot') when tot' > tot ->
-      float_of_int (b2 - a2) /. float_of_int (tot' - tot)
-    | _ -> nan
+  let goodput_share i j =
+    let a2, tot = acked.(i) and b2, tot' = acked.(j) in
+    if tot' > tot then float_of_int (b2 - a2) /. float_of_int (tot' - tot)
+    else nan
   in
   Repro_exp.Outcome.of_metrics
     [
@@ -117,5 +113,5 @@ let run cfg =
         first_crossing ~after:cfg.shock_at ~below:true (pre /. 2.) );
       ( "relief_response_s",
         first_crossing ~after:cfg.relief_at ~below:false (pre /. 2.) );
-      ("post_relief_share", goodput_share cfg.relief_at (cfg.duration -. 0.1));
+      ("post_relief_share", goodput_share 2 3);
     ]

@@ -33,5 +33,4 @@ val run : config -> Repro_exp.Outcome.t
       [obs_subflow_goodput_bps_type1_sf0], [..._type1_sf1] and
       [..._type2_sf0].
 
-    Raises [Invalid_argument] before building anything on a window
-    {!Common.check_window} rejects. *)
+    The registry checks its inputs; called directly, it trusts them. *)

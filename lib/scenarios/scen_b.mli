@@ -28,5 +28,4 @@ val run : config -> Repro_exp.Outcome.t
       [obs_subflow_goodput_bps_blue_sf0], [..._blue_sf1],
       [..._red_sf0] and [..._red_sf1].
 
-    Raises [Invalid_argument] before building anything on a window
-    {!Common.check_window} rejects. *)
+    The registry checks its inputs; called directly, it trusts them. *)

@@ -28,14 +28,6 @@ let default =
   }
 
 let run cfg =
-  Common.check_window ~who:"Scen_c.run" ~warmup:cfg.warmup
-    ~duration:cfg.duration;
-  (* NaN fails the test too *)
-  if not (cfg.background_mbps >= 0. && Float.is_finite cfg.background_mbps)
-  then
-    invalid_arg
-      (Printf.sprintf "Scen_c.run: background must be finite and >= 0 Mb/s \
-                       (got %g)" cfg.background_mbps);
   let meter = Repro_obs.Meter.start () in
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in

@@ -31,6 +31,4 @@ val run : config -> Repro_exp.Outcome.t
       [obs_subflow_goodput_bps_multipath_sf0], [..._multipath_sf1] and
       [..._single_sf0].
 
-    Raises [Invalid_argument] before building anything on a window
-    {!Common.check_window} rejects and on a negative or non-finite
-    [background_mbps]. *)
+    The registry checks its inputs; called directly, it trusts them. *)

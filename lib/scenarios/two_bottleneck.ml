@@ -28,12 +28,6 @@ let symmetric =
 let asymmetric = { symmetric with n_tcp2 = 10 }
 
 let run cfg =
-  (* NaN fails both comparisons *)
-  if not (cfg.sample_period > 0. && cfg.sample_period < infinity) then
-    invalid_arg
-      (Printf.sprintf
-         "Two_bottleneck.run: sample_period must be finite and > 0 (got %g)"
-         cfg.sample_period);
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
   let rate = cfg.c_mbps *. 1e6 in

@@ -29,5 +29,4 @@ val run : config -> Repro_exp.Outcome.t
     which uses the WiFi path alone), [total_mbps], and [wifi_timeouts]
     (retransmission timeouts on the WiFi subflow).
 
-    Raises [Invalid_argument] before building anything on a window
-    {!Common.check_window} rejects. *)
+    The registry checks its inputs; called directly, it trusts them. *)

@@ -70,20 +70,17 @@ let test_points_cross_product () =
   Alcotest.(check int) "2*2*3 points" 12 (List.length pts);
   (* row-major: the last axis (seed) varies fastest *)
   let first = List.hd pts in
-  Alcotest.(check int) "first n2" 10 (E.Spec.get_int scen_a_spec first "n2");
-  Alcotest.(check string)
-    "first algo" "lia"
-    (E.Spec.get_string scen_a_spec first "algo");
-  let seeds_of l = List.map (fun b -> E.Spec.get_int scen_a_spec b "seed") l in
-  Alcotest.(check (list int))
-    "seed varies fastest" [ 1; 2; 3 ]
-    (seeds_of
-       (List.filteri (fun i _ -> i < 3) pts));
+  let get key b = E.Spec.get scen_a_spec b key in
+  Alcotest.check values_testable "first n2, algo"
+    [ E.Spec.Int 10; String "lia" ]
+    [ get "n2" first; get "algo" first ];
+  Alcotest.check values_testable
+    "seed varies fastest" [ E.Spec.Int 1; Int 2; Int 3 ]
+    (List.map (get "seed") (List.filteri (fun i _ -> i < 3) pts));
   List.iter
     (fun b ->
-      Alcotest.(check (float 0.))
-        "fixed duration applies" 5.
-        (E.Spec.get_float scen_a_spec b "duration"))
+      Alcotest.check values_testable "fixed duration applies"
+        [ E.Spec.Float 5. ] [ get "duration" b ])
     pts
 
 let tiny_bindings : (string * E.Spec.bindings) list =
@@ -147,6 +144,9 @@ let test_registry_round_trip () =
     (fun (name, bindings) ->
       let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
       Alcotest.(check string) "spec name matches" name Sc.spec.E.Spec.name;
+      (* every default lies in its parameter's domain *)
+      E.Spec.validate Sc.spec
+        (List.map (fun p -> (p.E.Spec.key, p.E.Spec.default)) Sc.spec.params);
       E.Spec.validate Sc.spec bindings;
       let outcome = Sc.run bindings in
       Alcotest.(check bool)
@@ -215,7 +215,7 @@ let test_aggregate () =
   let by_algo algo =
     List.filter
       (fun p ->
-        E.Spec.get_string scen_a_spec p.E.Sweep.bindings "algo" = algo)
+        E.Spec.get scen_a_spec p.E.Sweep.bindings "algo" = E.Spec.String algo)
       results
   in
   let lia = by_algo "lia" in
@@ -228,7 +228,7 @@ let test_aggregate () =
   let row =
     List.find
       (fun (a : E.Sweep.agg) ->
-        E.Spec.get_string scen_a_spec a.E.Sweep.group "algo" = "lia")
+        E.Spec.get scen_a_spec a.E.Sweep.group "algo" = E.Spec.String "lia")
       agg.E.Sweep.rows
   in
   let mean, _ = List.assoc "norm_type2" row.E.Sweep.stats in
@@ -298,6 +298,196 @@ let test_json_escaping () =
     "non-finite floats become null" "[null,null]"
     (Json.to_string (Json.List [ Json.Float nan; Json.Float infinity ]))
 
+(* --- the declared domains, fuzzed ---------------------------------------- *)
+
+(* Test ranges, each inside its parameter's declared domain and bounded
+   so that a run takes milliseconds: at most 3 users per class, k <= 4,
+   rates <= 10 Mb/s, durations <= 3 s, mean_interval >= 0.05 s. *)
+let in_range key =
+  let open QCheck.Gen in
+  let f lo hi = map (fun x -> E.Spec.Float x) (float_range lo hi) in
+  let i lo hi = map (fun x -> E.Spec.Int x) (int_range lo hi) in
+  match key with
+  | "n" | "n1" | "n2" -> i 1 3
+  | "n_tcp1" | "n_tcp2" | "n_shock" -> i 0 3
+  | "c1" | "c2" -> f 0.5 2.
+  | "cx" | "ct" | "c" | "wifi" | "cell" | "rate" -> f 1. 10.
+  | "delay1" | "delay2" | "wifi_delay" | "cell_delay" -> f 0. 50.
+  | "delay" -> f 0.2 2.
+  | "duration" -> f 0.5 3.
+  | "warmup" -> f 0. 2.
+  | "shock_at" -> f 0.2 1.2
+  | "relief_at" -> f 1. 2.8
+  | "sample_period" -> f 0.05 1.
+  | "background" -> f 0. 2.
+  | "wifi_loss" -> f 0. 0.5
+  | "oversubscription" -> f 1. 4.
+  | "mean_interval" -> f 0.05 0.5
+  | "subflows" -> i 1 4
+  | "flows_per_host" -> i 1 2
+  | "k" -> map (fun k -> E.Spec.Int k) (oneofl [ 2; 4 ])
+  | "shards" -> i 1 3
+  | "algo" ->
+    let name a = if a = "coupled:<eps>" then "coupled:0.5" else a in
+    map (fun a -> E.Spec.String (name a)) (oneofl Mptcp_repro.Cc.Registry.names)
+  | "red_multipath" | "path_manager" -> map (fun b -> E.Spec.Bool b) bool
+  | "seed" -> i 0 1000
+  | key -> failwith ("no test range for " ^ key)
+
+(* The closed lower edge of a declared domain, drawn now and then so that
+   a domain wider than its scenario can run is caught. *)
+let edge domain =
+  match String.split_on_char ' ' domain with
+  | [ "int"; ">="; n ] | [ "even"; "int"; ">="; n ] ->
+    Some (E.Spec.Int (int_of_string n))
+  | [ "finite"; ">="; x ] -> Some (E.Spec.Float (float_of_string x))
+  | [ "[0,"; "1)" ] -> Some (E.Spec.Float 0.)
+  | _ -> None
+
+(* Values outside each declared domain. *)
+let outside domain =
+  let open E.Spec in
+  match domain with
+  | "int >= 0" -> [ Int (-1) ]
+  | "int >= 1" -> [ Int 0; Int (-2) ]
+  | "even int >= 2" -> [ Int 0; Int 3 ]
+  | "finite > 0" -> [ Float 0.; Float (-1.); Float nan; Float infinity ]
+  | "finite >= 0" -> [ Float (-1.); Float nan; Float infinity ]
+  | "finite >= 1" -> [ Float 0.5; Float nan ]
+  | "[0, 1)" -> [ Float 1.; Float (-0.1); Float nan ]
+  | "bool" -> []
+  | _ -> [ String "foo"; String "coupled:3" ]
+
+(* One drawn binding per parameter, flagged when it lies outside the
+   parameter's domain: every binding inside its domain (in its test
+   range, or one time in four on the domain's closed edge), or, in one
+   draw of three, one of them outside its domain. *)
+let draw_bindings name =
+  let open QCheck.Gen in
+  let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
+  let params = Sc.spec.E.Spec.params in
+  let inside_one p =
+    let v =
+      match edge p.E.Spec.domain with
+      | None -> in_range p.key
+      | Some e -> frequency [ (3, in_range p.key); (1, return e) ]
+    in
+    map (fun v -> (p.key, v, false)) v
+  in
+  let inside = flatten_l (List.map inside_one params) in
+  let one_outside =
+    oneofl (List.filter (fun p -> outside p.E.Spec.domain <> []) params)
+    >>= fun p ->
+    oneofl (outside p.domain) >>= fun v ->
+    map
+      (List.map (fun ((k, _, _) as b) -> if k = p.key then (k, v, true) else b))
+      inside
+  in
+  map (fun b -> (name, b)) (frequency [ (2, inside); (1, one_outside) ])
+
+(* Metrics that short runs leave legitimately undefined. *)
+let undefined = function
+  | "responsiveness" ->
+    (* never crossed; no window sample by shock_at / 2 (sampling starts
+       at 1 s); no packet delivered after the relief *)
+    [ "shock_response_s"; "relief_response_s"; "pre_shock_share";
+      "post_relief_share" ]
+  | "fattree-dynamic" ->
+    (* fewer than two short flows started after the warm-up finished *)
+    [ "mean_completion_ms"; "stdev_completion_ms" ]
+  | _ -> []
+
+module Profile = Mptcp_repro.Obs.Profile
+
+(* A run either is rejected before anything is built (a message naming
+   the scenario, not one event dispatched) or finishes with every metric
+   finite; a value outside its domain is always rejected. *)
+let rejected_or_finite (name, drawn) =
+  let (module Sc : S.Registry.SCENARIO) = S.Registry.find name in
+  let bindings = List.map (fun (k, v, _) -> (k, v)) drawn in
+  Profile.reset ();
+  Profile.set_enabled true;
+  let result =
+    match Sc.run bindings with
+    | o -> Ok o
+    | exception Invalid_argument msg -> Error msg
+  in
+  Profile.set_enabled false;
+  let dispatched =
+    List.fold_left (fun n e -> n + e.Profile.count) 0 (Profile.report ())
+  in
+  Profile.reset ();
+  match result with
+  | Error msg ->
+    (String.starts_with ~prefix:(name ^ ": ") msg && dispatched = 0)
+    || QCheck.Test.fail_reportf "%s rejected mid-build: %s" name msg
+  | Ok o ->
+    (not (List.exists (fun (_, _, out) -> out) drawn)
+    && List.for_all
+         (fun (m, v) -> Float.is_finite v || List.mem m (undefined name))
+         o.E.Outcome.metrics)
+    || QCheck.Test.fail_reportf "%s accepted: %s" name
+         (String.concat " "
+            (List.map
+               (fun (m, v) -> Printf.sprintf "%s=%g" m v)
+               o.E.Outcome.metrics))
+
+let prop_domains_reject_or_run =
+  let print (name, drawn) =
+    String.concat " "
+      (name
+      :: List.map
+           (fun (k, v, _) -> k ^ "=" ^ E.Spec.value_to_string v)
+           drawn)
+  in
+  QCheck.Test.make ~name:"registry: a draw is rejected or runs finite"
+    ~count:200
+    (QCheck.make ~print
+       QCheck.Gen.(oneofl S.Registry.names >>= draw_bindings))
+    rejected_or_finite
+
+(* --- a key bound twice on the command line ------------------------------- *)
+
+(* Each form would shadow one of the key's values without a word; the CLI
+   refuses it with exit 124 and a message naming the key. *)
+let cli_refuses args expect () =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "olia_sim.exe" ]
+  in
+  let err = Filename.temp_file "olia_sim" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command exe args ~stdout:Filename.null ~stderr:err)
+  in
+  let msg = In_channel.with_open_text err In_channel.input_line in
+  Sys.remove err;
+  Alcotest.(check int) "exit code" 124 code;
+  Alcotest.(check (option string)) "message" (Some ("olia_sim: " ^ expect)) msg
+
+let cli_cases =
+  [
+    ( "cli: -p binds a key twice",
+      [ "run"; "scenario-b"; "-p"; "n=3"; "-p"; "n=5" ],
+      "run: n is bound twice (-p, then -p)" );
+    ( "cli: -x binds a key twice",
+      [ "sweep"; "scenario-a"; "-x"; "n2=10:20:10"; "-x"; "n2=30" ],
+      "sweep: n2 is bound twice (-x, then -x)" );
+    ( "cli: -p and -x bind one key",
+      [ "sweep"; "scenario-a"; "-p"; "n2=5"; "-x"; "n2=10,20" ],
+      "sweep: n2 is bound twice (-p, then -x)" );
+    ( "cli: -x seed and --seeds bind one key",
+      [ "sweep"; "scenario-a"; "-x"; "seed=1:2"; "--seeds"; "3" ],
+      "sweep: seed is bound twice (-x, then --seeds)" );
+    ( "cli: shard-invariance refuses -p shards",
+      [
+        "shard-invariance"; "fattree-sharded"; "-p"; "k=4"; "-p"; "shards=2";
+        "--shards"; "4";
+      ],
+      "shard-invariance: shards is bound twice (-p, then --shards)" );
+  ]
+
 let suite =
   [
     ("axis: int range", `Quick, test_axis_int_range);
@@ -311,4 +501,11 @@ let suite =
     ("sweep: aggregation", `Slow, test_aggregate);
     ("sweep: emitters", `Slow, test_emitters);
     ("json: escaping", `Quick, test_json_escaping);
+    QCheck_alcotest.to_alcotest
+      (* lint: allow R1 -- a fixed QCheck seed, so the draws are the same on every run *)
+      ~rand:(Random.State.make [| 27 |])
+      prop_domains_reject_or_run;
   ]
+  @ List.map
+      (fun (name, args, expect) -> (name, `Quick, cli_refuses args expect))
+      cli_cases

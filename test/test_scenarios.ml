@@ -373,10 +373,13 @@ let suite =
 (* --- inputs rejected before anything is built -------------------------- *)
 
 (* Each of these inputs used to hang (a zero, negative or NaN short-flow
-   gap, or a run to a non-finite time) or to be silently absorbed
+   gap, or a run to a non-finite time), to be silently absorbed
    (subflows < 1 ran plain TCP, a negative background meant none, a NaN
-   wireless loss rate meant no loss). The registry run now raises, so
-   [olia_sim run] exits 124 with the message. *)
+   wireless loss rate meant no loss, a NaN or infinite link rate made
+   RED drop every packet) or to be caught only mid-build. The registry
+   run now checks every binding against its parameter's domain before
+   the scenario builds anything, so [olia_sim run] exits 124 with a
+   message naming the scenario, the key, the value and the domain. *)
 let rejects scenario params expect () =
   let (module Sc : S.Registry.SCENARIO) = S.Registry.find scenario in
   let bindings =
@@ -389,60 +392,41 @@ let rejects scenario params expect () =
     Alcotest.(check string) "message" expect msg
 
 let rejected =
-  let mean v =
-    "Fattree_dynamic.run: mean_interval must be finite and > 0 (got " ^ v
-    ^ ")"
+  let outside scenario key v domain =
+    Printf.sprintf "%s: %s = %s is outside its domain %s" scenario key v
+      domain
   in
-  let duration who v = who ^ ": duration must be finite (got " ^ v ^ ")" in
-  let subflows who = who ^ ": subflows must be >= 1" in
+  let case scenario key (v, shown) domain =
+    (scenario, [ key ^ "=" ^ v ], outside scenario key shown domain)
+  in
+  let same v = (v, v) in
   [
-    ("fattree-dynamic", [ "mean_interval=0" ], mean "0");
-    ("fattree-dynamic", [ "mean_interval=-0.2" ], mean "-0.2");
-    ("fattree-dynamic", [ "mean_interval=nan" ], mean "nan");
-    ( "fattree-dynamic",
-      [ "duration=inf" ],
-      duration "Fattree_dynamic.run" "inf" );
-    ("fattree-dynamic", [ "subflows=0" ], subflows "Fattree_dynamic.run");
-    ("fattree", [ "subflows=0" ], subflows "Fattree_sharded.run");
-    ("fattree-sharded", [ "subflows=-2" ], subflows "Fattree_sharded.run");
-    ( "scenario-c",
-      [ "background=-3" ],
-      "Scen_c.run: background must be finite and >= 0 Mb/s (got -3)" );
-    ("scenario-a", [ "duration=inf" ], duration "Scen_a.run" "inf");
-    ("scenario-b", [ "duration=nan" ], duration "Scen_b.run" "nan");
-    ("scenario-c", [ "duration=inf" ], duration "Scen_c.run" "inf");
-    ("wireless", [ "duration=inf" ], duration "Wireless.run" "inf");
-    ( "wireless",
-      [ "wifi_loss=nan" ],
-      "Fault.set_mode: burst loss_prob must be in [0, 1)" );
+    case "fattree-dynamic" "mean_interval" (same "0") "finite > 0";
+    case "fattree-dynamic" "mean_interval" (same "-0.2") "finite > 0";
+    case "fattree-dynamic" "mean_interval" (same "nan") "finite > 0";
+    case "fattree-dynamic" "duration" (same "inf") "finite > 0";
+    case "fattree-dynamic" "subflows" (same "0") "int >= 1";
+    case "fattree" "subflows" (same "0") "int >= 1";
+    case "fattree-sharded" "subflows" (same "-2") "int >= 1";
+    case "scenario-c" "background" (same "-3") "finite >= 0";
+    case "scenario-a" "duration" (same "inf") "finite > 0";
+    case "scenario-b" "duration" (same "nan") "finite > 0";
+    case "scenario-c" "duration" (same "inf") "finite > 0";
+    case "wireless" "duration" (same "inf") "finite > 0";
+    case "wireless" "wifi_loss" (same "nan") "[0, 1)";
   ]
-  (* A NaN or infinite link rate made RED's thresholds NaN and dropped
-     every packet; a NaN or infinite delay was caught only at the first
-     packet, by the scheduler. *)
   @ List.concat_map
       (fun (scenario, key) ->
         List.map
-          (fun (v, shown) ->
-            ( scenario,
-              [ key ^ "=" ^ v ],
-              "Queue.create: rate must be finite and > 0 (got " ^ shown ^ ")"
-            ))
-          [ ("nan", "nan"); ("infinity", "inf") ])
+          (fun v -> case scenario key v "finite > 0")
+          [ same "nan"; ("infinity", "inf") ])
       [ ("scenario-a", "c1"); ("scenario-b", "cx"); ("two-bottleneck", "c") ]
-  @ [
-      ( "two-bottleneck",
-        [ "delay2=nan" ],
-        "Pipe.create: delay must be finite and >= 0 (got nan)" );
-    ]
+  @ [ case "two-bottleneck" "delay2" (same "nan") "finite >= 0" ]
   (* The sampler re-arms itself every [sample_period]: zero would spin
      the clock in place, NaN and infinity would stop the trace. *)
   @ List.map
-      (fun (v, shown) ->
-        ( "two-bottleneck",
-          [ "sample_period=" ^ v ],
-          "Two_bottleneck.run: sample_period must be finite and > 0 (got "
-          ^ shown ^ ")" ))
-      [ ("0", "0"); ("-1", "-1"); ("nan", "nan"); ("infinity", "inf") ]
+      (fun v -> case "two-bottleneck" "sample_period" v "finite > 0")
+      [ same "0"; same "-1"; same "nan"; ("infinity", "inf") ]
 
 let suite =
   suite

@@ -334,13 +334,23 @@ let test_invariance_exact () =
     [ 2; 4 ];
   Alcotest.(check int) "no cut traffic sequentially" 0 r1.Fs.cut_messages
 
-(* A warm-up that leaves no measurement window is rejected before the
-   tree is built: not one event is dispatched. *)
+(* A warm-up that leaves no measurement window is rejected by the
+   registry before the tree is built: not one event is dispatched. *)
 let test_rejects_warmup_before_running () =
+  let (module Sc : Mptcp_repro.Scenarios.Registry.SCENARIO) =
+    Mptcp_repro.Scenarios.Registry.find "fattree-sharded"
+  in
   Profile.reset ();
   Profile.set_enabled true;
   let raised =
-    match Fs.run { (small_cfg 2) with Fs.warmup = 2.; duration = 2. } with
+    match
+      Sc.run
+        Mptcp_repro.Exp.Spec.
+          [
+            ("shards", Int 2); ("k", Int 4); ("flows_per_host", Int 1);
+            ("warmup", Float 2.); ("duration", Float 2.);
+          ]
+    with
     | _ -> None
     | exception Invalid_argument msg -> Some msg
   in
@@ -348,7 +358,7 @@ let test_rejects_warmup_before_running () =
   let dispatched = Profile.report () in
   Profile.reset ();
   Alcotest.(check (option string)) "rejected"
-    (Some "Fattree_sharded.run: warmup >= duration") raised;
+    (Some "fattree-sharded: warmup = 2 must be below duration = 2") raised;
   Alcotest.(check int) "events dispatched" 0
     (List.fold_left (fun n e -> n + e.Profile.count) 0 dispatched)
 
