@@ -136,7 +136,7 @@ let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack_lo ~sack_h
   p.times.departs <- sent_at;
   p
 
-let[@olia.alloc_free] forward p =
+let[@olia.alloc_free] next_slot p =
   if Invariant.enabled () then begin
     Invariant.require p.live "packet forwarded after free";
     Invariant.require
@@ -149,4 +149,6 @@ let[@olia.alloc_free] forward p =
   assert (p.hop < Array.length p.route);
   let h = p.route.(p.hop) in
   p.hop <- p.hop + 1;
-  h p
+  h
+
+let[@olia.alloc_free] forward p = (next_slot p) p

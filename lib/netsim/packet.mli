@@ -30,11 +30,11 @@ type stamps = {
       (** ACKs only: departure timestamp of the packet that triggered
           the ACK, used for RTT sampling *)
   mutable departs : float;
-      (** when the packet leaves the last wired queue it crossed
-          ([Queue.create ~wired:true] stamps it at admission, before
-          the packet reaches its wire); [sent_at] until then. The next
-          hop ({!Pipe.hop}, [Shard.egress]) takes its timing from it.
-          Not part of the scheduler's content key. *)
+      (** when the packet leaves the last wired queue it crossed (a
+          wired queue's slot stamps it at admission, then arms its
+          wire, [Pipe.send] or [Shard.send], which takes its timing
+          from it); [sent_at] until then. Not part of the scheduler's
+          content key. *)
 }
 
 type t = {
@@ -89,9 +89,19 @@ val free : t -> unit
     or a queue/fault stage that dropped it. Double frees raise
     [Invariant.Violation] when invariants are armed. *)
 
+val next_slot : t -> hop
+(** The slot at the packet's hop index, stepping the index past it.
+    Every packet event is armed with its next slot resolved this way
+    ([Pipe.hop], [Pipe.send], [Fault]'s reorder, [Shard]'s ingress), so
+    dispatch calls the slot directly and a pending packet's [hop]
+    already names the slot after it: the scheduler's tie-break compares
+    [hop] under that one convention. With invariants armed, raises
+    [Invariant.Violation] on a freed packet or an index outside the
+    route; past the end of the route it fails an assertion in any
+    case. *)
+
 val forward : t -> unit
-(** Deliver the packet to its next hop, advancing the hop index. Must not
-    be called past the last hop (asserted). *)
+(** Deliver the packet to its next hop at once: [(next_slot p) p]. *)
 
 val sentinel : unit -> t
 (** A fresh packet that is outside the pool protocol ([live = false],

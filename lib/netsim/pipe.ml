@@ -8,18 +8,26 @@ let create ~sim ~delay =
          delay);
   { sim; delay }
 
-(* The packet rides in the timer cell itself and [Packet.forward] is a
-   static function, so a pipe traversal schedules without allocating.
-   A wired queue hands the packet over at admission with its departure
-   in [departs]: the arrival is then armed exactly as if the queue's
-   serve event had called this hop at that instant. Any other packet
-   departs now. *)
+(* The packet rides in the timer cell itself with its next slot
+   resolved at arming ([Packet.next_slot]), and the slot is a closure
+   built with the route, so a pipe traversal schedules without
+   allocating and its dispatch calls the slot directly. *)
 let[@olia.alloc_free] hop t (p : Packet.t) =
-  let now = Sim.now t.sim in
-  let dep = if p.times.departs > now then p.times.departs else now in
+  let slot = Packet.next_slot p in
+  ignore
+    (Sim.schedule_pkt_after ~src:"pipe.deliver" t.sim t.delay slot p
+      : Sim.Timer.t)
+
+(* A wired queue's slot calls this once it has admitted the packet and
+   stepped its hop index past the pipe's own slot: the arrival is armed
+   exactly as if the queue's serve event had called [hop] at the
+   departure. *)
+let[@olia.alloc_free] send t (p : Packet.t) =
+  let dep = p.times.departs in
+  let slot = Packet.next_slot p in
   ignore
     (Sim.schedule_pkt_at_sched ~src:"pipe.deliver" t.sim ~sched:dep
-       (dep +. t.delay) Packet.forward p
+       (dep +. t.delay) slot p
       : Sim.Timer.t)
 
 let delay t = t.delay

@@ -8,10 +8,17 @@ val create : sim:Sim.t -> delay:float -> t
     and non-negative. *)
 
 val hop : t -> Packet.hop
-(** The entry point, to place on routes. A packet arrives [delay]
-    seconds after it reaches the hop; when its [times.departs] lies
-    ahead of the clock (a wired queue handed it over at admission),
-    it arrives [delay] after [departs] instead, ordered as if the hop
-    had been reached at [departs]. *)
+(** The entry point, to place on routes after an unwired queue or any
+    other slot: the packet arrives at the next slot [delay] seconds
+    after it reaches this one. *)
+
+val send : t -> Packet.t -> unit
+(** The wire of a wired queue ([Queue.wired_hop] with [Queue.Pipe]):
+    the packet arrives at the next slot [delay] seconds after
+    [times.departs], its departure from the queue, ordered as if armed
+    at [departs] ({!Sim.schedule_pkt_at_sched}) — the arrival {!hop}
+    would have armed when the queue's serve event called it. The caller
+    has already stepped the packet's hop index past this pipe's own
+    slot. *)
 
 val delay : t -> float

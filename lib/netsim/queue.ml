@@ -314,9 +314,13 @@ let[@olia.alloc_free] rec retire t =
     end
   end
 
+(* Admit or refuse a packet at a wired queue: [true] once the packet is
+   queued with its departure stamped in [times.departs], for the slot
+   to hand it to its wire; a refused packet is already freed. *)
 let[@olia.alloc_free] admit t (p : Packet.t) =
   retire t;
-  if not (refused t p) then begin
+  let admitted = not (refused t p) in
+  if admitted then begin
     if p.size_bytes > 0x7fff then
       invalid_arg "Queue: packet too large for a wired queue";
     let now = Sim.now t.sim in
@@ -349,12 +353,41 @@ let[@olia.alloc_free] admit t (p : Packet.t) =
         ~kind:(Packet.kind_code p.kind)
         ~bytes:p.size_bytes ~qdelay:(dep -. now)
     end;
-    p.times.departs <- dep;
-    Packet.forward p
+    p.times.departs <- dep
   end;
-  check_invariants t
+  check_invariants t;
+  admitted
 
-let hop t = if wired t then admit t else enqueue t
+type wire = Pipe of Pipe.t | Channel of Shard.channel
+
+(* The wired slot steps the packet past its wire's route slot and arms
+   the wire itself, so a link hop is one call from the arrival's
+   dispatch to the next arrival's arming. *)
+let[@olia.alloc_free] into_pipe t pipe (p : Packet.t) =
+  if admit t p then begin
+    p.hop <- p.hop + 1;
+    Pipe.send pipe p
+  end
+
+let into_channel t ch (p : Packet.t) =
+  if admit t p then begin
+    p.hop <- p.hop + 1;
+    Shard.send ch p
+  end
+
+let wired_hop t wire =
+  if not (wired t) then
+    invalid_arg ("Queue.wired_hop: queue " ^ t.name ^ " is not wired");
+  match wire with
+  | Pipe pipe -> into_pipe t pipe
+  | Channel ch -> into_channel t ch
+
+let hop t =
+  if wired t then
+    invalid_arg
+      ("Queue.hop: queue " ^ t.name
+     ^ " is wired; its slot names its wire (Queue.wired_hop)");
+  enqueue t
 
 let backlog t =
   if wired t then retire t;

@@ -41,20 +41,33 @@ val create :
     departure when it admits it — [start +. size/rate], where [start]
     is the admission instant for an idle queue and the previous
     packet's departure otherwise, the same float operations the serve
-    event would perform — stamps it in [times.departs], and hands the
-    packet at once to the next route slot, which must arm the
-    next-hop arrival from [departs]: {!Pipe.hop} or [Shard.egress].
-    The queue keeps one departure time and two bytes of size and kind
-    per queued packet. Departures take effect lazily, before any
-    admission or statistics read, through {!Sim.departed}: every
-    result — drops, RED decisions, {!backlog}, {!bytes_forwarded} and
-    the traced [Pkt_forward] — is bit-identical to the unwired queue's.
-    A wired queue feeding another queue, or any hop that acts at once,
-    would be wrong: the packet would reach it at admission.
-    [Topology.Duplex] wires every queue it builds. *)
+    event would perform — stamps it in [times.departs], and arms its
+    wire at once ({!wired_hop}). The queue keeps one departure time
+    and two bytes of size and kind per queued packet. Departures take
+    effect lazily, before any admission or statistics read, through
+    {!Sim.departed}: every result — drops, RED decisions, {!backlog},
+    {!bytes_forwarded} and the traced [Pkt_forward] — is bit-identical
+    to the unwired queue's. [Topology.Duplex] wires every queue it
+    builds. *)
 
 val hop : t -> Packet.hop
-(** The enqueue entry point, to place on routes. *)
+(** The enqueue entry point of an unwired queue, to place on routes.
+    Raises [Invalid_argument] on a wired queue: its slot names its
+    wire. *)
+
+(** What a wired queue feeds: a propagation pipe, or the channel that
+    stands in for one on a link cut between shards. *)
+type wire = Pipe of Pipe.t | Channel of Shard.channel
+
+val wired_hop : t -> wire -> Packet.hop
+(** The route slot of a wired queue, to place on routes right before
+    its wire's own slot ({!Pipe.hop} or [Shard.egress] on that wire).
+    An admitted packet steps past the wire's slot, which it never
+    enters, and the slot arms the wire directly: {!Pipe.send} or
+    {!Shard.send}, which deliver to the slot after the wire's. The
+    wire's slot keeps the route's hop indices those of a queue that
+    schedules its own service. Raises [Invalid_argument] unless the
+    queue was created wired. *)
 
 val backlog : t -> int
 (** Packets currently queued or in service. On a wired queue, packets

@@ -11,7 +11,7 @@ type msg = {
   src_shard : int;
   src_seq : int;
       (* send index across ALL of the source shard's channels: the
-         order in which the egress hops executed on the source domain,
+         order in which the sends executed on the source domain,
          i.e. the order in which the sequential run would have armed
          these deliveries. The merge tie-break after (arrival, egress). *)
   kind : Packet.kind;
@@ -137,8 +137,8 @@ let push_ahead ch egress =
   ch.ahead_len <- n + 1;
   sift_up ch.ahead n egress
 
-(* The egress hop runs on the source domain, inside its window, when
-   the wired queue in front of it admits the packet: it snapshots the
+(* A send runs on the source domain, inside its window, when the wired
+   queue feeding the channel admits the packet: it snapshots the
    packet into an immutable message, recycles the packet into the
    source domain's pool, and parks the message in the inbox. The
    egress is the packet's departure from that queue, so the arrival
@@ -230,9 +230,10 @@ let deliver sim (m : msg) =
   in
   p.Packet.hop <- m.hop;
   p.Packet.times.Packet.enqueued_at <- m.enqueued_at;
+  let slot = Packet.next_slot p in
   ignore
     (Sim.schedule_pkt_at_sched ~src:"shard.ingress" sim ~sched:m.egress
-       m.arrival Packet.forward p
+       m.arrival slot p
       : Sim.Timer.t)
 
 (* A sense-reversing barrier on a mutex + condition. Two waits per

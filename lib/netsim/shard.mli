@@ -19,15 +19,16 @@
     barriers per window are the only blocking points. See DESIGN.md
     ("Sharded multicore simulation") for the full argument.
 
-    A channel is fed by a wired queue ([Queue.create ~wired:true], as
-    every [Topology.Duplex] queue is): the queue hands the packet over
-    when it admits it, and the message's egress is the packet's
-    departure from that queue ([times.departs]), at least one service
-    time later. A message therefore arrives at least a service time
-    plus the lookahead after it was sent, beyond the window it was sent
-    in, with room to spare: {!egress} refuses a packet whose departure
-    is not ahead of the clock, and delivery refuses an arrival behind
-    the destination's clock, instead of clamping it.
+    A channel is the wire of a wired queue ([Queue.wired_hop] with
+    [Queue.Channel], as [Topology.Fattree] builds every cut link): the
+    queue calls {!send} when it admits the packet, and the message's
+    egress is the packet's departure from that queue
+    ([times.departs]), at least one service time later. A message
+    therefore arrives at least a service time plus the lookahead after
+    it was sent, beyond the window it was sent in, with room to spare:
+    {!send} refuses a packet whose departure is not ahead of the clock,
+    and delivery refuses an arrival behind the destination's clock,
+    instead of clamping it.
 
     Determinism: within a window each shard is an ordinary sequential
     simulator. At each boundary the drained messages are merged in
@@ -48,7 +49,7 @@ type t
 
 type channel
 (** A unidirectional cross-shard link stage of fixed latency: packets
-    entering its {!egress} hop on the source shard reappear on the
+    {!send} hands it on the source shard reappear on the
     destination shard [latency] seconds later (re-allocated from the
     destination domain's packet pool). *)
 
@@ -65,14 +66,17 @@ type msg = {
   src_shard : int;
   src_seq : int;
       (** send index across all of the source shard's channels — the
-          order in which the egress hops executed on the source domain.
+          order in which the sends executed on the source domain.
           It orders only messages equal in arrival and egress, whose
           deliveries the destination then orders by packet content. *)
   kind : Packet.kind;
   pkt_seq : int;
   flow : int;
   subflow : int;
-  hop : int;  (** next hop index into [route] on arrival *)
+  hop : int;
+      (** index into [route] of the slot after the channel's: the
+          destination arms the arrival with that slot resolved
+          ([Packet.next_slot]), as the sequential run's pipe does *)
   route : Packet.hop array;
   ackno : int;
   sack_lo : int;
@@ -101,15 +105,22 @@ val open_channel : t -> src:int -> dst:int -> channel
     either index is out of range. Construction-time only: not safe
     once {!run_windows} has started. *)
 
+val send : channel -> Packet.t -> unit
+(** Hand a packet to the channel: the wired queue feeding it calls this
+    at admission, with the packet's hop index already past the
+    channel's route slot. It consumes the packet (returning it to the
+    source domain's pool) and enqueues a timestamped message; the
+    destination shard re-materializes the packet at the next window
+    boundary and delivers it at [times.departs + latency]. Raises
+    [Invalid_argument] unless [times.departs] is ahead of the source
+    clock: a channel must be fed by a wired queue. *)
+
 val egress : channel -> Packet.hop
-(** The hop to splice into a route in place of the cut link's
-    propagation pipe, right after a wired queue. It consumes the packet
-    (returning it to the source domain's pool) and enqueues a
-    timestamped message; the destination shard re-materializes the
-    packet at the next window boundary and delivers it at
-    [times.departs + latency]. Raises [Invalid_argument] unless
-    [times.departs] is ahead of the source clock: a channel must be
-    fed by a wired queue. *)
+(** The route slot that stands in for the cut link's propagation pipe,
+    right after its wired queue's slot. The queue sends to the channel
+    itself, so the slot keeps the route's hop indices (and each
+    message's [hop]) equal to the sequential run's and is never
+    entered there; entered, it is {!send}. *)
 
 val sent_count : channel -> int
 (** Messages whose egress the source clock has reached (source-domain

@@ -652,10 +652,10 @@ let schedule_pkt_staged ~src t fn p =
     if Profile.enabled () then fun q -> Profile.dispatch ~src (fun () -> fn q)
     else fn
   in
-  (* [free_cell] leaves the callback slot as it was, and nearly every
-     packet event is armed with [Packet.forward] (by [Pipe]), so a
-     reused cell already holds [fn]: skip the write barrier then. *)
-  if Array.unsafe_get t.pfn_ c != fn then Array.unsafe_set t.pfn_ c fn;
+  (* Each packet event carries its own resolved route slot
+     ([Packet.next_slot]), so a reused cell almost never holds [fn]
+     already and testing for it would not save the write barrier. *)
+  Array.unsafe_set t.pfn_ c fn;
   Array.unsafe_set t.pkt_ c p;
   commit_cell t c;
   handle_of t c
@@ -667,10 +667,10 @@ let[@inline] schedule_pkt_after ~src t delay fn p =
 
 (* Schedule at [time] but break same-instant ties as if the timer had
    been armed at [sched]: for a cross-shard delivery the egress time on
-   the source shard, for a pipe arrival the packet's departure — in
-   both cases exactly when an unwired queue's serve event would have
-   scheduled this arrival. [sched] may lie in the past; it is an
-   ordering key, not a deadline. *)
+   the source shard, for the arrival a wired queue arms on its pipe
+   the packet's departure — in both cases exactly when an unwired
+   queue's serve event would have scheduled this arrival. [sched] may
+   lie in the past; it is an ordering key, not a deadline. *)
 let[@inline] schedule_pkt_at_sched ~src t ~sched time fn p =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 sched;
@@ -734,6 +734,10 @@ let[@olia.alloc_free] dispatch t =
     t.cur_key <- (get_seq t c lsl 1) lor cls_packet;
     let pfn = Array.unsafe_get t.pfn_ c in
     let pkt = Array.unsafe_get t.pkt_ c in
+    (* the arming site ran [Packet.next_slot]'s checks; the packet may
+       have been freed since *)
+    if Invariant.enabled () then
+      Invariant.require pkt.Packet.live "packet event dispatched after free";
     if Trace.enabled () then
       Trace.set_dispatch_ctx ~sched:(get_sched t c) ~cls:1
         ~flow:pkt.Packet.flow ~subflow:pkt.Packet.subflow ~pseq:pkt.Packet.seq

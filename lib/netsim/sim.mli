@@ -113,9 +113,12 @@ val schedule_pkt_after :
   src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
 (** [schedule_pkt_after ~src t delay fn p] runs [fn p] [delay] seconds
     from now. The packet rides in the pooled timer cell itself, so
-    scheduling a delivery costs no closure allocation: pass a static
-    function (for example [Packet.forward]) and the whole operation is
-    allocation-free. Semantics otherwise as {!schedule_after}. *)
+    scheduling a delivery costs no closure allocation: pass a function
+    that already exists (a route slot from [Packet.next_slot], or a
+    static function) and the whole operation is allocation-free. With
+    invariants armed, dispatch raises [Invariant.Violation] if [p] was
+    freed while the event was pending. Semantics otherwise as
+    {!schedule_after}. *)
 
 val schedule_pkt_at_sched :
   src:string ->
@@ -132,7 +135,7 @@ val schedule_pkt_at_sched :
     [Shard.deliver] passes the message's egress time on the source
     shard — the instant the sequential run's propagation pipe would
     have scheduled the arrival — so sharded and sequential runs order
-    same-instant ties identically; [Pipe.hop] passes a wired queue's
+    same-instant ties identically; [Pipe.send] passes a wired queue's
     departure. [sched] may lie in the past; it is an ordering key, not
     a deadline. *)
 

@@ -3,25 +3,29 @@ open Repro_netsim
 type t = {
   fwd_q : Queue.t;
   rev_q : Queue.t;
-  fwd_p : Pipe.t;
-  rev_p : Pipe.t;
+  delay : float;
+  fwd : Packet.hop array;
+  rev : Packet.hop array;
 }
 
 let create ~sim ~rng ~rate_bps ~delay ~buffer_pkts ~discipline
     ?(name = "link") () =
-  let mk dir =
-    Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps ~buffer_pkts ~discipline
-      ~name:(name ^ dir) ~wired:true ()
+  let direction dir =
+    let q =
+      Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps ~buffer_pkts
+        ~discipline ~name:(name ^ dir) ~wired:true ()
+    in
+    let p = Pipe.create ~sim ~delay in
+    (q, [| Queue.wired_hop q (Queue.Pipe p); Pipe.hop p |])
   in
-  {
-    fwd_q = mk ">";
-    rev_q = mk "<";
-    fwd_p = Pipe.create ~sim ~delay;
-    rev_p = Pipe.create ~sim ~delay;
-  }
+  (* reverse first: each queue's RNG split is the one it has always
+     drawn *)
+  let rev_q, rev = direction "<" in
+  let fwd_q, fwd = direction ">" in
+  { fwd_q; rev_q; delay; fwd; rev }
 
-let fwd_hops t = [| Queue.hop t.fwd_q; Pipe.hop t.fwd_p |]
-let rev_hops t = [| Queue.hop t.rev_q; Pipe.hop t.rev_p |]
+let fwd_hops t = t.fwd
+let rev_hops t = t.rev
 let fwd_queue t = t.fwd_q
 let rev_queue t = t.rev_q
-let one_way_delay t = Pipe.delay t.fwd_p
+let one_way_delay t = t.delay

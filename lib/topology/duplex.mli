@@ -2,10 +2,12 @@
     The building block for all testbed topologies.
 
     Both queues are wired ([Queue.create ~wired:true]): each computes a
-    packet's departure when it admits it and hands the packet straight
-    to the pipe, which arms the far-end arrival for departure + delay.
-    A link hop therefore costs one scheduler event, not two, with
-    results bit-identical to a queue that schedules its own service. *)
+    packet's departure when it admits it and arms the far-end arrival
+    on its pipe itself ([Queue.wired_hop], [Pipe.send]) for departure +
+    delay, with the slot after the link resolved. A link hop therefore
+    costs one scheduler event, not two, and one direct call from that
+    event to the next link's queue, with results bit-identical to a
+    queue that schedules its own service. *)
 
 type t
 
@@ -19,16 +21,20 @@ val create :
   ?name:string ->
   unit ->
   t
-(** Both directions share the rate, delay, buffer and discipline. *)
+(** Both directions share the rate, delay, buffer and discipline. Each
+    direction's two route slots are built here, once. *)
 
 val fwd_hops : t -> Repro_netsim.Packet.hop array
-(** Hops (queue then pipe) traversing the link in the forward
-    direction. The pipe slot must stay right after the queue: it is
-    the wire the queue hands packets to ([Topology.Fattree] swaps it
-    for a [Shard.egress] on a cut link). *)
+(** The two slots traversing the link in the forward direction: the
+    wired queue's, then its pipe's ({!Repro_netsim.Pipe.hop}), which the
+    queue steps over and arms directly. The pipe slot keeps every hop
+    index of a two-slot link; [Topology.Fattree] puts a
+    [Shard.egress] there on a cut link, with the queue fed to the
+    channel. The array and its closures are shared by every route
+    through the link: copy it, never write to it. *)
 
 val rev_hops : t -> Repro_netsim.Packet.hop array
-(** Hops for the reverse direction. *)
+(** The slots for the reverse direction, shared as {!fwd_hops}. *)
 
 val fwd_queue : t -> Repro_netsim.Queue.t
 (** The forward-direction queue, for loss and utilization statistics. *)

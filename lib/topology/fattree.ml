@@ -138,9 +138,11 @@ let endpoint t host =
    [a] and, between pods, core switch [j] of its group: up the source
    host's link, across the tree, down the destination host's. Between
    pods on different shards, the source pod's agg→core link keeps its
-   queue but its pipe is replaced by the channel between the shards:
-   everything before the cut runs on the source simulator, everything
-   after it on the destination's. The legs are joined through lists:
+   queue but feeds the channel between the shards instead of its pipe,
+   whose slot the channel's takes: everything before the cut runs on
+   the source simulator, everything after it on the destination's.
+   Every other leg is a link's shared slot array. The legs are joined
+   through lists:
    routes are most of what a FatTree build allocates, and consing the
    hops straight into one list instead raised ft-short's peak heap by
    2.9% through GC pacing. *)
@@ -152,7 +154,11 @@ let oneway t s d ~a ~j =
       Duplex.fwd_hops t.edge_agg.(s.pod).(s.edge).(a)
       :: (match t.chans.(s.shard).(d.shard) with
          | None -> Duplex.fwd_hops l
-         | Some ch -> [| Queue.hop (Duplex.fwd_queue l); Shard.egress ch |])
+         | Some ch ->
+           [|
+             Queue.wired_hop (Duplex.fwd_queue l) (Queue.Channel ch);
+             Shard.egress ch;
+           |])
       :: Duplex.rev_hops t.agg_core.(d.pod).(a).(j)
       :: Duplex.rev_hops t.edge_agg.(d.pod).(d.edge).(a)
       :: last

@@ -496,6 +496,72 @@ let test_queue_invalid_args () =
         (Queue.create ~sim ~rng ~rate_bps:1e6 ~buffer_pkts:0
            ~discipline:Queue.Droptail ()))
 
+(* --- wired slots ------------------------------------------------------ *)
+
+let wired_queue ~sim ~wired () =
+  Queue.create ~sim ~rng:(Rng.create ~seed:1) ~rate_bps:12e6 ~buffer_pkts:4
+    ~discipline:Queue.Droptail ~name:"w" ~wired ()
+
+(* A wired queue's slot arms its pipe itself: the wire's own route slot
+   (here a counting hop) is stepped over, and each arrival dispatches at
+   [departs + delay] with the tie-break key [sched = departs], the key
+   the serve event's [Pipe.hop] call would have produced. The current
+   event's [sched] is read through [Sim.departed]: a closure armed at
+   [departs] and due now sorts before this packet event, one armed a ulp
+   later does not. *)
+let test_wired_slot_arms_its_wire () =
+  let sim = Sim.create () in
+  let q = wired_queue ~sim ~wired:true () in
+  let pipe = Pipe.create ~sim ~delay:0.25 in
+  let entered = ref 0 in
+  let wire_slot (_ : Packet.t) = incr entered in
+  let seen = ref [] in
+  let sink (p : Packet.t) =
+    let now = Sim.now sim and dep = p.Packet.times.Packet.departs in
+    seen :=
+      ( p.Packet.seq,
+        now,
+        dep,
+        Sim.departed sim now dep (-1),
+        Sim.departed sim now (Float.succ dep) (-1) )
+      :: !seen;
+    Packet.free p
+  in
+  let route = [| Queue.wired_hop q (Queue.Pipe pipe); wire_slot; sink |] in
+  Sim.schedule_at ~src:"test" sim 1. (fun () ->
+      Packet.forward (data_to ~route 0);
+      Packet.forward (data_to ~route 1));
+  Sim.run sim;
+  Alcotest.(check int) "wire slot never entered" 0 !entered;
+  let svc = float_of_int (8 * Packet.data_size) /. 12e6 in
+  let dep0 = 1. +. svc in
+  match List.rev !seen with
+  | [ (0, t0, d0, at0, after0); (1, t1, d1, at1, after1) ] ->
+    Alcotest.(check (float 0.)) "first departure" dep0 d0;
+    Alcotest.(check (float 0.)) "second departure" (dep0 +. svc) d1;
+    Alcotest.(check (float 0.)) "first arrival" (d0 +. 0.25) t0;
+    Alcotest.(check (float 0.)) "second arrival" (d1 +. 0.25) t1;
+    Alcotest.(check (list bool)) "sched = departs" [ true; false; true; false ]
+      [ at0; after0; at1; after1 ]
+  | l -> Alcotest.failf "expected two arrivals, got %d" (List.length l)
+
+(* A wired queue has no slot without its wire, and an unwired one no
+   wire to feed. *)
+let test_wired_slot_refusals () =
+  let sim = Sim.create () in
+  let pipe = Pipe.create ~sim ~delay:0.01 in
+  Alcotest.check_raises "Queue.hop on a wired queue"
+    (Invalid_argument
+       "Queue.hop: queue w is wired; its slot names its wire \
+        (Queue.wired_hop)")
+    (fun () ->
+      ignore (Queue.hop (wired_queue ~sim ~wired:true ()) : Packet.hop));
+  Alcotest.check_raises "wired_hop on an unwired queue"
+    (Invalid_argument "Queue.wired_hop: queue w is not wired") (fun () ->
+      ignore
+        (Queue.wired_hop (wired_queue ~sim ~wired:false ()) (Queue.Pipe pipe)
+          : Packet.hop))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -548,6 +614,10 @@ let suite =
     Alcotest.test_case "queue: utilization and reset" `Quick
       test_queue_utilization_and_reset;
     Alcotest.test_case "queue: invalid args" `Quick test_queue_invalid_args;
+    Alcotest.test_case "queue: a wired slot arms its wire" `Quick
+      test_wired_slot_arms_its_wire;
+    Alcotest.test_case "queue: a wired slot names its wire" `Quick
+      test_wired_slot_refusals;
   ]
 
 (* --- Invariant -------------------------------------------------------- *)
@@ -579,6 +649,54 @@ let test_invariant_route_overrun () =
       match Packet.forward p with
       | () -> Alcotest.fail "empty route accepted"
       | exception Invariant.Violation _ -> ())
+
+(* Every packet event is armed with its next slot resolved, so the
+   checks [Packet.forward] makes run at arming, and the live check again
+   at dispatch. Each arming site below: the unwired [Pipe.hop], a wired
+   queue's slot ([Pipe.send]) and a reordering [Fault] gate. *)
+let arming_sites sim =
+  let pipe () = Pipe.create ~sim ~delay:0.1 in
+  let gate = Fault.create ~sim ~rng:(Rng.create ~seed:1) () in
+  Fault.set_mode gate (Fault.Reorder { prob = 1.; extra_delay = 0.1 });
+  let p = pipe () in
+  [
+    ("pipe", [| Pipe.hop (pipe ()) |]);
+    ( "wired queue",
+      [|
+        Queue.wired_hop (wired_queue ~sim ~wired:true ()) (Queue.Pipe p);
+        Pipe.hop p;
+      |] );
+    ("reorder", [| Fault.hop gate |]);
+  ]
+
+let test_invariant_freed_while_pending () =
+  with_invariants (fun () ->
+      let sim = Sim.create () in
+      List.iter
+        (fun (site, route) ->
+          (* a sink that makes no check of its own *)
+          let sink (_ : Packet.t) = () in
+          let p = data_to ~route:(Array.append route [| sink |]) 0 in
+          Packet.forward p;
+          Packet.free p;
+          match Sim.run sim with
+          | () -> Alcotest.failf "%s: freed packet dispatched" site
+          | exception Invariant.Violation _ ->
+            Alcotest.(check int) (site ^ ": raised at dispatch") 0
+              (Sim.pending sim))
+        (arming_sites sim))
+
+let test_invariant_armed_past_route_end () =
+  with_invariants (fun () ->
+      let sim = Sim.create () in
+      List.iter
+        (fun (site, route) ->
+          match Packet.forward (data_to ~route 0) with
+          | () -> Alcotest.failf "%s: armed past the end of its route" site
+          | exception Invariant.Violation _ ->
+            Alcotest.(check int) (site ^ ": raised at arming") 0
+              (Sim.pending sim))
+        (arming_sites sim))
 
 let test_invariant_queue_clean_run () =
   (* the droptail overflow scenario again, with conservation checks
@@ -626,6 +744,10 @@ let suite =
         test_invariant_gate;
       Alcotest.test_case "invariant: route overrun caught" `Quick
         test_invariant_route_overrun;
+      Alcotest.test_case "invariant: packet freed while its arrival pends"
+        `Quick test_invariant_freed_while_pending;
+      Alcotest.test_case "invariant: arming past the end of the route"
+        `Quick test_invariant_armed_past_route_end;
       Alcotest.test_case "invariant: conservation on clean run" `Quick
         test_invariant_queue_clean_run;
       Alcotest.test_case "invariant: counters survive reset_stats" `Quick

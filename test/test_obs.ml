@@ -843,7 +843,9 @@ let test_decode_drops_departures_past_horizon () =
       ~discipline:Queue.Droptail ~name:"horizon-wired" ~wired:true ()
   in
   let pipe = Pipe.create ~sim ~delay:0.01 in
-  let route = [| Queue.hop q; Pipe.hop pipe; Packet.free |] in
+  let route =
+    [| Queue.wired_hop q (Queue.Pipe pipe); Pipe.hop pipe; Packet.free |]
+  in
   let (), evs =
     Trace.capture ~capacity:256 (fun () ->
         Sim.schedule_at ~src:"test" sim 0.1 (fun () ->

@@ -222,10 +222,14 @@ let run_wcase ~wired c =
         let fq = queue l ">" i and rq = queue l "<" i in
         let fp = Pipe.create ~sim ~delay:l.delay
         and rp = Pipe.create ~sim ~delay:l.delay in
+        (* a wired queue's slot names its wire and arms it directly *)
+        let slot q p =
+          if wired then Queue.wired_hop q (Queue.Pipe p) else Queue.hop q
+        in
         ( fq,
           rq,
-          [| Queue.hop fq; Pipe.hop fp |],
-          [| Queue.hop rq; Pipe.hop rp |] ))
+          [| slot fq fp; Pipe.hop fp |],
+          [| slot rq rp; Pipe.hop rp |] ))
       c.links
   in
   let queues =

@@ -170,7 +170,9 @@ let channel_rig ?(burst = 3) () =
     arrived := Sim.now s1 :: !arrived;
     Packet.free p
   in
-  let route = [| Queue.hop q; Shard.egress ch; sink |] in
+  let route =
+    [| Queue.wired_hop q (Queue.Channel ch); Shard.egress ch; sink |]
+  in
   ignore
     (Sim.schedule_at ~src:"test" s0 0.5 (fun () ->
          for i = 0 to burst - 1 do

@@ -47,6 +47,52 @@ let test_duplex_directions_independent () =
   Alcotest.(check int) "rev stats" 1 (Queue.arrivals (Duplex.rev_queue link));
   check_close 1e-12 "delay accessor" 0.01 (Duplex.one_way_delay link)
 
+(* Every route through a link shares the two slots its [Duplex] built
+   once: the wired queue's, then its wire's, which the queue steps over
+   (perfbench's traced split labels the slots queue/wire by position).
+   Hosts 0 and 1 share an edge switch, so their first paths to host 15
+   differ only in the host uplink. With two shards host 15's pod is
+   across a cut, and the agg→core link feeding its channel still takes
+   two slots. *)
+let test_routes_share_link_slots () =
+  let sim = Sim.create () in
+  let link =
+    Duplex.create ~sim ~rng:(Rng.create ~seed:1) ~rate_bps:12e6 ~delay:0.01
+      ~buffer_pkts:10 ~discipline:Queue.Droptail ()
+  in
+  Alcotest.(check bool) "one link, one slot array per direction" true
+    (Duplex.fwd_hops link == Duplex.fwd_hops link
+    && Duplex.rev_hops link == Duplex.rev_hops link
+    && Array.length (Duplex.fwd_hops link) = 2);
+  List.iter
+    (fun shards ->
+      let sim = Sim.create () in
+      let tree =
+        Fattree.create ~sim ~shards ~rng:(Rng.create ~seed:1) ~k:4
+          ~rate_bps:10e6 ~delay:0.001 ~buffer_pkts:100
+          ~discipline:Queue.Droptail ()
+      in
+      let first src dst = (Fattree.all_paths tree ~src ~dst).(0) in
+      let a = first 0 15 and b = first 1 15 in
+      (* slots 0-1 are the host uplinks, which differ; across the cut,
+         slots 4-5 are the agg→core link fed to its channel, built per
+         route *)
+      let own i = i < 2 || (shards > 1 && (i = 4 || i = 5)) in
+      let shared r r' =
+        r.(0) != r'.(0)
+        && List.for_all
+             (fun i -> own i || r.(i) == r'.(i))
+             (List.init (Array.length r) Fun.id)
+      in
+      let name what = Printf.sprintf "%d shard(s): %s" shards what in
+      Alcotest.(check bool) (name "forward slots shared") true
+        (shared a.Tcp.fwd b.Tcp.fwd);
+      Alcotest.(check (list int)) (name "two slots per link")
+        [ 12; 12; 8; 4 ]
+        (List.map Array.length
+           [ a.Tcp.fwd; a.Tcp.rev; (first 0 2).Tcp.fwd; (first 0 1).Tcp.fwd ]))
+    [ 1; 2 ]
+
 (* --- Fattree structure ------------------------------------------------- *)
 
 let test_fattree_counts_k4 () =
@@ -255,4 +301,6 @@ let suite =
     Alcotest.test_case "workload: 70kB short size" `Quick
       test_workload_short_flow_size;
     Alcotest.test_case "workload: staggered starts" `Quick test_workload_staggered;
+    Alcotest.test_case "duplex: routes share a link's two slots" `Quick
+      test_routes_share_link_slots;
   ]
