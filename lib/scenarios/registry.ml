@@ -145,7 +145,10 @@ let two_bottleneck =
     Two_bottleneck.run
 
 (* The goodput share after the relief is measured up to 0.1 s before the
-   end, so the relief must come before that last probe. *)
+   end, so the relief must come before that last probe. The pre-shock
+   share averages the window samples over [shock_at / 2, shock_at], and
+   the sampler first fires at 1 s: an earlier shock leaves that mean, and
+   both response times measured against it, undefined. *)
 let responsiveness =
   let d = Responsiveness.default in
   scenario ~name:"responsiveness"
@@ -160,6 +163,15 @@ let responsiveness =
         (fun c ->
           Spec.below ("relief_at", c.Responsiveness.relief_at)
             ("duration - 0.1", c.duration -. 0.1));
+        (fun c ->
+          if c.Responsiveness.shock_at >= 2. then None
+          else
+            Some
+              (Printf.sprintf
+                 "shock_at = %g must be at least 2: the pre-shock share \
+                  averages the window samples over [shock_at / 2, \
+                  shock_at], and sampling starts at 1 s"
+                 c.shock_at));
       ]
     (fun () ->
       Spec.(

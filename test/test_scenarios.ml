@@ -427,6 +427,14 @@ let rejected =
   @ List.map
       (fun v -> case "two-bottleneck" "sample_period" v "finite > 0")
       [ same "0"; same "-1"; same "nan"; ("infinity", "inf") ]
+  (* an earlier shock has no window sample to average before it *)
+  @ [
+      ( "responsiveness",
+        [ "shock_at=1"; "relief_at=2"; "duration=3" ],
+        "responsiveness: shock_at = 1 must be at least 2: the pre-shock \
+         share averages the window samples over [shock_at / 2, shock_at], \
+         and sampling starts at 1 s" );
+    ]
 
 let suite =
   suite
