@@ -17,8 +17,9 @@
     - {!Check} — the differential conformance harness: sim-vs-fluid
       tolerance bands, fault-recovery scenarios and golden-trace
       regression;
-    - {!Stats} — summaries, histograms, time series, table printing and
-      the CSV/JSON emitters. *)
+    - {!Stats} — summaries, histograms, time series, table printing,
+      the CSV/JSON emitters and the debug-gated {!Stats.Invariant}
+      checks every library shares. *)
 
 module Cc = struct
   module Types = Repro_cc.Cc_types
@@ -38,7 +39,6 @@ end
 
 module Fluid = struct
   module Units = Repro_fluid.Units
-  module Invariant = Repro_fluid.Invariant
   module Roots = Repro_fluid.Roots
   module Tcp_model = Repro_fluid.Tcp_model
   module Scenario_a = Repro_fluid.Scenario_a
@@ -53,7 +53,6 @@ end
 module Netsim = struct
   module Sim = Repro_netsim.Sim
   module Rng = Repro_netsim.Rng
-  module Invariant = Repro_netsim.Invariant
   module Packet = Repro_netsim.Packet
   module Queue = Repro_netsim.Queue
   module Pipe = Repro_netsim.Pipe
@@ -119,4 +118,5 @@ module Stats = struct
   module Table = Repro_stats.Table
   module Csv = Repro_stats.Csv
   module Json = Repro_stats.Json
+  module Invariant = Repro_stats.Invariant
 end

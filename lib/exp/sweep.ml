@@ -3,6 +3,54 @@ module Json = Repro_stats.Json
 
 type axis = { key : string; values : Spec.value list }
 
+(* [s] read exactly as [(m, d)], [s = m * 10^-d] (a sign, digits with
+   an optional fraction, an optional exponent), or [None]. *)
+let decimal s =
+  let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+  let unsigned s =
+    if s <> "" && (s.[0] = '-' || s.[0] = '+') then
+      String.sub s 1 (String.length s - 1)
+    else s
+  in
+  let mant, exp =
+    match String.index_opt (String.lowercase_ascii s) 'e' with
+    | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    | None -> (s, "0")
+  in
+  let ip, fp =
+    match String.split_on_char '.' mant with
+    | [ ip; fp ] -> (ip, fp)
+    | _ -> (mant, "")
+  in
+  match (int_of_string_opt (ip ^ fp), int_of_string_opt exp) with
+  | Some m, Some e
+    when digits (unsigned ip ^ fp)
+         && digits (unsigned exp)
+         && e > -1000 && e < 1000 ->
+    Some (m, String.length fp - e)
+  | _ -> None
+
+(* [m * 10^k] if it lies inside [±10^18], where two such values and
+   their difference fit an int. *)
+let rec scale m k =
+  let within b = m > -b && m < b in
+  if k = 0 then if within 1_000_000_000_000_000_000 then Some m else None
+  else if within 100_000_000_000_000_000 then scale (10 * m) (k - 1)
+  else None
+
+(* [lo], [lo + step], ... up to [hi]. Each point runs a simulation, so
+   an axis longer than [max_points] is refused before any is built. *)
+let max_points = 1_000_000
+
+let steps ~fail lo hi step =
+  if step <= 0 then fail "step must be positive";
+  if hi < lo then []
+  else begin
+    if hi - lo < 0 || (hi - lo) / step >= max_points then
+      fail (Printf.sprintf "a range takes at most %d points" max_points);
+    List.init (((hi - lo) / step) + 1) (fun i -> lo + (i * step))
+  end
+
 let range ~like ~key lo hi step =
   let fail msg = invalid_arg (Printf.sprintf "Sweep.axis %s: %s" key msg) in
   match like with
@@ -12,23 +60,26 @@ let range ~like ~key lo hi step =
       | Some i -> i
       | None -> fail (Printf.sprintf "bad int %S" s)
     in
-    let lo = p lo and hi = p hi and step = p step in
-    if step <= 0 then fail "step must be positive";
-    let rec go v acc =
-      if v > hi then List.rev acc else go (v + step) (Spec.Int v :: acc)
+    List.map (fun v -> Spec.Int v) (steps ~fail (p lo) (p hi) (p step))
+  | Spec.Float _ -> (
+    (* Stepped in integers: the three numbers are read exactly and
+       scaled to the most decimal places among them, and each point is
+       the float nearest its own decimal text, so 0.1:0.3:0.1 ends at
+       0.3 with no epsilon deciding the count. *)
+    let read s =
+      match decimal s with
+      | Some md -> md
+      | None -> fail (Printf.sprintf "bad decimal %S" s)
     in
-    go lo []
-  | Spec.Float _ ->
-    let p s =
-      match float_of_string_opt s with
-      | Some f -> f
-      | None -> fail (Printf.sprintf "bad float %S" s)
-    in
-    let lo = p lo and hi = p hi and step = p step in
-    if step <= 0. then fail "step must be positive";
-    let n = int_of_float (floor (((hi -. lo) /. step) +. 1e-9)) in
-    if n < 0 then []
-    else List.init (n + 1) (fun i -> Spec.Float (lo +. (float_of_int i *. step)))
+    let nums = List.map read [ lo; hi; step ] in
+    let places = List.fold_left (fun p (_, d) -> max p d) 0 nums in
+    match List.map (fun (m, d) -> scale m (places - d)) nums with
+    | [ Some lo; Some hi; Some step ] ->
+      List.map
+        (fun v ->
+          Spec.Float (float_of_string (Printf.sprintf "%de-%d" v places)))
+        (steps ~fail lo hi step)
+    | _ -> fail "bounds and step need too many digits to step exactly")
   | _ -> fail "ranges apply to int/float parameters only"
 
 let axis spec ~key vspec =

@@ -1,3 +1,5 @@
+module Invariant = Repro_stats.Invariant
+
 type algorithm = Uncoupled | Lia | Olia | Olia_probing
 
 type options = {

@@ -1,3 +1,5 @@
+module Invariant = Repro_stats.Invariant
+
 (* Convergence tolerance of every solver here: the bisection interval
    width, and Newton's |f x|. *)
 let tol = 1e-12

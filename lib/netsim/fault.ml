@@ -87,10 +87,9 @@ let hop t (p : Packet.t) =
   | Reorder { prob; extra_delay } ->
     if Rng.float t.rng < prob then begin
       t.reordered <- t.reordered + 1;
-      let slot = Packet.next_slot p in
-      ignore
-        (Sim.schedule_pkt_after ~src:"fault.reorder" t.sim extra_delay slot p
-          : Sim.Timer.t)
+      let now = Sim.now t.sim in
+      Sim.schedule_pkt ~src:"fault.reorder" t.sim ~sched:now
+        (now +. extra_delay) p
     end
     else begin
       t.passed <- t.passed + 1;

@@ -1,3 +1,5 @@
+module Invariant = Repro_stats.Invariant
+
 type probe = { name : string; sample : unit -> float }
 
 type t = {

@@ -13,6 +13,8 @@
      packet and must [free] it; [live] catches double frees and
      use-after-free when OLIA_DEBUG_INVARIANTS is armed. *)
 
+module Invariant = Repro_stats.Invariant
+
 type kind = Data | Ack
 
 type stamps = {
@@ -136,7 +138,7 @@ let[@inline] [@olia.alloc_free] ack ~flow ~subflow ~ackno ~echo ~sack_lo ~sack_h
   p.times.departs <- sent_at;
   p
 
-let[@olia.alloc_free] next_slot p =
+let[@olia.alloc_free] forward p =
   if Invariant.enabled () then begin
     Invariant.require p.live "packet forwarded after free";
     Invariant.require
@@ -149,6 +151,4 @@ let[@olia.alloc_free] next_slot p =
   assert (p.hop < Array.length p.route);
   let h = p.route.(p.hop) in
   p.hop <- p.hop + 1;
-  h
-
-let[@olia.alloc_free] forward p = (next_slot p) p
+  h p

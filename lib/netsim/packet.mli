@@ -89,19 +89,15 @@ val free : t -> unit
     or a queue/fault stage that dropped it. Double frees raise
     [Invariant.Violation] when invariants are armed. *)
 
-val next_slot : t -> hop
-(** The slot at the packet's hop index, stepping the index past it.
-    Every packet event is armed with its next slot resolved this way
-    ([Pipe.hop], [Pipe.send], [Fault]'s reorder, [Shard]'s ingress), so
-    dispatch calls the slot directly and a pending packet's [hop]
-    already names the slot after it: the scheduler's tie-break compares
-    [hop] under that one convention. With invariants armed, raises
-    [Invariant.Violation] on a freed packet or an index outside the
-    route; past the end of the route it fails an assertion in any
-    case. *)
-
 val forward : t -> unit
-(** Deliver the packet to its next hop at once: [(next_slot p) p]. *)
+(** Deliver the packet to the slot its [hop] names, stepping [hop] past
+    it: the one way a packet advances. A packet event
+    ([Sim.schedule_pkt]) calls it at dispatch, so a pending packet's
+    [hop] names its next slot, the one convention the scheduler's
+    content tie-break compares. With invariants armed, raises
+    [Invariant.Violation] on a freed packet or an index outside the
+    route — for a pending packet, when it arrives; past the end of the
+    route it fails an assertion in any case. *)
 
 val sentinel : unit -> t
 (** A fresh packet that is outside the pool protocol ([live = false],

@@ -8,15 +8,12 @@ let create ~sim ~delay =
          delay);
   { sim; delay }
 
-(* The packet rides in the timer cell itself with its next slot
-   resolved at arming ([Packet.next_slot]), and the slot is a closure
-   built with the route, so a pipe traversal schedules without
-   allocating and its dispatch calls the slot directly. *)
+(* The packet rides in the timer cell itself and its dispatch forwards
+   it to the slot its [hop] names, so a pipe traversal schedules
+   without allocating. *)
 let[@olia.alloc_free] hop t (p : Packet.t) =
-  let slot = Packet.next_slot p in
-  ignore
-    (Sim.schedule_pkt_after ~src:"pipe.deliver" t.sim t.delay slot p
-      : Sim.Timer.t)
+  let now = Sim.now t.sim in
+  Sim.schedule_pkt ~src:"pipe.deliver" t.sim ~sched:now (now +. t.delay) p
 
 (* A wired queue's slot calls this once it has admitted the packet and
    stepped its hop index past the pipe's own slot: the arrival is armed
@@ -24,10 +21,6 @@ let[@olia.alloc_free] hop t (p : Packet.t) =
    departure. *)
 let[@olia.alloc_free] send t (p : Packet.t) =
   let dep = p.times.departs in
-  let slot = Packet.next_slot p in
-  ignore
-    (Sim.schedule_pkt_at_sched ~src:"pipe.deliver" t.sim ~sched:dep
-       (dep +. t.delay) slot p
-      : Sim.Timer.t)
+  Sim.schedule_pkt ~src:"pipe.deliver" t.sim ~sched:dep (dep +. t.delay) p
 
 let delay t = t.delay

@@ -16,9 +16,9 @@ val send : t -> Packet.t -> unit
 (** The wire of a wired queue ([Queue.wired_hop] with [Queue.Pipe]):
     the packet arrives at the next slot [delay] seconds after
     [times.departs], its departure from the queue, ordered as if armed
-    at [departs] ({!Sim.schedule_pkt_at_sched}) — the arrival {!hop}
-    would have armed when the queue's serve event called it. The caller
-    has already stepped the packet's hop index past this pipe's own
-    slot. *)
+    at [departs] ([Sim.schedule_pkt ~sched:departs]) — the arrival
+    {!hop} would have armed when the queue's serve event called it.
+    The caller has already stepped the packet's hop index past this
+    pipe's own slot. *)
 
 val delay : t -> float

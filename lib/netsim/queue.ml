@@ -1,4 +1,5 @@
 module Trace = Repro_obs.Trace
+module Invariant = Repro_stats.Invariant
 
 type red_params = {
   min_th : float;
@@ -41,17 +42,18 @@ type t = {
      included: it stays in its slot until its service ends, so a hop
      stores one packet pointer. Vacated slots keep stale pointers to
      pool-owned packets rather than pay a write barrier to clear them. *)
-  ring : Packet.t array;
+  mutable ring : Packet.t array;
   (* A wired queue hands each packet to its wire at admission and keeps
      only what its departure still owes the queue: per slot the
      departure time in [deps] and, in two bytes of [tags], the size and
      kind ([size lsl 1 lor kind code]). Slots from [head] on are the
      packets not yet known to have left; each one's service starts at
-     its predecessor's departure, the head's at [fl.head_start]. An
-     unwired queue leaves both empty, a wired one leaves [ring] empty:
-     a queue is wired iff it has departure slots. *)
-  deps : floatarray;
-  tags : Bytes.t;
+     its predecessor's departure, the head's at [fl.head_start].
+     Storage comes with the first route slot: [hop] allocates the ring,
+     [wired_hop] the departure slots, and the other stays empty, so a
+     queue is wired iff it has departure slots. *)
+  mutable deps : floatarray;
+  mutable tags : Bytes.t;
   mutable head_seq : int;
       (* wired: the sequence number the head's serve event would have
          taken ([Sim.next_seq] at its admission) while the head opened
@@ -145,8 +147,9 @@ and[@olia.alloc_free] finish_service t =
   serve t;
   check_invariants t
 
-let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue")
-    ?(wired = false) () =
+let no_deps = Float.Array.create 0
+
+let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue") () =
   (* NaN fails both comparisons: a NaN rate would make RED's thresholds
      NaN and drop every packet *)
   if not (rate_bps > 0. && rate_bps < infinity) then
@@ -163,10 +166,9 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue")
       discipline;
       name;
       name_id = Trace.intern name;
-      ring =
-        (if wired then [||] else Array.make buffer_pkts (Packet.sentinel ()));
-      deps = Float.Array.make (if wired then buffer_pkts else 0) 0.;
-      tags = Bytes.make (if wired then 2 * buffer_pkts else 0) '\000';
+      ring = [||];
+      deps = no_deps;
+      tags = Bytes.empty;
       head_seq = -1;
       head = 0;
       on_served = (fun () -> ());
@@ -184,7 +186,6 @@ let create ~sim ~rng ~rate_bps ~buffer_pkts ~discipline ?(name = "queue")
       dbg_data_done = 0;
     }
   in
-  if not wired then t.on_served <- (fun () -> finish_service t);
   t
 
 let[@inline] red_drop_probability params avg =
@@ -376,8 +377,13 @@ let into_channel t ch (p : Packet.t) =
   end
 
 let wired_hop t wire =
-  if not (wired t) then
-    invalid_arg ("Queue.wired_hop: queue " ^ t.name ^ " is not wired");
+  if Array.length t.ring > 0 then
+    invalid_arg
+      ("Queue.wired_hop: queue " ^ t.name ^ " has an unwired slot (Queue.hop)");
+  if not (wired t) then begin
+    t.deps <- Float.Array.make t.buffer_pkts 0.;
+    t.tags <- Bytes.make (2 * t.buffer_pkts) '\000'
+  end;
   match wire with
   | Pipe pipe -> into_pipe t pipe
   | Channel ch -> into_channel t ch
@@ -387,6 +393,10 @@ let hop t =
     invalid_arg
       ("Queue.hop: queue " ^ t.name
      ^ " is wired; its slot names its wire (Queue.wired_hop)");
+  if Array.length t.ring = 0 then begin
+    t.ring <- Array.make t.buffer_pkts (Packet.sentinel ());
+    t.on_served <- (fun () -> finish_service t)
+  end;
   enqueue t
 
 let backlog t =

@@ -28,7 +28,6 @@ val create :
   buffer_pkts:int ->
   discipline:discipline ->
   ?name:string ->
-  ?wired:bool ->
   unit ->
   t
 (** A queue serving packets at [rate_bps]. Packets beyond [buffer_pkts]
@@ -36,19 +35,22 @@ val create :
     that. Raises [Invalid_argument] unless [rate_bps] is finite and
     positive and [buffer_pkts] positive.
 
-    A {e wired} queue ([~wired:true]; default [false]) feeds a wire
-    directly and costs no event per packet. It computes each packet's
-    departure when it admits it — [start +. size/rate], where [start]
-    is the admission instant for an idle queue and the previous
-    packet's departure otherwise, the same float operations the serve
-    event would perform — stamps it in [times.departs], and arms its
-    wire at once ({!wired_hop}). The queue keeps one departure time
-    and two bytes of size and kind per queued packet. Departures take
-    effect lazily, before any admission or statistics read, through
-    {!Sim.departed}: every result — drops, RED decisions, {!backlog},
-    {!bytes_forwarded} and the traced [Pkt_forward] — is bit-identical
-    to the unwired queue's. [Topology.Duplex] wires every queue it
-    builds. *)
+    The route slot makes the queue {e unwired} ({!hop}) or {e wired}
+    ({!wired_hop}), and builds its storage: one queue takes slots of
+    one kind only. An unwired queue schedules a serve event per packet
+    and hands the packet to the next slot when its service ends. A
+    wired queue feeds a wire directly and costs no event per packet.
+    It computes each packet's departure when it admits it —
+    [start +. size/rate], where [start] is the admission instant for an
+    idle queue and the previous packet's departure otherwise, the same
+    float operations the serve event would perform — stamps it in
+    [times.departs], and arms its wire at once. It keeps one departure
+    time and two bytes of size and kind per queued packet. Departures
+    take effect lazily, before any admission or statistics read,
+    through {!Sim.departed}: every result — drops, RED decisions,
+    {!backlog}, {!bytes_forwarded} and the traced [Pkt_forward] — is
+    bit-identical to the unwired queue's. [Topology.Duplex] wires every
+    queue it builds. *)
 
 val hop : t -> Packet.hop
 (** The enqueue entry point of an unwired queue, to place on routes.
@@ -61,13 +63,13 @@ type wire = Pipe of Pipe.t | Channel of Shard.channel
 
 val wired_hop : t -> wire -> Packet.hop
 (** The route slot of a wired queue, to place on routes right before
-    its wire's own slot ({!Pipe.hop} or [Shard.egress] on that wire).
+    its wire's own slot ({!Pipe.hop}, or {!Shard.send} on the channel).
     An admitted packet steps past the wire's slot, which it never
     enters, and the slot arms the wire directly: {!Pipe.send} or
     {!Shard.send}, which deliver to the slot after the wire's. The
     wire's slot keeps the route's hop indices those of a queue that
-    schedules its own service. Raises [Invalid_argument] unless the
-    queue was created wired. *)
+    schedules its own service. Raises [Invalid_argument] on a queue
+    that already has an unwired slot ({!hop}). *)
 
 val backlog : t -> int
 (** Packets currently queued or in service. On a wired queue, packets

@@ -4,10 +4,11 @@ module Profile = Repro_obs.Profile
 type msg = {
   arrival : float;
   egress : float;
-      (* source-shard clock at the send: the instant the sequential
-         run's propagation pipe would have armed the delivery timer.
-         Passed to [Sim.schedule_pkt_at_sched] so the destination wheel
-         breaks same-instant ties exactly like the sequential run. *)
+      (* the packet's departure from the wired queue feeding the
+         channel: the instant the sequential run's pipe arms the
+         delivery for. Passed as [~sched] to [Sim.schedule_pkt] so the
+         destination wheel breaks same-instant ties exactly like the
+         sequential run. *)
   src_shard : int;
   src_seq : int;
       (* send index across ALL of the source shard's channels: the
@@ -181,8 +182,6 @@ let send ch (p : Packet.t) =
   ch.inbox <- m :: ch.inbox;
   Mutex.unlock ch.lock
 
-let egress ch : Packet.hop = fun p -> send ch p
-
 let sent_count ch =
   pass ch (Sim.now ch.src_sim);
   ch.passed
@@ -230,11 +229,7 @@ let deliver sim (m : msg) =
   in
   p.Packet.hop <- m.hop;
   p.Packet.times.Packet.enqueued_at <- m.enqueued_at;
-  let slot = Packet.next_slot p in
-  ignore
-    (Sim.schedule_pkt_at_sched ~src:"shard.ingress" sim ~sched:m.egress
-       m.arrival slot p
-      : Sim.Timer.t)
+  Sim.schedule_pkt ~src:"shard.ingress" sim ~sched:m.egress m.arrival p
 
 (* A sense-reversing barrier on a mutex + condition. Two waits per
    window: one after every shard has drained (so nobody starts filling

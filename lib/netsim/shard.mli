@@ -36,11 +36,12 @@
     before being scheduled, so the schedule-order tie-break of {!Sim} is a pure
     function of the simulation state — results are reproducible for a
     given (seed, shard count). Moreover each delivery carries its
-    source-shard egress time as the [(time, sched, seq)] tie-break key
-    of {!Sim.schedule_pkt_at_sched} — the same key the sequential run's
-    propagation pipe produces — so same-instant events dispatch in the
-    sequential order regardless of shard count, and a sharded run is
-    bitwise identical to the unsharded one. A one-shard group is
+    source-shard egress time as the [sched] tie-break key of
+    {!Sim.schedule_pkt} — the same key the sequential run's
+    propagation pipe produces — and its packet the header the
+    sequential run's would carry, so same-instant events dispatch in
+    the sequential order regardless of shard count, and a sharded run
+    is bitwise identical to the unsharded one. A one-shard group is
     trivially so because windowed [run_until] calls chain exactly like
     a single call. *)
 
@@ -61,8 +62,8 @@ type msg = {
       (** the packet's departure from the wired queue feeding the
           channel — the instant the sequential run's propagation pipe
           arms the delivery timer for. Passed as the [~sched] tie-break
-          key to {!Sim.schedule_pkt_at_sched} so sharded and sequential
-          runs order same-instant arrivals identically. *)
+          key to {!Sim.schedule_pkt} so sharded and sequential runs
+          order same-instant arrivals identically. *)
   src_shard : int;
   src_seq : int;
       (** send index across all of the source shard's channels — the
@@ -75,8 +76,8 @@ type msg = {
   subflow : int;
   hop : int;
       (** index into [route] of the slot after the channel's: the
-          destination arms the arrival with that slot resolved
-          ([Packet.next_slot]), as the sequential run's pipe does *)
+          delivered packet's next slot, as a pending arrival's [hop]
+          names it in the sequential run *)
   route : Packet.hop array;
   ackno : int;
   sack_lo : int;
@@ -113,14 +114,9 @@ val send : channel -> Packet.t -> unit
     destination shard re-materializes the packet at the next window
     boundary and delivers it at [times.departs + latency]. Raises
     [Invalid_argument] unless [times.departs] is ahead of the source
-    clock: a channel must be fed by a wired queue. *)
-
-val egress : channel -> Packet.hop
-(** The route slot that stands in for the cut link's propagation pipe,
-    right after its wired queue's slot. The queue sends to the channel
-    itself, so the slot keeps the route's hop indices (and each
-    message's [hop]) equal to the sequential run's and is never
-    entered there; entered, it is {!send}. *)
+    clock: a channel must be fed by a wired queue. On a route, [send ch]
+    is the cut link's wire slot, which the queue steps over: it keeps
+    hop indices equal to the sequential run's. *)
 
 val sent_count : channel -> int
 (** Messages whose egress the source clock has reached (source-domain

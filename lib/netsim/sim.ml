@@ -6,7 +6,7 @@
    quantisation is never observable. The key is [(time, sched,
    content, seq)]: [sched] is the clock value at the moment the timer
    was armed (cross-shard deliveries pass their source-shard egress
-   time instead — see [schedule_pkt_at_sched]), and [content] orders
+   time instead — see [schedule_pkt]), and [content] orders
    same-instant packet deliveries by the packet's own header so that
    dispatch order does not depend on the shard count (see the dispatch
    order comment below). Four levels of 256 slots with a level-0
@@ -24,6 +24,7 @@
    timer is one-shot: a periodic source re-arms itself from its own
    callback. *)
 
+module Invariant = Repro_stats.Invariant
 module Profile = Repro_obs.Profile
 module Trace = Repro_obs.Trace
 
@@ -60,7 +61,12 @@ let cls_none = -1
 let cls_closure = 0
 let cls_packet = 1
 let nop () = ()
-let pnop (_ : Packet.t) = ()
+
+(* Cell kinds ([o_kind]); only bit 0, packet or not, is a dispatch key.
+   A packet armed while profiling also keeps a wrapper in [fn_]. *)
+let k_closure = 0
+let k_packet = 1
+let k_packet_profiled = 3
 
 (* Offsets of a cell's int fields within its stride-8 block. *)
 let o_tick = 0 (* placement tick *)
@@ -70,7 +76,7 @@ let o_state = 3
 let o_slot = 4 (* wheel cells: level*256 + slot index *)
 let o_next = 5 (* slot/spill chain, free-list link *)
 let o_prev = 6
-let o_kind = 7 (* 1 when the callback is the packet fn, else 0 *)
+let o_kind = 7 (* k_closure, k_packet or k_packet_profiled *)
 
 type t = {
   (* --- cell pool (all grown together) --- *)
@@ -78,7 +84,6 @@ type t = {
   mutable fl_ : floatarray; (* stride 2: exact fire time; scheduling time *)
   mutable ints_ : int array; (* stride 8: the o_* fields above *)
   mutable fn_ : (unit -> unit) array;
-  mutable pfn_ : (Packet.t -> unit) array;
   mutable pkt_ : Packet.t array;
   mutable free_head : int;
   (* --- wheel --- *)
@@ -134,7 +139,6 @@ let create () =
     fl_ = Float.Array.make (cap * 2) 0.;
     ints_;
     fn_ = Array.make cap nop;
-    pfn_ = Array.make cap pnop;
     pkt_ = Array.make cap sentinel;
     free_head = 0;
     slots = Array.make (levels * slots_per_level) nil;
@@ -236,7 +240,6 @@ let grow t =
   t.ints_ <- gi t.ints_ 0 (cap * 8) (cap' * 8);
   init_cells t.ints_ ~from:cap ~until:cap';
   t.fn_ <- gi t.fn_ nop cap cap';
-  t.pfn_ <- gi t.pfn_ pnop cap cap';
   t.pkt_ <- gi t.pkt_ t.sentinel cap cap';
   t.free_head <- cap;
   t.cap <- cap'
@@ -254,7 +257,7 @@ let alloc_cell t =
    The retention this trades away is bounded by the pool size, and
    packets are owned by the packet pool regardless. The [o_kind] flag
    (set by every schedule) keeps a reused cell from dispatching a
-   stale packet callback. *)
+   stale packet or closure. *)
 let free_cell t c =
   set_gen t c (get_gen t c + 1);
   set_state t c st_free;
@@ -332,9 +335,9 @@ let cell_after t o c =
     let os = get_sched t o and cs = get_sched t c in
     if os <> cs then os > cs
     else
-      let ok = get_kind t o and ck = get_kind t c in
+      let ok = get_kind t o land 1 and ck = get_kind t c land 1 in
       if ok <> ck then ok > ck
-      else if ok = 1 then
+      else if ok = k_packet then
         let pc =
           pkt_cmp (Array.unsafe_get t.pkt_ o) (Array.unsafe_get t.pkt_ c)
         in
@@ -586,16 +589,15 @@ let rec advance t =
 (* --- scheduling --- *)
 
 (* The scheduling time rides in stage slot 1: the inlined wrappers
-   store the current clock there, and [Shard.deliver]'s sched-override
-   entry point stores the message's original egress time instead.
-   Placement is a separate step ([commit_cell]) because the dispatch
-   comparator reads the cell's kind and packet, which the caller
-   attaches between the two. *)
+   store the current clock there, and [schedule_pkt] stores the arming
+   time its caller names. Placement is a separate step ([commit_cell])
+   because the dispatch comparator reads the cell's kind and packet,
+   which the caller attaches between the two. *)
 let[@inline] schedule_cell t time =
   let c = alloc_cell t in
   set_time t c time;
   set_sched t c (Float.Array.unsafe_get t.stage 1);
-  set_kind t c 0;
+  set_kind t c k_closure;
   set_tick t c (tick_of_time time);
   set_seq t c t.next_seq;
   t.next_seq <- t.next_seq + 1;
@@ -639,42 +641,26 @@ let[@inline] schedule_after ~src t delay fn =
   Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
   schedule_staged ~src t fn
 
-let schedule_pkt_staged ~src t fn p =
+(* A packet event is its packet: dispatch forwards it along its route.
+   A profiled one keeps bit 0 of its kind, so the comparator sees the
+   same content key and arming the profiler moves no tie. *)
+let schedule_pkt_staged ~src t p =
   let time = Float.Array.unsafe_get t.stage 0 in
   check_time t time;
   let c = schedule_cell t time in
-  set_kind t c 1;
-  (* Even when profiling wraps the callback, the cell stays a packet
-     cell: the dispatch comparator must see the same content key whether
-     or not profiling is armed, or arming the profiler would change
-     same-instant tie resolution (and with it the simulation). *)
-  let fn =
-    if Profile.enabled () then fun q -> Profile.dispatch ~src (fun () -> fn q)
-    else fn
-  in
-  (* Each packet event carries its own resolved route slot
-     ([Packet.next_slot]), so a reused cell almost never holds [fn]
-     already and testing for it would not save the write barrier. *)
-  Array.unsafe_set t.pfn_ c fn;
+  if Profile.enabled () then begin
+    set_kind t c k_packet_profiled;
+    Array.unsafe_set t.fn_ c (fun () ->
+        Profile.dispatch ~src (fun () -> Packet.forward p))
+  end
+  else set_kind t c k_packet;
   Array.unsafe_set t.pkt_ c p;
-  commit_cell t c;
-  handle_of t c
+  commit_cell t c
 
-let[@inline] schedule_pkt_after ~src t delay fn p =
-  Float.Array.unsafe_set t.stage 0 (Float.Array.unsafe_get t.clk 0 +. delay);
-  Float.Array.unsafe_set t.stage 1 (Float.Array.unsafe_get t.clk 0);
-  schedule_pkt_staged ~src t fn p
-
-(* Schedule at [time] but break same-instant ties as if the timer had
-   been armed at [sched]: for a cross-shard delivery the egress time on
-   the source shard, for the arrival a wired queue arms on its pipe
-   the packet's departure — in both cases exactly when an unwired
-   queue's serve event would have scheduled this arrival. [sched] may
-   lie in the past; it is an ordering key, not a deadline. *)
-let[@inline] schedule_pkt_at_sched ~src t ~sched time fn p =
+let[@inline] schedule_pkt ~src t ~sched time p =
   Float.Array.unsafe_set t.stage 0 time;
   Float.Array.unsafe_set t.stage 1 sched;
-  schedule_pkt_staged ~src t fn p
+  schedule_pkt_staged ~src t p
 
 (* --- timer operations --- *)
 
@@ -730,22 +716,19 @@ let[@olia.alloc_free] dispatch t =
   Float.Array.unsafe_set t.clk 1 (get_sched t c);
   t.processed <- t.processed + 1;
   t.len <- t.len - 1;
-  if get_kind t c = 1 then begin
+  let kind = get_kind t c in
+  if kind land 1 = k_packet then begin
     t.cur_key <- (get_seq t c lsl 1) lor cls_packet;
-    let pfn = Array.unsafe_get t.pfn_ c in
     let pkt = Array.unsafe_get t.pkt_ c in
-    (* the arming site ran [Packet.next_slot]'s checks; the packet may
-       have been freed since *)
-    if Invariant.enabled () then
-      Invariant.require pkt.Packet.live "packet event dispatched after free";
     if Trace.enabled () then
       Trace.set_dispatch_ctx ~sched:(get_sched t c) ~cls:1
         ~flow:pkt.Packet.flow ~subflow:pkt.Packet.subflow ~pseq:pkt.Packet.seq
         ~kind:(Packet.kind_code pkt.Packet.kind);
-    (* Free before running so the callback can reuse the cell at once;
-       its handle is already stale (generation bumped). *)
+    (* Free before running so the slot can reuse the cell at once; its
+       handle is already stale (generation bumped). [Packet.forward]
+       checks that the packet is still live and its hop on the route. *)
     free_cell t c;
-    pfn pkt
+    if kind = k_packet then Packet.forward pkt else Array.unsafe_get t.fn_ c ()
   end
   else begin
     t.cur_key <- (get_seq t c lsl 1) lor cls_closure;

@@ -1,17 +1,17 @@
 (** Discrete-event simulation core: a clock and a time-ordered set of
-    timers. Events at equal times fire in scheduling order, so runs are
-    deterministic.
+    timers, dispatched in an order fixed by the simulation state, so
+    runs are deterministic.
 
     Internally the scheduler is a hierarchical timing wheel over
     ns-resolution integer ticks (four levels of 256 slots; events beyond
     the wheel horizon fall back to a sorted spill list). Dispatch order
-    is [(time, sched, seq)] using the exact [float] times, where [sched]
-    is the clock value at the moment the timer was armed: within one
-    simulator [sched] is non-decreasing in [seq], so this orders exactly
-    like the old binary heap's [(time, seq)] — the middle key exists for
-    cross-shard deliveries ({!schedule_pkt_at_sched}), which carry the
-    arming time a sequential run would have used so that a sharded run
-    breaks same-instant ties identically. The tick quantisation is never
+    is [(time, sched, class, packet content, seq)] on the exact [float]
+    times. [sched] is the arming time: the clock, or the instant a
+    packet event names ({!schedule_pkt}), so wired, unwired and sharded
+    runs break ties identically. At equal [(time, sched)] closures come
+    before packet events, packet events order by their packet's header,
+    which a cross-shard delivery re-materializes exactly, and the arming
+    order [seq] decides the rest. The tick quantisation is never
     observable.
 
     Timer cells are pooled in free lists and handles are unboxed
@@ -82,9 +82,9 @@ val departed : t -> float -> float -> int -> bool
     [sched]), or it was armed at the same instant and is a packet
     delivery (closures sort before packets at an equal [(time,
     sched)]), or it is a closure armed at the same instant that took a
-    sequence number at or above [seq]. A wired queue
-    ([Queue.create ~wired:true]) asks this of each service it never
-    scheduled.
+    sequence number at or above [seq]. A wired queue (one whose route
+    slot names its wire, [Queue.wired_hop]) asks this of each service
+    it never scheduled.
 
     With [seq = -1] that last case cannot be decided: the scheduler
     would order the two closures by arming sequence, so this raises
@@ -109,35 +109,21 @@ val schedule_after : src:string -> t -> float -> (unit -> unit) -> Timer.t
 (** [schedule_after ~src t delay fn] =
     [schedule_at ~src t (now t +. delay) fn]. *)
 
-val schedule_pkt_after :
-  src:string -> t -> float -> (Packet.t -> unit) -> Packet.t -> Timer.t
-(** [schedule_pkt_after ~src t delay fn p] runs [fn p] [delay] seconds
-    from now. The packet rides in the pooled timer cell itself, so
-    scheduling a delivery costs no closure allocation: pass a function
-    that already exists (a route slot from [Packet.next_slot], or a
-    static function) and the whole operation is allocation-free. With
-    invariants armed, dispatch raises [Invariant.Violation] if [p] was
-    freed while the event was pending. Semantics otherwise as
-    {!schedule_after}. *)
-
-val schedule_pkt_at_sched :
-  src:string ->
-  t ->
-  sched:float ->
-  float ->
-  (Packet.t -> unit) ->
-  Packet.t ->
-  Timer.t
-(** [schedule_pkt_at_sched ~src t ~sched time fn p] runs [fn p] when
-    the clock reaches [time], as {!schedule_pkt_after} does, with an
-    explicit tie-break key: same-instant events dispatch as if this
-    timer had been armed when the clock read [sched] rather than now.
-    [Shard.deliver] passes the message's egress time on the source
-    shard — the instant the sequential run's propagation pipe would
-    have scheduled the arrival — so sharded and sequential runs order
-    same-instant ties identically; [Pipe.send] passes a wired queue's
-    departure. [sched] may lie in the past; it is an ordering key, not
-    a deadline. *)
+val schedule_pkt : src:string -> t -> sched:float -> float -> Packet.t -> unit
+(** [schedule_pkt ~src t ~sched time p] delivers [p] to the slot its
+    [hop] names ({!Packet.forward}) when the clock reaches [time],
+    ordered among same-instant events as if armed when the clock read
+    [sched]: [now t] for a plain delay ([Pipe.hop], [Fault]'s reorder),
+    a wired queue's departure for the arrival it arms on its wire
+    ([Pipe.send]), the message's source-shard egress for a cross-shard
+    delivery ([Shard.deliver]). [sched] may lie in the past; it is an
+    ordering key, not a deadline. The packet rides in the pooled timer
+    cell itself, so arming allocates nothing, and a pending packet's
+    [hop] names its next slot, the one convention the content tie-break
+    compares. [src] labels the event for [Repro_obs.Profile] as in
+    {!schedule_at}; a profiled packet event keeps its place in the
+    dispatch order. Raises [Invalid_argument] if [time] is in the past
+    or not finite. *)
 
 val run_until : t -> float -> unit
 (** Process events in order until no event remains at or before the

@@ -1,4 +1,5 @@
 module Trace = Repro_obs.Trace
+module Invariant = Repro_stats.Invariant
 
 type path = { fwd : Packet.hop array; rev : Packet.hop array }
 

@@ -216,7 +216,7 @@ val pkt_depart :
   qdelay:float ->
   unit
 (** A departure record: a queue that hands each packet to its wire at
-    admission ([Queue.create ~wired:true]) writes it then, with the
+    admission (a wired queue, [Queue.wired_hop]) writes it then, with the
     departure [time] and the service start [sched]. It decodes to the
     {!Pkt_forward} event the queue's serve event would have written at
     [time], under that event's dispatch key [(time, sched, closure, no

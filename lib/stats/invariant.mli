@@ -1,9 +1,7 @@
-(** Debug-gated runtime invariants.
-
-    The static pass ([olia_lint], rules R1/R2) keeps nondeterminism and
-    shared state out of the libraries; these checks complement it at
-    runtime, where only execution can tell whether a queue conserves
-    packets or a sender's window collapsed below one MSS.
+(** Debug-gated runtime invariants, one switch for every library: the
+    runtime complement of the static pass ([olia_lint], R1/R2), for
+    what only execution shows — a queue that loses packets, a window
+    below one MSS, a fluid solver's answer that fails its equations.
 
     Checks are off by default so benchmarks pay a single branch per
     site. Set [OLIA_DEBUG_INVARIANTS=1] (or [true]/[yes]/[on]) before

@@ -13,7 +13,7 @@ let create ~sim ~rng ~rate_bps ~delay ~buffer_pkts ~discipline
   let direction dir =
     let q =
       Queue.create ~sim ~rng:(Rng.split rng) ~rate_bps ~buffer_pkts
-        ~discipline ~name:(name ^ dir) ~wired:true ()
+        ~discipline ~name:(name ^ dir) ()
     in
     let p = Pipe.create ~sim ~delay in
     (q, [| Queue.wired_hop q (Queue.Pipe p); Pipe.hop p |])

@@ -1,13 +1,12 @@
 (** A bidirectional link: one queue + propagation pipe per direction.
     The building block for all testbed topologies.
 
-    Both queues are wired ([Queue.create ~wired:true]): each computes a
-    packet's departure when it admits it and arms the far-end arrival
-    on its pipe itself ([Queue.wired_hop], [Pipe.send]) for departure +
-    delay, with the slot after the link resolved. A link hop therefore
-    costs one scheduler event, not two, and one direct call from that
-    event to the next link's queue, with results bit-identical to a
-    queue that schedules its own service. *)
+    Both queues are wired: each one's route slot names its pipe
+    ([Queue.wired_hop]), so the queue computes a packet's departure
+    when it admits it and arms the far-end arrival on its pipe itself
+    ([Pipe.send]) for departure + delay. A link hop therefore costs one
+    scheduler event, not two, with results bit-identical to a queue
+    that schedules its own service. *)
 
 type t
 
@@ -28,8 +27,8 @@ val fwd_hops : t -> Repro_netsim.Packet.hop array
 (** The two slots traversing the link in the forward direction: the
     wired queue's, then its pipe's ({!Repro_netsim.Pipe.hop}), which the
     queue steps over and arms directly. The pipe slot keeps every hop
-    index of a two-slot link; [Topology.Fattree] puts a
-    [Shard.egress] there on a cut link, with the queue fed to the
+    index of a two-slot link; [Topology.Fattree] puts [Shard.send] on
+    the channel there on a cut link, with the queue fed to the
     channel. The array and its closures are shared by every route
     through the link: copy it, never write to it. *)
 

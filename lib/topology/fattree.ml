@@ -157,7 +157,7 @@ let oneway t s d ~a ~j =
          | Some ch ->
            [|
              Queue.wired_hop (Duplex.fwd_queue l) (Queue.Channel ch);
-             Shard.egress ch;
+             Shard.send ch;
            |])
       :: Duplex.rev_hops t.agg_core.(d.pod).(a).(j)
       :: Duplex.rev_hops t.edge_agg.(d.pod).(d.edge).(a)

@@ -5,6 +5,7 @@
 open Mptcp_repro.Netsim
 module Ck = Mptcp_repro.Check
 module F = Mptcp_repro.Fluid
+module Invariant = Mptcp_repro.Stats.Invariant
 module Json = Mptcp_repro.Stats.Json
 module Trace = Mptcp_repro.Obs.Trace
 
@@ -314,9 +315,9 @@ let test_diff_provenance_present () =
 (* --- fluid residual invariants ------------------------------------------ *)
 
 let with_fluid_invariants f =
-  let was = F.Invariant.enabled () in
-  F.Invariant.set_enabled true;
-  Fun.protect ~finally:(fun () -> F.Invariant.set_enabled was) f
+  let was = Invariant.enabled () in
+  Invariant.set_enabled true;
+  Fun.protect ~finally:(fun () -> Invariant.set_enabled was) f
 
 let small_net () =
   {
@@ -342,17 +343,17 @@ let test_misconverged_point_trips () =
         try
           F.Equilibrium.check_fixed_point net F.Equilibrium.Uncoupled bad;
           false
-        with F.Invariant.Violation _ -> true
+        with Invariant.Violation _ -> true
       in
       Alcotest.(check bool) "perturbed point trips the invariant" true trips;
       Alcotest.(check bool) "residual is large" true
         (F.Equilibrium.residual net F.Equilibrium.Uncoupled bad > 0.1))
 
 let test_dormant_invariants_stay_quiet () =
-  let was = F.Invariant.enabled () in
-  F.Invariant.set_enabled false;
+  let was = Invariant.enabled () in
+  Invariant.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> F.Invariant.set_enabled was)
+    ~finally:(fun () -> Invariant.set_enabled was)
     (fun () ->
       let net = small_net () in
       let bad = [| [| 1e6 |] |] in

@@ -32,6 +32,20 @@ let test_axis_float_range () =
   let ax = E.Sweep.axis_of_assign scen_a_spec "c1=0.5:1.5:0.5" in
   Alcotest.check values_testable "float range"
     [ E.Spec.Float 0.5; E.Spec.Float 1.0; E.Spec.Float 1.5 ]
+    ax.E.Sweep.values;
+  (* stepped in decimal integers: every point is its decimal literal,
+     and the last one is [hi] itself *)
+  let floats l = List.map (fun f -> E.Spec.Float f) l in
+  let ax = E.Sweep.axis_of_assign scen_a_spec "c1=0.1:0.3:0.1" in
+  Alcotest.check values_testable "0.1:0.3:0.1" (floats [ 0.1; 0.2; 0.3 ])
+    ax.E.Sweep.values;
+  let ax = E.Sweep.axis_of_assign scen_a_spec "c1=0:1:0.1" in
+  Alcotest.check values_testable "0:1:0.1"
+    (floats [ 0.; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1. ])
+    ax.E.Sweep.values;
+  let ax = E.Sweep.axis_of_assign scen_a_spec "c1=1e-3:3E-3:1e-3" in
+  Alcotest.check values_testable "exponents read exactly"
+    (floats [ 0.001; 0.002; 0.003 ])
     ax.E.Sweep.values
 
 let test_axis_string_list () =
@@ -47,6 +61,18 @@ let test_axis_errors () =
        "scenario-a has no parameter \"bogus\" (valid: n1, n2, c1, c2, algo, \
         duration, warmup, seed)") (fun () ->
       ignore (E.Sweep.axis scen_a_spec ~key:"bogus" "1:2"));
+  (* a float bound that cannot be stepped exactly is refused, never
+     rounded *)
+  Alcotest.check_raises "too many digits"
+    (Invalid_argument
+       "Sweep.axis c1: bounds and step need too many digits to step exactly")
+    (fun () -> ignore (E.Sweep.axis scen_a_spec ~key:"c1" "1e-30:1:1e-30"));
+  Alcotest.check_raises "not a decimal"
+    (Invalid_argument "Sweep.axis c1: bad decimal \"0x1p-3\"")
+    (fun () -> ignore (E.Sweep.axis scen_a_spec ~key:"c1" "0x1p-3:1:0.5"));
+  Alcotest.check_raises "too many points"
+    (Invalid_argument "Sweep.axis c1: a range takes at most 1000000 points")
+    (fun () -> ignore (E.Sweep.axis scen_a_spec ~key:"c1" "0:1:1e-9"));
   (try
      ignore (E.Sweep.axis scen_a_spec ~key:"n2" "5:1:1");
      Alcotest.fail "empty range should raise"

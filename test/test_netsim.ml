@@ -1,4 +1,5 @@
 open Mptcp_repro.Netsim
+module Invariant = Mptcp_repro.Stats.Invariant
 
 (* Timer handles are discarded in tests: scheduling here is fire-and-forget. *)
 module Sim = struct
@@ -333,13 +334,12 @@ let test_sim_departed_branches () =
           match d 2. 1. with
           | _ -> tie := "decided"
           | exception Invalid_argument m -> tie := m);
-      ignore
-        (Sim.schedule_pkt_after ~src:"test" sim 1.
-           (fun p ->
-             in_packet := [ d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5; d 2. 1. ];
-             Packet.free p)
-           (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:1. ~route:[||])
-          : Sim.Timer.t));
+      let probe p =
+        in_packet := [ d 1.5 1.; d 2.5 1.; d 2. 0.5; d 2. 1.5; d 2. 1. ];
+        Packet.free p
+      in
+      Sim.schedule_pkt ~src:"test" sim ~sched:1. 2.
+        (Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:1. ~route:[| probe |]));
   Sim.run_until sim 3.;
   Alcotest.(check (list bool))
     "closure: earlier, later, armed before, armed after, same instant \
@@ -356,6 +356,44 @@ let test_sim_departed_branches () =
   Alcotest.(check bool) "after the run: due past it" false (d 3.5 0.)
 
 let data_to ~route seq = Packet.data ~flow:0 ~subflow:0 ~seq ~sent_at:0. ~route
+
+(* Arming the profiler moves no tie: two packet events at one
+   [(time, sched)], armed against their content order (flow 1 first),
+   the first with the profiler off and the second with it on, still
+   dispatch in content order, and the profiled one is counted under its
+   label. A comparator that let the profiled cell's kind word decide
+   would dispatch flow 1 first. *)
+let test_sim_profiling_keeps_packet_order () =
+  let module Profile = Mptcp_repro.Obs.Profile in
+  let sim = Sim.create () in
+  let order = ref [] in
+  let sink (p : Packet.t) =
+    order := p.Packet.flow :: !order;
+    Packet.free p
+  in
+  let pkt flow =
+    Packet.data ~flow ~subflow:0 ~seq:0 ~sent_at:0. ~route:[| sink |]
+  in
+  let was = Profile.enabled () in
+  Profile.reset ();
+  let counted =
+    Fun.protect
+      ~finally:(fun () ->
+        Profile.set_enabled was;
+        Profile.reset ())
+      (fun () ->
+        Profile.set_enabled false;
+        Sim.schedule_pkt ~src:"test.plain" sim ~sched:0.5 1. (pkt 1);
+        Profile.set_enabled true;
+        Sim.schedule_pkt ~src:"test.profiled" sim ~sched:0.5 1. (pkt 0);
+        Sim.run sim;
+        List.map
+          (fun e -> (e.Profile.src, e.Profile.count))
+          (Profile.report ()))
+  in
+  Alcotest.(check (list int)) "content order" [ 0; 1 ] (List.rev !order);
+  Alcotest.(check (list (pair string int)))
+    "the profiled event under its label" [ ("test.profiled", 1) ] counted
 
 let test_queue_serialization_rate () =
   let sim = Sim.create () in
@@ -498,9 +536,9 @@ let test_queue_invalid_args () =
 
 (* --- wired slots ------------------------------------------------------ *)
 
-let wired_queue ~sim ~wired () =
+let small_queue sim =
   Queue.create ~sim ~rng:(Rng.create ~seed:1) ~rate_bps:12e6 ~buffer_pkts:4
-    ~discipline:Queue.Droptail ~name:"w" ~wired ()
+    ~discipline:Queue.Droptail ~name:"w" ()
 
 (* A wired queue's slot arms its pipe itself: the wire's own route slot
    (here a counting hop) is stepped over, and each arrival dispatches at
@@ -511,7 +549,7 @@ let wired_queue ~sim ~wired () =
    later does not. *)
 let test_wired_slot_arms_its_wire () =
   let sim = Sim.create () in
-  let q = wired_queue ~sim ~wired:true () in
+  let q = small_queue sim in
   let pipe = Pipe.create ~sim ~delay:0.25 in
   let entered = ref 0 in
   let wire_slot (_ : Packet.t) = incr entered in
@@ -545,22 +583,43 @@ let test_wired_slot_arms_its_wire () =
       [ at0; after0; at1; after1 ]
   | l -> Alcotest.failf "expected two arrivals, got %d" (List.length l)
 
-(* A wired queue has no slot without its wire, and an unwired one no
-   wire to feed. *)
+(* The first slot decides what a queue is: one with a wired slot takes
+   no unwired slot, and one with an unwired slot no wired slot. More
+   slots of its own kind share its storage, even built while packets
+   are queued. *)
 let test_wired_slot_refusals () =
   let sim = Sim.create () in
   let pipe = Pipe.create ~sim ~delay:0.01 in
-  Alcotest.check_raises "Queue.hop on a wired queue"
+  let wired = small_queue sim and unwired = small_queue sim in
+  let seen = ref [] in
+  let sink (p : Packet.t) =
+    seen := p.Packet.seq :: !seen;
+    Packet.free p
+  in
+  let wired_route () =
+    [| Queue.wired_hop wired (Queue.Pipe pipe); Pipe.hop pipe; sink |]
+  and unwired_route () = [| Queue.hop unwired; sink |] in
+  Sim.schedule_at ~src:"test" sim 1. (fun () ->
+      (* each packet gets a fresh slot, built while the one before it is
+         queued *)
+      for seq = 0 to 1 do
+        Packet.forward (data_to ~route:(wired_route ()) seq);
+        Packet.forward (data_to ~route:(unwired_route ()) (seq + 2))
+      done;
+      Alcotest.(check (list int)) "both slots queue into one FIFO" [ 2; 2 ]
+        [ Queue.backlog wired; Queue.backlog unwired ]);
+  Sim.run sim;
+  Alcotest.(check (list int)) "every packet delivered" [ 0; 1; 2; 3 ]
+    (List.sort compare !seen);
+  Alcotest.check_raises "hop after wired_hop"
     (Invalid_argument
        "Queue.hop: queue w is wired; its slot names its wire \
         (Queue.wired_hop)")
+    (fun () -> ignore (Queue.hop wired : Packet.hop));
+  Alcotest.check_raises "wired_hop after hop"
+    (Invalid_argument "Queue.wired_hop: queue w has an unwired slot (Queue.hop)")
     (fun () ->
-      ignore (Queue.hop (wired_queue ~sim ~wired:true ()) : Packet.hop));
-  Alcotest.check_raises "wired_hop on an unwired queue"
-    (Invalid_argument "Queue.wired_hop: queue w is not wired") (fun () ->
-      ignore
-        (Queue.wired_hop (wired_queue ~sim ~wired:false ()) (Queue.Pipe pipe)
-          : Packet.hop))
+      ignore (Queue.wired_hop unwired (Queue.Pipe pipe) : Packet.hop))
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -589,6 +648,8 @@ let suite =
     Alcotest.test_case "sim: rejects past events" `Quick test_sim_rejects_past;
     Alcotest.test_case "sim: departed decides every tie" `Quick
       test_sim_departed_branches;
+    Alcotest.test_case "sim: profiling never reorders packet events" `Quick
+      test_sim_profiling_keeps_packet_order;
     Alcotest.test_case "sim: pending/processed counters" `Quick
       test_sim_pending_and_processed;
     q prop_sim_heap_orders_events;
@@ -650,9 +711,9 @@ let test_invariant_route_overrun () =
       | () -> Alcotest.fail "empty route accepted"
       | exception Invariant.Violation _ -> ())
 
-(* Every packet event is armed with its next slot resolved, so the
-   checks [Packet.forward] makes run at arming, and the live check again
-   at dispatch. Each arming site below: the unwired [Pipe.hop], a wired
+(* A packet event carries only its packet, and its dispatch makes the
+   checks [Packet.forward] makes: the packet is live and its hop lies on
+   the route. Each arming site below: the unwired [Pipe.hop], a wired
    queue's slot ([Pipe.send]) and a reordering [Fault] gate. *)
 let arming_sites sim =
   let pipe () = Pipe.create ~sim ~delay:0.1 in
@@ -663,7 +724,7 @@ let arming_sites sim =
     ("pipe", [| Pipe.hop (pipe ()) |]);
     ( "wired queue",
       [|
-        Queue.wired_hop (wired_queue ~sim ~wired:true ()) (Queue.Pipe p);
+        Queue.wired_hop (small_queue sim) (Queue.Pipe p);
         Pipe.hop p;
       |] );
     ("reorder", [| Fault.hop gate |]);
@@ -681,20 +742,28 @@ let test_invariant_freed_while_pending () =
           Packet.free p;
           match Sim.run sim with
           | () -> Alcotest.failf "%s: freed packet dispatched" site
-          | exception Invariant.Violation _ ->
+          | exception Invariant.Violation m ->
+            (* freeing also empties the route: the live check must be
+               the one that fires *)
+            Alcotest.(check string) (site ^ ": caught as freed")
+              "packet forwarded after free" m;
             Alcotest.(check int) (site ^ ": raised at dispatch") 0
               (Sim.pending sim))
         (arming_sites sim))
 
-let test_invariant_armed_past_route_end () =
+(* A route that ends at the arming site arms fine; the packet is caught
+   when it arrives past the end of its route. *)
+let test_invariant_overrun_at_dispatch () =
   with_invariants (fun () ->
       let sim = Sim.create () in
       List.iter
         (fun (site, route) ->
-          match Packet.forward (data_to ~route 0) with
-          | () -> Alcotest.failf "%s: armed past the end of its route" site
+          Packet.forward (data_to ~route 0);
+          Alcotest.(check int) (site ^ ": armed") 1 (Sim.pending sim);
+          match Sim.run sim with
+          | () -> Alcotest.failf "%s: arrived past the end of its route" site
           | exception Invariant.Violation _ ->
-            Alcotest.(check int) (site ^ ": raised at arming") 0
+            Alcotest.(check int) (site ^ ": raised at dispatch") 0
               (Sim.pending sim))
         (arming_sites sim))
 
@@ -746,8 +815,8 @@ let suite =
         test_invariant_route_overrun;
       Alcotest.test_case "invariant: packet freed while its arrival pends"
         `Quick test_invariant_freed_while_pending;
-      Alcotest.test_case "invariant: arming past the end of the route"
-        `Quick test_invariant_armed_past_route_end;
+      Alcotest.test_case "invariant: overrun raised at dispatch"
+        `Quick test_invariant_overrun_at_dispatch;
       Alcotest.test_case "invariant: conservation on clean run" `Quick
         test_invariant_queue_clean_run;
       Alcotest.test_case "invariant: counters survive reset_stats" `Quick

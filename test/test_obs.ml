@@ -840,7 +840,7 @@ let test_decode_drops_departures_past_horizon () =
   let sim = Sim.create () in
   let q =
     Queue.create ~sim ~rng:(Rng.create ~seed:1) ~rate_bps:12e6 ~buffer_pkts:20
-      ~discipline:Queue.Droptail ~name:"horizon-wired" ~wired:true ()
+      ~discipline:Queue.Droptail ~name:"horizon-wired" ()
   in
   let pipe = Pipe.create ~sim ~delay:0.01 in
   let route =

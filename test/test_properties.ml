@@ -4,6 +4,7 @@
 
 open Mptcp_repro.Netsim
 module F = Mptcp_repro.Fluid
+module Invariant = Mptcp_repro.Stats.Invariant
 module Trace = Mptcp_repro.Obs.Trace
 module Json = Mptcp_repro.Stats.Json
 
@@ -214,7 +215,7 @@ let run_wcase ~wired c =
       ~discipline:
         (if l.red then Queue.Red (Queue.paper_red ~link_mbps:(l.rate /. 1e6))
          else Queue.Droptail)
-      ~name:(Printf.sprintf "w%d%s" i dir) ~wired ()
+      ~name:(Printf.sprintf "w%d%s" i dir) ()
   in
   let hops =
     Array.mapi

@@ -163,7 +163,7 @@ let channel_rig ?(burst = 3) () =
   let ch = Shard.open_channel group ~src:0 ~dst:1 in
   let q =
     Queue.create ~sim:s0 ~rng:(Rng.create ~seed:1) ~rate_bps:12e6
-      ~buffer_pkts:10 ~discipline:Queue.Droptail ~wired:true ()
+      ~buffer_pkts:10 ~discipline:Queue.Droptail ()
   in
   let arrived = ref [] in
   let sink (p : Packet.t) =
@@ -171,7 +171,7 @@ let channel_rig ?(burst = 3) () =
     Packet.free p
   in
   let route =
-    [| Queue.wired_hop q (Queue.Channel ch); Shard.egress ch; sink |]
+    [| Queue.wired_hop q (Queue.Channel ch); Shard.send ch; sink |]
   in
   ignore
     (Sim.schedule_at ~src:"test" s0 0.5 (fun () ->
@@ -209,7 +209,7 @@ let test_send_requires_wired_feed () =
   let ch = Shard.open_channel group ~src:0 ~dst:1 in
   let p =
     Packet.data ~flow:0 ~subflow:0 ~seq:0 ~sent_at:0.
-      ~route:[| Shard.egress ch |]
+      ~route:[| Shard.send ch |]
   in
   match Packet.forward p with
   | () -> Alcotest.fail "a send at the packet's own instant was accepted"

@@ -10,6 +10,7 @@
    congestion controller returns. *)
 
 open Mptcp_repro.Netsim
+module Invariant = Mptcp_repro.Stats.Invariant
 
 (* --- reference model --------------------------------------------------- *)
 
