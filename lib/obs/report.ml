@@ -14,18 +14,17 @@ module Timeseries = Repro_stats.Timeseries
 module Table = Repro_stats.Table
 
 (* Exact moments alongside the histogram: the histogram gives
-   quantiles, these give n/mean/min/max without bucketing error. *)
+   quantiles and the sample count, these give mean/min/max without
+   bucketing error. All fields are floats, so a sample stores unboxed. *)
 type moments = {
-  mutable n : int;
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
-let moments_create () = { n = 0; sum = 0.; min_v = infinity; max_v = neg_infinity }
+let moments_create () = { sum = 0.; min_v = infinity; max_v = neg_infinity }
 
 let moments_add m x =
-  m.n <- m.n + 1;
   m.sum <- m.sum +. x;
   if x < m.min_v then m.min_v <- x;
   if x > m.max_v then m.max_v <- x
@@ -38,6 +37,7 @@ let qdelay_hist () = Histogram.create_log ~lo:1e-6 ~hi:10. ~bins:140
 let rtt_hist () = Histogram.create_log ~lo:1e-4 ~hi:10. ~bins:100
 
 type queue_acc = {
+  name : string;
   mutable enqueued : int;
   mutable forwarded : int;
   mutable forwarded_bytes : int;
@@ -65,55 +65,90 @@ type sub_acc = {
   mutable dwell_ca : float;
   mutable dwell_fr : float;
   mutable rto_fired : int;
-  mutable removed_at : float option;
+  mutable present : bool;  (* added and not removed since *)
 }
+
+(* Flow and subflow ids key int tables, flow first: a lookup builds no
+   tuple and no packed key. *)
+module Ids = Hashtbl.Make (Int)
+
+(* Event types in constructor order: [counts] is indexed by position. *)
+let event_names =
+  [
+    "pkt_enqueue"; "pkt_drop"; "pkt_forward"; "tcp_state"; "cwnd_update";
+    "rto_fired"; "rtt_sample"; "subflow_add"; "subflow_remove";
+  ]
 
 type t = {
   queues : (string, queue_acc) Hashtbl.t;
-  subs : (int * int, sub_acc) Hashtbl.t;
-  counts : (string, int) Hashtbl.t;
+  mutable last_q : queue_acc;
+      (* the accumulator [feed] used last, matched by physical name: a
+         decoded stream carries one string per queue *)
+  subs : sub_acc Ids.t Ids.t;
+  counts : int array;
   mutable events : int;
   mutable first_t : float;
   mutable last_t : float;
 }
 
+let new_queue name =
+  {
+    name;
+    enqueued = 0;
+    forwarded = 0;
+    forwarded_bytes = 0;
+    drops_overflow = 0;
+    drops_red = 0;
+    drops_random = 0;
+    drops_down = 0;
+    qd_hist = qdelay_hist ();
+    qd = moments_create ();
+    run = 0;
+    bursts = 0;
+    max_run = 0;
+  }
+
 let create () =
   {
     queues = Hashtbl.create 16;
-    subs = Hashtbl.create 16;
-    counts = Hashtbl.create 16;
+    (* a fresh string: no event's queue name is physically this one *)
+    last_q = new_queue (String.make 1 '?');
+    subs = Ids.create 16;
+    counts = Array.make (List.length event_names) 0;
     events = 0;
     first_t = nan;
     last_t = nan;
   }
 
+(* The value-keyed table is the fallback: a JSONL replay carries a
+   fresh string per event. *)
 let queue_acc t name =
-  match Hashtbl.find_opt t.queues name with
-  | Some q -> q
-  | None ->
+  if t.last_q.name == name then t.last_q
+  else begin
     let q =
-      {
-        enqueued = 0;
-        forwarded = 0;
-        forwarded_bytes = 0;
-        drops_overflow = 0;
-        drops_red = 0;
-        drops_random = 0;
-        drops_down = 0;
-        qd_hist = qdelay_hist ();
-        qd = moments_create ();
-        run = 0;
-        bursts = 0;
-        max_run = 0;
-      }
+      match Hashtbl.find t.queues name with
+      | q -> q
+      | exception Not_found ->
+        let q = new_queue name in
+        Hashtbl.add t.queues name q;
+        q
     in
-    Hashtbl.add t.queues name q;
+    t.last_q <- q;
     q
+  end
 
 let sub_acc t ~flow ~subflow ~time =
-  match Hashtbl.find_opt t.subs (flow, subflow) with
-  | Some s -> s
-  | None ->
+  let flow_subs =
+    match Ids.find t.subs flow with
+    | s -> s
+    | exception Not_found ->
+      let s = Ids.create 4 in
+      Ids.add t.subs flow s;
+      s
+  in
+  match Ids.find flow_subs subflow with
+  | s -> s
+  | exception Not_found ->
     let s =
       {
         rtt_h = rtt_hist ();
@@ -126,10 +161,10 @@ let sub_acc t ~flow ~subflow ~time =
         dwell_ca = 0.;
         dwell_fr = 0.;
         rto_fired = 0;
-        removed_at = None;
+        present = true;
       }
     in
-    Hashtbl.add t.subs (flow, subflow) s;
+    Ids.add flow_subs subflow s;
     s
 
 let event_time = function
@@ -143,25 +178,27 @@ let event_time = function
   | Trace.Subflow_add { time; _ }
   | Trace.Subflow_remove { time; _ } -> time
 
-let event_name = function
-  | Trace.Pkt_enqueue _ -> "pkt_enqueue"
-  | Trace.Pkt_drop _ -> "pkt_drop"
-  | Trace.Pkt_forward _ -> "pkt_forward"
-  | Trace.Tcp_state _ -> "tcp_state"
-  | Trace.Cwnd_update _ -> "cwnd_update"
-  | Trace.Rto_fired _ -> "rto_fired"
-  | Trace.Rtt_sample _ -> "rtt_sample"
-  | Trace.Subflow_add _ -> "subflow_add"
-  | Trace.Subflow_remove _ -> "subflow_remove"
+let event_index = function
+  | Trace.Pkt_enqueue _ -> 0
+  | Trace.Pkt_drop _ -> 1
+  | Trace.Pkt_forward _ -> 2
+  | Trace.Tcp_state _ -> 3
+  | Trace.Cwnd_update _ -> 4
+  | Trace.Rto_fired _ -> 5
+  | Trace.Rtt_sample _ -> 6
+  | Trace.Subflow_add _ -> 7
+  | Trace.Subflow_remove _ -> 8
 
 let end_run q =
   if q.run >= 2 then q.bursts <- q.bursts + 1;
   if q.run > q.max_run then q.max_run <- q.run;
   q.run <- 0
 
+(* A removed subflow dwells in no state: its clock stops at the removal
+   and restarts when the subflow is added again. *)
 let dwell_add s ~until =
   let d = until -. s.state_since in
-  if d > 0. then
+  if s.present && d > 0. then
     match s.state with
     | Trace.Slow_start -> s.dwell_ss <- s.dwell_ss +. d
     | Trace.Congestion_avoidance -> s.dwell_ca <- s.dwell_ca +. d
@@ -172,9 +209,8 @@ let feed t ev =
   let time = event_time ev in
   if Float.is_nan t.first_t then t.first_t <- time;
   t.last_t <- time;
-  let name = event_name ev in
-  Hashtbl.replace t.counts name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts name));
+  let i = event_index ev in
+  t.counts.(i) <- t.counts.(i) + 1;
   match ev with
   | Trace.Pkt_enqueue { queue; _ } ->
     let q = queue_acc t queue in
@@ -212,10 +248,15 @@ let feed t ev =
     let s = sub_acc t ~flow ~subflow ~time in
     s.rto_fired <- s.rto_fired + 1
   | Trace.Subflow_add { flow; subflow; _ } ->
-    ignore (sub_acc t ~flow ~subflow ~time)
+    let s = sub_acc t ~flow ~subflow ~time in
+    if not s.present then begin
+      s.present <- true;
+      s.state_since <- time
+    end
   | Trace.Subflow_remove { flow; subflow; _ } ->
     let s = sub_acc t ~flow ~subflow ~time in
-    s.removed_at <- Some time
+    dwell_add s ~until:time;
+    s.present <- false
 
 let load_jsonl ~path =
   let t = create () in
@@ -246,13 +287,14 @@ let load_jsonl ~path =
 let quantile_points = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 
 let latency_json (m : moments) hist =
-  let mean = if m.n > 0 then m.sum /. float_of_int m.n else nan in
+  let n = Histogram.count hist in
+  let mean = if n > 0 then m.sum /. float_of_int n else nan in
   Json.Obj
     ([
-       ("n", Json.Int m.n);
+       ("n", Json.Int n);
        ("mean", Json.Float mean);
-       ("min", Json.Float (if m.n > 0 then m.min_v else nan));
-       ("max", Json.Float (if m.n > 0 then m.max_v else nan));
+       ("min", Json.Float (if n > 0 then m.min_v else nan));
+       ("max", Json.Float (if n > 0 then m.max_v else nan));
      ]
     @ List.map
         (fun (name, q) -> (name, Json.Float (Histogram.quantile hist q)))
@@ -266,15 +308,17 @@ let sorted_queues t =
 let sorted_subs t =
   List.sort
     (fun (a, _) (b, _) -> compare a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.subs [])
+    (Ids.fold
+       (fun flow subs acc ->
+         Ids.fold (fun subflow s acc -> ((flow, subflow), s) :: acc) subs acc)
+       t.subs [])
 
-(* Dwell in the current state is still open when the stream ends; close
-   it at the subflow's removal time, or the last event time. Computed
+(* Dwell in the current state is still open when the stream ends, unless
+   the subflow was removed; close it at the last event time. Computed
    here rather than mutated into the accumulator so [to_json] can be
    called mid-stream and again later. *)
 let dwells t s =
-  let until = match s.removed_at with Some r -> r | None -> t.last_t in
-  let extra = until -. s.state_since in
+  let extra = if s.present then t.last_t -. s.state_since else 0. in
   let extra = if Float.is_nan extra || extra < 0. then 0. else extra in
   let open_ss, open_ca, open_fr =
     match s.state with
@@ -288,7 +332,8 @@ let to_json t =
   let counts =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) t.counts [])
+      (List.filteri (fun i _ -> t.counts.(i) > 0)
+         (List.mapi (fun i name -> (name, Json.Int t.counts.(i))) event_names))
   in
   let queue_json (name, q) =
     let total_drops =
@@ -325,6 +370,7 @@ let to_json t =
     let cwnd_last =
       match Timeseries.last s.cwnd with Some (_, v) -> v | None -> nan
     in
+    let cwnd_n = Timeseries.length s.cwnd in
     ( Printf.sprintf "%d/%d" flow subflow,
       Json.Obj
         [
@@ -332,14 +378,14 @@ let to_json t =
           ( "cwnd",
             Json.Obj
               [
-                ("samples", Json.Int (Timeseries.length s.cwnd));
+                ("samples", Json.Int cwnd_n);
                 ("last", Json.Float cwnd_last);
                 ( "min",
-                  Json.Float (if s.cwnd_stats.n > 0 then s.cwnd_stats.min_v
-                              else nan) );
+                  Json.Float (if cwnd_n > 0 then s.cwnd_stats.min_v else nan)
+                );
                 ( "max",
-                  Json.Float (if s.cwnd_stats.n > 0 then s.cwnd_stats.max_v
-                              else nan) );
+                  Json.Float (if cwnd_n > 0 then s.cwnd_stats.max_v else nan)
+                );
               ] );
           ( "state_dwell_s",
             Json.Obj
@@ -420,7 +466,7 @@ let to_text t =
       Table.add_row st
         [
           Printf.sprintf "%d/%d" flow subflow;
-          string_of_int s.rtt.n;
+          string_of_int (Histogram.count s.rtt_h);
           ms (Histogram.quantile s.rtt_h 0.5);
           ms (Histogram.quantile s.rtt_h 0.9);
           ms (Histogram.quantile s.rtt_h 0.99);

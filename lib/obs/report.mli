@@ -13,8 +13,11 @@
     (log-bucketed histogram plus exact n/mean/min/max), and drop
     bursts — maximal runs of consecutive drops uninterrupted by an
     enqueue or forward. Per (flow, subflow): RTT samples, the cwnd
-    timeline, dwell time per TCP state (open intervals close at the
-    subflow's removal or the last event), and RTO counts. *)
+    timeline, dwell time per TCP state, and RTO counts. A removed
+    subflow dwells in no state: its open interval closes at the
+    removal, and a new one opens when the subflow is added again; the
+    interval still open when the stream ends closes at the last
+    event. *)
 
 type t
 (** Mutable accumulator; [to_json]/[to_text] may be called mid-stream
@@ -23,7 +26,13 @@ type t
 val create : unit -> t
 
 val feed : t -> Trace.event -> unit
-(** Fold one event in, in stream order. *)
+(** Fold one event in, in stream order. A fixed, small amount of work
+    per event: the per-type count is an array slot, the last queue's
+    accumulator is reused when the next event names that queue by the
+    same string (a decoded stream shares one string per queue; equal
+    strings from a JSONL replay go through a table by value), and a
+    subflow is found through int-keyed tables. Folding a decoded stream
+    allocates about one word per event, the cwnd timelines' growth. *)
 
 val load_jsonl : path:string -> (t, string) result
 (** Replay a JSONL trace file through a fresh accumulator. Blank lines

@@ -320,8 +320,8 @@ let kind_name_of_code = function
 (* Source labels (queue names) intern to small ints at component
    creation time, so the armed emission path stores an int instead of
    touching a string. The table is process-global and mutex-protected:
-   interning happens at topology construction (cold), lookups at decode
-   time (offline). *)
+   interning happens at topology construction (cold), and each decode
+   copies the table once (offline). *)
 
 let intern_lock = Mutex.create ()
 
@@ -352,11 +352,9 @@ let intern s =
         incr intern_count;
         id)
 
-let intern_name id =
-  Mutex.protect intern_lock (fun () ->
-      if id < 0 || id >= !intern_count then
-        invalid_arg (Printf.sprintf "Trace.intern_name: unknown id %d" id);
-      !intern_names.(id))
+(* Every name interned so far, indexed by id: one copy per decode. *)
+let interned_names () =
+  Mutex.protect intern_lock (fun () -> Array.sub !intern_names 0 !intern_count)
 
 (* --- rings ------------------------------------------------------------ *)
 
@@ -631,14 +629,20 @@ let emit = function
 
 (* --- offline decoding ------------------------------------------------- *)
 
-let event_of_record r s =
+let queue_name names id =
+  if id < 0 || id >= Array.length names then
+    invalid_arg (Printf.sprintf "Trace: unknown queue id %d" id);
+  Array.unsafe_get names id
+
+(* [names] is the decode's copy of the intern table. *)
+let event_of_record names r s =
   let time = Ring.get_f r s 0 in
   let tag = Ring.get_i r s 0 in
   if tag = tag_pkt_enqueue then
     Pkt_enqueue
       {
         time;
-        queue = intern_name (Ring.get_i r s 6);
+        queue = queue_name names (Ring.get_i r s 6);
         flow = Ring.get_i r s 7;
         subflow = Ring.get_i r s 8;
         seq = Ring.get_i r s 9;
@@ -649,7 +653,7 @@ let event_of_record r s =
     Pkt_drop
       {
         time;
-        queue = intern_name (Ring.get_i r s 6);
+        queue = queue_name names (Ring.get_i r s 6);
         flow = Ring.get_i r s 7;
         subflow = Ring.get_i r s 8;
         seq = Ring.get_i r s 9;
@@ -660,7 +664,7 @@ let event_of_record r s =
     Pkt_forward
       {
         time;
-        queue = intern_name (Ring.get_i r s 6);
+        queue = queue_name names (Ring.get_i r s 6);
         flow = Ring.get_i r s 7;
         subflow = Ring.get_i r s 8;
         seq = Ring.get_i r s 9;
@@ -719,138 +723,258 @@ let event_of_record r s =
       }
   else invalid_arg (Printf.sprintf "Trace: unknown record tag %d" tag)
 
-(* One dispatch's records, decoded in emission order, with the
-   dispatch's merge key. [rank] (the ring's registration number) and
-   [pos] (the group's first position in its ring) only make the order
-   total: they decide between groups whose events are identical, so
-   they never change the decoded stream. *)
-type group = {
-  g_time : float;
-  g_sched : float;
-  g_cls : int;
-  g_dflow : int;
-  g_dsub : int;
-  g_dpseq : int;
-  g_dkind : int;
-  g_rank : int;
-  g_pos : int;
-  g_evs : event list;
+let[@inline] is_depart r s = Ring.get_i r s 0 = tag_pkt_depart
+
+(* A decode's groups. Group [g] is four ints of [gs] from [4 * g]: its
+   ring (an index into [rings]), the ring indices of its first and last
+   record, and its first record's slot. A dispatch group is the run of
+   records one dispatch wrote, less the departure records written
+   inside it; a departure group is one departure record. Records are
+   decoded once the groups are in order, and before that only to
+   compare two groups that tie on their whole key. *)
+type groups = {
+  rings : Ring.t array;  (** by (shard, registration) *)
+  ranks : int array;  (** each ring's registration number *)
+  names : string array;  (** the intern table, copied once *)
+  gs : int array;
 }
 
-let compare_group a b =
-  let c = Float.compare a.g_time b.g_time in
+let[@inline] g_ring d g =
+  Array.unsafe_get d.rings (Array.unsafe_get d.gs (4 * g))
+let[@inline] g_first d g = Array.unsafe_get d.gs ((4 * g) + 1)
+let[@inline] g_last d g = Array.unsafe_get d.gs ((4 * g) + 2)
+let[@inline] g_slot d g = Array.unsafe_get d.gs ((4 * g) + 3)
+
+let add_group d g ~ring ~first ~slot =
+  d.gs.(4 * g) <- ring;
+  d.gs.((4 * g) + 1) <- first;
+  d.gs.((4 * g) + 2) <- first;
+  d.gs.((4 * g) + 3) <- slot
+
+(* The events of group [g] in emission order, consed onto [acc]. *)
+let group_events d g acc =
+  let r = g_ring d g and first = g_first d g and s0 = g_slot d g in
+  let cap = Ring.capacity r in
+  let acc = ref acc in
+  for i = g_last d g downto first do
+    let s = s0 + (i - first) in
+    let s = if s >= cap then s - cap else s in
+    if i = first || not (is_depart r s) then
+      acc := event_of_record d.names r s :: !acc
+  done;
+  !acc
+
+(* Split ring [k] into groups, numbered from [g]; returns the next
+   free group number. The groups are stored in [d.gs] when [store]; a
+   first walk without it sizes [gs]. A dispatch group is a run of
+   consecutive records sharing the dispatch ordinal and the record time
+   (records written outside any dispatch, between two [run_until]
+   calls, keep the last ordinal but not its time). A departure record
+   is a group of its own, keyed as the serve event it stands for, and
+   is skipped over when the records around it are grouped, so it never
+   splits the dispatch that wrote it. A departure later than the ring's
+   horizon is dropped: its serve event would never have run. *)
+let ring_groups ~store d k g =
+  let r = d.rings.(k) in
+  let n = Ring.length r in
+  if n = 0 then g
+  else begin
+    let cap = Ring.capacity r and s0 = Ring.slot_of_index r 0 in
+    let horizon = Ring.horizon r in
+    let g = ref g and open_g = ref (-1) and prev = ref (-1) in
+    for i = 0 to n - 1 do
+      let s = if s0 + i >= cap then s0 + i - cap else s0 + i in
+      if is_depart r s then begin
+        if Ring.get_f r s 0 <= horizon then begin
+          if store then add_group d !g ~ring:k ~first:i ~slot:s;
+          incr g
+        end
+      end
+      else begin
+        let p = !prev in
+        if
+          p >= 0
+          && Ring.get_i r p 12 = Ring.get_i r s 12
+          && Float.equal (Ring.get_f r p 0) (Ring.get_f r s 0)
+        then (if store then d.gs.((4 * !open_g) + 2) <- i)
+        else begin
+          if store then add_group d !g ~ring:k ~first:i ~slot:s;
+          open_g := !g;
+          incr g
+        end;
+        prev := s
+      end
+    done;
+    !g
+  end
+
+let rec compare_words ra sa rb sb k =
+  if k > 5 then 0
+  else
+    let c = Int.compare (Ring.get_i ra sa k) (Ring.get_i rb sb k) in
+    if c <> 0 then c else compare_words ra sa rb sb (k + 1)
+
+let compare_groups d a b =
+  let ra = g_ring d a and sa = g_slot d a in
+  let rb = g_ring d b and sb = g_slot d b in
+  let c = Float.compare (Ring.get_f ra sa 0) (Ring.get_f rb sb 0) in
   if c <> 0 then c
   else
-    let c = Float.compare a.g_sched b.g_sched in
+    let c = Float.compare (Ring.get_f ra sa 1) (Ring.get_f rb sb 1) in
     if c <> 0 then c
     else
-      let c = Int.compare a.g_cls b.g_cls in
+      (* header int words 1-5: class, then the packet identity *)
+      let c = compare_words ra sa rb sb 1 in
       if c <> 0 then c
       else
-        let c = Int.compare a.g_dflow b.g_dflow in
+        (* Distinct dispatches can share the whole key: two closures
+           armed at one [(time, sched)] carry no packet identity, and
+           the scheduler orders them by arming sequence, which is not
+           shard-invariant (it depends on when a window drain ran).
+           Their records' content is shard-invariant, so it
+           canonicalizes the order — the same on a 1-ring and an N-ring
+           decode. Structural compare of the decoded events is total
+           and deterministic (ints, floats, interned-back strings). *)
+        let c = Stdlib.compare (group_events d a []) (group_events d b []) in
         if c <> 0 then c
         else
-          let c = Int.compare a.g_dsub b.g_dsub in
-          if c <> 0 then c
-          else
-            let c = Int.compare a.g_dpseq b.g_dpseq in
-            if c <> 0 then c
-            else
-              let c = Int.compare a.g_dkind b.g_dkind in
-              if c <> 0 then c
-              else
-                (* Distinct dispatches can share the whole key: two
-                   closures armed at one [(time, sched)] carry no packet
-                   identity, and the scheduler orders them by arming
-                   sequence, which is not shard-invariant (it depends on
-                   when a window drain ran). Their records' content is
-                   shard-invariant, so it canonicalizes the order — the
-                   same on a 1-ring and an N-ring decode. Structural
-                   compare of the decoded events is total and
-                   deterministic (ints, floats, interned-back strings). *)
-                let c = Stdlib.compare a.g_evs b.g_evs in
-                if c <> 0 then c
-                else
-                  let c = Int.compare a.g_rank b.g_rank in
-                  if c <> 0 then c else Int.compare a.g_pos b.g_pos
+          let c = Int.compare d.ranks.(d.gs.(4 * a)) d.ranks.(d.gs.(4 * b)) in
+          if c <> 0 then c else Int.compare (g_first d a) (g_first d b)
 
-let is_depart r s = Ring.get_i r s 0 = tag_pkt_depart
+(* Merge the ordered runs [src.(lo..mid-1)] and [src.(mid..hi-1)] into
+   [dst.(lo..hi-1)]. *)
+let merge cmp src dst lo mid hi =
+  if cmp src.(mid - 1) src.(mid) <= 0 then Array.blit src lo dst lo (hi - lo)
+  else begin
+    let i = ref lo and j = ref mid and k = ref lo in
+    while !i < mid && !j < hi do
+      let x = src.(!i) and y = src.(!j) in
+      if cmp x y <= 0 then begin
+        dst.(!k) <- x;
+        incr i
+      end
+      else begin
+        dst.(!k) <- y;
+        incr j
+      end;
+      incr k
+    done;
+    if !i < mid then Array.blit src !i dst !k (mid - !i)
+    else Array.blit src !j dst !k (hi - !j)
+  end
 
-(* Slot of the last record at or before index [i] that is not a
-   departure, or -1. *)
-let rec prev_dispatched r i =
-  if i < 0 then -1
-  else
-    let s = Ring.slot_of_index r i in
-    if is_depart r s then prev_dispatched r (i - 1) else s
+(* Natural merge sort of [a.(lo..hi-1)]: find the ascending runs, then
+   merge neighbouring runs pass by pass until one is left. Input already
+   in order costs [hi - lo - 1] comparisons and no copy; any disorder
+   still sorts. [b] and [runs] are scratch, as long as [a] and one
+   longer. *)
+let sort_runs cmp a b runs lo hi =
+  if hi - lo > 1 then begin
+    let n = ref 0 in
+    runs.(0) <- lo;
+    for i = lo + 1 to hi - 1 do
+      if cmp a.(i - 1) a.(i) > 0 then begin
+        incr n;
+        runs.(!n) <- i
+      end
+    done;
+    incr n;
+    runs.(!n) <- hi;
+    let src = ref a and dst = ref b in
+    while !n > 1 do
+      (* run [m] of the next pass is runs [r] and [r + 1] of this one;
+         [runs] is rewritten in place, below the entries still unread *)
+      let m = ref 0 and r = ref 0 in
+      while !r < !n do
+        let lo = runs.(!r) in
+        if !r + 1 < !n then begin
+          merge cmp !src !dst lo runs.(!r + 1) runs.(!r + 2);
+          r := !r + 2
+        end
+        else begin
+          Array.blit !src lo !dst lo (runs.(!r + 1) - lo);
+          incr r
+        end;
+        runs.(!m) <- lo;
+        incr m
+      done;
+      runs.(!m) <- hi;
+      n := !m;
+      let t = !src in
+      src := !dst;
+      dst := t
+    done;
+    if !src != a then Array.blit !src lo a lo (hi - lo)
+  end
 
-(* Split one ring into dispatch groups: a group is a run of consecutive
-   records sharing the dispatch ordinal and the record time (records
-   written outside any dispatch, between two [run_until] calls, keep the
-   last ordinal but not its time). A departure record is a group of its
-   own, keyed as the serve event it stands for, and is skipped over when
-   the records around it are grouped, so it never splits the dispatch
-   that wrote it. A departure later than the ring's horizon is dropped:
-   its serve event would never have run. Walking backwards builds each
-   group's event list in emission order without a reverse. *)
-let ring_groups rank r =
-  let groups = ref [] and evs = ref [] in
-  let group s i evs =
+(* Merge every bound ring's records into the canonical event order.
+   Each ring's dispatch groups keep their ring order, which is the
+   order the ring's scheduler dispatched them in: already the canonical
+   order wherever the key decides. Its departure groups, written at
+   admission, are sorted apart. One natural merge sort then joins these
+   runs, so a sequential unwired ring costs one comparison per group,
+   and correctness never rests on the ring's order. Every component of
+   the order before rank and position is shard-invariant, so a 1-ring
+   decode and an N-ring decode of the same run order identically: that
+   is the byte-identity the shard-invariance gate checks. Besides its
+   events and their list, the decode allocates seven ints per group:
+   four for the group, three for the sort. *)
+let decode_rings () =
+  let registry =
+    Array.of_list
+      (Mutex.protect lock (fun () ->
+           List.sort
+             (fun (ra, a) (rb, b) ->
+               let c = Int.compare (Ring.shard a) (Ring.shard b) in
+               if c <> 0 then c else Int.compare ra rb)
+             !registry))
+  in
+  let rings = Array.map snd registry in
+  let d =
     {
-      g_time = Ring.get_f r s 0;
-      g_sched = Ring.get_f r s 1;
-      g_cls = Ring.get_i r s 1;
-      g_dflow = Ring.get_i r s 2;
-      g_dsub = Ring.get_i r s 3;
-      g_dpseq = Ring.get_i r s 4;
-      g_dkind = Ring.get_i r s 5;
-      g_rank = rank;
-      g_pos = i;
-      g_evs = evs;
+      rings;
+      ranks = Array.map fst registry;
+      names = interned_names ();
+      gs = [||];
     }
   in
-  let horizon = Ring.horizon r in
-  for i = Ring.length r - 1 downto 0 do
-    let s = Ring.slot_of_index r i in
-    if is_depart r s then begin
-      if Ring.get_f r s 0 <= horizon then
-        groups := group s i [ event_of_record r s ] :: !groups
-    end
-    else begin
-      evs := event_of_record r s :: !evs;
-      let p = prev_dispatched r (i - 1) in
-      let first =
-        p < 0
-        || Ring.get_i r p 12 <> Ring.get_i r s 12
-        || not (Float.equal (Ring.get_f r p 0) (Ring.get_f r s 0))
-      in
-      if first then begin
-        groups := group s i !evs :: !groups;
-        evs := []
-      end
-    end
+  let nr = Array.length rings in
+  let bounds = Array.make (nr + 1) 0 in
+  for k = 0 to nr - 1 do
+    bounds.(k + 1) <- ring_groups ~store:false d k bounds.(k)
   done;
-  !groups
-
-(* Merge every bound ring's records into the canonical event order:
-   dispatch groups sort by [(time, sched, class, dispatching-packet
-   identity)] — the scheduler's own dispatch order — then by content,
-   with ring rank and in-ring position closing the order, and each
-   group's records come out in the order they were written. Every
-   component before rank/pos is shard-invariant, so a 1-ring decode
-   and an N-ring decode of the same run order identically: that is the
-   byte-identity the shard-invariance gate checks. *)
-let decode_rings () =
-  let rings =
-    Mutex.protect lock (fun () ->
-        List.sort
-          (fun (ra, a) (rb, b) ->
-            let c = Int.compare (Ring.shard a) (Ring.shard b) in
-            if c <> 0 then c else Int.compare ra rb)
-          !registry)
-  in
-  let groups = List.concat_map (fun (rank, r) -> ring_groups rank r) rings in
-  List.concat_map (fun g -> g.g_evs) (List.sort compare_group groups)
+  let ng = bounds.(nr) in
+  let d = { d with gs = Array.make (4 * ng) 0 } in
+  for k = 0 to nr - 1 do
+    ignore (ring_groups ~store:true d k bounds.(k) : int)
+  done;
+  let order = Array.make ng 0 and scratch = Array.make ng 0 in
+  let runs = Array.make (ng + 1) 0 in
+  let cmp = compare_groups d in
+  let depart g = is_depart (g_ring d g) (g_slot d g) in
+  let next = ref 0 in
+  for k = 0 to nr - 1 do
+    for g = bounds.(k) to bounds.(k + 1) - 1 do
+      if not (depart g) then begin
+        order.(!next) <- g;
+        incr next
+      end
+    done;
+    let departures = !next in
+    for g = bounds.(k) to bounds.(k + 1) - 1 do
+      if depart g then begin
+        order.(!next) <- g;
+        incr next
+      end
+    done;
+    sort_runs cmp order scratch runs departures !next
+  done;
+  sort_runs cmp order scratch runs 0 ng;
+  let evs = ref [] in
+  for k = ng - 1 downto 0 do
+    evs := group_events d order.(k) !evs
+  done;
+  !evs
 
 (* --- capture ----------------------------------------------------------- *)
 

@@ -94,7 +94,7 @@ val of_json : Repro_stats.Json.t -> (event, string) result
     Queue names intern to small ints at component creation time so the
     armed emission path stores an int instead of touching a string.
     Interning is mutex-protected and happens off the hot path (topology
-    construction and offline decoding). *)
+    construction, and one copy of the table per {!decode_rings}). *)
 
 val intern : string -> int
 (** Id of [s], allocating a fresh one on first sight. Stable for the
@@ -148,7 +148,18 @@ val decode_rings : unit -> event list
     and their arming order is not shard-invariant), with ring rank and
     in-ring position as the final tie-break. Every component before
     rank/pos is shard-invariant, so an N-shard decode is byte-identical
-    to the 1-shard decode of the same seed. *)
+    to the 1-shard decode of the same seed.
+
+    Cost: linear in the records wherever the rings already hold
+    dispatch order. A group is four ints (ring, first and last record,
+    first slot) whose key is read from the ring words; each ring's
+    dispatch groups keep their ring order, its departure groups are
+    sorted, and one natural merge sort joins these runs, so a
+    sequential unwired ring takes one comparison per group. Two groups
+    are decoded to compare their content only when they tie on the
+    whole key. The intern table is copied once per call. Only the
+    events, their list and the group arrays are allocated (about 18
+    words per record on the Scenario B report capture). *)
 
 exception Overflow of { dropped : int; needed : int }
 (** A ring overflowed during {!capture}: [dropped] records were lost,

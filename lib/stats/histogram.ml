@@ -66,7 +66,8 @@ let bin_index t x =
   if i < 0 then 0 else if i >= bins t then bins t - 1 else i
 
 let add t x =
-  t.counts.(bin_index t x) <- t.counts.(bin_index t x) + 1;
+  let i = bin_index t x in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1
 
 let count t = t.total

@@ -596,6 +596,62 @@ let test_report_deterministic_across_runs () =
     "and non-trivial" true
     (String.length first > 100)
 
+let as_float name j =
+  match j with
+  | Json.Float f -> f
+  | Json.Int i -> float_of_int i
+  | _ -> Alcotest.fail (name ^ " is not a number")
+
+(* [feed] caches the last queue's accumulator by physical name; a JSONL
+   replay carries a fresh string per event, so equal names that are
+   physically distinct must still land in one accumulator. *)
+let test_report_queue_name_fallback () =
+  let fresh () = String.concat "-" [ "fallback"; "q" ] in
+  let a = fresh () and b = fresh () in
+  Alcotest.(check bool) "names physically distinct" false (a == b);
+  let enq time queue =
+    Trace.Pkt_enqueue
+      {
+        time; queue; flow = 0; subflow = 0; seq = 0; kind = "data";
+        backlog = 1;
+      }
+  in
+  let acc = Report.create () in
+  List.iter (Report.feed acc)
+    [ enq 0.1 a; enq 0.2 b; enq 0.3 "other-q"; enq 0.4 b; enq 0.5 a ];
+  let queues = member "queues" (Report.to_json acc) in
+  (match queues with
+  | Json.Obj fields ->
+    Alcotest.(check (list string)) "one accumulator per name"
+      [ "fallback-q"; "other-q" ] (List.map fst fields)
+  | _ -> Alcotest.fail "queues is not an object");
+  Alcotest.(check int) "every enqueue counted" 4
+    (as_int "enqueued" (member "enqueued" (member "fallback-q" queues)))
+
+(* A subflow dwells in no state while removed, and a re-added subflow's
+   open state runs to the end of the stream: add@0, CA@1, remove@2,
+   add@3, FR@4, last event @10. *)
+let test_report_readded_subflow_dwell () =
+  let acc = Report.create () in
+  let state time from_state to_state =
+    Trace.Tcp_state { time; flow = 7; subflow = 0; from_state; to_state }
+  in
+  List.iter (Report.feed acc)
+    [
+      Trace.Subflow_add { time = 0.; flow = 7; subflow = 0 };
+      state 1. Trace.Slow_start Trace.Congestion_avoidance;
+      Trace.Subflow_remove { time = 2.; flow = 7; subflow = 0 };
+      Trace.Subflow_add { time = 3.; flow = 7; subflow = 0 };
+      state 4. Trace.Congestion_avoidance Trace.Fast_recovery;
+      Trace.Rto_fired { time = 10.; flow = 8; subflow = 0; rto = 1. };
+    ];
+  let sub = member "7/0" (member "subflows" (Report.to_json acc)) in
+  let dwell = member "state_dwell_s" sub in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (float 0.)) name want (as_float name (member name dwell)))
+    [ ("slow_start", 1.); ("congestion_avoidance", 2.); ("fast_recovery", 6.) ]
+
 (* --- sweeps ------------------------------------------------------------ *)
 
 (* Tracing is per-worker: each sweep domain binds its own ring, so a
@@ -864,6 +920,188 @@ let test_decode_drops_departures_past_horizon () =
     (Queue.bytes_forwarded q);
   Alcotest.(check int) "still queued" 6 (Queue.backlog q)
 
+(* The decoder against an oracle that restates the order it must
+   produce, the simplest way: every ring's records cut into groups (one
+   dispatch's run of records, departures skipped over and kept alone,
+   departures past the horizon dropped), all groups sorted with
+   [List.sort] on (time, sched, class, packet identity, content, ring
+   registration, position), and their events concatenated. Batches draw
+   few distinct keys, so groups tie on (time, sched), closure groups tie
+   on the whole key with different content, packet groups share
+   identities, departures land mid-dispatch and on both sides of the
+   horizon, and the rings' order is arbitrary. *)
+type oracle_record =
+  | Written of Trace.event  (** by the dispatch, at the event's time *)
+  | Departure of { time : float; sched : float; seq : int }
+
+type oracle_dispatch = {
+  d_sched : float;
+  d_cls : int;
+  d_id : int * int * int * int;  (** flow, subflow, pseq, kind *)
+  d_records : oracle_record list;
+}
+
+type oracle_ring = {
+  o_shard : int;
+  o_horizon : float option;
+  o_dispatches : oracle_dispatch list;
+}
+
+let departure_event ~time ~seq =
+  Trace.Pkt_forward
+    { time; queue = "oracle-q"; flow = 9; subflow = 0; seq; kind = "data";
+      bytes = 1500; qdelay = 0.25 }
+
+let gen_oracle_rings =
+  let open QCheck.Gen in
+  let event time =
+    oneof
+      [
+        map2
+          (fun flow cwnd ->
+            Trace.Cwnd_update { time; flow; subflow = 0; cwnd; ssthresh = 8. })
+          (int_bound 1) (oneofl [ 1.; 2. ]);
+        map
+          (fun flow -> Trace.Subflow_add { time; flow; subflow = 0 })
+          (int_bound 1);
+        map2
+          (fun queue seq ->
+            Trace.Pkt_enqueue
+              {
+                time; queue; flow = 0; subflow = 0; seq; kind = "data";
+                backlog = 1;
+              })
+          (oneofl [ "oracle-a"; "oracle-b" ]) (int_bound 1);
+      ]
+  in
+  let record time =
+    frequency
+      [
+        (3, map (fun e -> Written e) (event time));
+        (* a record written at a later instant splits its dispatch *)
+        (1, map (fun e -> Written e) (event (time +. 0.25)));
+        ( 2,
+          map3
+            (fun time sched seq -> Departure { time; sched; seq })
+            (oneofl [ 1.; 1.5; 2.; 2.5 ]) (oneofl [ 0.5; 1. ]) (int_bound 1) );
+      ]
+  in
+  let dispatch =
+    oneofl [ 1.; 2. ] >>= fun time ->
+    oneofl [ 0.; 0.5 ] >>= fun d_sched ->
+    int_bound 1 >>= fun d_cls ->
+    (if d_cls = 0 then return (0, 0, 0, 0)
+     else
+       map3 (fun f p k -> (f, 0, p, k)) (int_bound 1) (int_bound 1)
+         (int_bound 1))
+    >>= fun d_id ->
+    list_size (int_range 1 3) (record time) >|= fun d_records ->
+    { d_sched; d_cls; d_id; d_records }
+  in
+  int_range 1 4 >>= fun nr ->
+  shuffle_l (List.init nr Fun.id) >>= fun shards ->
+  flatten_l
+    (List.map
+       (fun o_shard ->
+         map2
+           (fun o_horizon o_dispatches -> { o_shard; o_horizon; o_dispatches })
+           (opt (oneofl [ 1.5; 2. ]))
+           (list_size (int_bound 6) dispatch))
+       shards)
+
+let emit_oracle_rings rings =
+  List.iter
+    (fun o ->
+      Trace.bind_ring ~shard:o.o_shard;
+      List.iter
+        (fun d ->
+          let flow, subflow, pseq, kind = d.d_id in
+          Trace.set_dispatch_ctx ~sched:d.d_sched ~cls:d.d_cls ~flow ~subflow
+            ~pseq ~kind;
+          List.iter
+            (function
+              | Written e -> Trace.emit e
+              | Departure { time; sched; seq } ->
+                Trace.pkt_depart ~time ~sched ~queue:(Trace.intern "oracle-q")
+                  ~flow:9 ~subflow:0 ~seq ~kind:0 ~bytes:1500 ~qdelay:0.25)
+            d.d_records)
+        o.o_dispatches;
+      Option.iter Trace.note_horizon o.o_horizon)
+    rings
+
+let oracle_decode rings =
+  let event_time = function
+    | Trace.Cwnd_update { time; _ }
+    | Trace.Subflow_add { time; _ }
+    | Trace.Pkt_enqueue { time; _ } -> time
+    | _ -> assert false
+  in
+  (* the dispatch ordinal counts dispatches across rings, as the
+     emitting domain does; a group is (time, key, events, rank, pos) *)
+  let ordinal = ref 0 in
+  let ring_groups rank o =
+    let horizon = Option.value o.o_horizon ~default:infinity in
+    let pos = ref 0 and groups = ref [] and open_group = ref None in
+    let close () =
+      Option.iter
+        (fun (_, t, k, evs, p) ->
+          groups := (t, k, List.rev evs, rank, p) :: !groups)
+        !open_group;
+      open_group := None
+    in
+    List.iter
+      (fun d ->
+        incr ordinal;
+        let flow, subflow, pseq, kind = d.d_id in
+        let key = (d.d_sched, d.d_cls, flow, subflow, pseq, kind) in
+        List.iter
+          (fun r ->
+            (match r with
+            | Departure { time; sched; seq } ->
+              if time <= horizon then
+                groups :=
+                  ( time, (sched, 0, 0, 0, 0, 0),
+                    [ departure_event ~time ~seq ], rank, !pos )
+                  :: !groups
+            | Written e -> (
+              let time = event_time e in
+              match !open_group with
+              | Some (ord, t, k, evs, p)
+                when ord = !ordinal && Float.equal t time ->
+                open_group := Some (ord, t, k, e :: evs, p)
+              | _ ->
+                close ();
+                open_group := Some (!ordinal, time, key, [ e ], !pos)));
+            incr pos)
+          d.d_records)
+      o.o_dispatches;
+    close ();
+    !groups
+  in
+  let compare_group (t1, (s1, c1, f1, u1, p1, k1), e1, r1, q1)
+      (t2, (s2, c2, f2, u2, p2, k2), e2, r2, q2) =
+    let ( >>> ) c next = if c <> 0 then c else next () in
+    Float.compare t1 t2 >>> fun () ->
+    Float.compare s1 s2 >>> fun () ->
+    compare (c1, f1, u1, p1, k1) (c2, f2, u2, p2, k2) >>> fun () ->
+    compare e1 e2 >>> fun () -> compare (r1, q1) (r2, q2)
+  in
+  List.concat_map
+    (fun (_, _, evs, _, _) -> evs)
+    (List.sort compare_group (List.concat (List.mapi ring_groups rings)))
+
+let prop_decode_matches_oracle =
+  QCheck.Test.make ~name:"ring decode matches the sorting oracle" ~count:300
+    (QCheck.make gen_oracle_rings) (fun rings ->
+      let decoded =
+        Trace.arm_rings ~capacity:256 ();
+        Fun.protect ~finally:Trace.disarm_rings (fun () ->
+            emit_oracle_rings rings;
+            Trace.unbind_ring ();
+            Trace.decode_rings ())
+      in
+      decoded = oracle_decode rings)
+
 (* An armed emission needs a ring: on a domain that never bound one it
    raises instead of vanishing. *)
 let test_unbound_emission_raises () =
@@ -953,6 +1191,50 @@ let test_armed_emission_zero_alloc () =
             (Printf.sprintf "minor words per event (%.1f) < 16" per_ev)
             true (per_ev < 16.)
         end)
+
+(* The decode and the fold allocate a fixed amount per record, counted
+   with [Gc.allocated_bytes] (which also sees the decoder's major-heap
+   arrays) on the golden report's Scenario B capture. That counter only
+   sees the minor heap up to its last collection, so each reading
+   empties it first. The bounds sit just above the counts this code
+   makes (release: 18.2 words per record for the decode, 1.5 for the
+   fold; the sort-based decoder and the tuple-keyed fold made 52.6 and
+   8.3): the decode allocates its events, their list and its group
+   arrays, the fold little beyond the cwnd timelines' growth. Dev
+   builds box float reads at the non-inlined ring accessors, so their
+   decode bound is looser. *)
+let test_decode_feed_alloc () =
+  let config =
+    { S.Scen_b.default with n = 4; cx_mbps = 8.; ct_mbps = 10.; duration = 8.;
+      warmup = 2. }
+  in
+  let allocated_words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. 8.
+  in
+  Trace.arm_rings ~capacity:(1 lsl 16) ();
+  Fun.protect ~finally:Trace.disarm_rings (fun () ->
+      Trace.bind_ring ~shard:0;
+      ignore (S.Scen_b.run config);
+      let w0 = allocated_words () in
+      let events = Trace.decode_rings () in
+      let w1 = allocated_words () in
+      let acc = Report.create () in
+      List.iter (Report.feed acc) events;
+      let w2 = allocated_words () in
+      let records = float_of_int (List.length events) in
+      let decode = (w1 -. w0) /. records and feed = (w2 -. w1) /. records in
+      let strict =
+        Sys.backend_type = Sys.Native && build_inlines_hot_paths ()
+      in
+      let check what words bound =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.2f words per record <= %g" what words bound)
+          true (words <= bound)
+      in
+      Alcotest.(check bool) "a real capture" true (records > 20_000.);
+      check "decode_rings" decode (if strict then 18.5 else 25.);
+      check "Report.feed" feed 1.5)
 
 (* --- event-loop profiler ----------------------------------------------- *)
 
@@ -1050,6 +1332,10 @@ let suite =
       test_report_jsonl_round_trip;
     Alcotest.test_case "report rejects malformed trace lines" `Quick
       test_report_jsonl_rejects_bad_line;
+    Alcotest.test_case "report folds equal queue names into one" `Quick
+      test_report_queue_name_fallback;
+    Alcotest.test_case "report: a re-added subflow dwells again" `Quick
+      test_report_readded_subflow_dwell;
     Alcotest.test_case "report JSON byte-identical across runs" `Quick
       test_report_deterministic_across_runs;
     Alcotest.test_case "sweeps run with trace rings armed" `Slow
@@ -1059,6 +1345,7 @@ let suite =
     Alcotest.test_case "null ring refuses records" `Quick
       test_ring_null_refuses;
     QCheck_alcotest.to_alcotest prop_decode_partition_invariant;
+    QCheck_alcotest.to_alcotest prop_decode_matches_oracle;
     Alcotest.test_case "decode keeps each dispatch's order" `Quick
       test_decode_keeps_dispatch_order;
     Alcotest.test_case "departure record does not split its dispatch" `Quick
@@ -1069,6 +1356,8 @@ let suite =
       test_unbound_emission_raises;
     Alcotest.test_case "ring overflow fails the capture" `Quick
       test_capture_overflow;
+    Alcotest.test_case "decode and fold allocate a bounded amount per record"
+      `Quick test_decode_feed_alloc;
     Alcotest.test_case "armed ring emission stays off the minor heap" `Quick
       test_armed_emission_zero_alloc;
     Alcotest.test_case "profiler accounts dispatches per source" `Quick
