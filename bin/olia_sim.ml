@@ -133,13 +133,15 @@ module Obs = Mptcp_repro.Obs
 
 let trace_ring_opt =
   let doc =
-    "Capacity of each per-domain trace ring, in records (default 262144). \
-     Rings are pre-allocated; a run that overflows one fails, names the \
-     capacity it needs, and writes no trace or report."
+    "Capacity of each per-domain trace ring, in records (default 4194304). \
+     A ring's memory follows the records a run writes (136 bytes each, \
+     allocated 4096 at a time); the capacity only caps it. A run that \
+     overflows a ring fails, names the capacity it needs, and writes no \
+     trace or report."
   in
   Arg.(
     value
-    & opt int (1 lsl 18)
+    & opt int (1 lsl 22)
     & info [ "trace-ring" ] ~docv:"RECORDS" ~doc)
 
 let overflow_msg cmd ~dropped ~needed =

@@ -1,13 +1,17 @@
-(** Pre-allocated binary trace rings: the storage layer under
+(** Binary trace rings in chunked storage: the storage layer under
     {!Trace}'s armed-emission path.
 
-    A ring holds fixed-width records in two flat pre-allocated lanes:
-    an [int array] at stride 16 (tag, dispatch-context words, payload
-    ints) and a [floatarray] at stride 4 (time, scheduling key, payload
-    floats). {!claim} hands out the next slot and the caller fills its
-    words with plain unboxed stores, so writing a record allocates
-    nothing on the minor heap. {!Trace} owns the record layout; this
-    module owns only the circular-buffer mechanics.
+    A ring holds fixed-width records of 13 int words (tag,
+    dispatch-context words, payload ints) and 4 float words (time,
+    scheduling key, payload floats), 136 bytes per record. They live in
+    chunks of 4096 records behind a chunk table: {!create} allocates
+    only the table, and {!claim} allocates a chunk (in the major heap)
+    the first time the write cursor reaches it, on the ring's first
+    lap. So a ring's memory follows the records written, and its
+    capacity only caps it. {!claim} hands out the next slot and the
+    caller fills its words with plain unboxed stores, so writing a
+    record allocates nothing on the minor heap. {!Trace} owns the record
+    layout; this module owns only the circular-buffer mechanics.
 
     Rings are single-writer: exactly one domain writes (via
     [Trace.bind_ring]), and the offline decoder reads only after the
@@ -21,8 +25,9 @@ exception Full
 type t
 
 val create : shard:int -> capacity:int -> t
-(** A ring of [capacity] records (two eager allocations: the int and
-    float lanes). Raises [Invalid_argument] if [capacity < 1]. *)
+(** A ring of [capacity] records. Allocates only the chunk table (one
+    slot per 4096 records and lane); record storage comes with the
+    records. Raises [Invalid_argument] if [capacity < 1]. *)
 
 val null : t
 (** The capacity-0 ring that parks unbound domains: any {!claim}
@@ -56,16 +61,23 @@ val horizon : t -> float
 
 val claim : t -> int
 (** Claim the next slot and return its index for the [set_i]/[set_f]
-    stores. A full ring overwrites its oldest record (counted in
-    {!dropped}); the {!null} ring raises {!Full}. *)
+    stores, and make its chunk the current one. The first claim to reach
+    a chunk on the first lap allocates it. A full ring overwrites its
+    oldest record (counted in {!dropped}); the {!null} ring raises
+    {!Full}. *)
 
 val set_i : t -> int -> int -> int -> unit
-(** [set_i r slot k v] stores int word [k] (0..15) of [slot]. *)
+(** [set_i r slot k v] stores int word [k] (0..12) of [slot], which
+    must be the slot the last {!claim} returned: the store goes through
+    the current chunk. *)
 
 val get_i : t -> int -> int -> int
+(** [get_i r slot k] reads int word [k] of any retained [slot], through
+    the chunk table. *)
 
 val set_f : t -> int -> int -> float -> unit
-(** [set_f r slot k v] stores float word [k] (0..3) of [slot]. *)
+(** [set_f r slot k v] stores float word [k] (0..3) of [slot], the slot
+    the last {!claim} returned. *)
 
 val get_f : t -> int -> int -> float
 
@@ -74,5 +86,5 @@ val slot_of_index : t -> int -> int
     the decoder's iteration order. *)
 
 val reset : t -> unit
-(** Forget all records and the noted horizon (the storage stays
-    allocated). *)
+(** Forget all records and the noted horizon. The chunks stay
+    allocated, and the next {!claim} writes slot 0 of chunk 0. *)

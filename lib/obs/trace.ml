@@ -5,9 +5,9 @@
    [if Trace.enabled () then ...], and [enabled] is a single ref read,
    so the tracing-off hot path neither allocates nor branches beyond
    that one test. Armed, every record goes to the calling domain's
-   pre-allocated binary ring; the rings decode offline into plain
-   event records of scalars, which serialize through [Repro_stats.Json]
-   to JSONL (one compact object per line). *)
+   binary ring; the rings decode offline into plain event records of
+   scalars, which serialize through [Repro_stats.Json] to JSONL (one
+   compact object per line). *)
 
 module Json = Repro_stats.Json
 
@@ -359,9 +359,9 @@ let interned_names () =
 (* --- rings ------------------------------------------------------------ *)
 
 (* Armed tracing is ring-only: each participating domain binds its own
-   pre-allocated {!Ring}, emission is a lock-free single-writer binary
-   append, and {!decode_rings} merges the rings offline into the
-   canonical event order. *)
+   {!Ring}, emission is a lock-free single-writer binary append, and
+   {!decode_rings} merges the rings offline into the canonical event
+   order. *)
 
 (* lint: allow R2 -- the one-ref-read guard behind every instrumentation site, flipped only between runs (arm_rings/disarm_rings) *)
 let rings_on = ref false
@@ -454,10 +454,11 @@ let rings_dropped () =
 
 (* --- armed emission --------------------------------------------------- *)
 
-(* Record layout (owned here, storage in {!Ring}). Int words:
-   0 tag, 1 dispatch class, 2-5 dispatching packet identity
-   (flow, subflow, seq, kind), 6-11 payload, 12 dispatch ordinal.
-   Float words: 0 event time, 1 dispatch sched key, 2-3 payload. *)
+(* Record layout (owned here, storage in {!Ring}: 13 int and 4 float
+   words). Int words: 0 tag, 1 dispatch class, 2-5 dispatching packet
+   identity (flow, subflow, seq, kind), 6-11 payload, 12 dispatch
+   ordinal. Float words: 0 event time, 1 dispatch sched key, 2-3
+   payload. Every store goes to the slot the record's claim returned. *)
 
 let tag_pkt_enqueue = 0
 let tag_pkt_drop = 1

@@ -3,12 +3,12 @@
     Instrumentation sites in [lib/netsim] call the scalar emission
     functions ({!pkt_enqueue}, {!cwnd_update}, ...) only when {!enabled}
     returns true, so the tracing-off path costs one ref read and
-    allocates nothing. Armed, each participating domain binds a
-    pre-allocated binary {!Ring} with {!bind_ring}; emission is a
-    fixed-width record write — zero minor allocation, covered by the R9
-    [\[@olia.alloc_free\]] proof — and {!decode_rings} merges the rings
-    offline into the canonical event order, the same at any shard
-    count. {!capture} wraps the whole cycle around one run.
+    allocates nothing. Armed, each participating domain binds a binary
+    {!Ring} with {!bind_ring}; emission is a fixed-width record write —
+    zero minor allocation, covered by the R9 [\[@olia.alloc_free\]]
+    proof — and {!decode_rings} merges the rings offline into the
+    canonical event order, the same at any shard count. {!capture}
+    wraps the whole cycle around one run.
 
     The JSONL wire format ({!write_jsonl}) is one compact
     [Repro_stats.Json] object per line, led by an ["ev"]
@@ -111,16 +111,18 @@ val arm_rings : ?capacity:int -> unit -> unit
 (** Arm tracing and reset the ring registry. Subsequent {!bind_ring}
     calls create rings of [capacity] records (default [65536]); a full
     ring overwrites its oldest record and counts it in
-    {!rings_dropped}. Call before the traced run starts, from the
-    orchestrating domain. *)
+    {!rings_dropped}. The capacity only caps a ring: its storage is
+    allocated 4096 records at a time as they are written. Call before
+    the traced run starts, from the orchestrating domain. *)
 
 val bind_ring : shard:int -> unit
-(** Create a fresh ring for the calling domain, register it under
-    [shard], and install it in domain-local storage: every subsequent
-    armed emission on this domain writes the ring. A domain that
-    already holds a ring of the current arming under [shard] keeps it.
-    Workers call this once at window-loop start. Raises
-    [Invalid_argument] if rings are not armed. *)
+(** Create a fresh ring for the calling domain (its chunk table only,
+    no record storage), register it under [shard], and install it in
+    domain-local storage: every subsequent armed emission on this
+    domain writes the ring. A domain that already holds a ring of the
+    current arming under [shard] keeps it. Workers call this once at
+    window-loop start. Raises [Invalid_argument] if rings are not
+    armed. *)
 
 val unbind_ring : unit -> unit
 (** Detach the calling domain from its ring (the ring stays

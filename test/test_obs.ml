@@ -698,30 +698,59 @@ module Ring = Repro_obs.Ring
 
 (* Circular-buffer mechanics: a ring past capacity keeps
    exactly the newest [capacity] records, counts the overwritten ones,
-   and [slot_of_index] walks the survivors oldest-to-newest. *)
+   and [slot_of_index] walks the survivors oldest-to-newest. The second
+   capacity spans two full 4096-record chunks and a partial third, so
+   the survivors cross chunk boundaries and the wrap; after a reset the
+   next records land from slot 0 again. *)
 let test_ring_wraparound () =
+  let fill r ~from n =
+    for i = from to from + n - 1 do
+      let s = Ring.claim r in
+      Ring.set_i r s 0 i;
+      Ring.set_i r s 12 (-i);
+      Ring.set_f r s 0 (float_of_int i);
+      Ring.set_f r s 3 (float_of_int (2 * i))
+    done
+  in
+  let lanes r =
+    List.init (Ring.length r) (fun i ->
+        let s = Ring.slot_of_index r i in
+        ( (Ring.get_i r s 0, Ring.get_i r s 12),
+          (Ring.get_f r s 0, Ring.get_f r s 3) ))
+  in
+  let expect lo n =
+    List.init n (fun i ->
+        let v = lo + i in
+        ((v, -v), (float_of_int v, float_of_int (2 * v))))
+  in
+  let words =
+    Alcotest.(list (pair (pair int int) (pair (float 0.) (float 0.))))
+  in
   let r = Ring.create ~shard:0 ~capacity:8 in
-  for i = 0 to 19 do
-    let s = Ring.claim r in
-    Ring.set_i r s 0 i;
-    Ring.set_f r s 0 (float_of_int i)
-  done;
+  fill r ~from:0 20;
   Alcotest.(check int) "length capped at capacity" 8 (Ring.length r);
   Alcotest.(check int) "overwritten records counted" 12 (Ring.dropped r);
   Alcotest.(check int) "written counts every claim" 20 (Ring.written r);
-  Alcotest.(check (list int))
-    "retains the newest, oldest-to-newest"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.init (Ring.length r) (fun i ->
-         Ring.get_i r (Ring.slot_of_index r i) 0));
-  Alcotest.(check (list (float 0.)))
-    "float lane wraps in step"
-    [ 12.; 13.; 14.; 15.; 16.; 17.; 18.; 19. ]
-    (List.init (Ring.length r) (fun i ->
-         Ring.get_f r (Ring.slot_of_index r i) 0));
+  Alcotest.(check words) "retains the newest, oldest-to-newest, both lanes"
+    (expect 12 8) (lanes r);
   Ring.reset r;
   Alcotest.(check int) "reset forgets the records" 0 (Ring.length r);
-  Alcotest.(check int) "and the drop count" 0 (Ring.dropped r)
+  Alcotest.(check int) "and the drop count" 0 (Ring.dropped r);
+  let cap = (2 * 4096) + 5 in
+  let r = Ring.create ~shard:0 ~capacity:cap in
+  let n = cap + 4096 + 7 in
+  fill r ~from:0 n;
+  Alcotest.(check int) "chunked: length capped" cap (Ring.length r);
+  Alcotest.(check int) "chunked: overwritten counted" (n - cap)
+    (Ring.dropped r);
+  Alcotest.(check words) "chunked: newest records in order on both lanes"
+    (expect (n - cap) cap) (lanes r);
+  Ring.reset r;
+  fill r ~from:1 5000;
+  Alcotest.(check int) "after reset: from slot 0" 0 (Ring.slot_of_index r 0);
+  Alcotest.(check int) "after reset: nothing dropped" 0 (Ring.dropped r);
+  Alcotest.(check words) "after reset: the new records, in order"
+    (expect 1 5000) (lanes r)
 
 (* The null ring (an unbound domain) refuses every record. *)
 let test_ring_null_refuses () =
@@ -1150,7 +1179,9 @@ let build_inlines_hot_paths () =
    emission writes fixed-width records without touching the minor heap.
    Exact in inlining (release) builds; dev builds box each float
    argument at the non-inlined call boundary, so a loose per-event
-   bound still catches a record or closure picked up per event. *)
+   bound still catches a record or closure picked up per event. The
+   measured burst crosses two 4096-record chunk boundaries, so the
+   first-lap chunk allocations it makes must land in the major heap. *)
 let test_armed_emission_zero_alloc () =
   Trace.arm_rings ~capacity:(1 lsl 14) ();
   Fun.protect
@@ -1171,7 +1202,7 @@ let test_armed_emission_zero_alloc () =
             ~kind:0 ~bytes:1500 ~qdelay:t
         done
       in
-      burst 200 (* warm-up: fault the lanes, populate DLS *);
+      burst 200 (* warm-up: allocate chunk 0, populate DLS *);
       let w0 = Gc.minor_words () in
       burst 2000;
       let w1 = Gc.minor_words () in
@@ -1235,6 +1266,47 @@ let test_decode_feed_alloc () =
       Alcotest.(check bool) "a real capture" true (records > 20_000.);
       check "decode_rings" decode (if strict then 18.5 else 25.);
       check "Report.feed" feed 1.5)
+
+(* A ring's storage follows its records: creating one allocates only
+   its chunk table, the first claim allocates one 4096-record chunk (13
+   int and 4 float words a record), and the rest of that chunk's claims
+   allocate nothing. Words come from [Gc.allocated_bytes] read after
+   emptying the minor heap (as in [test_decode_feed_alloc]), less what
+   an empty measurement counts. *)
+let test_ring_storage_follows_records () =
+  let words f =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    f ();
+    Gc.minor ();
+    (Gc.allocated_bytes () -. b0) /. 8.
+  in
+  let base = words ignore in
+  let ring = ref Ring.null in
+  let create =
+    words (fun () -> ring := Ring.create ~shard:0 ~capacity:(1 lsl 22))
+    -. base
+  in
+  let r = !ring in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 2^22-record ring arms in %.0f words < 64 KiB" create)
+    true
+    (create *. 8. < 65536.);
+  let first = words (fun () -> ignore (Ring.claim r : int)) -. base in
+  let chunk = float_of_int (4096 * (13 + 4)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the first claim allocates one chunk (%.0f words)" first)
+    true
+    (first >= chunk && first < chunk +. 64.);
+  let rest =
+    words (fun () ->
+        for _ = 2 to 4096 do
+          ignore (Ring.claim r : int)
+        done)
+    -. base
+  in
+  Alcotest.(check (float 0.)) "the next 4095 claims allocate nothing" 0. rest;
+  Alcotest.(check int) "one chunk written" 4096 (Ring.length r)
 
 (* --- event-loop profiler ----------------------------------------------- *)
 
@@ -1373,4 +1445,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_matches_oracle;
     Alcotest.test_case "decode and fold allocate a bounded amount per record"
       `Quick test_decode_feed_alloc;
+    Alcotest.test_case "ring storage follows the records written" `Quick
+      test_ring_storage_follows_records;
   ]

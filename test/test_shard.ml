@@ -374,8 +374,8 @@ let test_sharded_run_deterministic () =
 (* --- sharded tracing ----------------------------------------------------- *)
 
 (* Per-worker trace rings replaced the old run_windows tracing refusal:
-   each worker domain binds its own pre-allocated ring, and the offline
-   decoder merges them back into the scheduler's dispatch order. The
+   each worker domain binds its own ring, and the offline decoder
+   merges them back into the scheduler's dispatch order. The
    check that matters is byte-level — a 2-shard traced run must decode
    to exactly the event stream of the 1-shard run. *)
 let traced_lines shards =
